@@ -23,6 +23,7 @@ from .spaces import (
     MeasurableSet,
     SetFunction,
     as_value,
+    atom_table,
     close,
 )
 
@@ -63,8 +64,7 @@ class AdditiveMeasure:
 
     def to_set_function(self):
         if self._table is None:
-            table = [self(b) for b in range(self.space.n_sets)]
-            self._table = SetFunction(self.space, table)
+            self._table = SetFunction(self.space, atom_table(self.atom_masses))
         return self._table
 
     @classmethod

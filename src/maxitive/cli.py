@@ -241,6 +241,10 @@ def _cmd_residual(args):
 
 
 def _cmd_simulate(args):
+    if not args.p > 0:
+        raise ValueError(f"--p must be a positive tail index, got {args.p}")
+    if args.n < 0:
+        raise ValueError(f"--n must be a nonnegative sample count, got {args.n}")
     if args.m is not None:
         m = _need_additive(_load(args.m), "--m")
     elif args.atoms is not None:

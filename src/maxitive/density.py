@@ -26,7 +26,17 @@ from .errors import (
 )
 from .integral import atom_integral
 from .measures import MaxitiveMeasure, _as_table, _zero_masks, esssup_measure, negligible
-from .spaces import DEFAULT_TOL, INF, MeasurableFn, MeasurableSet, close, submasks
+from .spaces import (
+    DEFAULT_TOL,
+    INF,
+    MeasurableFn,
+    MeasurableSet,
+    atom_table,
+    close,
+    max_over_submasks,
+    partition_dp,
+    vclose,
+)
 
 
 @dataclass
@@ -104,12 +114,6 @@ def ae_equal(w, f, g, tol=DEFAULT_TOL):
 # ---------------------------------------------------------------------------
 
 
-def _mul(a, b):
-    if a == 0.0 or b == 0.0:
-        return 0.0
-    return a * b
-
-
 def envelope_measure(nu, m, tol=DEFAULT_TOL):
     """min over partitions of B of the sum of nu(block) * m(block).
 
@@ -119,36 +123,18 @@ def envelope_measure(nu, m, tol=DEFAULT_TOL):
     additive, so it is returned as an AdditiveMeasure.
     """
     space = nu.space
-    n = space.n_sets
-    dp = np.zeros(n)
     nu_t = _as_table(nu).table
     m_t = _as_table(m).table
-    for b in range(1, n):
-        low = b & -b
-        best = INF
-        rest0 = b ^ low
-        # blocks containing the lowest atom of b: low | (submask of the rest)
-        sub = rest0
-        while True:
-            blk = low | sub
-            cand = _mul(float(nu_t[blk]), float(m_t[blk])) + dp[b ^ blk]
-            if cand < best:
-                best = cand
-            if sub == 0:
-                break
-            sub = (sub - 1) & rest0
-        dp[b] = best
-    closed = np.zeros(n)
-    for i in range(space.n_atoms):
-        unit = _mul(float(nu_t[1 << i]), float(m_t[1 << i]))
-        for b in range(n):
-            if b & (1 << i):
-                closed[b] += unit
-    for b in range(n):
-        if not close(float(dp[b]), float(closed[b]), tol):
-            raise OracleMismatch(
-                f"partition DP {dp[b]} vs singleton sum {closed[b]} at mask {b}"
-            )
+    with np.errstate(invalid="ignore"):  # 0 * inf, replaced by 0
+        cost = np.where((nu_t == 0.0) | (m_t == 0.0), 0.0, nu_t * m_t)
+    dp = partition_dp(cost, np.minimum)
+    closed = atom_table(cost[1 << np.arange(space.n_atoms)])
+    agree = vclose(dp, closed, tol)
+    if not agree.all():
+        b = int(np.argmin(agree))
+        raise OracleMismatch(
+            f"partition DP {dp[b]} vs singleton sum {closed[b]} at mask {b}"
+        )
     masses = [float(closed[1 << i]) for i in range(space.n_atoms)]
     return AdditiveMeasure(space, masses)
 
@@ -163,18 +149,13 @@ class EnvelopeReport:
 
 def _reconstruct(nu, m, env, tol):
     """nu(B) as the sup of envelope/m ratios over subsets of positive mass."""
-    space = nu.space
-    for b in range(space.n_sets):
-        best = 0.0
-        for sub in submasks(b):
-            mb = m(sub)
-            if 0.0 < mb < INF:
-                ratio = env(sub) / mb if not math.isinf(env(sub)) else INF
-                if ratio > best:
-                    best = ratio
-        if not close(nu(b), best, tol):
-            return False
-    return True
+    mass = atom_table(m.atom_masses)
+    env_t = atom_table(env.atom_masses)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(np.isinf(env_t), INF, env_t / mass)
+    charged = (0.0 < mass) & (mass < INF)
+    best = max_over_submasks(np.where(charged, ratio, 0.0))
+    return bool(vclose(_as_table(nu).table, best, tol).all())
 
 
 def envelope_density(nu, m, tol=DEFAULT_TOL, force_transform=False):

@@ -5,8 +5,11 @@ max over the atoms inside. General set functions are classified by a battery
 of named predicates, each of which returns a witness when it fails. On a
 finite algebra several textbook properties (continuity along chains,
 exhaustivity, the countable chain condition, sigma-principality) hold for
-structural reasons; the predicates still sweep the defining objects so every
-boolean in a report is reproducible by re-running the named function.
+structural reasons; the predicates still check them on the whole algebra so
+every boolean in a report is reproducible by re-running the named function.
+The exhaustive checks read whole 2^k tables through the subset-lattice
+kernels of ``spaces`` (k 2^k transforms, a 3^k partition DP) instead of
+looping over sets in Python.
 """
 
 from __future__ import annotations
@@ -28,10 +31,15 @@ from .spaces import (
     INF,
     MeasurableSet,
     SetFunction,
+    any_over_supersets,
     as_value,
+    atom_table,
     close,
+    max_over_submasks,
+    partition_dp,
     require_budget,
     set_partitions,
+    submask_pairs,
     submasks,
     vclose,
 )
@@ -66,13 +74,7 @@ class MaxitiveMeasure:
 
     def to_set_function(self):
         if self._table is None:
-            n = self.space.n_sets
-            table = np.zeros(n)
-            for i, v in enumerate(self.atom_values):
-                step = 1 << i
-                for base in range(0, n, 2 * step):
-                    seg = slice(base + step, base + 2 * step)
-                    table[seg] = np.maximum(table[seg], v)
+            table = atom_table(self.atom_values, np.maximum)
             self._table = SetFunction(self.space, table)
         return self._table
 
@@ -113,6 +115,13 @@ def _as_table(w):
 
 def _zero_masks(table):
     return np.nonzero(table == 0.0)[0]
+
+
+def _block_mask(block):
+    m = 0
+    for i in block:
+        m |= 1 << i
+    return m
 
 
 def negligible(w, bset, _zeros=None):
@@ -185,9 +194,22 @@ def is_sigma_finite(w):
     return False, missing
 
 
+def _atom_sup(table):
+    """The maxitive table generated by the singleton values of ``table``."""
+    k = len(table).bit_length() - 1
+    return atom_table(table[1 << np.arange(k)], np.maximum)
+
+
 def is_maxitive(w, tol=DEFAULT_TOL):
+    """nu(B1 | B2) = max(nu(B1), nu(B2)) on every pair of sets.
+
+    A table equal to its atom-sup table bit for bit passes every pair, so
+    only a table that differs pays for the 4^k scan that finds the witness.
+    """
     w = _as_table(w)
     table = w.table
+    if np.array_equal(table, _atom_sup(table)):
+        return True, None
     masks = np.arange(w.space.n_sets)
     for b1 in range(w.space.n_sets):
         union = table[b1 | masks]
@@ -203,11 +225,7 @@ def is_completely_maxitive(w, tol=DEFAULT_TOL):
     """Same as maxitivity on a finite algebra; checked by the atom-sup route."""
     w = _as_table(w)
     table = w.table
-    amax = np.zeros_like(table)
-    for m in range(1, w.space.n_sets):
-        low = m & -m
-        amax[m] = max(amax[m ^ low], table[low])
-    agree = vclose(table, amax, tol)
+    agree = vclose(table, _atom_sup(table), tol)
     if agree.all():
         return True, None
     return False, int(np.nonzero(~agree)[0][0])
@@ -288,10 +306,7 @@ def is_ccc(w, family_atoms=6):
         for part in set_partitions(range(k)):
             cnt = 0
             for block in part:
-                m = 0
-                for i in block:
-                    m |= 1 << i
-                if not negligible(w, m, _zeros=zeros):
+                if not negligible(w, _block_mask(block), _zeros=zeros):
                     cnt += 1
             best = max(best, cnt)
     else:
@@ -349,20 +364,22 @@ def enumerate_sigma_ideals(space, discover_atoms=3, verify_atoms=4):
 
 
 def is_sigma_principal(w, ideal_atoms=4):
-    """Every sigma-ideal has a member L with S \\ L negligible for all members."""
+    """Every sigma-ideal has a member L with S \\ L negligible for all members.
+
+    The sigma-ideals are the principal ones (enumerate_sigma_ideals checks
+    this from the definitions up to ideal_atoms). A member L fails at S = L
+    unless the empty set is negligible, so the top member u of the ideal of
+    u is tried alone, on every pair (u, S) at once.
+    """
     w = _as_table(w)
-    zeros = _zero_masks(w.table)
-    ideals = enumerate_sigma_ideals(w.space, verify_atoms=ideal_atoms)
-    found = {}
-    for ideal in ideals:
-        winner = None
-        for cand in sorted(ideal, key=lambda m: -bin(m).count("1")):
-            if all(negligible(w, s & ~cand, _zeros=zeros) for s in ideal):
-                winner = cand
-                break
-        if winner is None:
-            return False, sorted(ideal)
-        found[max(ideal)] = winner
+    k = w.space.n_atoms
+    if k <= ideal_atoms:
+        enumerate_sigma_ideals(w.space, verify_atoms=ideal_atoms)
+    neg = any_over_supersets(w.table == 0.0)
+    top, member = submask_pairs(k)
+    failed = top[~neg[member & ~top]]
+    if failed.size:
+        return False, sorted(submasks(int(failed.min())))
     return True, None
 
 
@@ -396,12 +413,32 @@ def is_autocontinuous(w, tol=DEFAULT_TOL):
     return True, None
 
 
+def _enumerated_variation(table, n_atoms):
+    """total_variation by brute force over the Bell(k) set partitions.
+
+    Returns the first partition reaching the best left-to-right block sum;
+    the scan stops at an infinite sum, which nothing can beat.
+    """
+    best = 0.0
+    best_part = None
+    for part in set_partitions(range(n_atoms)) if n_atoms else [[]]:
+        total = 0.0
+        for block in part:
+            total += float(table[_block_mask(block)])
+        if total > best or best_part is None:
+            best = total
+            best_part = part
+        if math.isinf(best):
+            break
+    return best, best_part
+
+
 def total_variation(w, variation_atoms=10):
     """sup over partitions of the whole space of the block-value sum.
 
-    Brute force within the partition budget; beyond it the finite-space
-    equivalence "bounded variation iff finite-valued" is used and only the
-    bound (not the sup) is reported.
+    Returns the sup and a partition attaining it, from the partition DP.
+    An infinite sup is witnessed, as by the brute-force enumeration, by the
+    first partition in set_partitions order with an infinite sum.
     """
     w = _as_table(w)
     k = w.space.n_atoms
@@ -409,19 +446,22 @@ def total_variation(w, variation_atoms=10):
         raise ExplicitBudgetExceeded(
             f"partition enumeration needs Bell({k}); budget is {variation_atoms} atoms"
         )
-    best = 0.0
-    best_part = None
-    for part in set_partitions(range(k)) if k else [[]]:
-        total = 0.0
-        for block in part:
-            m = 0
-            for i in block:
-                m |= 1 << i
-            total += float(w.table[m])
-        if total > best or best_part is None:
-            best = total
-            best_part = part
-    return best, best_part
+    table = w.table
+    dp = partition_dp(table, np.maximum)
+    if math.isinf(dp[-1]):
+        return _enumerated_variation(table, k)
+    part = []
+    rest = w.space.full_mask
+    while rest:
+        low = rest & -rest
+        block = next(
+            low | s
+            for s in submasks(rest ^ low)
+            if table[low | s] + dp[rest ^ low ^ s] == dp[rest]
+        )
+        part.append([i for i in range(k) if block >> i & 1])
+        rest ^= block
+    return float(dp[-1]), part
 
 
 def is_of_bounded_variation(w, variation_atoms=10):
@@ -704,26 +744,26 @@ def atom_decomposition(nu, tol=DEFAULT_TOL):
         null_mask &= ~(1 << i)
     residual = MeasurableSet(space, null_mask)
 
-    if nu(residual) != 0.0:
+    table = nu.to_set_function().table
+    masks = np.arange(space.n_sets)
+    if table[null_mask] != 0.0:
         raise DecompositionVerificationFailed("leftover set has positive measure")
+    best = np.zeros(space.n_sets)
     for h in hs:
-        if nu(h) <= 0:
+        if table[h.mask] <= 0:
             raise DecompositionVerificationFailed("candidate atom is null")
-        for b in range(space.n_sets):
-            inside = nu(h.mask & b)
-            outside = nu(h.mask & ~b)
-            if inside != 0.0 and outside != 0.0:
-                raise DecompositionVerificationFailed(
-                    f"{h!r} splits into two non-null parts at mask {b}"
-                )
-    for b in range(space.n_sets):
-        best = 0.0
-        for h in hs:
-            best = max(best, nu(b & h.mask))
-        if not close(nu(b), best, tol):
+        inside = table[masks & h.mask]
+        split = (inside != 0.0) & (table[h.mask & ~masks] != 0.0)
+        if split.any():
             raise DecompositionVerificationFailed(
-                f"max over atoms misses nu at mask {b}"
+                f"{h!r} splits into two non-null parts at mask {int(np.argmax(split))}"
             )
+        np.maximum(best, inside, out=best)
+    agree = vclose(table, best, tol)
+    if not agree.all():
+        raise DecompositionVerificationFailed(
+            f"max over atoms misses nu at mask {int(np.argmin(agree))}"
+        )
     return AtomDecomposition(atoms=hs, values=values, residual_null=residual)
 
 
@@ -777,15 +817,9 @@ def finiteness_suite(op, nu):
     odot = op.finite_element(nu(space.full_mask))
     sigma = all(op.finite_element(float(v)) for v in nu.atom_values)
     table = nu.to_set_function().table
-    semi = True
-    for b in range(space.n_sets):
-        best = 0.0
-        for a in submasks(b):
-            if op.finite_element(float(table[a])):
-                best = max(best, float(table[a]))
-        if best != float(table[b]):
-            semi = False
-            break
+    values, where = np.unique(table, return_inverse=True)
+    finite = np.array([op.finite_element(float(v)) for v in values])[where]
+    semi = bool(np.array_equal(max_over_submasks(np.where(finite, table, 0.0)), table))
     if semi != odot:
         raise OracleMismatch("semi-finiteness must match op-finiteness here")
     return FinitenessReport(

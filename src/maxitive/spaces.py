@@ -103,6 +103,88 @@ def set_partitions(items):
         yield [[first]] + part
 
 
+# ---------------------------------------------------------------------------
+# subset-lattice kernels over whole tables indexed by mask
+# ---------------------------------------------------------------------------
+
+
+def atom_table(values, combine=np.add):
+    """The table b -> 0.0 combined with the values of the atoms of b.
+
+    Atoms are folded in ascending index order, so ``np.add`` gives every
+    left-to-right float sum bit for bit and ``np.maximum`` gives the
+    atom-sup table of a maxitive measure.
+    """
+    k = len(values)
+    require_budget(k, what="set-function table")
+    table = np.zeros(1 << k)
+    for i, v in enumerate(values):
+        combine(table[: 1 << i], v, out=table[1 << i : 2 << i])
+    return table
+
+
+def max_over_submasks(table):
+    """The table b -> max of ``table`` over the submasks of b (k 2^k work)."""
+    out = np.array(table, dtype=float)
+    step = 1
+    while step < len(out):
+        halves = out.reshape(-1, 2, step)
+        np.maximum(halves[:, 1], halves[:, 0], out=halves[:, 1])
+        step <<= 1
+    return out
+
+
+def any_over_supersets(flags):
+    """The table b -> whether ``flags`` holds at some superset of b.
+
+    Applied to the zero sets of a set function it gives the negligible sets.
+    """
+    out = np.array(flags, dtype=bool)
+    step = 1
+    while step < len(out):
+        halves = out.reshape(-1, 2, step)
+        halves[:, 0] |= halves[:, 1]
+        step <<= 1
+    return out
+
+
+def submask_pairs(n_atoms):
+    """Every pair (b, s) of masks with s a submask of b, as two arrays.
+
+    There are 3^k pairs over k atoms: each atom is outside b, in b only,
+    or in both.
+    """
+    sup = np.zeros(1, dtype=np.int64)
+    sub = sup
+    for i in range(n_atoms):
+        bit = 1 << i
+        sup = np.concatenate([sup, sup | bit, sup | bit])
+        sub = np.concatenate([sub, sub, sub | bit])
+    return sup, sub
+
+
+def partition_dp(cost, combine):
+    """The best block-cost sum over the partitions of every mask.
+
+    ``combine`` is ``np.minimum`` or ``np.maximum``. Entry b combines, over
+    the blocks c of b that hold the lowest atom of b, cost[c] plus entry
+    b \\ c. Masks are scored a size at a time, so the 3^k / 2 block choices
+    take k vectorized steps.
+    """
+    k = len(cost).bit_length() - 1
+    sup, block = submask_pairs(k)
+    keep = (block & sup & -sup) != 0
+    sup, block = sup[keep], block[keep]
+    size = atom_table(np.ones(k))[sup]
+    dp = np.array(cost, dtype=float)  # the one-block partitions
+    dp[0] = 0.0
+    for p in range(2, k + 1):
+        at = size == p
+        b, c = sup[at], block[at]
+        combine.at(dp, b, cost[c] + dp[b ^ c])
+    return dp
+
+
 class Space:
     """A finite ground set with a fixed atom partition.
 

@@ -108,7 +108,7 @@ def _poisson_matrix(masses, p, rng, n, eps):
 
 def sample_matrix(m, p, rng, n, mode="exact", eps=1e-3):
     """n replicates of the per-atom maxima, one row per replicate."""
-    if p <= 0:
+    if not p > 0:
         raise ValueError("tail index p must be positive")
     masses = np.asarray(m.atom_masses, dtype=float)
     if not np.isfinite(masses).all():

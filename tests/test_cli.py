@@ -184,6 +184,15 @@ def test_simulate_quantiles_for_large_n(docs):
     assert out["mean"] > 0
 
 
+@pytest.mark.parametrize("flag, p, n", [("--p", "nan", "5"), ("--n", "2", "-1")])
+def test_simulate_rejects_bad_flag_values(flag, p, n):
+    proc = run_cli("simulate", "--atoms", "a:1", "--p", p, "--n", n)
+    assert proc.returncode == 1
+    assert flag in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_seeded_commands_are_byte_identical(docs):
     args = ("simulate", "--atoms", "a:1", "--p", "2", "--n", "50", "--seed", "9")
     a, b = run_cli(*args), run_cli(*args)

@@ -1,0 +1,345 @@
+"""The subset-lattice kernels against the brute-force loops they replaced.
+
+Every routine routed through the whole-table primitives of ``spaces`` is
+compared, on random spaces of up to six atoms, with the per-mask Python
+loop it replaced: the same flags and witnesses, the same raised errors,
+and bit-identical tables wherever the arithmetic is unchanged. Sums over
+partitions are associated differently by the DP, so those values are
+compared with a relative tolerance of 1e-12 (six float64 additions).
+"""
+
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from maxitive.additive import AdditiveMeasure
+from maxitive.density import _reconstruct, envelope_measure
+from maxitive.errors import DecompositionVerificationFailed, OracleMismatch
+from maxitive.measures import (
+    AtomDecomposition,
+    FinitenessReport,
+    MaxitiveMeasure,
+    atom_decomposition,
+    enumerate_sigma_ideals,
+    finiteness_suite,
+    is_completely_maxitive,
+    is_maxitive,
+    is_of_bounded_variation,
+    is_sigma_principal,
+    negligible,
+    total_variation,
+)
+from maxitive.semigroup import MAX, MIN, PLUS, TIMES
+from maxitive.spaces import (
+    INF,
+    MeasurableSet,
+    SetFunction,
+    any_over_supersets,
+    build_space,
+    close,
+    max_over_submasks,
+    partition_dp,
+    set_partitions,
+    submasks,
+    vclose,
+)
+
+REL = 1e-12
+LABELS = "abcdef"
+
+values = st.one_of(
+    st.just(0.0),
+    st.just(INF),
+    st.sampled_from([0.5, 1.0, 2.0]),  # ties between atoms
+    st.floats(0.01, 100.0),
+)
+
+
+@st.composite
+def atom_values(draw, finite=False):
+    k = draw(st.integers(0, 6))
+    pool = st.floats(0.0, 100.0) if finite else values
+    return draw(st.lists(pool, min_size=k, max_size=k))
+
+
+def space_of(k):
+    return build_space(LABELS[:k], [[c] for c in LABELS[:k]])
+
+
+@st.composite
+def tables(draw):
+    """Maxitive, ulp-perturbed maxitive, or arbitrary set-function tables."""
+    vals = draw(atom_values())
+    space = space_of(len(vals))
+    kind = draw(st.sampled_from(["maxitive", "perturbed", "arbitrary"]))
+    if kind == "arbitrary":
+        table = [0.0] + draw(
+            st.lists(values, min_size=space.n_sets - 1, max_size=space.n_sets - 1)
+        )
+        return SetFunction(space, table)
+    table = np.array(MaxitiveMeasure(space, vals).to_set_function().table)
+    if kind == "perturbed":
+        b = draw(st.integers(0, space.n_sets - 1))
+        if 0.0 < table[b] < INF:
+            table[b] = np.nextafter(table[b], INF)
+    return SetFunction(space, table)
+
+
+# ---------------------------------------------------------------------------
+# the brute-force references
+# ---------------------------------------------------------------------------
+
+
+def ref_is_maxitive(w, tol=1e-9):
+    table = w.table
+    masks = np.arange(w.space.n_sets)
+    for b1 in range(w.space.n_sets):
+        union = table[b1 | masks]
+        expect = np.maximum(table[b1], table)
+        agree = vclose(union, expect, tol)
+        if not agree.all():
+            b2 = int(np.nonzero(~agree)[0][0])
+            return False, (b1, b2, float(table[b1 | b2]), float(expect[b2]))
+    return True, None
+
+
+def ref_is_completely_maxitive(w, tol=1e-9):
+    table = w.table
+    amax = np.zeros_like(table)
+    for m in range(1, w.space.n_sets):
+        low = m & -m
+        amax[m] = max(amax[m ^ low], table[low])
+    agree = vclose(table, amax, tol)
+    if agree.all():
+        return True, None
+    return False, int(np.nonzero(~agree)[0][0])
+
+
+def ref_is_sigma_principal(w, ideal_atoms=4):
+    zeros = np.nonzero(w.table == 0.0)[0]
+    for ideal in enumerate_sigma_ideals(w.space, verify_atoms=ideal_atoms):
+        winner = None
+        for cand in sorted(ideal, key=lambda m: -bin(m).count("1")):
+            if all(negligible(w, s & ~cand, _zeros=zeros) for s in ideal):
+                winner = cand
+                break
+        if winner is None:
+            return False, sorted(ideal)
+    return True, None
+
+
+def ref_total_variation(w):
+    k = w.space.n_atoms
+    best = 0.0
+    best_part = None
+    for part in set_partitions(range(k)) if k else [[]]:
+        total = 0.0
+        for block in part:
+            total += float(w.table[sum(1 << i for i in block)])
+        if total > best or best_part is None:
+            best = total
+            best_part = part
+    return best, best_part
+
+
+def ref_finiteness_suite(op, nu):
+    space = nu.space
+    odot = op.finite_element(nu(space.full_mask))
+    sigma = all(op.finite_element(float(v)) for v in nu.atom_values)
+    semi = True
+    for b in range(space.n_sets):
+        best = 0.0
+        for a in submasks(b):
+            if op.finite_element(nu(a)):
+                best = max(best, nu(a))
+        if best != nu(b):
+            semi = False
+            break
+    if semi != odot:
+        raise OracleMismatch("semi-finiteness must match op-finiteness here")
+    return FinitenessReport(odot_finite=odot, sigma_odot_finite=sigma, semi_odot_finite=semi)
+
+
+def _mul(a, b):
+    return 0.0 if a == 0.0 or b == 0.0 else a * b
+
+
+def ref_envelope_dp(nu, m):
+    n = nu.space.n_sets
+    dp = np.zeros(n)
+    for b in range(1, n):
+        low = b & -b
+        best = INF
+        for sub in submasks(b ^ low):
+            blk = low | sub
+            cand = _mul(nu(blk), m(blk)) + dp[b ^ blk]
+            if cand < best:
+                best = cand
+        dp[b] = best
+    return dp
+
+
+def ref_reconstruct(nu, m, env, tol):
+    for b in range(nu.space.n_sets):
+        best = 0.0
+        for sub in submasks(b):
+            mb = m(sub)
+            if 0.0 < mb < INF:
+                ratio = env(sub) / mb if not math.isinf(env(sub)) else INF
+                if ratio > best:
+                    best = ratio
+        if not close(nu(b), best, tol):
+            return False
+    return True
+
+
+def ref_atom_decomposition(nu, tol=1e-9):
+    space = nu.space
+    order = sorted(
+        (i for i in range(space.n_atoms) if nu.atom_values[i] > 0),
+        key=lambda i: (-float(nu.atom_values[i]), i),
+    )
+    hs = tuple(space.atom_block(i) for i in order)
+    values = tuple(float(nu.atom_values[i]) for i in order)
+    null_mask = space.full_mask
+    for i in order:
+        null_mask &= ~(1 << i)
+    residual = MeasurableSet(space, null_mask)
+    if nu(residual) != 0.0:
+        raise DecompositionVerificationFailed("leftover set has positive measure")
+    for h in hs:
+        if nu(h) <= 0:
+            raise DecompositionVerificationFailed("candidate atom is null")
+        for b in range(space.n_sets):
+            if nu(h.mask & b) != 0.0 and nu(h.mask & ~b) != 0.0:
+                raise DecompositionVerificationFailed(
+                    f"{h!r} splits into two non-null parts at mask {b}"
+                )
+    for b in range(space.n_sets):
+        best = 0.0
+        for h in hs:
+            best = max(best, nu(b & h.mask))
+        if not close(nu(b), best, tol):
+            raise DecompositionVerificationFailed(f"max over atoms misses nu at mask {b}")
+    return AtomDecomposition(atoms=hs, values=values, residual_null=residual)
+
+
+class TableMeasure:
+    """A set-function table posing as a measure stored by its atom values."""
+
+    def __init__(self, w):
+        self.space = w.space
+        self.atom_values = np.array([w.table[1 << i] for i in range(w.space.n_atoms)])
+        self._w = w
+
+    def __call__(self, bset):
+        return self._w(bset)
+
+    def to_set_function(self):
+        return self._w
+
+
+def outcome(fn, *args):
+    """The result of a call, or the type and message of what it raised."""
+    try:
+        return fn(*args)
+    except (DecompositionVerificationFailed, OracleMismatch) as exc:
+        return type(exc), str(exc)
+
+
+# ---------------------------------------------------------------------------
+# the primitives
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(tables())
+def test_primitives_match_their_definitions(w):
+    n = w.space.n_sets
+    table = w.table
+    best = max_over_submasks(table)
+    neg = any_over_supersets(table == 0.0)
+    for b in range(n):
+        assert best[b] == max(table[s] for s in submasks(b))
+        assert neg[b] == negligible(w, b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(atom_values())
+def test_to_set_function_tables_are_bit_identical(vals):
+    space = space_of(len(vals))
+    for measure in (MaxitiveMeasure(space, vals), AdditiveMeasure(space, vals)):
+        table = measure.to_set_function().table
+        each = np.array([measure(b) for b in range(space.n_sets)], dtype=float)
+        assert table.tobytes() == each.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the routed routines
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=150, deadline=None)
+@given(tables())
+def test_predicates_match_brute_force(w):
+    assert is_maxitive(w) == ref_is_maxitive(w)
+    assert is_completely_maxitive(w) == ref_is_completely_maxitive(w)
+    assert is_sigma_principal(w) == ref_is_sigma_principal(w)
+    assert is_sigma_principal(w, ideal_atoms=2) == ref_is_sigma_principal(w, ideal_atoms=2)
+
+    val, part = total_variation(w)
+    ref_val, ref_part = ref_total_variation(w)
+    assert math.isclose(val, ref_val, rel_tol=REL)
+    assert sorted(i for block in part for i in block) == list(range(w.space.n_atoms))
+    assert math.isclose(
+        val, math.fsum(w.table[sum(1 << i for i in b)] for b in part), rel_tol=REL
+    )
+    if math.isinf(ref_val):
+        assert part == ref_part
+        assert is_of_bounded_variation(w) == (False, ref_part)
+    else:
+        assert is_of_bounded_variation(w) == (True, None)
+
+
+@settings(max_examples=100, deadline=None)
+@given(atom_values())
+def test_finiteness_suite_matches_brute_force(vals):
+    nu = MaxitiveMeasure(space_of(len(vals)), vals)
+    for op in (TIMES, MIN, PLUS, MAX):
+        assert outcome(finiteness_suite, op, nu) == outcome(ref_finiteness_suite, op, nu)
+
+
+@settings(max_examples=100, deadline=None)
+@given(atom_values(), st.data())
+def test_envelope_matches_brute_force(vals, data):
+    space = space_of(len(vals))
+    nu = MaxitiveMeasure(space, vals)
+    m = AdditiveMeasure(space, data.draw(st.lists(values, min_size=space.n_atoms,
+                                                  max_size=space.n_atoms)))
+    nu_t, m_t = nu.to_set_function().table, m.to_set_function().table
+    with np.errstate(invalid="ignore"):
+        cost = np.where((nu_t == 0.0) | (m_t == 0.0), 0.0, nu_t * m_t)
+    dp = partition_dp(cost, np.minimum)
+    assert dp.tobytes() == ref_envelope_dp(nu, m).tobytes()
+
+    env = envelope_measure(nu, m)
+    assert _reconstruct(nu, m, env, 1e-9) == ref_reconstruct(nu, m, env, 1e-9)
+    # a measure the envelope does not come from
+    other = MaxitiveMeasure(space, [v / 2 for v in vals])
+    assert _reconstruct(other, m, env, 1e-9) == ref_reconstruct(other, m, env, 1e-9)
+
+
+@settings(max_examples=100, deadline=None)
+@given(atom_values())
+def test_atom_decomposition_matches_brute_force(vals):
+    nu = MaxitiveMeasure(space_of(len(vals)), vals)
+    assert atom_decomposition(nu) == ref_atom_decomposition(nu)
+
+
+@settings(max_examples=100, deadline=None)
+@given(tables())
+def test_atom_decomposition_raises_as_brute_force(w):
+    nu = TableMeasure(w)
+    assert outcome(atom_decomposition, nu) == outcome(ref_atom_decomposition, nu)
