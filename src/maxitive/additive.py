@@ -11,11 +11,13 @@ verified output, not an assumption.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import NoDensity, NotAbsolutelyContinuous, OracleMismatch
+from .semigroup import _times
 from .spaces import (
     DEFAULT_TOL,
     INF,
@@ -25,14 +27,8 @@ from .spaces import (
     as_value,
     atom_table,
     close,
+    fold_atoms,
 )
-
-
-def _mul(a, b):
-    """Product with the measure-theory convention 0 * inf = 0."""
-    if a == 0.0 or b == 0.0:
-        return 0.0
-    return a * b
 
 
 class AdditiveMeasure:
@@ -53,14 +49,7 @@ class AdditiveMeasure:
 
     def __call__(self, bset):
         mask = bset.mask if isinstance(bset, MeasurableSet) else int(bset)
-        total = 0.0
-        i = 0
-        while mask:
-            if mask & 1:
-                total += float(self.atom_masses[i])
-            mask >>= 1
-            i += 1
-        return total
+        return fold_atoms(self.atom_masses, mask, operator.add, 0.0)
 
     def to_set_function(self):
         if self._table is None:
@@ -89,7 +78,7 @@ def lebesgue_integral(f, m, bset=None):
         bset = m.space.full()
     total = 0.0
     for i in bset.atom_indices():
-        total += _mul(float(f.atom_values[i]), float(m.atom_masses[i]))
+        total += _times(float(f.atom_values[i]), float(m.atom_masses[i]))
     return total
 
 
@@ -262,7 +251,7 @@ def choquet_integral(f, w, bset=None):
     for lo, hi in zip(vs, vs[1:]):
         surv = float(w.table[bset.mask & f.level_set(lo).mask])
         width = hi - lo
-        total += _mul(width, surv)
+        total += _times(width, surv)
         if math.isinf(total):
             return INF
     return total

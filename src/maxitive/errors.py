@@ -41,20 +41,12 @@ class NotNullAdditive(MaxitiveError):
     """A set function expected to be null-additive is not."""
 
 
-class EvaluatorMismatch(MaxitiveError):
-    """Two independent evaluators of the same quantity disagree."""
-
-
 class OracleMismatch(MaxitiveError):
     """A production routine and its brute-force oracle disagree."""
 
 
 class DecompositionVerificationFailed(MaxitiveError):
     """An atom decomposition does not reproduce the measure."""
-
-
-class NotEssentialPair(MaxitiveError):
-    """The additive companion does not share null sets with the measure."""
 
 
 class NotOdotAbsolutelyContinuous(MaxitiveError):
@@ -77,17 +69,5 @@ class UnmappedValue(MaxitiveError):
     """A function value does not land in any atom of the codomain."""
 
 
-class InfiniteDifference(MaxitiveError):
-    """A metric computation received functions with an infinite gap."""
-
-
-class InvalidShape(MaxitiveError):
-    """A tail index or shape parameter is out of range."""
-
-
 class InvalidTruncation(MaxitiveError):
     """A truncation level is out of range."""
-
-
-class InvalidGrid(MaxitiveError):
-    """An evaluation grid is empty, unsorted, or out of range."""

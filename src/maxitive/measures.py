@@ -3,13 +3,13 @@
 A maxitive measure is stored by its atom values; its value on a set is the
 max over the atoms inside. General set functions are classified by a battery
 of named predicates, each of which returns a witness when it fails. On a
-finite algebra several textbook properties (continuity along chains,
+finite algebra four textbook properties (continuity along decreasing chains,
 exhaustivity, the countable chain condition, sigma-principality) hold for
-structural reasons; the predicates still check them on the whole algebra so
-every boolean in a report is reproducible by re-running the named function.
-The exhaustive checks read whole 2^k tables through the subset-lattice
-kernels of ``spaces`` (k 2^k transforms, a 3^k partition DP) instead of
-looping over sets in Python.
+every set function, so their predicates return True with the one-line
+reason in their docstrings, and bounded variation is plain finiteness. The
+other checks read whole 2^k tables through the subset-lattice kernels of
+``spaces`` (k 2^k transforms, a 3^k partition DP) instead of looping over
+sets in Python.
 """
 
 from __future__ import annotations
@@ -31,15 +31,14 @@ from .spaces import (
     INF,
     MeasurableSet,
     SetFunction,
-    any_over_supersets,
     as_value,
     atom_table,
     close,
+    fold_atoms,
     max_over_submasks,
     partition_dp,
     require_budget,
     set_partitions,
-    submask_pairs,
     submasks,
     vclose,
 )
@@ -61,16 +60,7 @@ class MaxitiveMeasure:
 
     def __call__(self, bset):
         mask = bset.mask if isinstance(bset, MeasurableSet) else int(bset)
-        out = 0.0
-        i = 0
-        while mask:
-            if mask & 1:
-                v = self.atom_values[i]
-                if v > out:
-                    out = float(v)
-            mask >>= 1
-            i += 1
-        return out
+        return fold_atoms(self.atom_values, mask, max, 0.0)
 
     def to_set_function(self):
         if self._table is None:
@@ -231,155 +221,40 @@ def is_completely_maxitive(w, tol=DEFAULT_TOL):
     return False, int(np.nonzero(~agree)[0][0])
 
 
-def is_continuous_from_above(w, tol=DEFAULT_TOL):
+def is_continuous_from_above(w):
     """Continuity along decreasing chains.
 
-    Every decreasing chain of sets in a finite algebra stabilizes, so the
-    limit value equals the value at the intersection for any set function.
-    The sweep walks the canonical atom-removal chains to demonstrate this
-    rather than assume it.
+    Every decreasing chain of sets in a finite algebra is eventually
+    constant, so its limit value is the value at its intersection.
     """
-    w = _as_table(w)
-    for start in range(w.space.n_sets):
-        chain = [start]
-        cur = start
-        while cur:
-            cur &= cur - 1  # drop the lowest atom
-            chain.append(cur)
-        meet = chain[-1]
-        limit = w.table[chain[-1]]
-        if not close(float(limit), float(w.table[meet]), tol):
-            return False, chain
     return True, None
 
 
-def is_continuous_from_below(w, tol=DEFAULT_TOL):
-    """Continuity along increasing chains; structural as above."""
-    w = _as_table(w)
-    for start in range(w.space.n_sets):
-        chain = [start]
-        cur = start
-        full = w.space.full_mask
-        i = 0
-        while cur != full:
-            while cur & (1 << i):
-                i += 1
-            cur |= 1 << i
-            chain.append(cur)
-        join = chain[-1]
-        if not close(float(w.table[chain[-1]]), float(w.table[join]), tol):
-            return False, chain
-    return True, None
-
-
-def is_exhaustive(w, family_atoms=6):
+def is_exhaustive(w):
     """nu(B_n) -> 0 along every infinite pairwise-disjoint sequence.
 
-    A disjoint family of nonempty sets in a finite algebra is finite, so the
-    tail of any such sequence is empty sets and the limit is w(empty) = 0.
-    For small spaces the families are enumerated outright.
+    A disjoint sequence of sets in a finite algebra is eventually empty, and
+    every set function vanishes at the empty set.
     """
-    w = _as_table(w)
-    if w.table[0] != 0.0:
-        return False, 0
-    k = w.space.n_atoms
-    if k <= family_atoms:
-        for part in set_partitions(range(k)):
-            for block in part:
-                if not block:
-                    return False, part
-        # tail beyond any finite family is the empty set: value 0 by the check above
     return True, None
 
 
-def is_ccc(w, family_atoms=6):
+def is_ccc(w):
     """Every pairwise-disjoint family of non-negligible sets is countable.
 
-    Finitely many pairwise-disjoint nonempty sets fit in a finite space, so
-    the condition holds; the sweep records the largest family found.
+    A disjoint family of nonempty sets in a finite algebra has at most k
+    members.
     """
-    w = _as_table(w)
-    zeros = _zero_masks(w.table)
-    k = w.space.n_atoms
-    best = 0
-    if k <= family_atoms:
-        for part in set_partitions(range(k)):
-            cnt = 0
-            for block in part:
-                if not negligible(w, _block_mask(block), _zeros=zeros):
-                    cnt += 1
-            best = max(best, cnt)
-    else:
-        best = k  # upper bound; any disjoint family has at most k members
-    return True, {"max_disjoint_non_negligible": best}
+    return True, None
 
 
-def _principal_ideal(u):
-    return frozenset(int(s) for s in submasks(u))
-
-
-def enumerate_sigma_ideals(space, discover_atoms=3, verify_atoms=4):
-    """All sigma-ideals of the algebra, as frozensets of masks.
-
-    For k <= discover_atoms every family of sets is tested against the
-    definition (downward closed, closed under unions), confirming that the
-    ideals are exactly the principal ones. Above that the principal ideals
-    are constructed directly; closure is verified pairwise up to
-    verify_atoms and structural beyond.
-    """
-    k = space.n_atoms
-    n = space.n_sets
-    principal = [_principal_ideal(u) for u in range(n)]
-    if k <= discover_atoms:
-        found = []
-        all_masks = list(range(n))
-        for fam_bits in range(1, 1 << n):
-            fam = frozenset(m for m in all_masks if fam_bits & (1 << m))
-            ok = True
-            for a in fam:
-                for b in fam:
-                    if (a | b) not in fam:
-                        ok = False
-                        break
-                if not ok:
-                    break
-                for s in submasks(a):
-                    if s not in fam:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                found.append(fam)
-        if sorted(found, key=sorted) != sorted(set(principal), key=sorted):
-            raise OracleMismatch("ideal discovery disagrees with principal ideals")
-        return found
-    if k <= verify_atoms:
-        for ideal in principal:
-            for a in ideal:
-                for b in ideal:
-                    if (a | b) not in ideal:
-                        raise OracleMismatch("constructed ideal not union-closed")
-    return principal
-
-
-def is_sigma_principal(w, ideal_atoms=4):
+def is_sigma_principal(w):
     """Every sigma-ideal has a member L with S \\ L negligible for all members.
 
-    The sigma-ideals are the principal ones (enumerate_sigma_ideals checks
-    this from the definitions up to ideal_atoms). A member L fails at S = L
-    unless the empty set is negligible, so the top member u of the ideal of
-    u is tried alone, on every pair (u, S) at once.
+    The sigma-ideals of a finite algebra are the principal ones, and the top
+    member u of each leaves S \\ u empty, which is negligible because every
+    set function vanishes at the empty set.
     """
-    w = _as_table(w)
-    k = w.space.n_atoms
-    if k <= ideal_atoms:
-        enumerate_sigma_ideals(w.space, verify_atoms=ideal_atoms)
-    neg = any_over_supersets(w.table == 0.0)
-    top, member = submask_pairs(k)
-    failed = top[~neg[member & ~top]]
-    if failed.size:
-        return False, sorted(submasks(int(failed.min())))
     return True, None
 
 
@@ -465,14 +340,17 @@ def total_variation(w, variation_atoms=10):
 
 
 def is_of_bounded_variation(w, variation_atoms=10):
+    """The sup over partitions of the block-value sum is finite.
+
+    Finitely many partitions exist, and every set is a block of one, so the
+    sup is finite iff every value is. An infinite sup is witnessed by the
+    partition of total_variation within its budget, and by the first
+    infinite mask beyond.
+    """
     w = _as_table(w)
-    if w.space.n_atoms <= variation_atoms:
-        val, part = total_variation(w, variation_atoms)
-        if math.isinf(val):
-            return False, part
-        return True, None
-    # finitely many partitions exist, so the sup is finite iff every value is
     ok, wit = is_finite_valued(w)
+    if not ok and w.space.n_atoms <= variation_atoms:
+        wit = total_variation(w, variation_atoms)[1]
     return ok, wit
 
 
@@ -536,7 +414,7 @@ class PropertyReport:
         }
 
 
-def classify(w, tol=DEFAULT_TOL, ideal_atoms=4, variation_atoms=10):
+def classify(w, tol=DEFAULT_TOL):
     """Run every named predicate on a set function and collect the report."""
     w = _as_table(w)
     wit = {}
@@ -549,12 +427,12 @@ def classify(w, tol=DEFAULT_TOL, ideal_atoms=4, variation_atoms=10):
         "sigma_finite": lambda: is_sigma_finite(w),
         "maxitive": lambda: is_maxitive(w, tol),
         "completely_maxitive": lambda: is_completely_maxitive(w, tol),
-        "continuous_from_above": lambda: is_continuous_from_above(w, tol),
+        "continuous_from_above": lambda: is_continuous_from_above(w),
         "exhaustive": lambda: is_exhaustive(w),
         "ccc": lambda: is_ccc(w),
-        "sigma_principal": lambda: is_sigma_principal(w, ideal_atoms),
+        "sigma_principal": lambda: is_sigma_principal(w),
         "autocontinuous": lambda: is_autocontinuous(w, tol),
-        "of_bounded_variation": lambda: is_of_bounded_variation(w, variation_atoms),
+        "of_bounded_variation": lambda: is_of_bounded_variation(w),
         "essential": lambda: is_essential(w),
     }
     for name, fn in checks.items():
@@ -770,10 +648,14 @@ def atom_decomposition(nu, tol=DEFAULT_TOL):
 def disjoint_variation(nu, variation_atoms=10, tol=DEFAULT_TOL):
     """|nu| as a sup over partitions, cross-checked against the atom sum."""
     require_budget(nu.space.n_atoms, variation_atoms, "partition enumeration")
-    brute, _ = total_variation(nu.to_set_function(), variation_atoms)
+    w = nu.to_set_function()
+    brute, part = total_variation(w, variation_atoms)
     dec = atom_decomposition(nu, tol)
     closed = float(sum(dec.values)) if dec.values else 0.0
-    if not close(brute, closed, tol):
+    # both sides as exactly rounded sums, so tol = 0 compares the values
+    # and not the order in which they were added
+    blocks = math.fsum(w.table[_block_mask(block)] for block in part)
+    if not close(blocks, math.fsum(dec.values), tol):
         raise OracleMismatch(f"partition sup {brute} vs atom sum {closed}")
     return closed
 

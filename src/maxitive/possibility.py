@@ -24,7 +24,7 @@ from .errors import (
     UnmappedValue,
 )
 from .integral import atom_integral, idempotent_integral
-from .measures import MaxitiveMeasure
+from .measures import MaxitiveMeasure, delta_measure
 from .semigroup import TIMES
 from .spaces import DEFAULT_TOL, MeasurableFn, MeasurableSet, close
 
@@ -57,8 +57,7 @@ class PossibilitySpace:
 
     def delta(self):
         """The two-valued companion possibility."""
-        vals = [1.0 if v > 0 else 0.0 for v in self.measure.atom_values]
-        return PossibilitySpace(MaxitiveMeasure(self.space, vals))
+        return PossibilitySpace(delta_measure(self.measure))
 
     def __repr__(self):
         return f"PossibilitySpace({list(map(float, self.atom_values))})"
@@ -454,9 +453,7 @@ def power_mean_limit(m, x, sub, ps=(1, 2, 5, 10, 50, 200), tol=DEFAULT_TOL):
     if not np.isfinite(x.atom_values).all():
         raise ValueError("power means need finite variable values")
     space = m.space
-    delta = PossibilitySpace(
-        MaxitiveMeasure(space, [1.0 if v > 0 else 0.0 for v in m.atom_masses])
-    )
+    delta = PossibilitySpace(delta_measure(MaxitiveMeasure(space, m.atom_masses)))
     limit = conditional(TIMES, x, delta, sub, tol)
 
     means = {}

@@ -11,7 +11,6 @@ are applied by the operation evaluators and by :func:`esub`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,11 +65,11 @@ def esub(a, b):
 
 
 def as_value(x):
-    """Coerce and validate a scalar in [0, inf]."""
+    """Coerce and validate a scalar in [0, inf]; a signed zero becomes 0.0."""
     v = float(x)
     if math.isnan(v) or v < 0:
         raise ValueError(f"not a value in [0, inf]: {x!r}")
-    return v
+    return 0.0 if v == 0.0 else v
 
 
 def require_budget(n_atoms, limit=MAX_EXHAUSTIVE_ATOMS, what="exhaustive enumeration"):
@@ -123,6 +122,23 @@ def atom_table(values, combine=np.add):
     return table
 
 
+def fold_atoms(values, mask, combine, start):
+    """``start`` combined with the values of the atoms of one mask.
+
+    The single-mask counterpart of :func:`atom_table`: atoms are folded in
+    ascending index order, so ``operator.add`` gives the table's
+    left-to-right float sum bit for bit.
+    """
+    out = start
+    i = 0
+    while mask:
+        if mask & 1:
+            out = combine(out, float(values[i]))
+        mask >>= 1
+        i += 1
+    return out
+
+
 def max_over_submasks(table):
     """The table b -> max of ``table`` over the submasks of b (k 2^k work)."""
     out = np.array(table, dtype=float)
@@ -130,20 +146,6 @@ def max_over_submasks(table):
     while step < len(out):
         halves = out.reshape(-1, 2, step)
         np.maximum(halves[:, 1], halves[:, 0], out=halves[:, 1])
-        step <<= 1
-    return out
-
-
-def any_over_supersets(flags):
-    """The table b -> whether ``flags`` holds at some superset of b.
-
-    Applied to the zero sets of a set function it gives the negligible sets.
-    """
-    out = np.array(flags, dtype=bool)
-    step = 1
-    while step < len(out):
-        halves = out.reshape(-1, 2, step)
-        halves[:, 0] |= halves[:, 1]
         step <<= 1
     return out
 
@@ -454,17 +456,7 @@ class MeasurableFn:
 
     def min_on(self, mask):
         """Infimum over the atoms of ``mask``; inf on the empty set."""
-        out = INF
-        i = 0
-        m = mask
-        while m:
-            if m & 1:
-                v = self.atom_values[i]
-                if v < out:
-                    out = float(v)
-            m >>= 1
-            i += 1
-        return out
+        return fold_atoms(self.atom_values, mask, min, INF)
 
     def pointwise(self, fn, other=None):
         """Apply ``fn`` atomwise, optionally zipped with another function."""
@@ -481,11 +473,6 @@ class MeasurableFn:
 
     def __repr__(self):
         return f"MeasurableFn({list(map(float, self.atom_values))})"
-
-
-def level_set(f, t):
-    """Module-level alias for the strict level set {f > t}."""
-    return f.level_set(t)
 
 
 class SetFunction:
@@ -517,12 +504,3 @@ class SetFunction:
 
     def __repr__(self):
         return f"SetFunction(on {self.space!r})"
-
-
-@dataclass(frozen=True)
-class BudgetReport:
-    """Outcome of a budget check, for inclusion in machine-readable reports."""
-
-    n_atoms: int
-    limit: int
-    within: bool

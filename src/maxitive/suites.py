@@ -46,6 +46,7 @@ from .measures import (
     atom_decomposition,
     choquet_alternating,
     classify,
+    delta_measure,
     disjoint_variation,
     essential_supremum,
     essential_witness,
@@ -694,9 +695,7 @@ def _inv_esssup_cond(seed, tol):
         m = sampling.random_probability(rng, space)
         x = sampling.random_fn(rng, space)
         sub = sampling.random_subalgebra(rng, space)
-        delta = PossibilitySpace(
-            MaxitiveMeasure(space, [1.0 if v > 0 else 0.0 for v in m.atom_masses])
-        )
+        delta = PossibilitySpace(delta_measure(MaxitiveMeasure(space, m.atom_masses)))
         y = conditional(TIMES, x, delta, sub, tol)
         for b in sub.blocks:
             idx = MeasurableSet(space, b).atom_indices()

@@ -27,7 +27,7 @@ from scipy.special import lambertw
 
 from .errors import ExplicitBudgetExceeded, InvalidTruncation
 from .measures import MaxitiveMeasure
-from .spaces import INF, MeasurableSet
+from .spaces import INF, MeasurableSet, fold_atoms
 
 MAX_MATERIALIZED_POINTS = 10_000_000
 
@@ -56,14 +56,7 @@ class SupMeasureSample:
 
     def __call__(self, bset):
         mask = bset.mask if isinstance(bset, MeasurableSet) else int(bset)
-        out = 0.0
-        i = 0
-        while mask:
-            if mask & 1 and self.atom_maxima[i] > out:
-                out = float(self.atom_maxima[i])
-            mask >>= 1
-            i += 1
-        return out
+        return fold_atoms(self.atom_maxima, mask, max, 0.0)
 
     def of_variable(self, f):
         """max over atoms of f_i times the atom maximum."""

@@ -1,6 +1,7 @@
 """The command line interface, exercised through real subprocesses."""
 
 import json
+import math
 import subprocess
 import sys
 
@@ -76,6 +77,15 @@ def test_check(docs):
     assert out["alternation"]["ok"] is True
     assert out["axioms"]["pseudo_multiplication"] is True
     assert out["finiteness"]["odot_finite"] is True
+
+
+def test_check_prints_a_signed_zero_as_zero(tmp_path):
+    path = write_doc(tmp_path / "z.json", measure_doc("maxitive", ["a", "b"], [-0.0, 2.0]))
+    proc = run_cli("check", "--measure", path, "--order", "0")
+    assert proc.returncode == 0, proc.stderr
+    vals = json.loads(proc.stdout)["properties"]["atom_values"]
+    assert vals == [0.0, 2.0] and math.copysign(1.0, vals[0]) == 1.0
+    assert "-0.0" not in proc.stdout
 
 
 def test_esssup(docs):

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from maxitive import measures
 from maxitive.errors import (
     DecompositionVerificationFailed,
     ExplicitBudgetExceeded,
@@ -19,7 +20,6 @@ from maxitive.measures import (
     counting_delta,
     delta_measure,
     disjoint_variation,
-    enumerate_sigma_ideals,
     essential_supremum,
     essential_witness,
     esssup_measure,
@@ -38,6 +38,8 @@ from maxitive.measures import (
 from maxitive.sampling import random_maxitive, random_non_maxitive, random_space, rng_for
 from maxitive.semigroup import MIN, TIMES
 from maxitive.spaces import INF, MeasurableFn, SetFunction, build_space, close
+
+from test_lattice import enumerate_sigma_ideals
 
 
 def test_measure_evaluates_as_a_max(abc):
@@ -213,6 +215,24 @@ def test_disjoint_variation(abc):
     assert sorted(len(b) for b in part) == [1, 1, 1]
 
 
+def test_disjoint_variation_exact_at_zero_tolerance():
+    # the partition sup and the atom sum agree as exactly rounded sums
+    rng = np.random.default_rng(1)
+    for _ in range(300):
+        k = int(rng.integers(2, 8))
+        vals = 10 ** rng.uniform(-2, 2, k)
+        labs = [f"g{i}" for i in range(k)]
+        nu = MaxitiveMeasure(build_space(labs, [[l] for l in labs]), vals)
+        assert disjoint_variation(nu, tol=0.0) == float(sum(sorted(vals, reverse=True)))
+
+
+def test_disjoint_variation_rejects_a_wrong_partition(abc, monkeypatch):
+    nu = MaxitiveMeasure(abc, [1, 2, 0.5])
+    monkeypatch.setattr(measures, "total_variation", lambda w, atoms: (3.5, [[0, 1, 2]]))
+    with pytest.raises(OracleMismatch):
+        disjoint_variation(nu)
+
+
 def test_variation_budget():
     labs = [f"g{i}" for i in range(11)]
     sp = build_space(labs, [[l] for l in labs])
@@ -223,8 +243,11 @@ def test_variation_budget():
 
 def test_bounded_variation(abc):
     assert is_of_bounded_variation(MaxitiveMeasure(abc, [1, 2, 3]).to_set_function())[0]
-    ok, _ = is_of_bounded_variation(MaxitiveMeasure(abc, [1, INF, 3]).to_set_function())
-    assert not ok
+    w = MaxitiveMeasure(abc, [1, INF, 3]).to_set_function()
+    ok, part = is_of_bounded_variation(w)
+    assert not ok and part == total_variation(w)[1]
+    # beyond the partition budget the witness is the first infinite mask
+    assert is_of_bounded_variation(w, variation_atoms=2) == (False, 0b010)
 
 
 def test_essential_witness(abc):
