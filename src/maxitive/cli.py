@@ -13,8 +13,10 @@ import argparse
 import csv
 import sys
 
+import numpy as np
+
 from . import modelio, sampling
-from .additive import AdditiveMeasure, implication_chain
+from .additive import AdditiveMeasure
 from .density import density_from_associated, envelope_density, rn_density
 from .errors import MaxitiveError
 from .integral import idempotent_integral
@@ -29,7 +31,7 @@ from .measures import (
 )
 from .possibility import PossibilitySpace, conditional, conditional_suite
 from .semigroup import TableOp, by_name, builtin_names, verify_axioms
-from .spaces import SetFunction, build_space
+from .spaces import MeasurableFn, SetFunction, build_space
 from .supmeasure import sample_matrix
 from .suites import INVARIANTS, run_all
 
@@ -68,8 +70,6 @@ def _load(path):
 
 
 def _need_fn(obj, what):
-    from .spaces import MeasurableFn
-
     if not isinstance(obj, MeasurableFn):
         raise ValueError(f"{what} must be a function document (kind 'function')")
     return obj
@@ -272,8 +272,6 @@ def _cmd_simulate(args):
         payload["draws"] = [float(v) for v in draws]
     else:
         qs = (0.01, 0.05, 0.25, 0.5, 0.75, 0.95, 0.99)
-        import numpy as np
-
         payload["quantiles"] = {
             str(q): float(np.quantile(draws, q)) for q in qs
         }

@@ -24,13 +24,11 @@ from .errors import (
     NotOdotAbsolutelyContinuous,
     OracleMismatch,
 )
-from .integral import atom_integral
 from .measures import MaxitiveMeasure, _as_table, _zero_masks, esssup_measure, negligible
 from .spaces import (
     DEFAULT_TOL,
     INF,
     MeasurableFn,
-    MeasurableSet,
     atom_table,
     close,
     max_over_submasks,
@@ -61,12 +59,24 @@ def odot_abs_continuous(op, nu, tau, tol=DEFAULT_TOL):
 
 
 def verify_density(op, f, nu, tau, tol=DEFAULT_TOL):
-    """Whether integrating f against tau reproduces nu on every set."""
-    for b in range(nu.space.n_sets):
-        got = atom_integral(op, f, tau, MeasurableSet(tau.space, b))
-        if not close(got, nu(b), tol):
-            return False, b
-    return True, None
+    """Whether integrating f against tau reproduces nu on every set.
+
+    The integral table is atom_integral's sup from 0.0 on every mask at
+    once; the witness is the least mask where it is not close to nu's.
+    """
+    if not isinstance(tau, MaxitiveMeasure):
+        raise TypeError("atom form needs a MaxitiveMeasure")
+    got = atom_table(
+        [
+            op(float(f.atom_values[i]), float(tau.atom_values[i]))
+            for i in range(tau.space.n_atoms)
+        ],
+        np.maximum,
+    )
+    agree = vclose(got, _as_table(nu).table, tol)
+    if agree.all():
+        return True, None
+    return False, int(np.nonzero(~agree)[0][0])
 
 
 def rn_density(op, nu, tau, tol=DEFAULT_TOL):

@@ -13,7 +13,15 @@ from dataclasses import dataclass
 
 from .errors import OracleMismatch
 from .measures import MaxitiveMeasure, _as_table
-from .spaces import DEFAULT_TOL, INF, MeasurableFn, MeasurableSet, close, esub
+from .spaces import (
+    DEFAULT_TOL,
+    INF,
+    MeasurableFn,
+    MeasurableSet,
+    SetFunction,
+    close,
+    esub,
+)
 
 
 @dataclass
@@ -110,8 +118,6 @@ def density_measure(op, f, nu):
         ]
         return MaxitiveMeasure(nu.space, vals)
     w = _as_table(nu)
-    from .spaces import SetFunction
-
     table = [
         idempotent_integral(op, f, w, MeasurableSet(w.space, b)).value
         for b in range(w.space.n_sets)

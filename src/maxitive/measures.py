@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .additive import AdditiveMeasure
 from .errors import (
     DecompositionVerificationFailed,
     ExplicitBudgetExceeded,
@@ -666,8 +667,6 @@ def essential_witness(nu, tol=DEFAULT_TOL):
     Requires finite atom values; transform infinite measures (for instance
     atomwise arctan) before asking for a witness.
     """
-    from .additive import AdditiveMeasure
-
     if not np.isfinite(nu.atom_values).all():
         raise ValueError("essential witness needs finite values; transform first")
     dec = atom_decomposition(nu, tol)

@@ -11,8 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .errors import NotAbsolutelyContinuous
 from .spaces import DEFAULT_TOL, INF, close, esub
 
@@ -258,6 +256,7 @@ class TableOp(SemigroupOp):
 
     @classmethod
     def from_json(cls, doc):
+        # local: modelio imports additive, which imports this module
         from .modelio import decode_value
 
         grid = [decode_value(g) for g in doc["grid"]]

@@ -51,9 +51,9 @@ def vclose(a, b, tol=DEFAULT_TOL):
     eq = a == b
     both_finite = np.isfinite(a) & np.isfinite(b)
     scale = np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
+    # inf - inf and 0 * inf are nan here; both_finite masks them out
     with np.errstate(invalid="ignore"):
-        diff = np.abs(a - b)
-    near = both_finite & (diff <= tol * scale)
+        near = both_finite & (np.abs(a - b) <= tol * scale)
     return eq | near
 
 

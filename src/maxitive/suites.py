@@ -711,6 +711,7 @@ def _inv_esssup_cond(seed, tol):
 
 @_register("cli-deterministic", "cli", "a seeded command prints byte-identical output twice")
 def _inv_cli(seed, tol):
+    # local: cli imports this module for INVARIANTS and run_all
     from . import cli
 
     argv = [

@@ -14,6 +14,8 @@ distribution (one-sample KS), agreement of the two modes (two-sample KS),
 recovery of the extremal integral as a Frechet scale (maximum likelihood),
 and regularly varying tails with a slowly varying factor (survival ratio at
 a high quantile, with the log factor inverted through the Lambert W).
+scipy is imported on first use by the statistical checks, so the other
+commands never load it.
 """
 
 from __future__ import annotations
@@ -22,8 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
-from scipy.special import lambertw
 
 from .errors import ExplicitBudgetExceeded, InvalidTruncation
 from .measures import MaxitiveMeasure
@@ -200,6 +200,8 @@ def frechet_marginal_check(m, p, rng, n, bset=None, alpha_coeff=1.628):
     The coefficient 1.628 is the Kolmogorov critical value at level 0.01;
     the threshold scales as 1/sqrt(n).
     """
+    from scipy import stats
+
     if bset is None:
         bset = m.space.full()
     mat = sample_matrix(m, p, rng, n, mode="exact")
@@ -219,6 +221,8 @@ def frechet_marginal_check(m, p, rng, n, bset=None, alpha_coeff=1.628):
 
 def compare_modes_check(m, p, rng, n, eps=1e-3, bset=None, alpha=0.01):
     """Two-sample KS between exact-mode and point-process-mode draws."""
+    from scipy import stats
+
     if bset is None:
         bset = m.space.full()
     cols = bset.atom_indices()
@@ -272,6 +276,8 @@ def _tail_draws_log(mass, p, rng, n):
     u <= mass/(p e); larger u collapses to the left endpoint x0 = e^(1/p),
     an atom that does not affect the tail.
     """
+    from scipy.special import lambertw
+
     u = rng.uniform(size=n)
     u0 = min(1.0, mass / (p * math.e))
     x0 = math.exp(1.0 / p)

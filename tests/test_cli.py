@@ -2,8 +2,10 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -218,6 +220,46 @@ def test_suite_command():
     assert out["results"]["integral-fixtures"] == "pass"
     proc2 = run_cli("suite", "--ids", "no-such-invariant")
     assert proc2.returncode == 1
+
+
+# Runs one statement in a fresh interpreter; the last stdout line is the
+# exit code of main (or null) and the scipy modules then loaded.
+SCIPY_PROBE = """
+import contextlib, io, json, sys
+rc = None
+with contextlib.redirect_stdout(io.StringIO()):
+    {}
+print(json.dumps([rc, sorted(m for m in sys.modules if m.startswith("scipy"))]))
+"""
+
+
+def scipy_probe(statement):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", SCIPY_PROBE.format(statement)],
+        capture_output=True, text=True, timeout=300, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_scipy_is_imported_only_by_the_statistical_checks(docs):
+    main = "import maxitive.cli; rc = maxitive.cli.main({!r})"
+    for statement in (
+        "import maxitive",
+        "import maxitive.cli",
+        main.format(["check", "--measure", docs["nu"], "--order", "0"]),
+        main.format(["simulate", "--m", docs["m"], "--p", "2", "--n", "1000"]),
+    ):
+        rc, loaded = scipy_probe(statement)
+        assert rc in (None, 0), statement
+        assert loaded == [], statement
+    # the lazy path still runs: a KS invariant loads scipy on first use
+    rc, loaded = scipy_probe(main.format(["suite", "--seed", "0", "--ids", "marginal-ks"]))
+    assert rc == 0
+    assert "scipy.stats" in loaded
 
 
 def test_usage_errors_exit_two():

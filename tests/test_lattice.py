@@ -16,9 +16,15 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maxitive.additive import AdditiveMeasure
-from maxitive.density import _reconstruct, envelope_measure
-from maxitive.errors import DecompositionVerificationFailed, OracleMismatch
+from maxitive.additive import AdditiveMeasure, classical_density
+from maxitive.density import _reconstruct, envelope_measure, verify_density
+from maxitive.errors import (
+    DecompositionVerificationFailed,
+    NoDensity,
+    NotAbsolutelyContinuous,
+    OracleMismatch,
+)
+from maxitive.integral import atom_integral
 from maxitive.measures import (
     AtomDecomposition,
     FinitenessReport,
@@ -33,9 +39,10 @@ from maxitive.measures import (
     negligible,
     total_variation,
 )
-from maxitive.semigroup import MAX, MIN, PLUS, TIMES
+from maxitive.semigroup import MAX, MIN, PLUS, TIMES, _times
 from maxitive.spaces import (
     INF,
+    MeasurableFn,
     MeasurableSet,
     SetFunction,
     build_space,
@@ -277,6 +284,57 @@ def ref_atom_decomposition(nu, tol=1e-9):
     return AtomDecomposition(atoms=hs, values=values, residual_null=residual)
 
 
+def ref_verify_density(op, f, nu, tau, tol=1e-9):
+    for b in range(nu.space.n_sets):
+        got = atom_integral(op, f, tau, MeasurableSet(tau.space, b))
+        if not close(got, nu(b), tol):
+            return False, b
+    return True, None
+
+
+def ref_classical_density(nu, m, tol=1e-9):
+    space = nu.space
+    dens = []
+    for i in range(space.n_atoms):
+        mi = float(m.atom_masses[i])
+        ni = float(nu.atom_masses[i])
+        if mi == 0.0:
+            if ni != 0.0:
+                raise NotAbsolutelyContinuous(
+                    f"atom {i} is m-null but carries nu-mass {ni}"
+                )
+            dens.append(0.0)
+        elif math.isinf(mi):
+            if ni == 0.0:
+                dens.append(0.0)
+            elif math.isinf(ni):
+                dens.append(1.0)
+            else:
+                raise NoDensity(
+                    f"atom {i} has infinite m-mass and finite nu-mass {ni}"
+                )
+        else:
+            dens.append(ni / mi)
+    c = MeasurableFn(space, dens)
+    for b in range(space.n_sets):
+        total = 0.0
+        for i in MeasurableSet(space, b).atom_indices():
+            total += _times(float(c.atom_values[i]), float(m.atom_masses[i]))
+        if not close(total, nu(b), tol):
+            raise NoDensity(f"candidate density fails on mask {b}")
+    return c
+
+
+def perturbed(draw, vals):
+    """vals with at most one finite positive entry moved up by one ulp."""
+    vals = list(vals)
+    if vals and draw(st.booleans()):
+        i = draw(st.integers(0, len(vals) - 1))
+        if 0.0 < vals[i] < INF:
+            vals[i] = float(np.nextafter(vals[i], INF))
+    return vals
+
+
 class TableMeasure:
     """A set-function table posing as a measure stored by its atom values."""
 
@@ -296,7 +354,12 @@ def outcome(fn, *args):
     """The result of a call, or the type and message of what it raised."""
     try:
         return fn(*args)
-    except (DecompositionVerificationFailed, OracleMismatch) as exc:
+    except (
+        DecompositionVerificationFailed,
+        OracleMismatch,
+        NoDensity,
+        NotAbsolutelyContinuous,
+    ) as exc:
         return type(exc), str(exc)
 
 
@@ -399,3 +462,60 @@ def test_atom_decomposition_matches_brute_force(vals):
 def test_atom_decomposition_raises_as_brute_force(w):
     nu = TableMeasure(w)
     assert outcome(atom_decomposition, nu) == outcome(ref_atom_decomposition, nu)
+
+
+@settings(max_examples=150, deadline=None)
+@given(atom_values(), st.data())
+def test_verify_density_matches_brute_force(vals, data):
+    space = space_of(len(vals))
+    k = space.n_atoms
+    tau = MaxitiveMeasure(space, vals)
+    f = MeasurableFn(space, data.draw(st.lists(values, min_size=k, max_size=k)))
+    op = data.draw(st.sampled_from([TIMES, MIN, PLUS, MAX]))
+    tol = data.draw(st.sampled_from([0.0, 1e-9]))
+    exact = [op(float(f.atom_values[i]), float(tau.atom_values[i])) for i in range(k)]
+    nu = MaxitiveMeasure(space, perturbed(data.draw, exact))
+    table = np.array(nu.to_set_function().table)
+    b = data.draw(st.integers(0, space.n_sets - 1))
+    if 0.0 < table[b] < INF:
+        table[b] = np.nextafter(table[b], INF)
+    for target in (nu, SetFunction(space, table)):
+        assert verify_density(op, f, target, tau, tol) == ref_verify_density(
+            op, f, target, tau, tol
+        )
+
+
+@settings(max_examples=150, deadline=None)
+@given(atom_values(), st.data())
+def test_classical_density_matches_brute_force(vals, data):
+    space = space_of(len(vals))
+    k = space.n_atoms
+    m = AdditiveMeasure(space, vals)
+    kind = data.draw(st.sampled_from(["density", "arbitrary", "generic"]))
+    if kind == "density":
+        dens = data.draw(st.lists(values, min_size=k, max_size=k))
+        masses = [_times(float(d), float(v)) for d, v in zip(dens, m.atom_masses)]
+    elif kind == "arbitrary":
+        masses = data.draw(st.lists(values, min_size=k, max_size=k))
+    else:
+        # generic floats; on about half the atoms the density n / m times m
+        # misses n by an ulp, so tol = 0 must name the least such mask
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        m = AdditiveMeasure(space, 10.0 ** rng.uniform(-2, 2, k))
+        masses = []
+        for mi in m.atom_masses:
+            n = 10.0 ** rng.uniform(-2, 2)
+            if rng.random() < 0.5:
+                for _ in range(1000):
+                    if (n / mi) * mi != n:
+                        break
+                    n = float(np.nextafter(n, INF))
+            masses.append(n)
+    nu = AdditiveMeasure(space, perturbed(data.draw, masses))
+    tol = data.draw(st.sampled_from([0.0, 1e-9]))
+    got = outcome(classical_density, nu, m, tol)
+    want = outcome(ref_classical_density, nu, m, tol)
+    if isinstance(want, MeasurableFn):
+        assert got.atom_values.tobytes() == want.atom_values.tobytes()
+    else:
+        assert got == want
