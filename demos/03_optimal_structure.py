@@ -59,8 +59,9 @@ heavy = MaxitiveMeasure(space, [INF, 2, 0.5, 2])
 print("times-finiteness with an infinite atom:", finiteness_suite(TIMES, heavy))
 print("min-finiteness with an infinite atom:", finiteness_suite(MIN, heavy))
 
-# the classical chain: finite => sigma-finite => semi-finite, and
-# sigma-finite => localizable, each checked from its own definition
+# the classical chain: finite => sigma-finite => semi-finite, each checked
+# from its own definition, and sigma-finite => localizable, which holds on
+# every finite algebra
 m = AdditiveMeasure(space, [1, 0.5, 2, 0])
 chain = implication_chain(m)
 print("classical chain:", chain)

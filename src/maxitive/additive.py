@@ -5,7 +5,8 @@ the Lebesgue integral of simple functions, the classical density theorem
 with its sigma-finiteness obstruction, and the finiteness and localizability
 chain. On a finite algebra several of these notions collapse into each
 other; the checkers compute each side independently so the collapse is a
-verified output, not an assumption.
+verified output, not an assumption. Localizability is the exception: a
+finite algebra gives it to every measure, so it is returned with its reason.
 """
 
 from __future__ import annotations
@@ -189,24 +190,12 @@ def family_essential_supremum(m, masks):
     return MeasurableSet(space, h)
 
 
-def is_localizable_measure(m, family_atoms=3):
+def is_localizable_measure(m):
     """Every family of measurable sets has an essential supremum.
 
-    Full family enumeration is doubly exponential, so it is only run on tiny
-    spaces; beyond that the construction above is exercised on the canonical
-    families (all sets, all singletons, all pairs of sets).
+    A family in a finite algebra is finite, and its union with the m-null
+    atoms removed is its essential supremum (family_essential_supremum).
     """
-    n = m.space.n_sets
-    if m.space.n_atoms <= family_atoms:
-        families = []
-        for bits in range(1, 1 << n):
-            families.append([b for b in range(n) if bits & (1 << b)])
-    else:
-        families = [list(range(n)), [1 << i for i in range(m.space.n_atoms)]]
-        if m.space.n_atoms <= 6:
-            families += [[a, b] for a in range(n) for b in range(a + 1, n)]
-    for fam in families:
-        family_essential_supremum(m, fam)
     return True
 
 
@@ -220,7 +209,7 @@ class ImplicationReport:
     details: dict = field(default_factory=dict)
 
 
-def implication_chain(m, family_atoms=3):
+def implication_chain(m):
     """finite => sigma-finite => semi-finite, sigma-finite => localizable.
 
     Each property is computed from its own definition and the implications
@@ -229,7 +218,7 @@ def implication_chain(m, family_atoms=3):
     fin = is_finite_measure(m)
     sig = is_sigma_finite_measure(m)
     semi = is_semi_finite_measure(m)
-    loc = is_localizable_measure(m, family_atoms)
+    loc = is_localizable_measure(m)
     chain = (
         (not fin or sig)
         and (not sig or semi)

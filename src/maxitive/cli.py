@@ -32,8 +32,12 @@ from .measures import (
 from .possibility import PossibilitySpace, conditional, conditional_suite
 from .semigroup import TableOp, by_name, builtin_names, verify_axioms
 from .spaces import MeasurableFn, SetFunction, build_space
-from .supmeasure import sample_matrix
+from .supmeasure import MAX_SAMPLE_CELLS, sample_matrix
 from .suites import INVARIANTS, run_all
+
+# Rows of the --csv file formatted per write; a block of 4096 rows of 13
+# floats is about 2 MB of Python objects, whatever the sample size.
+CSV_BLOCK_ROWS = 4096
 
 
 def _resolve_op(text):
@@ -252,11 +256,23 @@ def _cmd_simulate(args):
         m = AdditiveMeasure(space, values)
     else:
         raise ValueError("pass --m FILE or --atoms label:value,...")
+    bset = modelio.parse_set(m.space, args.set) if args.set else m.space.full()
+    if not bset.mask:
+        if args.set:
+            raise ValueError(f"--set {args.set!r} names no atom; pass labels like a+b")
+        raise ValueError("the control measure has no atoms")
+    k = m.space.n_atoms
+    if args.n * k > MAX_SAMPLE_CELLS:
+        raise ValueError(
+            f"--n {args.n} with {k} atoms is {args.n * k} cells, above the "
+            f"{MAX_SAMPLE_CELLS}-cell sample limit"
+        )
     rng = sampling.rng_for(args.seed, args.stream)
     mat = sample_matrix(m, args.p, rng, args.n, mode=args.mode, eps=args.eps)
-    bset = modelio.parse_set(m.space, args.set) if args.set else m.space.full()
     cols = bset.atom_indices()
-    draws = mat[:, cols].max(axis=1)
+    draws = mat[:, cols[0]].copy()
+    for c in cols[1:]:
+        np.maximum(draws, mat[:, c], out=draws)
     payload = {
         "mode": args.mode,
         "p": args.p,
@@ -273,19 +289,30 @@ def _cmd_simulate(args):
     else:
         qs = (0.01, 0.05, 0.25, 0.5, 0.75, 0.95, 0.99)
         payload["quantiles"] = {
-            str(q): float(np.quantile(draws, q)) for q in qs
+            str(q): float(v) for q, v in zip(qs, np.quantile(draws, qs))
         }
         payload["mean"] = float(draws.mean())
     if args.csv:
-        labels = m.space.atom_labels()
         with open(args.csv, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(list(labels) + ["value"])
-            for row, v in zip(mat, draws):
-                writer.writerow([repr(float(x)) for x in row] + [repr(float(v))])
+            write_draws_csv(fh, m.space.atom_labels(), mat, draws)
         payload["csv"] = args.csv
     _emit("simulate", payload)
     return 0
+
+
+def write_draws_csv(fh, labels, mat, draws):
+    """The per-atom draws and the set value, one CRLF-terminated row each.
+
+    The header goes through csv.writer, which quotes labels as needed. A
+    value row is the shortest repr of each float joined by commas, which is
+    what csv.writer writes for such fields; rows are formatted a block at a
+    time so no more than one block is ever held as Python objects.
+    """
+    csv.writer(fh).writerow(list(labels) + ["value"])
+    for start in range(0, len(mat), CSV_BLOCK_ROWS):
+        stop = start + CSV_BLOCK_ROWS
+        block = np.column_stack((mat[start:stop], draws[start:stop])).tolist()
+        fh.write("".join(",".join(map(repr, row)) + "\r\n" for row in block))
 
 
 def _cmd_suite(args):

@@ -9,6 +9,15 @@ cutoff. For the point process the per-atom maximum is drawn in one shot
 distribution-identical to materializing the points and keeps large
 intensities cheap; materialized points remain available on request.
 
+Both samplers evaluate their formula in place on the one array of uniforms,
+ufunc by ufunc in the order the formula reads, so a sample matrix costs one
+n x k float array (plus the counts in Poisson mode) and no temporaries. The
+order of the generator calls is part of the seeded-output contract: exact
+mode draws one (n, k) block of uniforms; Poisson mode draws all (n, k)
+counts, then all (n, k) uniforms. Chunking the draws or reordering them
+changes every seeded output. A matrix is refused above MAX_SAMPLE_CELLS
+cells before anything is drawn.
+
 The checks at the end hold the samplers against the theory: marginal
 distribution (one-sample KS), agreement of the two modes (two-sample KS),
 recovery of the extremal integral as a Frechet scale (maximum likelihood),
@@ -30,6 +39,9 @@ from .measures import MaxitiveMeasure
 from .spaces import INF, MeasurableSet, fold_atoms
 
 MAX_MATERIALIZED_POINTS = 10_000_000
+# n * k cells of one sample matrix: 400 MB of float64, and about twice that
+# at the peak of the Poisson sampler, which also holds the int64 counts.
+MAX_SAMPLE_CELLS = 50_000_000
 
 
 @dataclass
@@ -72,12 +84,19 @@ class SupMeasureSample:
 
 
 def _exact_matrix(masses, p, rng, n):
-    """n independent rows of per-atom Frechet maxima, by inversion."""
+    """n independent rows of per-atom Frechet maxima, by inversion.
+
+    (masses / -log U) ** (1/p), evaluated in place on the uniform array.
+    """
     k = len(masses)
     u = rng.uniform(size=(n, k))
     with np.errstate(divide="ignore"):
-        out = (masses / (-np.log(u))) ** (1.0 / p)
-    return np.where(masses > 0, out, 0.0)
+        np.log(u, out=u)
+        np.negative(u, out=u)
+        np.divide(masses, u, out=u)
+        u **= 1.0 / p
+    u[:, ~(masses > 0)] = 0.0
+    return u
 
 
 def _poisson_matrix(masses, p, rng, n, eps):
@@ -85,7 +104,9 @@ def _poisson_matrix(masses, p, rng, n, eps):
 
     Per atom: the point count above eps is Poisson(m * eps^(-p)); given the
     count, point values are eps * U^(-1/p), so the maximum uses the minimum
-    of that many uniforms, drawn as 1 - V^(1/N) = -expm1(log(V)/N).
+    of that many uniforms, drawn as 1 - V^(1/N) = -expm1(log(V)/N). All
+    counts are drawn before all uniforms, and the maximum is evaluated in
+    place on the uniform array.
     """
     if not (0.0 < eps < INF):
         raise InvalidTruncation(f"cutoff must be positive and finite, got {eps}")
@@ -94,9 +115,14 @@ def _poisson_matrix(masses, p, rng, n, eps):
     counts = rng.poisson(lam, size=(n, k))
     v = rng.uniform(size=(n, k))
     with np.errstate(divide="ignore", invalid="ignore"):
-        u_min = -np.expm1(np.log(v) / counts)
-        m = eps * u_min ** (-1.0 / p)
-    return np.where(counts > 0, m, 0.0)
+        np.log(v, out=v)
+        np.divide(v, counts, out=v)
+        np.expm1(v, out=v)
+        np.negative(v, out=v)
+        v **= -1.0 / p
+        v *= eps
+    v[~(counts > 0)] = 0.0
+    return v
 
 
 def sample_matrix(m, p, rng, n, mode="exact", eps=1e-3):
@@ -106,6 +132,11 @@ def sample_matrix(m, p, rng, n, mode="exact", eps=1e-3):
     masses = np.asarray(m.atom_masses, dtype=float)
     if not np.isfinite(masses).all():
         raise ValueError("control measure must be finite")
+    if n * len(masses) > MAX_SAMPLE_CELLS:
+        raise ExplicitBudgetExceeded(
+            f"{n} replicates of {len(masses)} atoms exceed the "
+            f"{MAX_SAMPLE_CELLS}-cell sample limit"
+        )
     if mode == "exact":
         return _exact_matrix(masses, p, rng, n)
     if mode == "poisson":

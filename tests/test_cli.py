@@ -196,11 +196,23 @@ def test_simulate_quantiles_for_large_n(docs):
     assert out["mean"] > 0
 
 
-@pytest.mark.parametrize("flag, p, n", [("--p", "nan", "5"), ("--n", "2", "-1")])
+# 10^12 cells are refused before the sample matrix is allocated
+@pytest.mark.parametrize("flag, p, n", [
+    ("--p", "nan", "5"), ("--n", "2", "-1"), ("--n", "2", str(10**12)),
+])
 def test_simulate_rejects_bad_flag_values(flag, p, n):
     proc = run_cli("simulate", "--atoms", "a:1", "--p", p, "--n", n)
     assert proc.returncode == 1
     assert flag in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_simulate_refuses_a_set_naming_no_atom():
+    proc = run_cli("simulate", "--atoms", "a:0.5,b:0.5", "--p", "2", "--n", "5",
+                   "--set", " ")
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: --set ")
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
 

@@ -6,8 +6,9 @@ loop it replaced: the same flags and witnesses, the same raised errors,
 and bit-identical tables wherever the arithmetic is unchanged. Sums over
 partitions are associated differently by the DP, so those values are
 compared with a relative tolerance of 1e-12 (six float64 additions).
-The sigma-ideal enumeration lives here too, as the oracle for the
-sigma-principality that a finite algebra gives every set function.
+The sigma-ideal and essential-supremum enumerations live here too, as the
+oracles for the sigma-principality and the localizability that a finite
+algebra gives every set function and every additive measure.
 """
 
 import math
@@ -16,7 +17,12 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maxitive.additive import AdditiveMeasure, classical_density
+from maxitive.additive import (
+    AdditiveMeasure,
+    classical_density,
+    family_essential_supremum,
+    is_localizable_measure,
+)
 from maxitive.density import _reconstruct, envelope_measure, verify_density
 from maxitive.errors import (
     DecompositionVerificationFailed,
@@ -173,6 +179,27 @@ def enumerate_sigma_ideals(space, discover_atoms=3, verify_atoms=4):
                     if (a | b) not in ideal:
                         raise OracleMismatch("constructed ideal not union-closed")
     return principal
+
+
+def ref_is_localizable_measure(m, family_atoms=3):
+    """Every family of sets has an essential supremum, built and verified.
+
+    Up to family_atoms atoms all 2^(2^k) - 1 nonempty families are tried;
+    above that the canonical ones (all sets, all singletons, and up to six
+    atoms all pairs of sets).
+    """
+    n = m.space.n_sets
+    if m.space.n_atoms <= family_atoms:
+        families = [
+            [b for b in range(n) if bits & (1 << b)] for bits in range(1, 1 << n)
+        ]
+    else:
+        families = [list(range(n)), [1 << i for i in range(m.space.n_atoms)]]
+        if m.space.n_atoms <= 6:
+            families += [[a, b] for a in range(n) for b in range(a + 1, n)]
+    for fam in families:
+        family_essential_supremum(m, fam)
+    return True
 
 
 def ref_is_sigma_principal(w, ideal_atoms=4):
@@ -428,6 +455,15 @@ def test_finiteness_suite_matches_brute_force(vals):
     nu = MaxitiveMeasure(space_of(len(vals)), vals)
     for op in (TIMES, MIN, PLUS, MAX):
         assert outcome(finiteness_suite, op, nu) == outcome(ref_finiteness_suite, op, nu)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(values, max_size=4))
+def test_localizability_matches_family_enumeration(vals):
+    # every family of sets, zero and infinite atoms included, has an
+    # essential supremum that passes its verification
+    m = AdditiveMeasure(space_of(len(vals)), vals)
+    assert is_localizable_measure(m) is ref_is_localizable_measure(m) is True
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,17 +1,31 @@
-"""Frechet sup-measure simulation and its statistical checks."""
+"""Frechet sup-measure simulation and its statistical checks.
 
+The in-place samplers and the simulate command's draws, quantiles and CSV
+are also held against the plain expressions they replaced, in the style of
+``test_lattice.py``: the same generator stream must give the same bytes.
+"""
+
+import csv
+import io
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import lambertw
 
+from maxitive import cli
 from maxitive.additive import AdditiveMeasure
 from maxitive.errors import ExplicitBudgetExceeded, InvalidTruncation
 from maxitive.measures import is_completely_maxitive, is_maxitive
 from maxitive.sampling import rng_for
 from maxitive.spaces import INF, MeasurableFn, build_space, close
 from maxitive.supmeasure import (
+    MAX_SAMPLE_CELLS,
+    _exact_matrix,
+    _poisson_matrix,
     compare_modes_check,
     extremal_integral,
     frechet_marginal_check,
@@ -165,3 +179,142 @@ def test_budget_is_enforced_not_advisory():
     # eps chosen so the expected point count crosses ten million
     with pytest.raises(ExplicitBudgetExceeded):
         sample_supmeasure(m, 1.0, rng_for(1), mode="poisson", eps=5e-8, keep_points=True)
+
+
+def test_sample_matrix_refuses_oversized_n_before_drawing():
+    sp = build_space("ab", [["a"], ["b"]])
+    m = AdditiveMeasure(sp, [0.5, 0.5])
+    rng = rng_for(3)
+    state = rng.bit_generator.state
+    # 2 * 10^12 cells would be 16 TB; the refusal comes before any draw
+    with pytest.raises(ExplicitBudgetExceeded):
+        sample_matrix(m, 2.0, rng, 10**12, mode="poisson")
+    assert rng.bit_generator.state == state
+    # the benchmark's largest sample, 10^6 replicates of 12 atoms, fits
+    assert 10**6 * 12 <= MAX_SAMPLE_CELLS
+
+
+# ---------------------------------------------------------------------------
+# the samplers and the simulate command against the expressions they replaced
+# ---------------------------------------------------------------------------
+
+
+def ref_exact_matrix(masses, p, rng, n):
+    k = len(masses)
+    u = rng.uniform(size=(n, k))
+    with np.errstate(divide="ignore"):
+        out = (masses / (-np.log(u))) ** (1.0 / p)
+    return np.where(masses > 0, out, 0.0)
+
+
+def ref_poisson_matrix(masses, p, rng, n, eps):
+    k = len(masses)
+    lam = masses * eps ** (-p)
+    counts = rng.poisson(lam, size=(n, k))
+    v = rng.uniform(size=(n, k))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u_min = -np.expm1(np.log(v) / counts)
+        m = eps * u_min ** (-1.0 / p)
+    return np.where(counts > 0, m, 0.0)
+
+
+def ref_csv(labels, mat, draws):
+    out = io.StringIO(newline="")
+    writer = csv.writer(out)
+    writer.writerow(list(labels) + ["value"])
+    for row, v in zip(mat, draws):
+        writer.writerow([repr(float(x)) for x in row] + [repr(float(v))])
+    return out.getvalue()
+
+
+LABELS = "abcdefghijkl"
+QS = (0.01, 0.05, 0.25, 0.5, 0.75, 0.95, 0.99)
+
+
+def space_of(k):
+    return build_space(LABELS[:k], [[c] for c in LABELS[:k]])
+
+
+masses_st = st.integers(1, 12).flatmap(
+    lambda k: st.lists(
+        st.one_of(
+            st.just(0.0),
+            st.just(-0.0),
+            st.sampled_from([0.5, 1.0]),
+            st.floats(1e-3, 10.0),
+        ),
+        min_size=k,
+        max_size=k,
+    )
+)
+# p = 0.5, 1 and 2 send ** 1/p or ** -1/p down numpy's scalar-power fast
+# paths (square, identity, reciprocal, sqrt)
+tail_st = st.one_of(st.sampled_from([0.5, 1.0, 2.0]), st.floats(0.3, 4.0))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    masses_st,
+    tail_st,
+    st.integers(0, 3000),
+    st.floats(1e-3, 1.0),
+    st.integers(0, 2**32 - 1),
+)
+def test_samplers_are_bit_identical_to_the_reference_expressions(
+    masses, p, n, eps, seed
+):
+    m = AdditiveMeasure(space_of(len(masses)), masses)
+    arr = np.asarray(m.atom_masses, dtype=float)
+    got = sample_matrix(m, p, rng_for(seed), n)
+    want = ref_exact_matrix(arr, p, rng_for(seed), n)
+    assert got.tobytes() == want.tobytes()
+    got = sample_matrix(m, p, rng_for(seed), n, mode="poisson", eps=eps)
+    want = ref_poisson_matrix(arr, p, rng_for(seed), n, eps)
+    assert got.tobytes() == want.tobytes()
+    # the kernels also on raw masses, where a -0.0 (which the measure
+    # normalizes away) must still come out as +0.0 through the mask
+    raw = np.asarray(masses, dtype=float)
+    got = _exact_matrix(raw, p, rng_for(seed), n)
+    assert got.tobytes() == ref_exact_matrix(raw, p, rng_for(seed), n).tobytes()
+    got = _poisson_matrix(raw, p, rng_for(seed), n, eps)
+    assert got.tobytes() == ref_poisson_matrix(raw, p, rng_for(seed), n, eps).tobytes()
+
+
+@pytest.mark.parametrize("block_rows", [1, 7, cli.CSV_BLOCK_ROWS])
+def test_csv_rows_match_csv_writer(block_rows, monkeypatch):
+    monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", block_rows)
+    space = space_of(5)
+    m = AdditiveMeasure(space, [0.5, 0.0, 2.0, 0.01, 1.0])
+    mat = sample_matrix(m, 1.5, rng_for(41), 60, mode="poisson", eps=0.5)
+    mat[3, 2] = INF
+    assert (mat == 0.0).any() and (mat > 0).any()
+    draws = mat[:, [0, 2, 4]].max(axis=1)
+    out = io.StringIO(newline="")
+    cli.write_draws_csv(out, space.atom_labels(), mat, draws)
+    assert out.getvalue() == ref_csv(space.atom_labels(), mat, draws)
+    assert "\r\n" in out.getvalue() and ",inf," in out.getvalue()
+
+
+@pytest.mark.parametrize("mode", ["exact", "poisson"])
+def test_simulate_report_and_csv_match_the_reference(mode, tmp_path, capsys):
+    masses = [0.5, 0.0, 2.0, 0.25, 1.0]
+    space = space_of(len(masses))
+    atoms = ",".join(f"{l}:{v}" for l, v in zip(space.atom_labels(), masses))
+    csv_path = tmp_path / "draws.csv"
+    n, p, eps, seed, stream = 3000, 1.5, 0.05, 17, 2
+    argv = ["simulate", "--atoms", atoms, "--p", str(p), "--n", str(n),
+            "--mode", mode, "--eps", str(eps), "--seed", str(seed),
+            "--stream", str(stream), "--set", "b+c+e", "--csv", str(csv_path)]
+    assert cli.main(argv) == 0
+    out = json.loads(capsys.readouterr().out)
+    rng = rng_for(seed, stream)
+    arr = np.asarray(masses)
+    if mode == "exact":
+        mat = ref_exact_matrix(arr, p, rng, n)
+    else:
+        mat = ref_poisson_matrix(arr, p, rng, n, eps)
+    draws = mat[:, [1, 2, 4]].max(axis=1)
+    assert out["quantiles"] == {str(q): float(np.quantile(draws, q)) for q in QS}
+    assert out["mean"] == float(draws.mean())
+    with open(csv_path, newline="") as fh:
+        assert fh.read() == ref_csv(space.atom_labels(), mat, draws)
