@@ -21,7 +21,12 @@ from .spaces import (
     SetFunction,
     close,
     esub,
+    require_budget,
 )
+
+#: largest set (in atoms) whose 2^k submasks gerritse_integral sweeps; the
+#: sweep is a Python loop, about 15 s at 20 atoms
+MAX_SUBMASK_ATOMS = 20
 
 
 @dataclass
@@ -75,10 +80,12 @@ def idempotent_integral(op, f, nu, bset=None, tol=DEFAULT_TOL, crosscheck=False)
 def gerritse_integral(op, f, nu, bset=None):
     """Max over nonempty subsets A of op(min of f on A, nu(A)).
 
-    Exponential in the atom count; intended as an independent oracle.
+    Exponential in the atom count of bset, and refused above
+    MAX_SUBMASK_ATOMS; intended as an independent oracle.
     """
     nu = _coerce_measure(nu)
     bset = _fullset(nu, bset)
+    require_budget(len(bset), MAX_SUBMASK_ATOMS, "submask maximization")
     best = 0.0
     sub = bset.mask
     while True:

@@ -22,9 +22,12 @@ The checks at the end hold the samplers against the theory: marginal
 distribution (one-sample KS), agreement of the two modes (two-sample KS),
 recovery of the extremal integral as a Frechet scale (maximum likelihood),
 and regularly varying tails with a slowly varying factor (survival ratio at
-a high quantile, with the log factor inverted through the Lambert W).
-scipy is imported on first use by the statistical checks, so the other
-commands never load it.
+a high quantile, with the log factor inverted through the lower branch
+W_{-1} of the Lambert W). All of it is numpy: the one-sample statistic
+is a sort plus the CDF, the two-sample statistic a count by searchsorted
+with Smirnov's exact p-value for equal sample sizes, and W_{-1} a Halley
+iteration. The tests hold each, bit for bit or to a few ulp, against the
+reference implementations of a statistics library.
 """
 
 from __future__ import annotations
@@ -231,41 +234,61 @@ def frechet_marginal_check(m, p, rng, n, bset=None, alpha_coeff=1.628):
     The coefficient 1.628 is the Kolmogorov critical value at level 0.01;
     the threshold scales as 1/sqrt(n).
     """
-    from scipy import stats
-
     if bset is None:
         bset = m.space.full()
     mat = sample_matrix(m, p, rng, n, mode="exact")
-    cols = bset.atom_indices()
-    draws = mat[:, cols].max(axis=1)
+    x = np.sort(mat[:, bset.atom_indices()].max(axis=1))
     mb = m(bset)
-
-    def cdf(x):
-        x = np.asarray(x, dtype=float)
-        with np.errstate(divide="ignore"):
-            return np.where(x > 0, np.exp(-mb * x ** (-p)), 0.0)
-
-    stat = float(stats.kstest(draws, cdf).statistic)
+    # the CDF at the sorted draws; 0 * inf at x = 0 when m(B) = 0 is masked
+    with np.errstate(divide="ignore", invalid="ignore"):
+        c = np.where(x > 0, np.exp(-mb * x ** (-p)), 0.0)
+    # sup |F_n - F| is attained at a draw, just after it (D+) or just before
+    d_plus = (np.arange(1.0, n + 1) / n - c).max()
+    d_minus = (c - np.arange(0.0, n) / n).max()
+    stat = float(max(d_plus, d_minus))
     thr = alpha_coeff / math.sqrt(n)
     return KSReport(statistic=stat, threshold=thr, n=n, passed=stat < thr)
 
 
+def _ks_2samp_equal(a, b):
+    """Two-sided two-sample KS statistic and exact p-value, len(a) == len(b).
+
+    The statistic is h/n, where h is the largest gap between the counts of a
+    and of b at or below a pooled value (searchsorted handles ties). The
+    p-value P(D >= h/n) is Smirnov's alternating sum
+        2 * (C(2n, n-h) - C(2n, n-2h) + ...) / C(2n, n),
+    each ratio of binomials written as a product of h factors and nested
+    Horner-wise to avoid cancellation. The exact sum is used at every n, and
+    a sum that rounds above 1 is clipped to 1.
+    """
+    n = len(a)
+    a = np.sort(a)
+    b = np.sort(b)
+    both = np.concatenate([a, b])
+    gaps = np.searchsorted(a, both, side="right") - np.searchsorted(b, both, side="right")
+    h = int(np.abs(gaps).max())
+    if h == 0:
+        return 0.0, 1.0
+    prob = 0.0
+    k = math.floor(n / h)
+    while k >= 0:
+        term = 1.0
+        for j in range(h):
+            term = (n - k * h - j) * term / (n + k * h + j + 1)
+        prob = term * (1.0 - prob)
+        k -= 1
+    return h / n, min(max(2 * prob, 0.0), 1.0)
+
+
 def compare_modes_check(m, p, rng, n, eps=1e-3, bset=None, alpha=0.01):
     """Two-sample KS between exact-mode and point-process-mode draws."""
-    from scipy import stats
-
     if bset is None:
         bset = m.space.full()
     cols = bset.atom_indices()
     a = sample_matrix(m, p, rng, n, mode="exact")[:, cols].max(axis=1)
     b = sample_matrix(m, p, rng, n, mode="poisson", eps=eps)[:, cols].max(axis=1)
-    res = stats.ks_2samp(a, b)
-    return TwoSampleReport(
-        statistic=float(res.statistic),
-        pvalue=float(res.pvalue),
-        n=n,
-        passed=float(res.pvalue) > alpha,
-    )
+    stat, pvalue = _ks_2samp_equal(a, b)
+    return TwoSampleReport(statistic=stat, pvalue=pvalue, n=n, passed=pvalue > alpha)
 
 
 def scale_recovery_check(f, m, p, rng, n, rel_tol=0.05):
@@ -299,6 +322,35 @@ def _tail_draws_const(mass, p, rng, n):
     return (mass / u) ** (1.0 / p)
 
 
+def _lambert_wm1(z):
+    """The lower Lambert branch W_{-1} on [-1/e, 0), elementwise.
+
+    Halley's iteration on w e^w = z (Corless et al., "On the Lambert W
+    function", Adv. Comput. Math. 5, 1996), started from the branch-point
+    series -1 - sqrt(2 (1 + e z)) near -1/e and from the asymptotic
+    L1 - log(-L1), L1 = log(-z), elsewhere. At the rounded branch point the
+    start is -1, where the step's denominator vanishes; the step is dropped
+    and -1 returned. W_{-1}(0) is -inf.
+    """
+    z = np.asarray(z, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        near = np.sqrt(np.maximum(2.0 * (1.0 + math.e * z), 0.0))
+        l1 = np.log(-z)
+        w = np.where(z < -0.25, -1.0 - near, l1 - np.log(-l1))
+        # four steps reach machine precision from either start; convergence
+        # is cubic, so a step below 1e-8 |w| leaves an error near 1 ulp
+        for _ in range(10):
+            ew = np.exp(w)
+            wew = w * ew
+            f = wew - z
+            step = f / (wew + ew - (w + 2.0) * f / (2.0 * w + 2.0))
+            step = np.where(np.isfinite(step), step, 0.0)
+            w = w - step
+            if not (np.abs(step) > 1e-8 * np.abs(w)).any():
+                break
+    return w
+
+
 def _tail_draws_log(mass, p, rng, n):
     """Survival exactly mass * x^(-p) * log(x) for x >= e^(1/p).
 
@@ -307,8 +359,6 @@ def _tail_draws_log(mass, p, rng, n):
     u <= mass/(p e); larger u collapses to the left endpoint x0 = e^(1/p),
     an atom that does not affect the tail.
     """
-    from scipy.special import lambertw
-
     u = rng.uniform(size=n)
     u0 = min(1.0, mass / (p * math.e))
     x0 = math.exp(1.0 / p)
@@ -316,7 +366,7 @@ def _tail_draws_log(mass, p, rng, n):
     inv = u <= u0
     if inv.any():
         arg = -p * u[inv] / mass
-        y = -np.real(lambertw(arg, -1))
+        y = -_lambert_wm1(arg)
         out[inv] = np.exp(y / p)
     return out
 

@@ -5,11 +5,13 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 from conftest import measure_doc, write_doc
+from maxitive import cli
 
 
 def run_cli(*args):
@@ -69,6 +71,24 @@ def test_integrate_on_set(docs):
     # min(1,2)=1 on b, min(4,0.5)=0.5 on c
     assert out["result"]["value"] == 1.0
     assert out["set"] == "b+c"
+
+
+def test_crosscheck_on_24_atoms_is_refused_not_swept(tmp_path, capsys):
+    labels = [f"x{i}" for i in range(24)]
+    nu = write_doc(tmp_path / "nu.json",
+                   measure_doc("maxitive", labels, [(i % 5) / 4 for i in range(24)]))
+    f = write_doc(tmp_path / "f.json",
+                  measure_doc("function", labels, [(i % 7) / 2 for i in range(24)]))
+    argv = ["integrate", "--op", "times", "--measure", nu, "--fn", f]
+    start = time.perf_counter()
+    assert cli.main(argv + ["--crosscheck"]) == 1
+    # 2^24 submasks would take minutes; the budget refuses before the sweep
+    assert time.perf_counter() - start < 1.0
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "submask maximization needs 2^24 sets; budget is 20 atoms" in out.err
+    assert cli.main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["value"] == 2.5
 
 
 def test_check(docs):
@@ -257,21 +277,19 @@ def scipy_probe(statement):
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-def test_scipy_is_imported_only_by_the_statistical_checks(docs):
+def test_the_runtime_never_imports_scipy(docs):
     main = "import maxitive.cli; rc = maxitive.cli.main({!r})"
     for statement in (
         "import maxitive",
         "import maxitive.cli",
         main.format(["check", "--measure", docs["nu"], "--order", "0"]),
         main.format(["simulate", "--m", docs["m"], "--p", "2", "--n", "1000"]),
+        # every invariant, the KS and Lambert W checks included
+        main.format(["suite", "--seed", "0"]),
     ):
         rc, loaded = scipy_probe(statement)
         assert rc in (None, 0), statement
         assert loaded == [], statement
-    # the lazy path still runs: a KS invariant loads scipy on first use
-    rc, loaded = scipy_probe(main.format(["suite", "--seed", "0", "--ids", "marginal-ks"]))
-    assert rc == 0
-    assert "scipy.stats" in loaded
 
 
 def test_usage_errors_exit_two():

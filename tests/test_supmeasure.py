@@ -9,11 +9,13 @@ import csv
 import io
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import stats
 from scipy.special import lambertw
 
 from maxitive import cli
@@ -21,10 +23,12 @@ from maxitive.additive import AdditiveMeasure
 from maxitive.errors import ExplicitBudgetExceeded, InvalidTruncation
 from maxitive.measures import is_completely_maxitive, is_maxitive
 from maxitive.sampling import rng_for
-from maxitive.spaces import INF, MeasurableFn, build_space, close
+from maxitive.spaces import INF, MeasurableFn, MeasurableSet, build_space, close
 from maxitive.supmeasure import (
     MAX_SAMPLE_CELLS,
     _exact_matrix,
+    _ks_2samp_equal,
+    _lambert_wm1,
     _poisson_matrix,
     compare_modes_check,
     extremal_integral,
@@ -168,7 +172,7 @@ def test_lambert_inversion_identity():
     # the log-tail sampler inverts u = m x^(-p) log x through W_{-1}
     m, p = 1.0, 2.0
     for u in (0.01, 0.05, 0.1):
-        y = -float(np.real(lambertw(-p * u / m, -1)))
+        y = -float(_lambert_wm1(-p * u / m))
         x = math.exp(y / p)
         assert close(m * x ** (-p) * math.log(x), u, 1e-9)
 
@@ -318,3 +322,80 @@ def test_simulate_report_and_csv_match_the_reference(mode, tmp_path, capsys):
     assert out["mean"] == float(draws.mean())
     with open(csv_path, newline="") as fh:
         assert fh.read() == ref_csv(space.atom_labels(), mat, draws)
+
+
+# ---------------------------------------------------------------------------
+# the numpy statistics against scipy, which the runtime no longer imports
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    masses_st.filter(lambda ms: any(x > 0 for x in ms)),
+    tail_st,
+    st.integers(1, 3000),
+    st.integers(1, 2**12 - 1),
+    st.integers(0, 2**32 - 1),
+)
+def test_one_sample_ks_statistic_is_scipys(masses, p, n, mask, seed):
+    space = space_of(len(masses))
+    m = AdditiveMeasure(space, masses)
+    bset = MeasurableSet(space, mask & (space.n_sets - 1) or 1)
+    rep = frechet_marginal_check(m, p, rng_for(seed), n, bset=bset)
+    draws = sample_matrix(m, p, rng_for(seed), n)[:, bset.atom_indices()].max(axis=1)
+    mb = m(bset)
+
+    def cdf(x):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(x > 0, np.exp(-mb * x ** (-p)), 0.0)
+
+    assert rep.statistic == float(stats.kstest(draws, cdf).statistic)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 3000),
+    st.integers(1, 5000),
+    st.integers(0, 3),
+    st.integers(0, 2**32 - 1),
+)
+@example(n=1, levels=1, shift=0, seed=0)  # one tie, h = 0
+@example(n=2000, levels=1, shift=0, seed=0)  # all tied, h = 0
+@example(n=2000, levels=2000, shift=3, seed=1)  # half of b shifted: p tiny
+@example(n=5, levels=1, shift=1, seed=0)  # a tied at 0, b at 0 or 1
+def test_two_sample_ks_is_scipys_exact_path(n, levels, shift, seed):
+    # integer values from `levels` levels: few levels give many ties and
+    # small h, many levels give a continuous-looking sample
+    rng = rng_for(seed)
+    a = rng.integers(0, levels, n).astype(float)
+    b = rng.integers(0, levels, n).astype(float) + shift * rng.uniform(0, 1, n).round()
+    stat, pvalue = _ks_2samp_equal(a, b)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        res = stats.ks_2samp(a, b)
+    assert stat == float(res.statistic)
+    if any("Exact calculation unsuccessful" in str(w.message) for w in caught):
+        # scipy's exact sum rounded above 1 (true value 1 up to rounding) and
+        # it fell back to its asymptotic form; the exact sum is clipped here
+        assert pvalue == 1.0
+    else:
+        assert pvalue == float(res.pvalue)
+
+
+def test_two_sample_ks_clips_a_sum_that_rounds_above_one():
+    # h = 1 at n = 5: P(D >= 1/5) = 1, and the Horner sum gives 1 + 2^-52
+    a = np.arange(5.0)
+    b = np.array([0.0, 1.0, 2.0, 3.0, 5.0])
+    assert _ks_2samp_equal(a, b) == (0.2, 1.0)
+
+
+def test_lambert_wm1_is_scipys_to_8_ulp():
+    # log grid in |z| from the branch point down to 1e-300, where W = -697;
+    # at the rounded branch point itself scipy returns nan
+    z = -np.logspace(math.log10(1 / math.e), -300, 20_001)[1:]
+    want = lambertw(z, -1).real
+    assert np.isfinite(want).all()
+    ulps = np.abs(_lambert_wm1(z) - want) / np.spacing(np.abs(want))
+    assert ulps.max() <= 8
+    assert _lambert_wm1(-1 / math.e) == -1.0
+    assert _lambert_wm1(np.array([-1e-300, 0.0]))[1] == -INF
