@@ -10,6 +10,7 @@ across runs.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import sys
 
@@ -32,12 +33,8 @@ from .measures import (
 from .possibility import PossibilitySpace, conditional, conditional_suite
 from .semigroup import TableOp, by_name, builtin_names, verify_axioms
 from .spaces import MeasurableFn, SetFunction, build_space
-from .supmeasure import MAX_SAMPLE_CELLS, sample_matrix
+from .supmeasure import MAX_SAMPLE_CELLS, sample_blocks
 from .suites import INVARIANTS, run_all
-
-# Rows of the --csv file formatted per write; a block of 4096 rows of 13
-# floats is about 2 MB of Python objects, whatever the sample size.
-CSV_BLOCK_ROWS = 4096
 
 
 def _resolve_op(text):
@@ -268,11 +265,24 @@ def _cmd_simulate(args):
             f"{MAX_SAMPLE_CELLS}-cell sample limit"
         )
     rng = sampling.rng_for(args.seed, args.stream)
-    mat = sample_matrix(m, args.p, rng, args.n, mode=args.mode, eps=args.eps)
+    blocks = sample_blocks(m, args.p, rng, args.n, mode=args.mode, eps=args.eps)
     cols = bset.atom_indices()
-    draws = mat[:, cols[0]].copy()
-    for c in cols[1:]:
-        np.maximum(draws, mat[:, c], out=draws)
+    draws = np.empty(args.n)
+    # The --csv file gets a header through csv.writer, which quotes labels
+    # as needed, then each block's rows as they are drawn: the shortest repr
+    # of each float joined by commas, which is what csv.writer writes for
+    # such fields, CRLF-terminated.
+    with open(args.csv, "w", newline="") if args.csv else contextlib.nullcontext() as fh:
+        if fh is not None:
+            csv.writer(fh).writerow(list(m.space.atom_labels()) + ["value"])
+        for start, block in blocks:
+            out = draws[start : start + len(block)]
+            np.copyto(out, block[:, cols[0]])
+            for c in cols[1:]:
+                np.maximum(out, block[:, c], out=out)
+            if fh is not None:
+                rows = np.column_stack((block, out)).tolist()
+                fh.write("".join(",".join(map(repr, row)) + "\r\n" for row in rows))
     payload = {
         "mode": args.mode,
         "p": args.p,
@@ -293,26 +303,9 @@ def _cmd_simulate(args):
         }
         payload["mean"] = float(draws.mean())
     if args.csv:
-        with open(args.csv, "w", newline="") as fh:
-            write_draws_csv(fh, m.space.atom_labels(), mat, draws)
         payload["csv"] = args.csv
     _emit("simulate", payload)
     return 0
-
-
-def write_draws_csv(fh, labels, mat, draws):
-    """The per-atom draws and the set value, one CRLF-terminated row each.
-
-    The header goes through csv.writer, which quotes labels as needed. A
-    value row is the shortest repr of each float joined by commas, which is
-    what csv.writer writes for such fields; rows are formatted a block at a
-    time so no more than one block is ever held as Python objects.
-    """
-    csv.writer(fh).writerow(list(labels) + ["value"])
-    for start in range(0, len(mat), CSV_BLOCK_ROWS):
-        stop = start + CSV_BLOCK_ROWS
-        block = np.column_stack((mat[start:stop], draws[start:stop])).tolist()
-        fh.write("".join(",".join(map(repr, row)) + "\r\n" for row in block))
 
 
 def _cmd_suite(args):

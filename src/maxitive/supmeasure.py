@@ -9,14 +9,14 @@ cutoff. For the point process the per-atom maximum is drawn in one shot
 distribution-identical to materializing the points and keeps large
 intensities cheap; materialized points remain available on request.
 
-Both samplers evaluate their formula in place on the one array of uniforms,
-ufunc by ufunc in the order the formula reads, so a sample matrix costs one
-n x k float array (plus the counts in Poisson mode) and no temporaries. The
-order of the generator calls is part of the seeded-output contract: exact
-mode draws one (n, k) block of uniforms; Poisson mode draws all (n, k)
-counts, then all (n, k) uniforms. Chunking the draws or reordering them
-changes every seeded output. A matrix is refused above MAX_SAMPLE_CELLS
-cells before anything is drawn.
+Both samplers draw rows in blocks of at most BLOCK_ROWS and evaluate their
+formula in place on one reused block of uniforms, ufunc by ufunc in the
+order the formula reads, so a sampler holds one block of floats (plus the
+counts in Poisson mode) and no temporaries. The order of the generator calls
+is part of the seeded-output contract: row blocks drawn in row order give the
+same bits as one (n, k) draw, so the block size changes no output, and
+Poisson mode draws every (n, k) count before any uniform. A sample is
+refused above MAX_SAMPLE_CELLS cells before anything is drawn.
 
 The checks at the end hold the samplers against the theory: marginal
 distribution (one-sample KS), agreement of the two modes (two-sample KS),
@@ -42,9 +42,17 @@ from .measures import MaxitiveMeasure
 from .spaces import INF, MeasurableSet, fold_atoms
 
 MAX_MATERIALIZED_POINTS = 10_000_000
-# n * k cells of one sample matrix: 400 MB of float64, and about twice that
-# at the peak of the Poisson sampler, which also holds the int64 counts.
+# n * k cells of one sample. Streamed, exact mode holds one block of rows
+# and the caller's n set values; Poisson mode also holds all n * k int64
+# counts, 400 MB at the limit. sample_matrix adds the n * k float64 matrix
+# it returns.
 MAX_SAMPLE_CELLS = 50_000_000
+# Rows drawn and evaluated per step: a block of 4096 rows of 12 atoms is
+# 384 KB of float64, whatever the sample size.
+BLOCK_ROWS = 4096
+# The largest rate numpy's Generator.poisson accepts; checked up front so a
+# refusal comes before anything is drawn.
+_POISSON_RATE_MAX = np.iinfo("l").max - np.sqrt(np.iinfo("l").max) * 10
 
 
 @dataclass
@@ -86,50 +94,84 @@ class SupMeasureSample:
         return MaxitiveMeasure(self.space, list(self.atom_maxima))
 
 
-def _exact_matrix(masses, p, rng, n):
-    """n independent rows of per-atom Frechet maxima, by inversion.
-
-    (masses / -log U) ** (1/p), evaluated in place on the uniform array.
-    """
-    k = len(masses)
-    u = rng.uniform(size=(n, k))
-    with np.errstate(divide="ignore"):
-        np.log(u, out=u)
-        np.negative(u, out=u)
-        np.divide(masses, u, out=u)
-        u **= 1.0 / p
-    u[:, ~(masses > 0)] = 0.0
-    return u
-
-
-def _poisson_matrix(masses, p, rng, n, eps):
-    """Same distribution through the truncated point process, batched.
-
-    Per atom: the point count above eps is Poisson(m * eps^(-p)); given the
-    count, point values are eps * U^(-1/p), so the maximum uses the minimum
-    of that many uniforms, drawn as 1 - V^(1/N) = -expm1(log(V)/N). All
-    counts are drawn before all uniforms, and the maximum is evaluated in
-    place on the uniform array.
-    """
+def _poisson_rate(masses, p, eps):
+    """Per-atom intensity m * eps^(-p) of the points above the cutoff eps."""
     if not (0.0 < eps < INF):
         raise InvalidTruncation(f"cutoff must be positive and finite, got {eps}")
+    try:
+        scale = eps ** (-p)
+    except OverflowError:
+        scale = INF
+    with np.errstate(over="ignore", invalid="ignore"):
+        lam = masses * scale
+    if not (lam <= _POISSON_RATE_MAX).all():
+        raise InvalidTruncation(
+            f"cutoff {eps} at tail index {p} gives an atom more than "
+            f"{_POISSON_RATE_MAX} expected points; raise eps"
+        )
+    return lam
+
+
+def _uniform_blocks(rng, n, k):
+    """(start, u): row blocks of n x k uniforms, drawn in row order into one
+    reused buffer. rng.random fills it with the doubles rng.uniform returns."""
+    buf = np.empty((min(n, BLOCK_ROWS), k))
+    for start in range(0, n, BLOCK_ROWS):
+        u = buf[: min(BLOCK_ROWS, n - start)]
+        rng.random(out=u)
+        yield start, u
+
+
+def _exact_blocks(masses, p, rng, n):
+    """Per-atom Frechet maxima by inversion: (masses / -log U) ** (1/p),
+    evaluated in place on each block of uniforms."""
+    null = ~(masses > 0)
+    for start, u in _uniform_blocks(rng, n, len(masses)):
+        with np.errstate(divide="ignore"):
+            np.log(u, out=u)
+            np.negative(u, out=u)
+            np.divide(masses, u, out=u)
+            u **= 1.0 / p
+        u[:, null] = 0.0
+        yield start, u
+
+
+def _poisson_blocks(masses, p, rng, n, eps, lam):
+    """Same distribution through the truncated point process, batched.
+
+    Per atom: the point count above eps is Poisson(lam = m * eps^(-p));
+    given the count, point values are eps * U^(-1/p), so the maximum uses
+    the minimum of that many uniforms, drawn as 1 - V^(1/N) =
+    -expm1(log(V)/N). All n x k counts are drawn, a block at a time, before
+    the first uniform; the maximum is evaluated in place on each block of
+    uniforms.
+    """
     k = len(masses)
-    lam = masses * eps ** (-p)
-    counts = rng.poisson(lam, size=(n, k))
-    v = rng.uniform(size=(n, k))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        np.log(v, out=v)
-        np.divide(v, counts, out=v)
-        np.expm1(v, out=v)
-        np.negative(v, out=v)
-        v **= -1.0 / p
-        v *= eps
-    v[~(counts > 0)] = 0.0
-    return v
+    counts = np.empty((n, k), dtype=np.int64)
+    for start in range(0, n, BLOCK_ROWS):
+        block = counts[start : start + BLOCK_ROWS]
+        block[...] = rng.poisson(lam, size=block.shape)
+    for start, v in _uniform_blocks(rng, n, k):
+        c = counts[start : start + len(v)]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.log(v, out=v)
+            np.divide(v, c, out=v)
+            np.expm1(v, out=v)
+            np.negative(v, out=v)
+            v **= -1.0 / p
+            v *= eps
+        v[~(c > 0)] = 0.0
+        yield start, v
 
 
-def sample_matrix(m, p, rng, n, mode="exact", eps=1e-3):
-    """n replicates of the per-atom maxima, one row per replicate."""
+def sample_blocks(m, p, rng, n, mode="exact", eps=1e-3):
+    """n replicates of the per-atom maxima as (start, block) row blocks.
+
+    Each block holds rows start .. start + len(block) - 1, at most
+    BLOCK_ROWS of them, and is overwritten by the next step: copy what must
+    outlive it. The arguments are checked here, before anything is drawn;
+    the draws happen as the blocks are taken.
+    """
     if not p > 0:
         raise ValueError("tail index p must be positive")
     masses = np.asarray(m.atom_masses, dtype=float)
@@ -141,21 +183,27 @@ def sample_matrix(m, p, rng, n, mode="exact", eps=1e-3):
             f"{MAX_SAMPLE_CELLS}-cell sample limit"
         )
     if mode == "exact":
-        return _exact_matrix(masses, p, rng, n)
+        return _exact_blocks(masses, p, rng, n)
     if mode == "poisson":
-        return _poisson_matrix(masses, p, rng, n, eps)
+        return _poisson_blocks(masses, p, rng, n, eps, _poisson_rate(masses, p, eps))
     raise ValueError(f"unknown mode {mode!r}; use 'exact' or 'poisson'")
+
+
+def sample_matrix(m, p, rng, n, mode="exact", eps=1e-3):
+    """n replicates of the per-atom maxima, one row per replicate."""
+    blocks = sample_blocks(m, p, rng, n, mode, eps)
+    out = np.empty((n, len(m.atom_masses)))
+    for start, block in blocks:
+        out[start : start + len(block)] = block
+    return out
 
 
 def sample_supmeasure(m, p, rng, mode="exact", eps=1e-3, keep_points=False):
     """One realization of the sup-measure driven by the control measure m."""
     config = None
     if mode == "poisson" and keep_points:
-        if not (0.0 < eps < INF):
-            raise InvalidTruncation(f"cutoff must be positive and finite, got {eps}")
         masses = np.asarray(m.atom_masses, dtype=float)
-        lam = masses * eps ** (-p)
-        counts = rng.poisson(lam)
+        counts = rng.poisson(_poisson_rate(masses, p, eps))
         total = int(counts.sum())
         if total > MAX_MATERIALIZED_POINTS:
             raise ExplicitBudgetExceeded(
@@ -164,11 +212,10 @@ def sample_supmeasure(m, p, rng, mode="exact", eps=1e-3, keep_points=False):
         atoms = np.repeat(np.arange(len(masses)), counts)
         values = eps * rng.uniform(size=total) ** (-1.0 / p)
         config = PointConfig(atom_indices=atoms, values=values, eps=eps)
-        maxima = np.zeros(len(masses))
-        for i in range(len(masses)):
-            sel = values[atoms == i]
-            maxima[i] = float(sel.max()) if len(sel) else 0.0
-        row = maxima
+        # every point value is at least eps > 0, so an atom without points
+        # keeps its 0
+        row = np.zeros(len(masses))
+        np.maximum.at(row, atoms, values)
     else:
         row = sample_matrix(m, p, rng, 1, mode, eps)[0]
     return SupMeasureSample(

@@ -228,6 +228,23 @@ def test_simulate_rejects_bad_flag_values(flag, p, n):
     assert proc.stdout == ""
 
 
+# a zero cutoff, an oversized sample, and Poisson rates above numpy's limit
+# (1e300 * 0.001^-2, and 1e-300^-2 which overflows a float)
+@pytest.mark.parametrize("atoms, extra", [
+    ("a:1,b:0.5", ["--mode", "poisson", "--eps", "0", "--n", "5000"]),
+    ("a:1,b:0.5", ["--n", str(10**12)]),
+    ("a:1e300,b:0.5", ["--mode", "poisson", "--n", "5000"]),
+    ("a:1,b:0.5", ["--mode", "poisson", "--eps", "1e-300", "--n", "5000"]),
+])
+def test_simulate_refuses_before_opening_the_csv(atoms, extra, tmp_path, capsys):
+    csv_path = tmp_path / "draws.csv"
+    argv = ["simulate", "--atoms", atoms, "--p", "2", *extra, "--csv", str(csv_path)]
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+    assert not csv_path.exists()
+
+
 def test_simulate_refuses_a_set_naming_no_atom():
     proc = run_cli("simulate", "--atoms", "a:0.5,b:0.5", "--p", "2", "--n", "5",
                    "--set", " ")

@@ -9,7 +9,9 @@ import csv
 import io
 import json
 import math
+import tracemalloc
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,21 +20,21 @@ from hypothesis import strategies as st
 from scipy import stats
 from scipy.special import lambertw
 
-from maxitive import cli
+from maxitive import cli, supmeasure
 from maxitive.additive import AdditiveMeasure
 from maxitive.errors import ExplicitBudgetExceeded, InvalidTruncation
 from maxitive.measures import is_completely_maxitive, is_maxitive
 from maxitive.sampling import rng_for
 from maxitive.spaces import INF, MeasurableFn, MeasurableSet, build_space, close
 from maxitive.supmeasure import (
+    BLOCK_ROWS,
     MAX_SAMPLE_CELLS,
-    _exact_matrix,
     _ks_2samp_equal,
     _lambert_wm1,
-    _poisson_matrix,
     compare_modes_check,
     extremal_integral,
     frechet_marginal_check,
+    sample_blocks,
     sample_matrix,
     sample_supmeasure,
     scale_recovery_check,
@@ -97,18 +99,29 @@ def test_realization_is_a_maxitive_measure():
 
 
 def test_poisson_keep_points():
-    sp = build_space("ab", [["a"], ["b"]])
-    m = AdditiveMeasure(sp, [0.5, 0.5])
-    s = sample_supmeasure(m, 2.0, rng_for(5), mode="poisson", eps=0.05, keep_points=True)
-    cfg = s.config
-    assert cfg is not None and cfg.eps == 0.05
-    assert (cfg.values >= 0.05).all()
-    for i in range(2):
-        sel = cfg.values[cfg.atom_indices == i]
-        if len(sel):
-            assert close(float(sel.max()), float(s.atom_maxima[i]))
+    sp = build_space("abcd", [["a"], ["b"], ["c"], ["d"]])
+    m = AdditiveMeasure(sp, [0.5, 0.5, 0.0, 0.01])
+    for seed in range(8):
+        s = sample_supmeasure(
+            m, 2.0, rng_for(seed), mode="poisson", eps=0.05, keep_points=True
+        )
+        cfg = s.config
+        assert cfg is not None and cfg.eps == 0.05
+        assert (cfg.values >= 0.05).all()
+        # the per-atom maxima, bit for bit, against a scan of the points per
+        # atom; an atom without points (c, and d now and then) keeps 0
+        want = []
+        for i in range(4):
+            sel = cfg.values[cfg.atom_indices == i]
+            want.append(float(sel.max()) if len(sel) else 0.0)
+        assert s.atom_maxima.tobytes() == np.array(want).tobytes()
+        assert s.atom_maxima[2] == 0.0
     with pytest.raises(ExplicitBudgetExceeded):
         sample_supmeasure(m, 2.0, rng_for(5), mode="poisson", eps=1e-4, keep_points=True)
+    # the cutoff check and the rate limit, shared with the block sampler
+    for eps in (0.0, 1e-300):
+        with pytest.raises(InvalidTruncation):
+            sample_supmeasure(m, 2.0, rng_for(5), mode="poisson", eps=eps, keep_points=True)
 
 
 def test_marginal_distribution():
@@ -190,9 +203,21 @@ def test_sample_matrix_refuses_oversized_n_before_drawing():
     m = AdditiveMeasure(sp, [0.5, 0.5])
     rng = rng_for(3)
     state = rng.bit_generator.state
-    # 2 * 10^12 cells would be 16 TB; the refusal comes before any draw
-    with pytest.raises(ExplicitBudgetExceeded):
-        sample_matrix(m, 2.0, rng, 10**12, mode="poisson")
+    # 2 * 10^12 cells would be 16 TB; the refusal comes before any draw, and
+    # the block sampler refuses when called, not at its first block
+    for sampler in (sample_matrix, sample_blocks):
+        with pytest.raises(ExplicitBudgetExceeded):
+            sampler(m, 2.0, rng, 10**12, mode="poisson")
+        with pytest.raises(InvalidTruncation):
+            sampler(m, 2.0, rng, 10, mode="poisson", eps=0.0)
+        with pytest.raises(InvalidTruncation):
+            sampler(AdditiveMeasure(sp, [1e300, 1]), 2.0, rng, 10, mode="poisson")
+        with pytest.raises(ValueError):
+            sampler(m, -1.0, rng, 10)
+        with pytest.raises(ValueError):
+            sampler(AdditiveMeasure(sp, [INF, 1]), 2.0, rng, 10)
+        with pytest.raises(ValueError):
+            sampler(m, 2.0, rng, 10, mode="other")
     assert rng.bit_generator.state == state
     # the benchmark's largest sample, 10^6 replicates of 12 atoms, fits
     assert 10**6 * 12 <= MAX_SAMPLE_CELLS
@@ -231,6 +256,15 @@ def ref_csv(labels, mat, draws):
     return out.getvalue()
 
 
+def assert_same_text(got, want):
+    # names the first differing line; pytest's diff of two CSVs of several
+    # hundred KB takes minutes to build
+    if got != want:
+        g, w = got.splitlines(True), want.splitlines(True)
+        i = next((i for i, (a, b) in enumerate(zip(g, w)) if a != b), min(len(g), len(w)))
+        pytest.fail(f"line {i} of {len(g)} (want {len(w)}): {g[i:i + 1]} != {w[i:i + 1]}")
+
+
 LABELS = "abcdefghijkl"
 QS = (0.01, 0.05, 0.25, 0.5, 0.75, 0.95, 0.99)
 
@@ -256,47 +290,62 @@ masses_st = st.integers(1, 12).flatmap(
 tail_st = st.one_of(st.sampled_from([0.5, 1.0, 2.0]), st.floats(0.3, 4.0))
 
 
+# a block size and a sample size reaching past several blocks of it
+blocks_st = st.sampled_from([1, 7, BLOCK_ROWS]).flatmap(
+    lambda rows: st.tuples(st.just(rows), st.integers(0, 4 * rows + 100))
+)
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     masses_st,
     tail_st,
-    st.integers(0, 3000),
+    blocks_st,
     st.floats(1e-3, 1.0),
     st.integers(0, 2**32 - 1),
 )
+@example(masses=[1.0, 0.0, 2.0], p=2.0, blocks=(BLOCK_ROWS, 3 * BLOCK_ROWS),
+         eps=1e-3, seed=0)  # ends on a block boundary
 def test_samplers_are_bit_identical_to_the_reference_expressions(
-    masses, p, n, eps, seed
+    masses, p, blocks, eps, seed
 ):
+    rows, n = blocks
     m = AdditiveMeasure(space_of(len(masses)), masses)
     arr = np.asarray(m.atom_masses, dtype=float)
-    got = sample_matrix(m, p, rng_for(seed), n)
-    want = ref_exact_matrix(arr, p, rng_for(seed), n)
-    assert got.tobytes() == want.tobytes()
-    got = sample_matrix(m, p, rng_for(seed), n, mode="poisson", eps=eps)
-    want = ref_poisson_matrix(arr, p, rng_for(seed), n, eps)
-    assert got.tobytes() == want.tobytes()
-    # the kernels also on raw masses, where a -0.0 (which the measure
+    # the samplers also on raw masses, where a -0.0 (which the measure
     # normalizes away) must still come out as +0.0 through the mask
-    raw = np.asarray(masses, dtype=float)
-    got = _exact_matrix(raw, p, rng_for(seed), n)
-    assert got.tobytes() == ref_exact_matrix(raw, p, rng_for(seed), n).tobytes()
-    got = _poisson_matrix(raw, p, rng_for(seed), n, eps)
-    assert got.tobytes() == ref_poisson_matrix(raw, p, rng_for(seed), n, eps).tobytes()
+    raw = SimpleNamespace(atom_masses=masses)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(supmeasure, "BLOCK_ROWS", rows)
+        for mm, ma in ((m, arr), (raw, np.asarray(masses, dtype=float))):
+            got = sample_matrix(mm, p, rng_for(seed), n)
+            want = ref_exact_matrix(ma, p, rng_for(seed), n)
+            assert got.tobytes() == want.tobytes()
+            got = sample_matrix(mm, p, rng_for(seed), n, mode="poisson", eps=eps)
+            want = ref_poisson_matrix(ma, p, rng_for(seed), n, eps)
+            assert got.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("block_rows", [1, 7, cli.CSV_BLOCK_ROWS])
-def test_csv_rows_match_csv_writer(block_rows, monkeypatch):
-    monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", block_rows)
-    space = space_of(5)
-    m = AdditiveMeasure(space, [0.5, 0.0, 2.0, 0.01, 1.0])
-    mat = sample_matrix(m, 1.5, rng_for(41), 60, mode="poisson", eps=0.5)
-    mat[3, 2] = INF
-    assert (mat == 0.0).any() and (mat > 0).any()
-    draws = mat[:, [0, 2, 4]].max(axis=1)
-    out = io.StringIO(newline="")
-    cli.write_draws_csv(out, space.atom_labels(), mat, draws)
-    assert out.getvalue() == ref_csv(space.atom_labels(), mat, draws)
-    assert "\r\n" in out.getvalue() and ",inf," in out.getvalue()
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("block_rows", [1, 7, BLOCK_ROWS])
+def test_csv_rows_match_csv_writer(block_rows, monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(supmeasure, "BLOCK_ROWS", block_rows)
+    # the 1e300 atom's maxima overflow to inf at p = 0.5, and b never fires
+    masses = [0.5, 0.0, 2.0, 1e300, 1.0]
+    space = space_of(len(masses))
+    atoms = ",".join(f"{l}:{v!r}" for l, v in zip(space.atom_labels(), masses))
+    csv_path = tmp_path / "draws.csv"
+    argv = ["simulate", "--atoms", atoms, "--p", "0.5", "--n", "60", "--seed", "41",
+            "--set", "a+c+d", "--csv", str(csv_path)]
+    assert cli.main(argv) == 0
+    mat = ref_exact_matrix(np.asarray(masses), 0.5, rng_for(41), 60)
+    assert (mat == 0.0).any() and (mat > 0).any() and (mat == INF).any()
+    draws = mat[:, [0, 2, 3]].max(axis=1)
+    assert json.loads(capsys.readouterr().out)["draws"] == ["inf"] * 60
+    with open(csv_path, newline="") as fh:
+        text = fh.read()
+    assert_same_text(text, ref_csv(space.atom_labels(), mat, draws))
+    assert "\r\n" in text and ",inf," in text
 
 
 @pytest.mark.parametrize("mode", ["exact", "poisson"])
@@ -305,7 +354,8 @@ def test_simulate_report_and_csv_match_the_reference(mode, tmp_path, capsys):
     space = space_of(len(masses))
     atoms = ",".join(f"{l}:{v}" for l, v in zip(space.atom_labels(), masses))
     csv_path = tmp_path / "draws.csv"
-    n, p, eps, seed, stream = 3000, 1.5, 0.05, 17, 2
+    # n reaches past two blocks
+    n, p, eps, seed, stream = 9000, 1.5, 0.05, 17, 2
     argv = ["simulate", "--atoms", atoms, "--p", str(p), "--n", str(n),
             "--mode", mode, "--eps", str(eps), "--seed", str(seed),
             "--stream", str(stream), "--set", "b+c+e", "--csv", str(csv_path)]
@@ -321,7 +371,25 @@ def test_simulate_report_and_csv_match_the_reference(mode, tmp_path, capsys):
     assert out["quantiles"] == {str(q): float(np.quantile(draws, q)) for q in QS}
     assert out["mean"] == float(draws.mean())
     with open(csv_path, newline="") as fh:
-        assert fh.read() == ref_csv(space.atom_labels(), mat, draws)
+        assert_same_text(fh.read(), ref_csv(space.atom_labels(), mat, draws))
+
+
+@pytest.mark.parametrize("mode, bound_cells", [("exact", 0.5), ("poisson", 1.5)])
+def test_simulate_streams_without_an_n_by_k_matrix(mode, bound_cells, capsys):
+    # tracemalloc sees numpy's buffers. Exact mode holds one block and the n
+    # set values; Poisson mode adds the n x k int64 counts. A float64 n x k
+    # matrix (8 bytes a cell) breaks either bound.
+    n, k = 200_000, 12
+    atoms = ",".join(f"{l}:{0.1 * (i + 1)!r}" for i, l in enumerate(LABELS[:k]))
+    argv = ["simulate", "--atoms", atoms, "--p", "2", "--n", str(n), "--mode", mode]
+    tracemalloc.start()
+    try:
+        assert cli.main(argv) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert "quantiles" in json.loads(capsys.readouterr().out)
+    assert peak < bound_cells * n * k * 8, peak
 
 
 # ---------------------------------------------------------------------------
