@@ -7,6 +7,8 @@ chain. On a finite algebra several of these notions collapse into each
 other; the checkers compute each side independently so the collapse is a
 verified output, not an assumption. Localizability is the exception: a
 finite algebra gives it to every measure, so it is returned with its reason.
+``from_set_function`` and the sigma- and semi-finiteness checks read the
+whole 2^k table of atom sums, so they share the 12-atom table cap.
 """
 
 from __future__ import annotations
@@ -27,8 +29,10 @@ from .spaces import (
     SetFunction,
     as_value,
     atom_table,
-    close,
+    first_flagged,
     fold_atoms,
+    max_over_submasks,
+    union_of,
     vclose,
 )
 
@@ -60,11 +64,10 @@ class AdditiveMeasure:
 
     @classmethod
     def from_set_function(cls, w, tol=DEFAULT_TOL):
-        masses = [w.table[1 << i] for i in range(w.space.n_atoms)]
-        m = cls(w.space, masses)
-        for b in range(w.space.n_sets):
-            if not close(float(w.table[b]), m(b), tol):
-                raise ValueError(f"table is not additive; witness mask {b}")
+        m = cls(w.space, w.table[1 << np.arange(w.space.n_atoms)])
+        b = first_flagged(~vclose(w.table, atom_table(m.atom_masses), tol))
+        if b is not None:
+            raise ValueError(f"table is not additive; witness mask {b}")
         return m
 
     def total(self):
@@ -122,9 +125,8 @@ def classical_density(nu, m, tol=DEFAULT_TOL):
             for i in range(space.n_atoms)
         ]
     )
-    agree = vclose(got, nu.to_set_function().table, tol)
-    if not agree.all():
-        b = int(np.nonzero(~agree)[0][0])
+    b = first_flagged(~vclose(got, nu.to_set_function().table, tol))
+    if b is not None:
         raise NoDensity(f"candidate density fails on mask {b}")
     return c
 
@@ -140,28 +142,15 @@ def is_finite_measure(m):
 
 def is_sigma_finite_measure(m):
     """Countable cover by finite-mass sets; needs every atom mass finite."""
-    covered = 0
-    for b in range(m.space.n_sets):
-        if math.isfinite(m(b)):
-            covered |= b
+    covered = union_of(np.isfinite(atom_table(m.atom_masses)))
     return covered == m.space.full_mask
 
 
 def is_semi_finite_measure(m):
     """Every set of infinite mass contains a part of positive finite mass."""
-    for b in range(m.space.n_sets):
-        if math.isinf(m(b)):
-            sub = b
-            found = False
-            while sub:
-                v = m(sub)
-                if 0.0 < v < INF:
-                    found = True
-                    break
-                sub = (sub - 1) & b
-            if not found:
-                return False
-    return True
+    table = atom_table(m.atom_masses)
+    charged = max_over_submasks((0.0 < table) & (table < INF))
+    return not (np.isinf(table) & (charged == 0.0)).any()
 
 
 def family_essential_supremum(m, masks):

@@ -33,7 +33,7 @@ from .measures import (
 from .possibility import PossibilitySpace, conditional, conditional_suite
 from .semigroup import TableOp, by_name, builtin_names, verify_axioms
 from .spaces import MeasurableFn, SetFunction, build_space
-from .supmeasure import MAX_SAMPLE_CELLS, sample_blocks
+from .supmeasure import sample_blocks
 from .suites import INVARIANTS, run_all
 
 
@@ -258,12 +258,6 @@ def _cmd_simulate(args):
         if args.set:
             raise ValueError(f"--set {args.set!r} names no atom; pass labels like a+b")
         raise ValueError("the control measure has no atoms")
-    k = m.space.n_atoms
-    if args.n * k > MAX_SAMPLE_CELLS:
-        raise ValueError(
-            f"--n {args.n} with {k} atoms is {args.n * k} cells, above the "
-            f"{MAX_SAMPLE_CELLS}-cell sample limit"
-        )
     rng = sampling.rng_for(args.seed, args.stream)
     blocks = sample_blocks(m, args.p, rng, args.n, mode=args.mode, eps=args.eps)
     cols = bset.atom_indices()

@@ -24,13 +24,14 @@ from .errors import (
     NotOdotAbsolutelyContinuous,
     OracleMismatch,
 )
-from .measures import MaxitiveMeasure, _as_table, _zero_masks, esssup_measure, negligible
+from .measures import MaxitiveMeasure, _as_table, _null_atoms, esssup_measure, negligible
 from .spaces import (
     DEFAULT_TOL,
     INF,
     MeasurableFn,
     atom_table,
     close,
+    first_flagged,
     max_over_submasks,
     partition_dp,
     vclose,
@@ -45,16 +46,20 @@ class AbsContReport:
 
 
 def odot_abs_continuous(op, nu, tau, tol=DEFAULT_TOL):
-    """nu(B) <= inf (.) tau(B) on every set; the witness is a failing mask."""
+    """nu(B) <= inf (.) tau(B) on every set; the witness is a failing mask.
+
+    The bound inf (.) tau(B) is computed once per distinct value of tau.
+    """
     nu_t = _as_table(nu)
     tau_t = _as_table(tau)
     if nu_t.space is not tau_t.space and nu_t.space != tau_t.space:
         raise ValueError("measures live on different spaces")
-    for b in range(nu_t.space.n_sets):
-        bound = op(INF, float(tau_t.table[b]))
-        val = float(nu_t.table[b])
-        if val > bound + tol * max(1.0, abs(bound)):
-            return AbsContReport(holds=False, op=op.name, witness=b)
+    values, where = np.unique(tau_t.table, return_inverse=True)
+    bound = np.array([op(INF, float(v)) for v in values])[where]
+    with np.errstate(invalid="ignore"):  # tol = 0 times an infinite bound
+        b = first_flagged(nu_t.table > bound + tol * np.maximum(1.0, np.abs(bound)))
+    if b is not None:
+        return AbsContReport(holds=False, op=op.name, witness=b)
     return AbsContReport(holds=True, op=op.name)
 
 
@@ -73,10 +78,8 @@ def verify_density(op, f, nu, tau, tol=DEFAULT_TOL):
         ],
         np.maximum,
     )
-    agree = vclose(got, _as_table(nu).table, tol)
-    if agree.all():
-        return True, None
-    return False, int(np.nonzero(~agree)[0][0])
+    b = first_flagged(~vclose(got, _as_table(nu).table, tol))
+    return b is None, b
 
 
 def rn_density(op, nu, tau, tol=DEFAULT_TOL):
@@ -139,9 +142,8 @@ def envelope_measure(nu, m, tol=DEFAULT_TOL):
         cost = np.where((nu_t == 0.0) | (m_t == 0.0), 0.0, nu_t * m_t)
     dp = partition_dp(cost, np.minimum)
     closed = atom_table(cost[1 << np.arange(space.n_atoms)])
-    agree = vclose(dp, closed, tol)
-    if not agree.all():
-        b = int(np.argmin(agree))
+    b = first_flagged(~vclose(dp, closed, tol))
+    if b is not None:
         raise OracleMismatch(
             f"partition DP {dp[b]} vs singleton sum {closed[b]} at mask {b}"
         )
@@ -231,7 +233,6 @@ def density_from_associated(op, mu, c1, c2, tol=DEFAULT_TOL):
     pairs.
     """
     mu_t = _as_table(mu)
-    zeros = _zero_masks(mu_t.table)
     space = mu_t.space
     nu = esssup_measure(mu_t, c1, tol)
     tau = esssup_measure(mu_t, c2, tol)
@@ -240,13 +241,14 @@ def density_from_associated(op, mu, c1, c2, tol=DEFAULT_TOL):
         bound = op(INF, float(c2.atom_values[i]))
         if float(c1.atom_values[i]) > bound + tol * max(1.0, abs(bound)):
             bad |= 1 << i
-    if bad and not negligible(mu_t, bad, _zeros=zeros):
+    if bad and not negligible(mu_t, bad):
         raise NegligibilityViolation(
             f"c1 escapes the scalar bound on a non-negligible set, mask {bad}"
         )
+    dead = bad | _null_atoms(mu_t.table)
     vals = []
     for i in range(space.n_atoms):
-        if bad & (1 << i) or negligible(mu_t, 1 << i, _zeros=zeros):
+        if dead & (1 << i):
             vals.append(0.0)
         else:
             r = float(c1.atom_values[i])

@@ -7,9 +7,11 @@ finite algebra four textbook properties (continuity along decreasing chains,
 exhaustivity, the countable chain condition, sigma-principality) hold for
 every set function, so their predicates return True with the one-line
 reason in their docstrings, and bounded variation is plain finiteness. The
-other checks read whole 2^k tables through the subset-lattice kernels of
-``spaces`` (k 2^k transforms, a 3^k partition DP) instead of looping over
-sets in Python.
+other checks, negligibility, the essential supremum, autocontinuity and
+essentiality among them, read whole 2^k tables through the subset-lattice
+kernels of ``spaces`` (k 2^k transforms, a 3^k partition DP) instead of
+looping over sets in Python. Only the witness scan of ``is_maxitive`` still
+loops, and only on a table that is not maxitive.
 """
 
 from __future__ import annotations
@@ -33,16 +35,24 @@ from .spaces import (
     MeasurableSet,
     SetFunction,
     as_value,
+    atom_flags,
     atom_table,
     close,
+    first_flagged,
     fold_atoms,
     max_over_submasks,
     partition_dp,
-    require_budget,
     set_partitions,
     submasks,
+    union_of,
     vclose,
 )
+
+#: largest atom count whose set partitions total_variation sweeps
+VARIATION_ATOMS = 10
+
+#: largest table of iterated differences choquet_alternating builds
+MAX_ALTERNATION_CELLS = 1 << 21
 
 
 class MaxitiveMeasure:
@@ -108,6 +118,11 @@ def _zero_masks(table):
     return np.nonzero(table == 0.0)[0]
 
 
+def _null_atoms(table):
+    """Bit i is set iff {i} is negligible: the OR of the zero masks."""
+    return union_of(table == 0.0)
+
+
 def _block_mask(block):
     m = 0
     for i in block:
@@ -115,15 +130,11 @@ def _block_mask(block):
     return m
 
 
-def negligible(w, bset, _zeros=None):
+def negligible(w, bset):
     """Whether the set is contained in some measurable zero set of ``w``."""
     w = _as_table(w)
     mask = bset.mask if isinstance(bset, MeasurableSet) else int(bset)
-    zeros = _zeros if _zeros is not None else _zero_masks(w.table)
-    for g in zeros:
-        if (int(g) & mask) == mask:
-            return True
-    return False
+    return bool(((_zero_masks(w.table) & mask) == mask).any())
 
 
 # ---------------------------------------------------------------------------
@@ -139,9 +150,8 @@ def is_monotone(w, tol=DEFAULT_TOL):
         bigger = table[masks | (1 << i)]
         slack = tol * np.maximum(1.0, np.maximum(np.abs(table), np.abs(bigger)))
         with np.errstate(invalid="ignore"):
-            bad = bigger < table - slack
-        if bad.any():
-            b = int(np.nonzero(bad)[0][0])
+            b = first_flagged(bigger < table - slack)
+        if b is not None:
             return False, (b, b | (1 << i))
     return True, None
 
@@ -157,26 +167,21 @@ def is_null_additive(w, tol=DEFAULT_TOL):
     table = w.table
     masks = np.arange(w.space.n_sets)
     for n in _zero_masks(table):
-        agree = vclose(table[masks | int(n)], table, tol)
-        if not agree.all():
-            b = int(np.nonzero(~agree)[0][0])
+        b = first_flagged(~vclose(table[masks | int(n)], table, tol))
+        if b is not None:
             return False, (b, int(n))
     return True, None
 
 
 def is_finite_valued(w):
-    w = _as_table(w)
-    if np.isfinite(w.table).all():
-        return True, None
-    return False, int(np.nonzero(~np.isfinite(w.table))[0][0])
+    b = first_flagged(~np.isfinite(_as_table(w).table))
+    return b is None, b
 
 
 def is_sigma_finite(w):
     """Some countable cover by finite-value sets exists."""
     w = _as_table(w)
-    covered = 0
-    for m in np.nonzero(np.isfinite(w.table))[0]:
-        covered |= int(m)
+    covered = union_of(np.isfinite(w.table))
     if covered == w.space.full_mask:
         return True, None
     missing = next(
@@ -205,21 +210,17 @@ def is_maxitive(w, tol=DEFAULT_TOL):
     for b1 in range(w.space.n_sets):
         union = table[b1 | masks]
         expect = np.maximum(table[b1], table)
-        agree = vclose(union, expect, tol)
-        if not agree.all():
-            b2 = int(np.nonzero(~agree)[0][0])
+        b2 = first_flagged(~vclose(union, expect, tol))
+        if b2 is not None:
             return False, (b1, b2, float(table[b1 | b2]), float(expect[b2]))
     return True, None
 
 
 def is_completely_maxitive(w, tol=DEFAULT_TOL):
     """Same as maxitivity on a finite algebra; checked by the atom-sup route."""
-    w = _as_table(w)
-    table = w.table
-    agree = vclose(table, _atom_sup(table), tol)
-    if agree.all():
-        return True, None
-    return False, int(np.nonzero(~agree)[0][0])
+    table = _as_table(w).table
+    b = first_flagged(~vclose(table, _atom_sup(table), tol))
+    return b is None, b
 
 
 def is_continuous_from_above(w):
@@ -264,7 +265,8 @@ def is_autocontinuous(w, tol=DEFAULT_TOL):
 
     Requires null-additivity and monotonicity (the notions underlying
     negligibility); the canonical candidate density is the atom map
-    x -> w(atom of x).
+    x -> w(atom of x), whose integral on b is the max of w over the
+    non-negligible atoms of b.
     """
     w = _as_table(w)
     ok, wit = is_null_additive(w, tol)
@@ -273,20 +275,12 @@ def is_autocontinuous(w, tol=DEFAULT_TOL):
     ok, wit = is_monotone(w, tol)
     if not ok:
         return False, {"monotone": wit}
-    zeros = _zero_masks(w.table)
+    table = w.table
     k = w.space.n_atoms
-    live = [
-        i for i in range(k) if not negligible(w, 1 << i, _zeros=zeros)
-    ]
-    f = [float(w.table[1 << i]) for i in range(k)]
-    for b in range(w.space.n_sets):
-        ess = 0.0
-        for i in live:
-            if b & (1 << i) and f[i] > ess:
-                ess = f[i]
-        if not close(float(w.table[b]), ess, tol):
-            return False, b
-    return True, None
+    dead = atom_flags(_null_atoms(table), k)
+    ess = atom_table(np.where(dead, 0.0, table[1 << np.arange(k)]), np.maximum)
+    b = first_flagged(~vclose(table, ess, tol))
+    return b is None, b
 
 
 def _enumerated_variation(table, n_atoms):
@@ -309,7 +303,7 @@ def _enumerated_variation(table, n_atoms):
     return best, best_part
 
 
-def total_variation(w, variation_atoms=10):
+def total_variation(w):
     """sup over partitions of the whole space of the block-value sum.
 
     Returns the sup and a partition attaining it, from the partition DP.
@@ -318,9 +312,9 @@ def total_variation(w, variation_atoms=10):
     """
     w = _as_table(w)
     k = w.space.n_atoms
-    if k > variation_atoms:
+    if k > VARIATION_ATOMS:
         raise ExplicitBudgetExceeded(
-            f"partition enumeration needs Bell({k}); budget is {variation_atoms} atoms"
+            f"partition enumeration needs Bell({k}); budget is {VARIATION_ATOMS} atoms"
         )
     table = w.table
     dp = partition_dp(table, np.maximum)
@@ -340,7 +334,7 @@ def total_variation(w, variation_atoms=10):
     return float(dp[-1]), part
 
 
-def is_of_bounded_variation(w, variation_atoms=10):
+def is_of_bounded_variation(w):
     """The sup over partitions of the block-value sum is finite.
 
     Finitely many partitions exist, and every set is a block of one, so the
@@ -350,8 +344,8 @@ def is_of_bounded_variation(w, variation_atoms=10):
     """
     w = _as_table(w)
     ok, wit = is_finite_valued(w)
-    if not ok and w.space.n_atoms <= variation_atoms:
-        wit = total_variation(w, variation_atoms)[1]
+    if not ok and w.space.n_atoms <= VARIATION_ATOMS:
+        wit = total_variation(w)[1]
     return ok, wit
 
 
@@ -359,17 +353,12 @@ def is_essential(w):
     """Some sigma-additive measure has exactly the same null structure.
 
     On singletons the candidate support is forced, so only one candidate
-    needs checking.
+    needs checking: a set must be positive iff it holds a positive atom,
+    which is where the atom-sup table is positive.
     """
-    w = _as_table(w)
-    support = 0
-    for i in range(w.space.n_atoms):
-        if w.table[1 << i] > 0:
-            support |= 1 << i
-    for b in range(w.space.n_sets):
-        if (float(w.table[b]) > 0) != bool(b & support):
-            return False, b
-    return True, None
+    table = _as_table(w).table
+    b = first_flagged((table > 0) != (_atom_sup(table) > 0))
+    return b is None, b
 
 
 @dataclass
@@ -470,7 +459,7 @@ def _vsub(a, b):
     return d
 
 
-def choquet_alternating(w, order, tol=DEFAULT_TOL, max_cells=1 << 21):
+def choquet_alternating(w, order, tol=DEFAULT_TOL):
     """Check the alternating sign of iterated successive differences.
 
     For each n <= order and every tuple (G, G1..Gn) of measurable sets the
@@ -483,10 +472,10 @@ def choquet_alternating(w, order, tol=DEFAULT_TOL, max_cells=1 << 21):
     if order < 1:
         raise ValueError("order must be at least 1")
     cells = n ** (order + 1)
-    if cells > max_cells:
+    if cells > MAX_ALTERNATION_CELLS:
         raise ExplicitBudgetExceeded(
             f"alternation of order {order} on {w.space.n_atoms} atoms needs "
-            f"{cells} cells; budget is {max_cells}"
+            f"{cells} cells; budget is {MAX_ALTERNATION_CELLS}"
         )
     masks = np.arange(n)
     or_tab = np.bitwise_or.outer(masks, masks)
@@ -534,25 +523,18 @@ def essential_supremum(tau, f, bset=None, tol=DEFAULT_TOL):
     _require_fuzzy(tau, tol)
     if bset is None:
         bset = tau.space.full()
-    zeros = _zero_masks(tau.table)
-
-    def neg(mask):
-        return negligible(tau, mask, _zeros=zeros)
-
     candidates = [0.0] + f.distinct_values(bset)
     result = None
     for t in candidates:
-        if neg(bset.mask & f.level_set(t).mask):
+        if negligible(tau, bset.mask & f.level_set(t).mask):
             result = t
             break
     if result is None:
         result = INF
 
     # independent route: max of f over non-negligible atoms inside B
-    oracle = 0.0
-    for i in range(tau.space.n_atoms):
-        if bset.mask & (1 << i) and not neg(1 << i):
-            oracle = max(oracle, float(f.atom_values[i]))
+    live = atom_flags(bset.mask & ~_null_atoms(tau.table), tau.space.n_atoms)
+    oracle = float(np.max(f.atom_values[live], initial=0.0))
     if not close(result, oracle, tol):
         raise OracleMismatch(
             f"essential supremum sweep {result} vs atom oracle {oracle}"
@@ -564,12 +546,8 @@ def esssup_measure(tau, f, tol=DEFAULT_TOL):
     """The maxitive measure B -> essential supremum of f over B."""
     tau = _as_table(tau)
     _require_fuzzy(tau, tol)
-    zeros = _zero_masks(tau.table)
-    vals = [
-        0.0 if negligible(tau, 1 << i, _zeros=zeros) else float(f.atom_values[i])
-        for i in range(tau.space.n_atoms)
-    ]
-    return MaxitiveMeasure(tau.space, vals)
+    dead = atom_flags(_null_atoms(tau.table), tau.space.n_atoms)
+    return MaxitiveMeasure(tau.space, np.where(dead, 0.0, f.atom_values))
 
 
 def delta_measure(w, tol=DEFAULT_TOL):
@@ -579,13 +557,12 @@ def delta_measure(w, tol=DEFAULT_TOL):
         return MaxitiveMeasure(w.space, vals)
     w = _as_table(w)
     _require_fuzzy(w, tol)
-    vals = [1.0 if w.table[1 << i] > 0 else 0.0 for i in range(w.space.n_atoms)]
-    delta = MaxitiveMeasure(w.space, vals)
     # the two-valued companion must reproduce positivity on every set
-    for b in range(w.space.n_sets):
-        if (w.table[b] > 0) != (delta(b) > 0):
-            raise NotNullAdditive(f"positivity not atom-determined at mask {b}")
-    return delta
+    ok, b = is_essential(w)
+    if not ok:
+        raise NotNullAdditive(f"positivity not atom-determined at mask {b}")
+    vals = [1.0 if w.table[1 << i] > 0 else 0.0 for i in range(w.space.n_atoms)]
+    return MaxitiveMeasure(w.space, vals)
 
 
 def counting_delta(space):
@@ -632,25 +609,22 @@ def atom_decomposition(nu, tol=DEFAULT_TOL):
         if table[h.mask] <= 0:
             raise DecompositionVerificationFailed("candidate atom is null")
         inside = table[masks & h.mask]
-        split = (inside != 0.0) & (table[h.mask & ~masks] != 0.0)
-        if split.any():
+        b = first_flagged((inside != 0.0) & (table[h.mask & ~masks] != 0.0))
+        if b is not None:
             raise DecompositionVerificationFailed(
-                f"{h!r} splits into two non-null parts at mask {int(np.argmax(split))}"
+                f"{h!r} splits into two non-null parts at mask {b}"
             )
         np.maximum(best, inside, out=best)
-    agree = vclose(table, best, tol)
-    if not agree.all():
-        raise DecompositionVerificationFailed(
-            f"max over atoms misses nu at mask {int(np.argmin(agree))}"
-        )
+    b = first_flagged(~vclose(table, best, tol))
+    if b is not None:
+        raise DecompositionVerificationFailed(f"max over atoms misses nu at mask {b}")
     return AtomDecomposition(atoms=hs, values=values, residual_null=residual)
 
 
-def disjoint_variation(nu, variation_atoms=10, tol=DEFAULT_TOL):
+def disjoint_variation(nu, tol=DEFAULT_TOL):
     """|nu| as a sup over partitions, cross-checked against the atom sum."""
-    require_budget(nu.space.n_atoms, variation_atoms, "partition enumeration")
     w = nu.to_set_function()
-    brute, part = total_variation(w, variation_atoms)
+    brute, part = total_variation(w)
     dec = atom_decomposition(nu, tol)
     closed = float(sum(dec.values)) if dec.values else 0.0
     # both sides as exactly rounded sums, so tol = 0 compares the values
@@ -673,11 +647,10 @@ def essential_witness(nu, tol=DEFAULT_TOL):
     masses = np.zeros(nu.space.n_atoms)
     for h, v in zip(dec.atoms, dec.values):
         masses[h.atom_indices()[0]] = v
-    m = AdditiveMeasure(nu.space, masses)
-    for b in range(nu.space.n_sets):
-        if (m(b) > 0) != (nu(b) > 0):
-            raise OracleMismatch(f"null sets differ at mask {b}")
-    return m
+    b = first_flagged((atom_table(masses) > 0) != (nu.to_set_function().table > 0))
+    if b is not None:
+        raise OracleMismatch(f"null sets differ at mask {b}")
+    return AdditiveMeasure(nu.space, masses)
 
 
 @dataclass

@@ -96,20 +96,6 @@ def random_subalgebra(rng, space):
     return SubAlgebra(space, blocks)
 
 
-def random_monotone_table(rng, space, allow_inf=False):
-    """A random monotone set function, built by cumulative max over subsets."""
-    n = space.n_sets
-    table = [0.0] * n
-    for b in range(1, n):
-        base = random_value(rng, allow_zero=True, allow_inf=allow_inf)
-        prev = 0.0
-        for i in range(space.n_atoms):
-            if b & (1 << i):
-                prev = max(prev, table[b ^ (1 << i)])
-        table[b] = max(base, prev)
-    return SetFunction(space, table)
-
-
 def random_non_maxitive(rng, space):
     """A strictly additive table with at least two charged atoms.
 

@@ -139,6 +139,22 @@ def fold_atoms(values, mask, combine, start):
     return out
 
 
+def first_flagged(flags):
+    """The least mask whose flag is set, or None when none is."""
+    hits = np.flatnonzero(flags)
+    return int(hits[0]) if hits.size else None
+
+
+def union_of(flags):
+    """The OR of the masks whose flag is set (0 when none is)."""
+    return int(np.bitwise_or.reduce(np.flatnonzero(flags)))
+
+
+def atom_flags(mask, n_atoms):
+    """A boolean array over the atom indices, set at the atoms of ``mask``."""
+    return ((mask >> np.arange(n_atoms)) & 1).astype(bool)
+
+
 def max_over_submasks(table):
     """The table b -> max of ``table`` over the submasks of b (k 2^k work)."""
     out = np.array(table, dtype=float)
@@ -239,12 +255,6 @@ class Space:
 
     def atom_block(self, i):
         return MeasurableSet(self, 1 << i)
-
-    def set_of_atoms(self, indices):
-        mask = 0
-        for i in indices:
-            mask |= 1 << i
-        return MeasurableSet(self, mask)
 
     def set_of_labels(self, labels):
         """Smallest measurable set containing the given ground labels.
@@ -490,13 +500,6 @@ class SetFunction:
         arr.setflags(write=False)
         self.space = space
         self.table = arr
-
-    @classmethod
-    def from_mask_values(cls, space, mask_values):
-        tab = [0.0] * space.n_sets
-        for mask, v in mask_values.items():
-            tab[int(mask)] = v
-        return cls(space, tab)
 
     def __call__(self, bset):
         mask = bset.mask if isinstance(bset, MeasurableSet) else int(bset)

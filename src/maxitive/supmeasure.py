@@ -127,7 +127,7 @@ def _exact_blocks(masses, p, rng, n):
     evaluated in place on each block of uniforms."""
     null = ~(masses > 0)
     for start, u in _uniform_blocks(rng, n, len(masses)):
-        with np.errstate(divide="ignore"):
+        with np.errstate(divide="ignore", over="ignore"):
             np.log(u, out=u)
             np.negative(u, out=u)
             np.divide(masses, u, out=u)
@@ -153,7 +153,7 @@ def _poisson_blocks(masses, p, rng, n, eps, lam):
         block[...] = rng.poisson(lam, size=block.shape)
     for start, v in _uniform_blocks(rng, n, k):
         c = counts[start : start + len(v)]
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             np.log(v, out=v)
             np.divide(v, c, out=v)
             np.expm1(v, out=v)

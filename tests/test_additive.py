@@ -16,7 +16,7 @@ from maxitive.additive import (
     is_sigma_finite_measure,
     lebesgue_integral,
 )
-from maxitive.errors import NoDensity, NotAbsolutelyContinuous
+from maxitive.errors import ExplicitBudgetExceeded, NoDensity, NotAbsolutelyContinuous
 from maxitive.measures import MaxitiveMeasure
 from maxitive.sampling import random_additive, random_fn, random_space, rng_for
 from maxitive.spaces import INF, MeasurableFn, SetFunction, build_space, close
@@ -34,6 +34,14 @@ def test_additive_measure_basics(abc):
         AdditiveMeasure.from_set_function(
             MaxitiveMeasure(abc, [1, 2, 0.5]).to_set_function()
         )
+
+
+def test_finiteness_chain_refuses_beyond_the_table_cap():
+    labs = [f"g{i}" for i in range(13)]
+    m = AdditiveMeasure(build_space(labs, [[l] for l in labs]), [1.0] * 12 + [INF])
+    for check in (is_sigma_finite_measure, is_semi_finite_measure, implication_chain):
+        with pytest.raises(ExplicitBudgetExceeded):
+            check(m)
 
 
 def test_lebesgue_fixture(abc):

@@ -2,7 +2,9 @@
 
 Every routine routed through the whole-table primitives of ``spaces`` is
 compared, on random spaces of up to six atoms, with the per-mask Python
-loop it replaced: the same flags and witnesses, the same raised errors,
+loop it replaced (negligibility, the essential supremum, autocontinuity,
+essentiality, odot-absolute continuity and the associated density among
+them): the same flags and witnesses, the same raised errors,
 and bit-identical tables wherever the arithmetic is unchanged. Sums over
 partitions are associated differently by the DP, so those values are
 compared with a relative tolerance of 1e-12 (six float64 additions).
@@ -23,11 +25,23 @@ from maxitive.additive import (
     family_essential_supremum,
     is_localizable_measure,
 )
-from maxitive.density import _reconstruct, envelope_measure, verify_density
+from maxitive.additive import is_semi_finite_measure, is_sigma_finite_measure
+from maxitive.density import (
+    AbsContReport,
+    _reconstruct,
+    ae_equal,
+    density_from_associated,
+    envelope_measure,
+    odot_abs_continuous,
+    verify_density,
+)
 from maxitive.errors import (
     DecompositionVerificationFailed,
+    MaxitiveError,
+    NegligibilityViolation,
     NoDensity,
     NotAbsolutelyContinuous,
+    NotNullAdditive,
     OracleMismatch,
 )
 from maxitive.integral import atom_integral
@@ -35,12 +49,24 @@ from maxitive.measures import (
     AtomDecomposition,
     FinitenessReport,
     MaxitiveMeasure,
+    _as_table,
+    _require_fuzzy,
+    _zero_masks,
     atom_decomposition,
     classify,
+    delta_measure,
+    essential_supremum,
+    essential_witness,
+    esssup_measure,
     finiteness_suite,
+    is_autocontinuous,
     is_completely_maxitive,
+    is_essential,
     is_maxitive,
+    is_monotone,
+    is_null_additive,
     is_of_bounded_variation,
+    is_sigma_finite,
     is_sigma_principal,
     negligible,
     total_variation,
@@ -73,8 +99,8 @@ values = st.one_of(
 
 
 @st.composite
-def atom_values(draw, finite=False):
-    k = draw(st.integers(0, 6))
+def atom_values(draw, finite=False, k=None):
+    k = draw(st.integers(0, 6)) if k is None else k
     pool = st.floats(0.0, 100.0) if finite else values
     return draw(st.lists(pool, min_size=k, max_size=k))
 
@@ -84,18 +110,19 @@ def space_of(k):
 
 
 @st.composite
-def tables(draw):
-    """Maxitive, ulp-perturbed maxitive, or arbitrary set-function tables."""
-    vals = draw(atom_values())
+def tables(draw, k=None):
+    """Maxitive or additive tables, ulp-perturbed or not, or arbitrary ones."""
+    vals = draw(atom_values(k=k))
     space = space_of(len(vals))
-    kind = draw(st.sampled_from(["maxitive", "perturbed", "arbitrary"]))
+    kind = draw(st.sampled_from(["maxitive", "additive", "arbitrary"]))
     if kind == "arbitrary":
         table = [0.0] + draw(
             st.lists(values, min_size=space.n_sets - 1, max_size=space.n_sets - 1)
         )
         return SetFunction(space, table)
-    table = np.array(MaxitiveMeasure(space, vals).to_set_function().table)
-    if kind == "perturbed":
+    measure = MaxitiveMeasure if kind == "maxitive" else AdditiveMeasure
+    table = np.array(measure(space, vals).to_set_function().table)
+    if draw(st.booleans()):
         b = draw(st.integers(0, space.n_sets - 1))
         if 0.0 < table[b] < INF:
             table[b] = np.nextafter(table[b], INF)
@@ -203,11 +230,10 @@ def ref_is_localizable_measure(m, family_atoms=3):
 
 
 def ref_is_sigma_principal(w, ideal_atoms=4):
-    zeros = np.nonzero(w.table == 0.0)[0]
     for ideal in enumerate_sigma_ideals(w.space, verify_atoms=ideal_atoms):
         winner = None
         for cand in sorted(ideal, key=lambda m: -bin(m).count("1")):
-            if all(negligible(w, s & ~cand, _zeros=zeros) for s in ideal):
+            if all(negligible(w, s & ~cand) for s in ideal):
                 winner = cand
                 break
         if winner is None:
@@ -352,6 +378,211 @@ def ref_classical_density(nu, m, tol=1e-9):
     return c
 
 
+def ref_negligible(w, bset, _zeros=None):
+    w = _as_table(w)
+    mask = bset.mask if isinstance(bset, MeasurableSet) else int(bset)
+    zeros = _zeros if _zeros is not None else _zero_masks(w.table)
+    for g in zeros:
+        if (int(g) & mask) == mask:
+            return True
+    return False
+
+
+def ref_is_sigma_finite(w):
+    w = _as_table(w)
+    covered = 0
+    for m in np.nonzero(np.isfinite(w.table))[0]:
+        covered |= int(m)
+    if covered == w.space.full_mask:
+        return True, None
+    missing = next(
+        i for i in range(w.space.n_atoms) if not covered & (1 << i)
+    )
+    return False, missing
+
+
+def ref_is_autocontinuous(w, tol=1e-9):
+    w = _as_table(w)
+    ok, wit = is_null_additive(w, tol)
+    if not ok:
+        return False, {"null_additive": wit}
+    ok, wit = is_monotone(w, tol)
+    if not ok:
+        return False, {"monotone": wit}
+    zeros = _zero_masks(w.table)
+    k = w.space.n_atoms
+    live = [
+        i for i in range(k) if not ref_negligible(w, 1 << i, _zeros=zeros)
+    ]
+    f = [float(w.table[1 << i]) for i in range(k)]
+    for b in range(w.space.n_sets):
+        ess = 0.0
+        for i in live:
+            if b & (1 << i) and f[i] > ess:
+                ess = f[i]
+        if not close(float(w.table[b]), ess, tol):
+            return False, b
+    return True, None
+
+
+def ref_is_essential(w):
+    w = _as_table(w)
+    support = 0
+    for i in range(w.space.n_atoms):
+        if w.table[1 << i] > 0:
+            support |= 1 << i
+    for b in range(w.space.n_sets):
+        if (float(w.table[b]) > 0) != bool(b & support):
+            return False, b
+    return True, None
+
+
+def ref_essential_supremum(tau, f, bset=None, tol=1e-9):
+    tau = _as_table(tau)
+    _require_fuzzy(tau, tol)
+    if bset is None:
+        bset = tau.space.full()
+    zeros = _zero_masks(tau.table)
+
+    def neg(mask):
+        return ref_negligible(tau, mask, _zeros=zeros)
+
+    candidates = [0.0] + f.distinct_values(bset)
+    result = None
+    for t in candidates:
+        if neg(bset.mask & f.level_set(t).mask):
+            result = t
+            break
+    if result is None:
+        result = INF
+
+    # independent route: max of f over non-negligible atoms inside B
+    oracle = 0.0
+    for i in range(tau.space.n_atoms):
+        if bset.mask & (1 << i) and not neg(1 << i):
+            oracle = max(oracle, float(f.atom_values[i]))
+    if not close(result, oracle, tol):
+        raise OracleMismatch(
+            f"essential supremum sweep {result} vs atom oracle {oracle}"
+        )
+    return result
+
+
+def ref_esssup_measure(tau, f, tol=1e-9):
+    tau = _as_table(tau)
+    _require_fuzzy(tau, tol)
+    zeros = _zero_masks(tau.table)
+    vals = [
+        0.0 if ref_negligible(tau, 1 << i, _zeros=zeros) else float(f.atom_values[i])
+        for i in range(tau.space.n_atoms)
+    ]
+    return MaxitiveMeasure(tau.space, vals)
+
+
+def ref_delta_measure(w, tol=1e-9):
+    if isinstance(w, MaxitiveMeasure):
+        vals = [1.0 if v > 0 else 0.0 for v in w.atom_values]
+        return MaxitiveMeasure(w.space, vals)
+    w = _as_table(w)
+    _require_fuzzy(w, tol)
+    vals = [1.0 if w.table[1 << i] > 0 else 0.0 for i in range(w.space.n_atoms)]
+    delta = MaxitiveMeasure(w.space, vals)
+    # the two-valued companion must reproduce positivity on every set
+    for b in range(w.space.n_sets):
+        if (w.table[b] > 0) != (delta(b) > 0):
+            raise NotNullAdditive(f"positivity not atom-determined at mask {b}")
+    return delta
+
+
+def ref_essential_witness(nu, tol=1e-9):
+    if not np.isfinite(nu.atom_values).all():
+        raise ValueError("essential witness needs finite values; transform first")
+    dec = atom_decomposition(nu, tol)
+    masses = np.zeros(nu.space.n_atoms)
+    for h, v in zip(dec.atoms, dec.values):
+        masses[h.atom_indices()[0]] = v
+    m = AdditiveMeasure(nu.space, masses)
+    for b in range(nu.space.n_sets):
+        if (m(b) > 0) != (nu(b) > 0):
+            raise OracleMismatch(f"null sets differ at mask {b}")
+    return m
+
+
+def ref_odot_abs_continuous(op, nu, tau, tol=1e-9):
+    nu_t = _as_table(nu)
+    tau_t = _as_table(tau)
+    if nu_t.space is not tau_t.space and nu_t.space != tau_t.space:
+        raise ValueError("measures live on different spaces")
+    for b in range(nu_t.space.n_sets):
+        bound = op(INF, float(tau_t.table[b]))
+        val = float(nu_t.table[b])
+        if val > bound + tol * max(1.0, abs(bound)):
+            return AbsContReport(holds=False, op=op.name, witness=b)
+    return AbsContReport(holds=True, op=op.name)
+
+
+def ref_density_from_associated(op, mu, c1, c2, tol=1e-9):
+    mu_t = _as_table(mu)
+    zeros = _zero_masks(mu_t.table)
+    space = mu_t.space
+    nu = ref_esssup_measure(mu_t, c1, tol)
+    tau = ref_esssup_measure(mu_t, c2, tol)
+    bad = 0
+    for i in range(space.n_atoms):
+        bound = op(INF, float(c2.atom_values[i]))
+        if float(c1.atom_values[i]) > bound + tol * max(1.0, abs(bound)):
+            bad |= 1 << i
+    if bad and not ref_negligible(mu_t, bad, _zeros=zeros):
+        raise NegligibilityViolation(
+            f"c1 escapes the scalar bound on a non-negligible set, mask {bad}"
+        )
+    vals = []
+    for i in range(space.n_atoms):
+        if bad & (1 << i) or ref_negligible(mu_t, 1 << i, _zeros=zeros):
+            vals.append(0.0)
+        else:
+            r = float(c1.atom_values[i])
+            vals.append(0.0 if r == 0.0 else op.residual(r, float(c2.atom_values[i])))
+    c = MeasurableFn(space, vals)
+    ok, wit = ref_verify_density(op, c, nu, tau, tol)
+    if not ok:
+        raise NoDensity(f"associated-density candidate fails on mask {wit}")
+    return c
+
+
+def ref_additive_from_set_function(w, tol=1e-9):
+    masses = [w.table[1 << i] for i in range(w.space.n_atoms)]
+    m = AdditiveMeasure(w.space, masses)
+    for b in range(w.space.n_sets):
+        if not close(float(w.table[b]), m(b), tol):
+            raise ValueError(f"table is not additive; witness mask {b}")
+    return m
+
+
+def ref_is_sigma_finite_measure(m):
+    covered = 0
+    for b in range(m.space.n_sets):
+        if math.isfinite(m(b)):
+            covered |= b
+    return covered == m.space.full_mask
+
+
+def ref_is_semi_finite_measure(m):
+    for b in range(m.space.n_sets):
+        if math.isinf(m(b)):
+            sub = b
+            found = False
+            while sub:
+                v = m(sub)
+                if 0.0 < v < INF:
+                    found = True
+                    break
+                sub = (sub - 1) & b
+            if not found:
+                return False
+    return True
+
+
 def perturbed(draw, vals):
     """vals with at most one finite positive entry moved up by one ulp."""
     vals = list(vals)
@@ -381,13 +612,17 @@ def outcome(fn, *args):
     """The result of a call, or the type and message of what it raised."""
     try:
         return fn(*args)
-    except (
-        DecompositionVerificationFailed,
-        OracleMismatch,
-        NoDensity,
-        NotAbsolutelyContinuous,
-    ) as exc:
+    except (MaxitiveError, ValueError) as exc:
         return type(exc), str(exc)
+
+
+def settled(fn, *args):
+    """outcome(), with a returned measure or function as its type and bytes."""
+    out = outcome(fn, *args)
+    for attr in ("atom_values", "atom_masses"):
+        if hasattr(out, attr):
+            return type(out), getattr(out, attr).tobytes()
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -555,3 +790,69 @@ def test_classical_density_matches_brute_force(vals, data):
         assert got.atom_values.tobytes() == want.atom_values.tobytes()
     else:
         assert got == want
+
+
+# ---------------------------------------------------------------------------
+# negligibility, the essential supremum and the Radon-Nikodym checks
+# ---------------------------------------------------------------------------
+
+
+def fn_of(data, space):
+    return MeasurableFn(
+        space, data.draw(st.lists(values, min_size=space.n_atoms, max_size=space.n_atoms))
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(tables(), st.data())
+def test_null_set_checks_match_brute_force(w, data):
+    # arbitrary, non-monotone and non-null-additive tables included: ae_equal
+    # reads negligible, and odot_abs_continuous and density_from_associated
+    # take them, unchecked or up to the raise that the reference also makes
+    space = w.space
+    for b in range(space.n_sets):
+        assert negligible(w, b) is ref_negligible(w, b)
+    assert is_sigma_finite(w) == ref_is_sigma_finite(w)
+    assert is_autocontinuous(w) == ref_is_autocontinuous(w)
+    assert is_essential(w) == ref_is_essential(w)
+    assert settled(delta_measure, w) == settled(ref_delta_measure, w)
+    assert settled(AdditiveMeasure.from_set_function, w) == settled(
+        ref_additive_from_set_function, w
+    )
+
+    f, g = fn_of(data, space), fn_of(data, space)
+    bset = MeasurableSet(space, data.draw(st.integers(0, space.n_sets - 1)))
+    assert settled(esssup_measure, w, f) == settled(ref_esssup_measure, w, f)
+    assert outcome(essential_supremum, w, f, bset) == outcome(
+        ref_essential_supremum, w, f, bset
+    )
+    diff = sum(1 << i for i in range(space.n_atoms) if not close(f(i), g(i)))
+    assert ae_equal(w, f, g) is ref_negligible(w, diff)
+
+    op = data.draw(st.sampled_from([TIMES, MIN, PLUS, MAX]))
+    tol = data.draw(st.sampled_from([0.0, 1e-9]))
+    # near is within the relative tolerance of w but not the absolute one
+    near = SetFunction(space, w.table * (1 + 5e-10))
+    for nu in (data.draw(tables(k=space.n_atoms)), near):
+        assert odot_abs_continuous(op, nu, w, tol) == ref_odot_abs_continuous(
+            op, nu, w, tol
+        )
+    assert settled(density_from_associated, op, w, f, g) == settled(
+        ref_density_from_associated, op, w, f, g
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(atom_values(finite=True), st.data())
+def test_essential_witness_matches_brute_force(vals, data):
+    w = data.draw(tables(k=len(vals)))
+    for nu in (MaxitiveMeasure(space_of(len(vals)), vals), TableMeasure(w)):
+        assert settled(essential_witness, nu) == settled(ref_essential_witness, nu)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(values, max_size=6))
+def test_finiteness_chain_matches_brute_force(vals):
+    m = AdditiveMeasure(space_of(len(vals)), vals)
+    assert is_sigma_finite_measure(m) is ref_is_sigma_finite_measure(m)
+    assert is_semi_finite_measure(m) is ref_is_semi_finite_measure(m)

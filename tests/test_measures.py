@@ -13,6 +13,7 @@ from maxitive.errors import (
     OracleMismatch,
 )
 from maxitive.measures import (
+    AtomDecomposition,
     MaxitiveMeasure,
     atom_decomposition,
     choquet_alternating,
@@ -228,7 +229,7 @@ def test_disjoint_variation_exact_at_zero_tolerance():
 
 def test_disjoint_variation_rejects_a_wrong_partition(abc, monkeypatch):
     nu = MaxitiveMeasure(abc, [1, 2, 0.5])
-    monkeypatch.setattr(measures, "total_variation", lambda w, atoms: (3.5, [[0, 1, 2]]))
+    monkeypatch.setattr(measures, "total_variation", lambda w: (3.5, [[0, 1, 2]]))
     with pytest.raises(OracleMismatch):
         disjoint_variation(nu)
 
@@ -247,7 +248,10 @@ def test_bounded_variation(abc):
     ok, part = is_of_bounded_variation(w)
     assert not ok and part == total_variation(w)[1]
     # beyond the partition budget the witness is the first infinite mask
-    assert is_of_bounded_variation(w, variation_atoms=2) == (False, 0b010)
+    labs = [f"g{i}" for i in range(11)]
+    sp = build_space(labs, [[l] for l in labs])
+    w = MaxitiveMeasure(sp, [1, INF, 3] + [1] * 8).to_set_function()
+    assert is_of_bounded_variation(w) == (False, 0b010)
 
 
 def test_essential_witness(abc):
@@ -258,6 +262,23 @@ def test_essential_witness(abc):
     with pytest.raises(ValueError):
         essential_witness(MaxitiveMeasure(abc, [INF, 1, 1]))
     assert is_essential(nu.to_set_function())[0]
+
+
+def test_essentiality_witness_is_the_least_mismatch(abc):
+    # {a, b} is null though a is charged, and {b, c} is charged though b
+    # and c are null; both are mismatches, and the least is named
+    assert is_essential(SetFunction(abc, [0, 1, 0, 0, 0, 1, 1, 1])) == (False, 0b011)
+    assert is_essential(SetFunction(abc, [0, 1, 0, 1, 0, 1, 1, 1])) == (False, 0b110)
+
+
+def test_essential_witness_rejects_a_wrong_decomposition(abc, monkeypatch):
+    nu = MaxitiveMeasure(abc, [1, 2, 0.5])
+    # only atom b charged: the witness misses the null structure at {a}
+    rest = abc.atom_block(0) | abc.atom_block(2)
+    wrong = AtomDecomposition((abc.atom_block(1),), (2.0,), rest)
+    monkeypatch.setattr(measures, "atom_decomposition", lambda nu, tol: wrong)
+    with pytest.raises(OracleMismatch, match="null sets differ at mask 1$"):
+        essential_witness(nu)
 
 
 def test_autocontinuity(abc):

@@ -231,7 +231,7 @@ def test_sample_matrix_refuses_oversized_n_before_drawing():
 def ref_exact_matrix(masses, p, rng, n):
     k = len(masses)
     u = rng.uniform(size=(n, k))
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):
         out = (masses / (-np.log(u))) ** (1.0 / p)
     return np.where(masses > 0, out, 0.0)
 
@@ -326,7 +326,26 @@ def test_samplers_are_bit_identical_to_the_reference_expressions(
             assert got.tobytes() == want.tobytes()
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+# a draw that overflows to inf is the formula's value, reported without a
+# numpy warning on stderr, in both modes
+@pytest.mark.parametrize("atoms, p, mode, total_mass", [
+    ("a:1e300,b:1", "0.5", "exact", 1e300),
+    ("a:1000,b:1", "0.005", "poisson", 1001.0),
+])
+def test_simulate_overflow_to_inf_warns_nothing(atoms, p, mode, total_mass, capsys):
+    argv = ["simulate", "--atoms", atoms, "--p", p, "--n", "2", "--mode", mode]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(argv) == 0
+    assert [str(w.message) for w in caught] == []
+    want = {"command": "simulate", "draws": ["inf", "inf"], "mode": mode, "n": 2,
+            "p": float(p), "schema": "1", "seed": 0, "set": "a+b", "stream": 0,
+            "total_mass": total_mass}
+    if mode == "poisson":
+        want["eps"] = 0.001
+    assert json.loads(capsys.readouterr().out) == want
+
+
 @pytest.mark.parametrize("block_rows", [1, 7, BLOCK_ROWS])
 def test_csv_rows_match_csv_writer(block_rows, monkeypatch, tmp_path, capsys):
     monkeypatch.setattr(supmeasure, "BLOCK_ROWS", block_rows)
