@@ -25,6 +25,7 @@ from .spaces import (
     Space,
     SetFunction,
     build_space,
+    require_budget,
 )
 
 SCHEMA = "1"
@@ -164,6 +165,7 @@ def measure_from_json(doc, space=None):
             return PossibilitySpace(MaxitiveMeasure(space, vals))
         return MeasurableFn(space, vals)
     if kind == "set_function":
+        require_budget(space.n_atoms, what="set-function table")
         table = [0.0] * space.n_sets
         for key, v in doc["table"].items():
             table[parse_set(space, key).mask] = decode_value(v)

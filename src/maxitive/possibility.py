@@ -2,11 +2,13 @@
 
 A possibility measure is a normed maxitive measure. Conditioning a variable
 on a partition works per block: integrate over the block, then residuate by
-the block's possibility. The suite functions re-verify the defining property
-and the textbook laws (uniqueness through perturbation, monotonicity,
-homogeneity, the tower rule, total expectation) on concrete instances, and
-the classical bridge realizes the conditional as a limit of conditional
-power means.
+the block's possibility. The defining property (equal integrals on every set
+of the sub-algebra) is verified on the blocks alone: the atom integral over
+a union of blocks is the max of the integrals over its blocks, so blocks
+that agree make every union agree. The suite functions verify the textbook
+laws (uniqueness through perturbation, monotonicity, homogeneity, the tower
+rule, total expectation) on concrete instances, and the classical bridge
+realizes the conditional as a limit of conditional power means.
 """
 
 from __future__ import annotations
@@ -228,8 +230,13 @@ def conditional(op, x, pi, sub, tol=DEFAULT_TOL):
 
     Per block: integrate x over the block, then residuate by the block's
     possibility; null blocks carry zero. The operation must be exact, and
-    the defining property is re-verified on every set of the sub-algebra
-    before the result is returned.
+    the defining property is verified on every block before the result is
+    returned. That covers every set of the sub-algebra. On a union of
+    blocks both integrals are maxes over its blocks; if the larger one is
+    block j's, the union's gap is at most block j's gap, at the same
+    tolerance scale, and an inf side agrees only with inf. A failure names
+    the lowest failing block, which is also the first failing set in
+    ``sub.generated()`` order.
     """
     if not op.exact:
         raise NonExactOperation(f"{op.name} cannot attain its residuals")
@@ -240,13 +247,13 @@ def conditional(op, x, pi, sub, tol=DEFAULT_TOL):
         kappa = atom_integral(op, x, pi.measure, MeasurableSet(pi.space, b))
         block_vals.append(0.0 if pb == 0.0 else op.residual(kappa, pb))
     y = sub.spread(block_vals)
-    for a in sub.generated():
-        aset = MeasurableSet(pi.space, a)
-        lhs = atom_integral(op, y, pi.measure, aset)
-        rhs = atom_integral(op, x, pi.measure, aset)
+    for b in sub.blocks:
+        bset = MeasurableSet(pi.space, b)
+        lhs = atom_integral(op, y, pi.measure, bset)
+        rhs = atom_integral(op, x, pi.measure, bset)
         if not close(lhs, rhs, tol):
             raise DefiningPropertyFailed(
-                f"conditional integrates to {lhs}, variable to {rhs}, on mask {a}"
+                f"conditional integrates to {lhs}, variable to {rhs}, on mask {b}"
             )
     return y
 
@@ -293,25 +300,10 @@ def conditional_suite(op, x, pi, sub, tol=DEFAULT_TOL):
     """Verify the textbook properties of the conditional on one instance."""
     pi = as_possibility(pi, tol)
     space = pi.space
+    # conditional has verified the defining property on every set with
+    # this op and tol, the full set (total expectation) included
     y = conditional(op, x, pi, sub, tol)
     details = {}
-
-    defining = True
-    for a in sub.generated():
-        aset = MeasurableSet(space, a)
-        if not close(
-            atom_integral(op, y, pi.measure, aset),
-            atom_integral(op, x, pi.measure, aset),
-            tol,
-        ):
-            defining = False
-            details["defining_witness"] = a
-
-    total = close(
-        atom_integral(op, y, pi.measure, space.full()),
-        atom_integral(op, x, pi.measure, space.full()),
-        tol,
-    )
 
     # uniqueness: any distinguishable change on a non-null block must break
     # the defining property on that block
@@ -389,20 +381,11 @@ def conditional_suite(op, x, pi, sub, tol=DEFAULT_TOL):
                 details["tower_atom"] = i
                 break
 
-    # conditioning a block-measurable function returns a version of it
+    # conditioning a block-measurable function returns a version of it;
+    # conditional has already held the integrals of ym to those of y
     ym = conditional(op, y, pi, sub, tol)
     measurable_fixed = True
-    for a in sub.generated():
-        aset = MeasurableSet(space, a)
-        if not close(
-            atom_integral(op, ym, pi.measure, aset),
-            atom_integral(op, y, pi.measure, aset),
-            tol,
-        ):
-            measurable_fixed = False
-            details["measurable_fixed_witness"] = a
-            break
-    if measurable_fixed and op.name == "times":
+    if op.name == "times":
         for j, b in enumerate(sub.blocks):
             if pi.measure(b) == 0.0:
                 continue
@@ -414,12 +397,12 @@ def conditional_suite(op, x, pi, sub, tol=DEFAULT_TOL):
 
     return ConditionalSuiteReport(
         y=y,
-        defining=defining,
+        defining=True,
         characterization=characterization,
         monotone=monotone,
         scaling=scaling,
         tower=tower,
-        total=total,
+        total=True,
         measurable_fixed=measurable_fixed,
         details=details,
     )

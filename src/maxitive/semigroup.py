@@ -332,6 +332,23 @@ def _refines_away(f, a, b, jump_tol, rounds=80):
     return _atan_gap(flo, fhi) <= jump_tol
 
 
+def _continuity_scan(op, finite_pos, jump_tol, refine):
+    """The first grid jump above jump_tol, bisected away first when refine."""
+    first_args = finite_pos + [INF]
+    second_args = [0.0] + finite_pos + [INF]
+    for t in second_args:
+        for a, b in zip(first_args, first_args[1:]):
+            if _atan_gap(op(a, t), op(b, t)) > jump_tol:
+                if not (refine and _refines_away(lambda s: op(s, t), a, b, jump_tol)):
+                    return False, {"axis": "left", "segment": (a, b), "at": t}
+    for s in finite_pos:
+        for a, b in zip(second_args, second_args[1:]):
+            if _atan_gap(op(s, a), op(s, b)) > jump_tol:
+                if not (refine and _refines_away(lambda t: op(s, t), a, b, jump_tol)):
+                    return False, {"axis": "right", "segment": (a, b), "at": s}
+    return True, None
+
+
 def _sampled_continuity(op, grid, jump_tol=0.2):
     """Check continuity on (0, inf) x [0, inf] and of s -> s (.) t on (0, inf].
 
@@ -340,30 +357,11 @@ def _sampled_continuity(op, grid, jump_tol=0.2):
     grid-level verdict, not a proof.
     """
     finite_pos = sorted(g for g in grid if 0.0 < g < INF)
-    first_args = finite_pos + [INF]
-    second_args = [0.0] + finite_pos + [INF]
     try:
-        for t in second_args:
-            for a, b in zip(first_args, first_args[1:]):
-                if _atan_gap(op(a, t), op(b, t)) > jump_tol:
-                    if not _refines_away(lambda s: op(s, t), a, b, jump_tol):
-                        return False, {"axis": "left", "segment": (a, b), "at": t}
-        for s in finite_pos:
-            for a, b in zip(second_args, second_args[1:]):
-                if _atan_gap(op(s, a), op(s, b)) > jump_tol:
-                    if not _refines_away(lambda t: op(s, t), a, b, jump_tol):
-                        return False, {"axis": "right", "segment": (a, b), "at": s}
+        return _continuity_scan(op, finite_pos, jump_tol, refine=True)
     except ValueError:
         # table ops cannot evaluate off-grid; fall back to the grid verdict
-        for t in second_args:
-            for a, b in zip(first_args, first_args[1:]):
-                if _atan_gap(op(a, t), op(b, t)) > jump_tol:
-                    return False, {"axis": "left", "segment": (a, b), "at": t}
-        for s in finite_pos:
-            for a, b in zip(second_args, second_args[1:]):
-                if _atan_gap(op(s, a), op(s, b)) > jump_tol:
-                    return False, {"axis": "right", "segment": (a, b), "at": s}
-    return True, None
+        return _continuity_scan(op, finite_pos, jump_tol, refine=False)
 
 
 def verify_axioms(op, grid=None, tol=DEFAULT_TOL, jump_tol=0.2):

@@ -492,7 +492,10 @@ class SetFunction:
 
     def __init__(self, space, table):
         require_budget(space.n_atoms, what="set-function table")
-        arr = np.asarray([as_value(v) for v in table], dtype=float)
+        arr = np.asarray(table, dtype=float) + 0.0  # a new array; -0.0 + 0.0 is +0.0
+        bad = first_flagged(~(arr >= 0.0))
+        if bad is not None:
+            as_value(table[bad])  # raises on the first NaN or negative entry
         if len(arr) != space.n_sets:
             raise ValueError(f"expected {space.n_sets} table entries, got {len(arr)}")
         if arr[0] != 0.0:

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -89,6 +90,47 @@ def test_crosscheck_on_24_atoms_is_refused_not_swept(tmp_path, capsys):
     assert "submask maximization needs 2^24 sets; budget is 20 atoms" in out.err
     assert cli.main(argv) == 0
     assert json.loads(capsys.readouterr().out)["result"]["value"] == 2.5
+
+
+def test_oversized_set_function_document_is_refused_before_its_table(tmp_path, capsys):
+    labels = [f"x{i}" for i in range(24)]
+    doc = {
+        "schema": "1",
+        "kind": "set_function",
+        "space": {"ground": labels, "blocks": [[l] for l in labels]},
+        "table": {"x0": 1},
+    }
+    path = write_doc(tmp_path / "w.json", doc)
+    # a 2^24-entry table would take over 100 MB before the cap refused it
+    tracemalloc.start()
+    try:
+        assert cli.main(["check", "--measure", path]) == 1
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error: set-function table needs 2^24 sets; budget is 12 atoms\n"
+    assert peak < 10 * 2**20, peak
+
+
+def test_condition_on_200_blocks_checks_blocks_not_their_unions(tmp_path, capsys):
+    labels = [f"x{i}" for i in range(200)]
+    pi = write_doc(tmp_path / "pi.json", measure_doc(
+        "possibility", labels, [1.0] + [(i % 9 + 1) / 10 for i in range(199)]))
+    x = write_doc(tmp_path / "x.json",
+                  measure_doc("function", labels, [(i % 7) / 2 for i in range(200)]))
+    argv = ["condition", "--op", "times", "--pi", pi, "--x", x, "--sub", "|".join(labels)]
+    for extra in ([], ["--suite"]):
+        start = time.perf_counter()
+        assert cli.main(argv + extra) == 0
+        # 2^200 unions of blocks could never be swept
+        assert time.perf_counter() - start < 5.0
+        out = json.loads(capsys.readouterr().out)
+        assert len(out["blocks"]) == 200
+        if extra:
+            laws = {k: v for k, v in out["suite"].items() if k not in ("y", "details")}
+            assert all(v is True for v in laws.values()) and len(laws) == 7, laws
 
 
 def test_check(docs):

@@ -10,13 +10,15 @@ partitions are associated differently by the DP, so those values are
 compared with a relative tolerance of 1e-12 (six float64 additions).
 The sigma-ideal and essential-supremum enumerations live here too, as the
 oracles for the sigma-principality and the localizability that a finite
-algebra gives every set function and every additive measure.
+algebra gives every set function and every additive measure, and so does
+the sweep over every union of blocks that the conditional's block-only
+check is held against.
 """
 
 import math
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from maxitive.additive import (
@@ -37,9 +39,11 @@ from maxitive.density import (
 )
 from maxitive.errors import (
     DecompositionVerificationFailed,
+    DefiningPropertyFailed,
     MaxitiveError,
     NegligibilityViolation,
     NoDensity,
+    NonExactOperation,
     NotAbsolutelyContinuous,
     NotNullAdditive,
     OracleMismatch,
@@ -71,14 +75,35 @@ from maxitive.measures import (
     negligible,
     total_variation,
 )
-from maxitive.semigroup import MAX, MIN, PLUS, TIMES, _times
+from maxitive.possibility import (
+    ConditionalSuiteReport,
+    PossibilitySpace,
+    SubAlgebra,
+    _perturbations,
+    as_possibility,
+    conditional,
+    conditional_suite,
+)
+from maxitive.semigroup import (
+    MAX,
+    MIN,
+    PLUS,
+    TIMES,
+    SemigroupOp,
+    _times,
+    _times_abs_cont,
+    _times_residual,
+    _times_residual_defined,
+)
 from maxitive.spaces import (
+    DEFAULT_TOL,
     INF,
     MeasurableFn,
     MeasurableSet,
     SetFunction,
     build_space,
     close,
+    first_flagged,
     max_over_submasks,
     partition_dp,
     set_partitions,
@@ -388,6 +413,17 @@ def ref_negligible(w, bset, _zeros=None):
     return False
 
 
+def ref_is_null_additive(w, tol=1e-9):
+    w = _as_table(w)
+    table = w.table
+    masks = np.arange(w.space.n_sets)
+    for n in _zero_masks(table):
+        b = first_flagged(~vclose(table[masks | int(n)], table, tol))
+        if b is not None:
+            return False, (b, int(n))
+    return True, None
+
+
 def ref_is_sigma_finite(w):
     w = _as_table(w)
     covered = 0
@@ -583,6 +619,170 @@ def ref_is_semi_finite_measure(m):
     return True
 
 
+def ref_conditional(op, x, pi, sub, tol=DEFAULT_TOL):
+    """The block-measurable function with the same integrals on the algebra.
+
+    Per block: integrate x over the block, then residuate by the block's
+    possibility; null blocks carry zero. The operation must be exact, and
+    the defining property is re-verified on every set of the sub-algebra
+    before the result is returned.
+    """
+    if not op.exact:
+        raise NonExactOperation(f"{op.name} cannot attain its residuals")
+    pi = as_possibility(pi, tol)
+    block_vals = []
+    for b in sub.blocks:
+        pb = pi.measure(b)
+        kappa = atom_integral(op, x, pi.measure, MeasurableSet(pi.space, b))
+        block_vals.append(0.0 if pb == 0.0 else op.residual(kappa, pb))
+    y = sub.spread(block_vals)
+    for a in sub.generated():
+        aset = MeasurableSet(pi.space, a)
+        lhs = atom_integral(op, y, pi.measure, aset)
+        rhs = atom_integral(op, x, pi.measure, aset)
+        if not close(lhs, rhs, tol):
+            raise DefiningPropertyFailed(
+                f"conditional integrates to {lhs}, variable to {rhs}, on mask {a}"
+            )
+    return y
+
+
+def ref_conditional_suite(op, x, pi, sub, tol=DEFAULT_TOL):
+    """Verify the textbook properties of the conditional on one instance."""
+    pi = as_possibility(pi, tol)
+    space = pi.space
+    y = ref_conditional(op, x, pi, sub, tol)
+    details = {}
+
+    defining = True
+    for a in sub.generated():
+        aset = MeasurableSet(space, a)
+        if not close(
+            atom_integral(op, y, pi.measure, aset),
+            atom_integral(op, x, pi.measure, aset),
+            tol,
+        ):
+            defining = False
+            details["defining_witness"] = a
+
+    total = close(
+        atom_integral(op, y, pi.measure, space.full()),
+        atom_integral(op, x, pi.measure, space.full()),
+        tol,
+    )
+
+    # uniqueness: any distinguishable change on a non-null block must break
+    # the defining property on that block
+    characterization = True
+    for j, b in enumerate(sub.blocks):
+        pb = pi.measure(b)
+        if pb == 0.0:
+            continue
+        bset = MeasurableSet(space, b)
+        target = atom_integral(op, x, pi.measure, bset)
+        y_b = float(y.atom_values[bset.atom_indices()[0]])
+        broke = False
+        for z in _perturbations(op, y_b, pb):
+            vals = list(map(float, y.atom_values))
+            for i in bset.atom_indices():
+                vals[i] = z
+            zfn = MeasurableFn(space, vals)
+            if not close(atom_integral(op, zfn, pi.measure, bset), target, tol):
+                broke = True
+                break
+        if not broke:
+            characterization = False
+            details["characterization_block"] = j
+
+    # raising the variable can only raise the conditional
+    shift = float(np.median([v for v in x.atom_values if math.isfinite(v)] or [1.0]))
+    x_up = x.pointwise(max, MeasurableFn.constant(space, shift))
+    y_up = ref_conditional(op, x_up, pi, sub, tol)
+    monotone = True
+    for i in range(space.n_atoms):
+        if float(y_up.atom_values[i]) < float(y.atom_values[i]) - tol:
+            monotone = False
+            details["monotone_atom"] = i
+            break
+    if monotone and op.name in ("times", "min"):
+        # envelope: the conditional stays inside the block's value range,
+        # floored at the block possibility for min
+        for j, b in enumerate(sub.blocks):
+            if pi.measure(b) == 0.0:
+                continue
+            idx = MeasurableSet(space, b).atom_indices()
+            xs = [float(x.atom_values[i]) for i in idx]
+            y_b = float(y.atom_values[idx[0]])
+            hi = max(xs)
+            lo = min(xs) if op.name == "times" else min(min(xs), pi.measure(b))
+            if y_b > hi + tol * max(1.0, hi) or y_b < lo - tol * max(1.0, abs(lo)):
+                monotone = False
+                details["envelope_block"] = j
+                break
+
+    scaling = True
+    for lam in (0.5, 2.0):
+        lam_fn = MeasurableFn.constant(space, lam)
+        xs = lam_fn.pointwise(op, x)
+        ys = ref_conditional(op, xs, pi, sub, tol)
+        expect = lam_fn.pointwise(op, y)
+        for i in range(space.n_atoms):
+            if not close(float(ys.atom_values[i]), float(expect.atom_values[i]), tol):
+                scaling = False
+                details["scaling"] = (lam, i)
+                break
+        if not scaling:
+            break
+
+    tower = True
+    if len(sub.blocks) >= 2:
+        coarse = sub.coarsened()
+        direct = ref_conditional(op, x, pi, coarse, tol)
+        two_step = ref_conditional(op, y, pi, coarse, tol)
+        for i in range(space.n_atoms):
+            if not close(
+                float(direct.atom_values[i]), float(two_step.atom_values[i]), tol
+            ):
+                tower = False
+                details["tower_atom"] = i
+                break
+
+    # conditioning a block-measurable function returns a version of it
+    ym = ref_conditional(op, y, pi, sub, tol)
+    measurable_fixed = True
+    for a in sub.generated():
+        aset = MeasurableSet(space, a)
+        if not close(
+            atom_integral(op, ym, pi.measure, aset),
+            atom_integral(op, y, pi.measure, aset),
+            tol,
+        ):
+            measurable_fixed = False
+            details["measurable_fixed_witness"] = a
+            break
+    if measurable_fixed and op.name == "times":
+        for j, b in enumerate(sub.blocks):
+            if pi.measure(b) == 0.0:
+                continue
+            i = MeasurableSet(space, b).atom_indices()[0]
+            if not close(float(ym.atom_values[i]), float(y.atom_values[i]), tol):
+                measurable_fixed = False
+                details["measurable_fixed_block"] = j
+                break
+
+    return ConditionalSuiteReport(
+        y=y,
+        defining=defining,
+        characterization=characterization,
+        monotone=monotone,
+        scaling=scaling,
+        tower=tower,
+        total=total,
+        measurable_fixed=measurable_fixed,
+        details=details,
+    )
+
+
 def perturbed(draw, vals):
     """vals with at most one finite positive entry moved up by one ulp."""
     vals = list(vals)
@@ -657,8 +857,12 @@ def test_to_set_function_tables_are_bit_identical(vals):
 
 @settings(max_examples=150, deadline=None)
 @given(tables())
+# within tol of its value at the union of the null atoms, not at each null set
+@example(SetFunction(space_of(3), [0, 0, 0, 0, 1, 1 + 1.8e-9, 1, 1 + 0.9e-9]))
 def test_predicates_match_brute_force(w):
     assert is_maxitive(w) == ref_is_maxitive(w)
+    for tol in (0.0, 1e-9):
+        assert is_null_additive(w, tol) == ref_is_null_additive(w, tol)
     assert is_completely_maxitive(w) == ref_is_completely_maxitive(w)
     assert is_sigma_principal(w) == ref_is_sigma_principal(w)
     assert is_sigma_principal(w) == ref_is_sigma_principal(w, ideal_atoms=2)
@@ -856,3 +1060,81 @@ def test_finiteness_chain_matches_brute_force(vals):
     m = AdditiveMeasure(space_of(len(vals)), vals)
     assert is_sigma_finite_measure(m) is ref_is_sigma_finite_measure(m)
     assert is_semi_finite_measure(m) is ref_is_semi_finite_measure(m)
+
+
+# ---------------------------------------------------------------------------
+# the conditional, checked on its blocks against the sweep over every union
+# ---------------------------------------------------------------------------
+
+
+def skewed_times(eps, above):
+    """An "exact" times whose residual overshoots by 1 + eps above a level."""
+
+    def residual(r, s):
+        t = _times_residual(r, s)
+        return t * (1.0 + eps) if r > above else t
+
+    return SemigroupOp(
+        "skew",
+        _times,
+        left_identity=1.0,
+        exact=True,
+        abs_cont=_times_abs_cont,
+        residual=residual,
+        residual_defined=_times_residual_defined,
+        omap=TIMES.omap,
+    )
+
+
+@st.composite
+def conditionings(draw):
+    """A possibility, a variable and a partition of up to six atoms."""
+    k = draw(st.integers(1, 6))
+    space = space_of(k)
+    poss = draw(st.lists(
+        st.one_of(st.just(0.0), st.sampled_from([0.25, 0.5, 1.0]), st.floats(0.01, 1.0)),
+        min_size=k, max_size=k,
+    ))
+    poss[draw(st.integers(0, k - 1))] = 1.0
+    x = MeasurableFn(space, draw(st.lists(values, min_size=k, max_size=k)))
+    blocks = {}
+    for i, label in enumerate(draw(st.lists(st.integers(0, k - 1), min_size=k, max_size=k))):
+        blocks[label] = blocks.get(label, 0) | 1 << i
+    return PossibilitySpace.from_values(space, poss), x, SubAlgebra(space, blocks.values())
+
+
+def reported(fn, *args):
+    """settled(), with a suite report as its conditional's bytes and its fields."""
+    out = settled(fn, *args)
+    if isinstance(out, ConditionalSuiteReport):
+        fields = {k: v for k, v in vars(out).items() if k != "y"}
+        return out.y.atom_values.tobytes(), fields
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(conditionings(), st.data())
+def test_conditional_matches_the_sweep_over_every_union(case, data):
+    pi, x, sub = case
+    op = data.draw(st.sampled_from([TIMES, MIN, None]))
+    if op is None:
+        eps = data.draw(st.sampled_from([1e-15, 1e-12, 1e-10, 1e-8, 1e-3]))
+        op = skewed_times(eps, data.draw(st.sampled_from([0.0, 0.5, 2.0])))
+    tol = data.draw(st.sampled_from([0.0, 1e-9]))
+    args = (op, x, pi, sub, tol)
+    assert reported(conditional, *args) == reported(ref_conditional, *args)
+    assert reported(conditional_suite, *args) == reported(ref_conditional_suite, *args)
+
+
+def test_conditional_names_the_lowest_failing_block():
+    # the residual overshoots only on block integrals above 0.9: block a
+    # (0.5) passes, b+c (1.0) and d (4.0) fail, and the sweep over every
+    # union meets b+c first
+    space = space_of(4)
+    pi = PossibilitySpace.from_values(space, [1.0, 0.5, 0.25, 1.0])
+    x = MeasurableFn(space, [0.5, 2.0, 3.0, 4.0])
+    sub = SubAlgebra(space, [0b0001, 0b0110, 0b1000])
+    args = (skewed_times(1e-3, 0.9), x, pi, sub, 1e-9)
+    raised = outcome(conditional, *args)
+    assert raised == outcome(ref_conditional, *args)
+    assert raised[0] is DefiningPropertyFailed and raised[1].endswith("on mask 6")

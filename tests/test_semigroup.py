@@ -11,6 +11,7 @@ from maxitive.semigroup import (
     MIN,
     PLUS,
     TIMES,
+    AxiomReport,
     TableOp,
     by_name,
     builtin_names,
@@ -54,6 +55,39 @@ def test_axiom_reports():
         assert not rep.annihilator
         assert not rep.pseudo_multiplication
         assert rep.associative and rep.monotone
+
+
+def _pinned(name, witnesses=None, **failing):
+    flags = dict(associative=True, monotone=True, left_identity=True, annihilator=True,
+                 no_zero_divisors=True, continuity_sampled=True)
+    flags.update(failing)
+    return AxiomReport(op=name, **flags, pseudo_multiplication=all(flags.values()),
+                       witnesses=witnesses or {})
+
+
+_STEP_GRID = [0.0, 1.0, 2.0, INF]
+
+
+@pytest.mark.parametrize("op, expected", [
+    (TIMES, _pinned("times")),
+    (MIN, _pinned("min")),
+    (PLUS, _pinned("plus", {"annihilator": (0.001, 0.001, 0.001)}, annihilator=False)),
+    (MAX, _pinned("max", {"annihilator": (0.001, 0.001, 0.001)}, annihilator=False)),
+])
+def test_axiom_reports_are_pinned(op, expected):
+    assert verify_axioms(op) == expected
+
+
+def test_table_op_continuity_falls_back_to_the_grid_verdict():
+    # the jump of s -> min(s, 2) between grid points 1 and 2 cannot be
+    # bisected off the grid, so the refined scan raises and the unrefined
+    # grid scan gives the verdict
+    op = TableOp("tmin", _STEP_GRID, _min_table(_STEP_GRID), left_identity=INF)
+    with pytest.raises(ValueError):
+        op(1.5, 2.0)
+    witness = {"axis": "left", "segment": (1.0, 2.0), "at": 2.0}
+    expected = _pinned("tmin", {"continuity": witness}, continuity_sampled=False)
+    assert verify_axioms(op) == expected
 
 
 def test_residual_values_frozen():

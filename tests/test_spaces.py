@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -199,6 +200,17 @@ def test_set_function_validation(abc):
         SetFunction(abc, [1.0] * 8)  # empty set must carry 0
     with pytest.raises(ValueError):
         SetFunction(abc, [0.0] * 7)
+    # the first NaN or negative entry is named
+    nan = float("nan")
+    with pytest.raises(ValueError, match=r"not a value in \[0, inf\]: -1\.0$"):
+        SetFunction(abc, [0, 1, -1.0, 1, 1, nan, 1, 1])
+    with pytest.raises(ValueError, match=r"not a value in \[0, inf\]: nan$"):
+        SetFunction(abc, [0, nan, 1, -2.0, 1, 1, 1, 1])
+    # a signed zero is stored as +0.0, and the caller's array is left alone
+    given_table = np.array([-0.0, 1, -0.0, 1, 1, 1, 1, 1])
+    w = SetFunction(abc, given_table)
+    assert math.copysign(1.0, w.table[0]) == math.copysign(1.0, w.table[2]) == 1.0
+    assert math.copysign(1.0, given_table[2]) == -1.0 and given_table.flags.writeable
     big = build_space([f"g{i}" for i in range(13)], [[f"g{i}"] for i in range(13)])
     with pytest.raises(ExplicitBudgetExceeded):
         SetFunction(big, [0.0] * big.n_sets)
