@@ -27,10 +27,12 @@ from .spaces import (
     MeasurableFn,
     MeasurableSet,
     SetFunction,
-    as_value,
+    as_values,
     atom_table,
+    atoms_of,
     first_flagged,
     fold_atoms,
+    mask_of,
     max_over_submasks,
     union_of,
     vclose,
@@ -43,14 +45,8 @@ class AdditiveMeasure:
     __slots__ = ("space", "atom_masses", "_table")
 
     def __init__(self, space, atom_masses):
-        masses = np.asarray([as_value(v) for v in atom_masses], dtype=float)
-        if len(masses) != space.n_atoms:
-            raise ValueError(
-                f"expected {space.n_atoms} atom masses, got {len(masses)}"
-            )
-        masses.setflags(write=False)
         self.space = space
-        self.atom_masses = masses
+        self.atom_masses = as_values(atom_masses, space.n_atoms, "atom masses")
         self._table = None
 
     def __call__(self, bset):
@@ -165,10 +161,7 @@ def family_essential_supremum(m, masks):
     union = 0
     for b in masks:
         union |= int(b)
-    h = 0
-    for i in range(space.n_atoms):
-        if union & (1 << i) and m(1 << i) > 0:
-            h |= 1 << i
+    h = mask_of(i for i in atoms_of(union) if m(1 << i) > 0)
     for b in masks:
         if m(int(b) & ~h) != 0.0:
             raise OracleMismatch(f"candidate misses member mask {b}")

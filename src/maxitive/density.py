@@ -29,9 +29,11 @@ from .spaces import (
     DEFAULT_TOL,
     INF,
     MeasurableFn,
+    atom_flags,
     atom_table,
     close,
     first_flagged,
+    mask_of,
     max_over_submasks,
     partition_dp,
     vclose,
@@ -115,10 +117,7 @@ def rn_density(op, nu, tau, tol=DEFAULT_TOL):
 def ae_equal(w, f, g, tol=DEFAULT_TOL):
     """Whether f and g agree outside a w-negligible set."""
     w = _as_table(w)
-    diff = 0
-    for i in range(w.space.n_atoms):
-        if not close(float(f.atom_values[i]), float(g.atom_values[i]), tol):
-            diff |= 1 << i
+    diff = mask_of(np.flatnonzero(~vclose(f.atom_values, g.atom_values, tol)))
     return negligible(w, diff)
 
 
@@ -236,19 +235,20 @@ def density_from_associated(op, mu, c1, c2, tol=DEFAULT_TOL):
     space = mu_t.space
     nu = esssup_measure(mu_t, c1, tol)
     tau = esssup_measure(mu_t, c2, tol)
-    bad = 0
+    escapes = []
     for i in range(space.n_atoms):
         bound = op(INF, float(c2.atom_values[i]))
         if float(c1.atom_values[i]) > bound + tol * max(1.0, abs(bound)):
-            bad |= 1 << i
+            escapes.append(i)
+    bad = mask_of(escapes)
     if bad and not negligible(mu_t, bad):
         raise NegligibilityViolation(
             f"c1 escapes the scalar bound on a non-negligible set, mask {bad}"
         )
-    dead = bad | _null_atoms(mu_t.table)
+    dead = atom_flags(bad | _null_atoms(mu_t.table), space.n_atoms)
     vals = []
     for i in range(space.n_atoms):
-        if dead & (1 << i):
+        if dead[i]:
             vals.append(0.0)
         else:
             r = float(c1.atom_values[i])

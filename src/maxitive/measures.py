@@ -35,12 +35,14 @@ from .spaces import (
     INF,
     MeasurableSet,
     SetFunction,
-    as_value,
+    as_values,
     atom_flags,
     atom_table,
+    atoms_of,
     close,
     first_flagged,
     fold_atoms,
+    mask_of,
     max_over_submasks,
     partition_dp,
     set_partitions,
@@ -62,12 +64,8 @@ class MaxitiveMeasure:
     __slots__ = ("space", "atom_values", "_table")
 
     def __init__(self, space, atom_values):
-        vals = np.asarray([as_value(v) for v in atom_values], dtype=float)
-        if len(vals) != space.n_atoms:
-            raise ValueError(f"expected {space.n_atoms} atom values, got {len(vals)}")
-        vals.setflags(write=False)
         self.space = space
-        self.atom_values = vals
+        self.atom_values = as_values(atom_values, space.n_atoms, "atom values")
         self._table = None
 
     def __call__(self, bset):
@@ -89,11 +87,7 @@ class MaxitiveMeasure:
         return cls(w.space, vals)
 
     def support_mask(self):
-        mask = 0
-        for i, v in enumerate(self.atom_values):
-            if v > 0:
-                mask |= 1 << i
-        return mask
+        return mask_of(np.flatnonzero(self.atom_values > 0))
 
     def power(self, alpha):
         """Atomwise power; inf**a = inf and 0**a = 0 for a > 0."""
@@ -122,13 +116,6 @@ def _zero_masks(table):
 def _null_atoms(table):
     """Bit i is set iff {i} is negligible: the OR of the zero masks."""
     return union_of(table == 0.0)
-
-
-def _block_mask(block):
-    m = 0
-    for i in block:
-        m |= 1 << i
-    return m
 
 
 def negligible(w, bset):
@@ -193,10 +180,7 @@ def is_sigma_finite(w):
     covered = union_of(np.isfinite(w.table))
     if covered == w.space.full_mask:
         return True, None
-    missing = next(
-        i for i in range(w.space.n_atoms) if not covered & (1 << i)
-    )
-    return False, missing
+    return False, atoms_of(w.space.full_mask & ~covered)[0]
 
 
 def _atom_sup(table):
@@ -303,7 +287,7 @@ def _enumerated_variation(table, n_atoms):
     for part in set_partitions(range(n_atoms)) if n_atoms else [[]]:
         total = 0.0
         for block in part:
-            total += float(table[_block_mask(block)])
+            total += float(table[mask_of(block)])
         if total > best or best_part is None:
             best = total
             best_part = part
@@ -338,7 +322,7 @@ def total_variation(w):
             for s in submasks(rest ^ low)
             if table[low | s] + dp[rest ^ low ^ s] == dp[rest]
         )
-        part.append([i for i in range(k) if block >> i & 1])
+        part.append(atoms_of(block))
         rest ^= block
     return float(dp[-1]), part
 
@@ -604,9 +588,7 @@ def atom_decomposition(nu, tol=DEFAULT_TOL):
     )
     hs = tuple(space.atom_block(i) for i in order)
     values = tuple(float(nu.atom_values[i]) for i in order)
-    null_mask = space.full_mask
-    for i in order:
-        null_mask &= ~(1 << i)
+    null_mask = space.full_mask & ~mask_of(order)
     residual = MeasurableSet(space, null_mask)
 
     table = nu.to_set_function().table
@@ -638,7 +620,7 @@ def disjoint_variation(nu, tol=DEFAULT_TOL):
     closed = float(sum(dec.values)) if dec.values else 0.0
     # both sides as exactly rounded sums, so tol = 0 compares the values
     # and not the order in which they were added
-    blocks = math.fsum(w.table[_block_mask(block)] for block in part)
+    blocks = math.fsum(w.table[mask_of(block)] for block in part)
     if not close(blocks, math.fsum(dec.values), tol):
         raise OracleMismatch(f"partition sup {brute} vs atom sum {closed}")
     return closed

@@ -24,7 +24,9 @@ from .spaces import (
     MeasurableSet,
     Space,
     SetFunction,
+    atoms_of,
     build_space,
+    mask_of,
     require_budget,
 )
 
@@ -76,7 +78,8 @@ def _atoms_from_dict(space, doc):
     missing = [l for l in labels if l not in doc]
     if missing:
         raise ValueError(f"missing atom entries for {missing}")
-    extra = [k for k in doc if k not in set(labels)]
+    known = set(labels)
+    extra = [k for k in doc if k not in known]
     if extra:
         raise ValueError(f"unknown atom labels {extra}")
     return [decode_value(doc[l]) for l in labels]
@@ -84,7 +87,7 @@ def _atoms_from_dict(space, doc):
 
 def _set_key(space, mask):
     labels = space.atom_labels()
-    return "+".join(labels[i] for i in range(space.n_atoms) if mask & (1 << i))
+    return "+".join(labels[i] for i in atoms_of(mask))
 
 
 def parse_set(space, text):
@@ -93,13 +96,11 @@ def parse_set(space, text):
     if not text:
         return space.empty()
     labels = [p.strip() for p in text.split("+")]
-    mask = 0
     index = {l: i for i, l in enumerate(space.atom_labels())}
     for l in labels:
         if l not in index:
             raise ValueError(f"unknown atom label {l!r}")
-        mask |= 1 << index[l]
-    return MeasurableSet(space, mask)
+    return MeasurableSet(space, mask_of(index[l] for l in labels))
 
 
 def parse_subalgebra(space, text):

@@ -28,7 +28,7 @@ from .errors import (
 from .integral import atom_integral, idempotent_integral
 from .measures import MaxitiveMeasure, delta_measure
 from .semigroup import TIMES
-from .spaces import DEFAULT_TOL, MeasurableFn, MeasurableSet, close
+from .spaces import DEFAULT_TOL, MeasurableFn, MeasurableSet, atoms_of, close, mask_of
 
 
 class PossibilitySpace:
@@ -117,9 +117,8 @@ class SubAlgebra:
         out = []
         for bits in range(1 << len(self.blocks)):
             m = 0
-            for j, b in enumerate(self.blocks):
-                if bits & (1 << j):
-                    m |= b
+            for j in atoms_of(bits):
+                m |= self.blocks[j]
             out.append(m)
         return out
 
@@ -165,9 +164,8 @@ class SubAlgebra:
         return MeasurableFn(self.space, vals)
 
     def __repr__(self):
-        names = ["+".join(self.space.atom_labels()[i] for i in
-                          MeasurableSet(self.space, b).atom_indices())
-                 for b in self.blocks]
+        labels = self.space.atom_labels()
+        names = ["+".join(labels[i] for i in atoms_of(b)) for b in self.blocks]
         return f"SubAlgebra({'|'.join(names)})"
 
 
@@ -210,11 +208,7 @@ def law(x, pi, tol=DEFAULT_TOL):
     values = sorted({float(v) for v in x.atom_values})
     poss = []
     for v in values:
-        mask = 0
-        for i in range(space.n_atoms):
-            if float(x.atom_values[i]) == v:
-                mask |= 1 << i
-        poss.append(pi.measure(mask))
+        poss.append(pi.measure(mask_of(np.flatnonzero(x.atom_values == v))))
     if not close(max(poss), 1.0, tol):
         raise OracleMismatch("law does not reach possibility one")
     return Law(values, poss)

@@ -15,7 +15,15 @@ import numpy as np
 from .additive import AdditiveMeasure
 from .measures import MaxitiveMeasure, is_maxitive
 from .possibility import PossibilitySpace, SubAlgebra
-from .spaces import INF, MeasurableFn, MeasurableSet, SetFunction, build_space
+from .spaces import (
+    INF,
+    MeasurableFn,
+    MeasurableSet,
+    SetFunction,
+    atom_table,
+    build_space,
+    mask_of,
+)
 
 
 def rng_for(seed, stream=0):
@@ -88,10 +96,7 @@ def random_subalgebra(rng, space):
     blocks = []
     prev = 0
     for c in list(cuts) + [space.n_atoms]:
-        m = 0
-        for i in order[prev:c]:
-            m |= 1 << int(i)
-        blocks.append(m)
+        blocks.append(mask_of(order[prev:c]))
         prev = c
     return SubAlgebra(space, blocks)
 
@@ -106,10 +111,7 @@ def random_non_maxitive(rng, space):
     if space.n_atoms < 2:
         raise ValueError("need at least two atoms to break maxitivity")
     masses = [float(round(rng.uniform(0.1, 5.0), 6)) for _ in range(space.n_atoms)]
-    table = [0.0] * space.n_sets
-    for b in range(space.n_sets):
-        table[b] = sum(masses[i] for i in range(space.n_atoms) if b & (1 << i))
-    w = SetFunction(space, table)
+    w = SetFunction(space, atom_table(masses))
     ok, wit = is_maxitive(w)
     if ok:
         raise AssertionError("additive table unexpectedly maxitive")

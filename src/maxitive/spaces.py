@@ -2,10 +2,13 @@
 
 A space is a finite ground set together with a partition into atoms. The
 generated sigma-algebra is the set of all unions of atoms, so a measurable
-set is a bitmask over atom indices and a measurable function is constant on
-atoms. Values live on the extended half-line [0, inf], represented as plain
-floats with math.inf; the arithmetic conventions 0*inf = 0 and inf - inf = 0
-are applied by the operation evaluators and by :func:`esub`.
+set is a bitmask over atom indices (a Python int, so any atom count fits) and
+a measurable function is constant on atoms. Masks are decoded into atom
+indices only through :func:`atoms_of` and built from them only through
+:func:`mask_of`; both cost a step per atom in the set. Values live on the
+extended half-line [0, inf], represented as plain floats with math.inf; the
+arithmetic conventions 0*inf = 0 and inf - inf = 0 are applied by the
+operation evaluators and by :func:`esub`.
 """
 
 from __future__ import annotations
@@ -72,11 +75,47 @@ def as_value(x):
     return 0.0 if v == 0.0 else v
 
 
+def as_values(values, length, what):
+    """A new read-only float array of ``length`` values in [0, inf].
+
+    One numpy pass. The first NaN or negative entry raises as :func:`as_value`
+    raises on it, before the length is checked; a signed zero becomes 0.0.
+    ``what`` names the entries in the length error.
+    """
+    arr = np.asarray(values, dtype=float) + 0.0  # a new array; -0.0 + 0.0 is +0.0
+    bad = first_flagged(~(arr >= 0.0))
+    if bad is not None:
+        as_value(values[bad])  # raises on the first NaN or negative entry
+    if len(arr) != length:
+        raise ValueError(f"expected {length} {what}, got {len(arr)}")
+    arr.setflags(write=False)
+    return arr
+
+
 def require_budget(n_atoms, limit=MAX_EXHAUSTIVE_ATOMS, what="exhaustive enumeration"):
     if n_atoms > limit:
         raise ExplicitBudgetExceeded(
             f"{what} needs 2^{n_atoms} sets; budget is {limit} atoms"
         )
+
+
+def atoms_of(mask):
+    """The atom indices of a mask, ascending; one step per atom in it."""
+    mask = int(mask)
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def mask_of(indices):
+    """The mask of the given atom indices, as a Python int of any width."""
+    mask = 0
+    for i in indices:
+        mask |= 1 << int(i)
+    return mask
 
 
 def submasks(mask):
@@ -130,12 +169,8 @@ def fold_atoms(values, mask, combine, start):
     left-to-right float sum bit for bit.
     """
     out = start
-    i = 0
-    while mask:
-        if mask & 1:
-            out = combine(out, float(values[i]))
-        mask >>= 1
-        i += 1
+    for i in atoms_of(mask):
+        out = combine(out, float(values[i]))
     return out
 
 
@@ -152,7 +187,9 @@ def union_of(flags):
 
 def atom_flags(mask, n_atoms):
     """A boolean array over the atom indices, set at the atoms of ``mask``."""
-    return ((mask >> np.arange(n_atoms)) & 1).astype(bool)
+    flags = np.zeros(n_atoms, dtype=bool)
+    flags[atoms_of(mask)] = True
+    return flags
 
 
 def max_over_submasks(table):
@@ -210,11 +247,12 @@ class Space:
     ground tuples and atom partitions coincide.
     """
 
-    __slots__ = ("ground", "atoms", "_label_index", "_atom_of", "_hash")
+    __slots__ = ("ground", "atoms", "_labels", "_label_index", "_atom_of", "_hash")
 
     def __init__(self, ground, atoms):
         self.ground = tuple(ground)
         self.atoms = tuple(tuple(a) for a in atoms)
+        self._labels = tuple(self.ground[a[0]] for a in self.atoms)
         self._label_index = {lab: i for i, lab in enumerate(self.ground)}
         atom_of = {}
         for ai, members in enumerate(self.atoms):
@@ -239,7 +277,7 @@ class Space:
 
     def atom_labels(self):
         """One representative label per atom: its first member."""
-        return tuple(self.ground[a[0]] for a in self.atoms)
+        return self._labels
 
     def atom_members(self, i):
         """Ground labels of atom ``i``."""
@@ -261,18 +299,16 @@ class Space:
 
         Raises if a label names only part of an atom it would split.
         """
-        mask = 0
         chosen = set()
         for lab in labels:
             if lab not in self._label_index:
                 raise ValueError(f"unknown ground element: {lab!r}")
             chosen.add(lab)
-            mask |= 1 << self._atom_of[self._label_index[lab]]
+        mask = mask_of(self._atom_of[self._label_index[lab]] for lab in chosen)
         # the request must be a union of atoms, not a fragment of one
         covered = set()
-        for i in range(self.n_atoms):
-            if mask & (1 << i):
-                covered.update(self.atom_members(i))
+        for i in atoms_of(mask):
+            covered.update(self.atom_members(i))
         if covered != chosen:
             raise ValueError(
                 f"labels {sorted(map(str, chosen))} do not form a measurable set; "
@@ -383,7 +419,7 @@ class MeasurableSet:
         return self.mask == 0
 
     def atom_indices(self):
-        return tuple(i for i in range(self.space.n_atoms) if self.mask & (1 << i))
+        return tuple(atoms_of(self.mask))
 
     def labels(self):
         out = []
@@ -392,7 +428,7 @@ class MeasurableSet:
         return tuple(out)
 
     def __len__(self):
-        return bin(self.mask).count("1")
+        return self.mask.bit_count()
 
     def __repr__(self):
         return f"MeasurableSet({sorted(map(str, self.labels()))})"
@@ -404,14 +440,8 @@ class MeasurableFn:
     __slots__ = ("space", "atom_values")
 
     def __init__(self, space, atom_values):
-        vals = np.asarray([as_value(v) for v in atom_values], dtype=float)
-        if len(vals) != space.n_atoms:
-            raise ValueError(
-                f"expected {space.n_atoms} atom values, got {len(vals)}"
-            )
-        vals.setflags(write=False)
         self.space = space
-        self.atom_values = vals
+        self.atom_values = as_values(atom_values, space.n_atoms, "atom values")
 
     @classmethod
     def from_labels(cls, space, label_values):
@@ -430,7 +460,9 @@ class MeasurableFn:
     @classmethod
     def indicator(cls, space, bset, one=1.0):
         """``one`` on the set, 0 off it. Pass an op identity for op-integrals."""
-        vals = [one if (bset.mask >> i) & 1 else 0.0 for i in range(space.n_atoms)]
+        vals = [0.0] * space.n_atoms
+        for i in atoms_of(bset.mask):
+            vals[i] = one
         return cls(space, vals)
 
     def __call__(self, atom_index):
@@ -438,31 +470,16 @@ class MeasurableFn:
 
     def level_set(self, t):
         """The strict level set {f > t}."""
-        mask = 0
-        for i, v in enumerate(self.atom_values):
-            if v > t:
-                mask |= 1 << i
-        return MeasurableSet(self.space, mask)
+        return MeasurableSet(self.space, mask_of(np.flatnonzero(self.atom_values > t)))
 
     def level_set_ge(self, t):
         """The non-strict level set {f >= t}."""
-        mask = 0
-        for i, v in enumerate(self.atom_values):
-            if v >= t:
-                mask |= 1 << i
-        return MeasurableSet(self.space, mask)
+        return MeasurableSet(self.space, mask_of(np.flatnonzero(self.atom_values >= t)))
 
     def distinct_values(self, bset=None):
         """Sorted distinct values taken on ``bset`` (default: everywhere)."""
-        if bset is None:
-            vals = set(float(v) for v in self.atom_values)
-        else:
-            vals = set(
-                float(self.atom_values[i])
-                for i in range(self.space.n_atoms)
-                if bset.mask & (1 << i)
-            )
-        return sorted(vals)
+        vals = self.atom_values if bset is None else self.atom_values[atoms_of(bset.mask)]
+        return sorted(set(vals.tolist()))
 
     def min_on(self, mask):
         """Infimum over the atoms of ``mask``; inf on the empty set."""
@@ -492,15 +509,9 @@ class SetFunction:
 
     def __init__(self, space, table):
         require_budget(space.n_atoms, what="set-function table")
-        arr = np.asarray(table, dtype=float) + 0.0  # a new array; -0.0 + 0.0 is +0.0
-        bad = first_flagged(~(arr >= 0.0))
-        if bad is not None:
-            as_value(table[bad])  # raises on the first NaN or negative entry
-        if len(arr) != space.n_sets:
-            raise ValueError(f"expected {space.n_sets} table entries, got {len(arr)}")
+        arr = as_values(table, space.n_sets, "table entries")
         if arr[0] != 0.0:
             raise ValueError("a set function must vanish at the empty set")
-        arr.setflags(write=False)
         self.space = space
         self.table = arr
 

@@ -115,22 +115,25 @@ def test_oversized_set_function_document_is_refused_before_its_table(tmp_path, c
 
 
 def test_condition_on_200_blocks_checks_blocks_not_their_unions(tmp_path, capsys):
-    labels = [f"x{i}" for i in range(200)]
-    pi = write_doc(tmp_path / "pi.json", measure_doc(
-        "possibility", labels, [1.0] + [(i % 9 + 1) / 10 for i in range(199)]))
-    x = write_doc(tmp_path / "x.json",
-                  measure_doc("function", labels, [(i % 7) / 2 for i in range(200)]))
-    argv = ["condition", "--op", "times", "--pi", pi, "--x", x, "--sub", "|".join(labels)]
-    for extra in ([], ["--suite"]):
-        start = time.perf_counter()
-        assert cli.main(argv + extra) == 0
-        # 2^200 unions of blocks could never be swept
-        assert time.perf_counter() - start < 5.0
-        out = json.loads(capsys.readouterr().out)
-        assert len(out["blocks"]) == 200
-        if extra:
-            laws = {k: v for k, v in out["suite"].items() if k not in ("y", "details")}
-            assert all(v is True for v in laws.values()) and len(laws) == 7, laws
+    # at 1600 blocks too: the per-block work must stay linear in each
+    # block's atom count
+    for n in (200, 1600):
+        labels = [f"x{i}" for i in range(n)]
+        pi = write_doc(tmp_path / "pi.json", measure_doc(
+            "possibility", labels, [1.0] + [(i % 9 + 1) / 10 for i in range(n - 1)]))
+        x = write_doc(tmp_path / "x.json",
+                      measure_doc("function", labels, [(i % 7) / 2 for i in range(n)]))
+        argv = ["condition", "--op", "times", "--pi", pi, "--x", x, "--sub", "|".join(labels)]
+        for extra in ([], ["--suite"]):
+            start = time.perf_counter()
+            assert cli.main(argv + extra) == 0
+            # 2^n unions of blocks could never be swept
+            assert time.perf_counter() - start < 5.0, (n, extra)
+            out = json.loads(capsys.readouterr().out)
+            assert len(out["blocks"]) == n
+            if extra:
+                laws = {k: v for k, v in out["suite"].items() if k not in ("y", "details")}
+                assert all(v is True for v in laws.values()) and len(laws) == 7, laws
 
 
 def test_check(docs):

@@ -12,10 +12,14 @@ The sigma-ideal and essential-supremum enumerations live here too, as the
 oracles for the sigma-principality and the localizability that a finite
 algebra gives every set function and every additive measure, and so does
 the sweep over every union of blocks that the conditional's block-only
-check is held against.
+check is held against. Last come the per-atom bit loops that decoded and
+built masks before ``spaces.atoms_of`` and ``mask_of`` did, held against
+them on spaces of up to 200 atoms.
 """
 
 import math
+import operator
+import struct
 
 import numpy as np
 from hypothesis import example, given, settings
@@ -49,6 +53,7 @@ from maxitive.errors import (
     OracleMismatch,
 )
 from maxitive.integral import atom_integral
+from maxitive.modelio import _set_key, parse_set
 from maxitive.measures import (
     AtomDecomposition,
     FinitenessReport,
@@ -77,13 +82,16 @@ from maxitive.measures import (
 )
 from maxitive.possibility import (
     ConditionalSuiteReport,
+    Law,
     PossibilitySpace,
     SubAlgebra,
     _perturbations,
     as_possibility,
     conditional,
     conditional_suite,
+    law,
 )
+from maxitive.sampling import random_non_maxitive, random_subalgebra
 from maxitive.semigroup import (
     MAX,
     MIN,
@@ -101,9 +109,13 @@ from maxitive.spaces import (
     MeasurableFn,
     MeasurableSet,
     SetFunction,
+    atom_flags,
+    atoms_of,
     build_space,
     close,
     first_flagged,
+    fold_atoms,
+    mask_of,
     max_over_submasks,
     partition_dp,
     set_partitions,
@@ -1138,3 +1150,286 @@ def test_conditional_names_the_lowest_failing_block():
     raised = outcome(conditional, *args)
     assert raised == outcome(ref_conditional, *args)
     assert raised[0] is DefiningPropertyFailed and raised[1].endswith("on mask 6")
+
+
+# ---------------------------------------------------------------------------
+# the mask codec: the per-atom bit loops that atoms_of and mask_of replaced
+# ---------------------------------------------------------------------------
+
+
+def ref_atom_indices(bset):
+    return tuple(i for i in range(bset.space.n_atoms) if bset.mask & (1 << i))
+
+
+def ref_fold_atoms(values, mask, combine, start):
+    out = start
+    i = 0
+    while mask:
+        if mask & 1:
+            out = combine(out, float(values[i]))
+        mask >>= 1
+        i += 1
+    return out
+
+
+def ref_block_mask(block):
+    m = 0
+    for i in block:
+        m |= 1 << i
+    return m
+
+
+def ref_atom_flags(mask, n_atoms):
+    return ((mask >> np.arange(n_atoms)) & 1).astype(bool)
+
+
+def ref_level_set(f, t):
+    mask = 0
+    for i, v in enumerate(f.atom_values):
+        if v > t:
+            mask |= 1 << i
+    return MeasurableSet(f.space, mask)
+
+
+def ref_level_set_ge(f, t):
+    mask = 0
+    for i, v in enumerate(f.atom_values):
+        if v >= t:
+            mask |= 1 << i
+    return MeasurableSet(f.space, mask)
+
+
+def ref_distinct_values(f, bset=None):
+    if bset is None:
+        vals = set(float(v) for v in f.atom_values)
+    else:
+        vals = set(
+            float(f.atom_values[i])
+            for i in range(f.space.n_atoms)
+            if bset.mask & (1 << i)
+        )
+    return sorted(vals)
+
+
+def ref_indicator(space, bset, one=1.0):
+    vals = [one if (bset.mask >> i) & 1 else 0.0 for i in range(space.n_atoms)]
+    return MeasurableFn(space, vals)
+
+
+def ref_support_mask(nu):
+    mask = 0
+    for i, v in enumerate(nu.atom_values):
+        if v > 0:
+            mask |= 1 << i
+    return mask
+
+
+def ref_set_of_labels(space, labels):
+    mask = 0
+    chosen = set()
+    for lab in labels:
+        if lab not in space._label_index:
+            raise ValueError(f"unknown ground element: {lab!r}")
+        chosen.add(lab)
+        mask |= 1 << space._atom_of[space._label_index[lab]]
+    covered = set()
+    for i in range(space.n_atoms):
+        if mask & (1 << i):
+            covered.update(space.atom_members(i))
+    if covered != chosen:
+        raise ValueError(
+            f"labels {sorted(map(str, chosen))} do not form a measurable set; "
+            f"atoms force {sorted(map(str, covered))}"
+        )
+    return MeasurableSet(space, mask)
+
+
+def ref_set_key(space, mask):
+    labels = space.atom_labels()
+    return "+".join(labels[i] for i in range(space.n_atoms) if mask & (1 << i))
+
+
+def ref_parse_set(space, text):
+    text = text.strip()
+    if not text:
+        return space.empty()
+    labels = [p.strip() for p in text.split("+")]
+    mask = 0
+    index = {l: i for i, l in enumerate(space.atom_labels())}
+    for l in labels:
+        if l not in index:
+            raise ValueError(f"unknown atom label {l!r}")
+        mask |= 1 << index[l]
+    return MeasurableSet(space, mask)
+
+
+def ref_ae_equal(w, f, g, tol=DEFAULT_TOL):
+    w = _as_table(w)
+    diff = 0
+    for i in range(w.space.n_atoms):
+        if not close(float(f.atom_values[i]), float(g.atom_values[i]), tol):
+            diff |= 1 << i
+    return negligible(w, diff)
+
+
+def ref_law(x, pi, tol=DEFAULT_TOL):
+    pi = as_possibility(pi, tol)
+    space = pi.space
+    values = sorted({float(v) for v in x.atom_values})
+    poss = []
+    for v in values:
+        mask = 0
+        for i in range(space.n_atoms):
+            if float(x.atom_values[i]) == v:
+                mask |= 1 << i
+        poss.append(pi.measure(mask))
+    if not close(max(poss), 1.0, tol):
+        raise OracleMismatch("law does not reach possibility one")
+    return Law(values, poss)
+
+
+def ref_generated(sub):
+    out = []
+    for bits in range(1 << len(sub.blocks)):
+        m = 0
+        for j, b in enumerate(sub.blocks):
+            if bits & (1 << j):
+                m |= b
+        out.append(m)
+    return out
+
+
+def ref_family_essential_supremum(m, masks):
+    space = m.space
+    union = 0
+    for b in masks:
+        union |= int(b)
+    h = 0
+    for i in range(space.n_atoms):
+        if union & (1 << i) and m(1 << i) > 0:
+            h |= 1 << i
+    for b in masks:
+        if m(int(b) & ~h) != 0.0:
+            raise OracleMismatch(f"candidate misses member mask {b}")
+    for g in range(space.n_sets):
+        if all(m(int(b) & ~g) == 0.0 for b in masks):
+            if m(h & ~g) != 0.0:
+                raise OracleMismatch(f"candidate is not least at competitor {g}")
+    return MeasurableSet(space, h)
+
+
+def ref_random_subalgebra(rng, space):
+    order = list(rng.permutation(space.n_atoms))
+    n_blocks = int(rng.integers(1, space.n_atoms + 1))
+    cuts = sorted(rng.choice(range(1, space.n_atoms), size=n_blocks - 1, replace=False)) if n_blocks > 1 else []
+    blocks = []
+    prev = 0
+    for c in list(cuts) + [space.n_atoms]:
+        m = 0
+        for i in order[prev:c]:
+            m |= 1 << int(i)
+        blocks.append(m)
+        prev = c
+    return SubAlgebra(space, blocks)
+
+
+def ref_random_non_maxitive_table(rng, space):
+    masses = [float(round(rng.uniform(0.1, 5.0), 6)) for _ in range(space.n_atoms)]
+    table = [0.0] * space.n_sets
+    for b in range(space.n_sets):
+        table[b] = sum(masses[i] for i in range(space.n_atoms) if b & (1 << i))
+    return SetFunction(space, table)
+
+
+def wide_space(k):
+    """k atoms; every third one has a second member that a set may split."""
+    blocks = [[f"a{i}", f"b{i}"] if i % 3 == 0 else [f"a{i}"] for i in range(k)]
+    return build_space([lab for blk in blocks for lab in blk], blocks)
+
+
+def bits(x):
+    return struct.pack("<d", x)
+
+
+def law_outcome(x, pi):
+    out = outcome(law, x, pi)
+    return (out.values, out.possibilities) if isinstance(out, Law) else out
+
+
+def ref_law_outcome(x, pi):
+    out = outcome(ref_law, x, pi)
+    return (out.values, out.possibilities) if isinstance(out, Law) else out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(st.integers(0, 6), st.integers(0, 200)), st.data())
+def test_mask_codec_matches_the_bit_loops(k, data):
+    # half the spaces are small enough for a table, so ae_equal is compared
+    space = wide_space(k)
+    vals = data.draw(st.lists(values, min_size=k, max_size=k))
+    f = MeasurableFn(space, vals)
+    g = MeasurableFn(space, perturbed(data.draw, vals))
+    mask = data.draw(st.integers(0, space.full_mask))
+    bset = MeasurableSet(space, mask)
+
+    assert atoms_of(mask) == list(ref_atom_indices(bset))
+    assert bset.atom_indices() == ref_atom_indices(bset)
+    assert len(bset) == len(ref_atom_indices(bset))
+    idx = data.draw(st.lists(st.integers(0, k - 1), max_size=k)) if k else []
+    assert mask_of(idx) == ref_block_mask(idx)
+    assert mask_of(np.array(idx, dtype=np.int64)) == ref_block_mask(idx)
+    assert mask_of(atoms_of(mask)) == mask
+    if k < 63:  # the reference shifts in int64
+        assert np.array_equal(atom_flags(mask, k), ref_atom_flags(mask, k))
+
+    for t in [0.0, INF, *vals[:3], data.draw(values)]:
+        assert f.level_set(t) == ref_level_set(f, t)
+        assert f.level_set_ge(t) == ref_level_set_ge(f, t)
+    assert f.distinct_values() == ref_distinct_values(f)
+    assert f.distinct_values(bset) == ref_distinct_values(f, bset)
+    for combine, start in ((max, 0.0), (min, INF), (operator.add, 0.0)):
+        assert bits(fold_atoms(f.atom_values, mask, combine, start)) == bits(
+            ref_fold_atoms(f.atom_values, mask, combine, start)
+        )
+    one = data.draw(values)
+    assert MeasurableFn.indicator(space, bset, one).atom_values.tobytes() == (
+        ref_indicator(space, bset, one).atom_values.tobytes()
+    )
+    assert MaxitiveMeasure(space, vals).support_mask() == ref_support_mask(f)
+
+    key = _set_key(space, mask)
+    assert key == ref_set_key(space, mask)
+    assert parse_set(space, key) == ref_parse_set(space, key) == bset
+    text = "+".join(data.draw(st.lists(st.sampled_from([*space.atom_labels(), "q"]))))
+    assert outcome(parse_set, space, text) == outcome(ref_parse_set, space, text)
+    labels = data.draw(st.lists(st.sampled_from(space.ground))) if k else []
+    assert outcome(space.set_of_labels, labels) == outcome(ref_set_of_labels, space, labels)
+
+    if k:
+        pi = PossibilitySpace.from_values(space, [1.0, *np.minimum(g.atom_values[1:], 1.0)])
+        assert law_outcome(f, pi) == ref_law_outcome(f, pi)
+    if k <= 6:
+        w = data.draw(tables(k=k))
+        for tol in (0.0, 1e-9):
+            assert ae_equal(w, f, g, tol) is ref_ae_equal(w, f, g, tol)
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    if k:
+        sub = random_subalgebra(np.random.default_rng(seed), space)
+        assert sub.blocks == ref_random_subalgebra(np.random.default_rng(seed), space).blocks
+        if len(sub.blocks) <= 8:
+            assert sub.generated() == ref_generated(sub)
+    if 2 <= k <= 8:
+        w, _ = random_non_maxitive(np.random.default_rng(seed), space)
+        ref = ref_random_non_maxitive_table(np.random.default_rng(seed), space)
+        assert w.table.tobytes() == ref.table.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(atom_values(), st.data())
+def test_family_essential_supremum_matches_the_bit_loop(vals, data):
+    space = space_of(len(vals))
+    m = AdditiveMeasure(space, vals)
+    masks = data.draw(st.lists(st.integers(0, space.full_mask), max_size=4))
+    assert outcome(family_essential_supremum, m, masks) == outcome(
+        ref_family_essential_supremum, m, masks
+    )

@@ -77,11 +77,12 @@ def test_measure_round_trips(abc):
 def test_measure_from_json_validation(abc):
     doc = measure_doc("maxitive", ["a", "b", "c"], [1, 2, 0.5])
     del doc["atoms"]["b"]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^missing atom entries for \['b'\]$"):
         measure_from_json(doc)
     doc2 = measure_doc("maxitive", ["a", "b", "c"], [1, 2, 0.5])
     doc2["atoms"]["z"] = 1
-    with pytest.raises(ValueError):
+    doc2["atoms"]["y"] = 1
+    with pytest.raises(ValueError, match=r"^unknown atom labels \['z', 'y'\]$"):
         measure_from_json(doc2)
     doc3 = measure_doc("mystery", ["a"], [1])
     with pytest.raises(ValueError):
@@ -96,7 +97,7 @@ def test_parse_set(abc):
     assert parse_set(abc, "a+c").mask == 0b101
     assert parse_set(abc, " b ").mask == 0b010
     assert parse_set(abc, "").is_empty
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^unknown atom label 'q'$"):
         parse_set(abc, "a+q")
 
 

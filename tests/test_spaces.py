@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from maxitive.additive import AdditiveMeasure
 from maxitive.errors import (
     EmptyBlock,
     ExplicitBudgetExceeded,
     OverlappingBlocks,
     UncoveredElement,
 )
+from maxitive.measures import MaxitiveMeasure
 from maxitive.spaces import (
     INF,
     MeasurableFn,
@@ -214,6 +216,34 @@ def test_set_function_validation(abc):
     big = build_space([f"g{i}" for i in range(13)], [[f"g{i}"] for i in range(13)])
     with pytest.raises(ExplicitBudgetExceeded):
         SetFunction(big, [0.0] * big.n_sets)
+
+
+@pytest.mark.parametrize(
+    "cls, attr, what",
+    [
+        (MeasurableFn, "atom_values", "atom values"),
+        (MaxitiveMeasure, "atom_values", "atom values"),
+        (AdditiveMeasure, "atom_masses", "atom masses"),
+    ],
+)
+def test_atom_value_validation(abc, cls, attr, what):
+    # the first NaN or negative entry is named as it was passed
+    nan = float("nan")
+    with pytest.raises(ValueError, match=r"^not a value in \[0, inf\]: -1\.0$"):
+        cls(abc, [1, -1.0, nan])
+    with pytest.raises(ValueError, match=r"^not a value in \[0, inf\]: nan$"):
+        cls(abc, [nan, -2.0, 1])
+    # values are checked before the length
+    with pytest.raises(ValueError, match=r"^not a value in \[0, inf\]: -1$"):
+        cls(abc, [-1])
+    with pytest.raises(ValueError, match=f"^expected 3 {what}, got 2$"):
+        cls(abc, [1.0, 2.0])
+    # a signed zero is stored as +0.0, and the caller's array is left alone
+    given_vals = np.array([-0.0, 1.0, -0.0])
+    stored = getattr(cls(abc, given_vals), attr)
+    assert [math.copysign(1.0, v) for v in stored] == [1.0, 1.0, 1.0]
+    assert not stored.flags.writeable
+    assert math.copysign(1.0, given_vals[0]) == -1.0 and given_vals.flags.writeable
 
 
 def test_space_equality_and_repr(abc):
