@@ -136,9 +136,7 @@ def is_monotone(w, tol=DEFAULT_TOL):
     masks = np.arange(w.space.n_sets)
     for i in range(w.space.n_atoms):
         bigger = table[masks | (1 << i)]
-        slack = tol * np.maximum(1.0, np.maximum(np.abs(table), np.abs(bigger)))
-        with np.errstate(invalid="ignore"):
-            b = first_flagged(bigger < table - slack)
+        b = first_flagged((bigger < table) & ~vclose(table, bigger, tol))
         if b is not None:
             return False, (b, b | (1 << i))
     return True, None

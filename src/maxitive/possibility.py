@@ -308,17 +308,15 @@ def conditional_suite(op, x, pi, sub, tol=DEFAULT_TOL):
             continue
         bset = MeasurableSet(space, b)
         target = atom_integral(op, x, pi.measure, bset)
-        y_b = float(y.atom_values[bset.atom_indices()[0]])
-        broke = False
-        for z in _perturbations(op, y_b, pb):
-            vals = list(map(float, y.atom_values))
-            for i in bset.atom_indices():
-                vals[i] = z
-            zfn = MeasurableFn(space, vals)
-            if not close(atom_integral(op, zfn, pi.measure, bset), target, tol):
-                broke = True
-                break
-        if not broke:
+        idx = bset.atom_indices()
+        y_b = float(y.atom_values[idx[0]])
+        # y set to z on the block has the block integral of the constant z,
+        # which reads the block alone: max of 0 and every z (.) pi_i on it
+        pis = [float(pi.measure.atom_values[i]) for i in idx]
+        if all(
+            close(max([0.0] + [op(z, v) for v in pis]), target, tol)
+            for z in _perturbations(op, y_b, pb)
+        ):
             characterization = False
             details["characterization_block"] = j
 

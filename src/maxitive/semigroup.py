@@ -394,8 +394,8 @@ def verify_axioms(op, grid=None, tol=DEFAULT_TOL, jump_tol=0.2):
         prev_l = prev_r = -INF
         for s in svals:
             l, r = op(s, t), op(t, s)
-            if l < prev_l - tol * max(1.0, abs(l), abs(prev_l)) or r < prev_r - tol * max(
-                1.0, abs(r), abs(prev_r)
+            if (l < prev_l and not close(l, prev_l, tol)) or (
+                r < prev_r and not close(r, prev_r, tol)
             ):
                 monotone = False
                 wit["monotone"] = (s, t)

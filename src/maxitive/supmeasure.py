@@ -11,12 +11,15 @@ intensities cheap; materialized points remain available on request.
 
 Both samplers draw rows in blocks of at most BLOCK_ROWS and evaluate their
 formula in place on one reused block of uniforms, ufunc by ufunc in the
-order the formula reads, so a sampler holds one block of floats (plus the
-counts in Poisson mode) and no temporaries. The order of the generator calls
-is part of the seeded-output contract: row blocks drawn in row order give the
-same bits as one (n, k) draw, so the block size changes no output, and
-Poisson mode draws every (n, k) count before any uniform. A sample is
-refused above MAX_SAMPLE_CELLS cells before anything is drawn.
+order the formula reads, so a sampler holds one block of floats and no
+temporaries. The order of the generator calls is part of the seeded-output
+contract: row blocks drawn in row order give the same bits as one (n, k)
+draw, so the block size changes no output, and Poisson mode draws every
+(n, k) count before any uniform. Poisson mode therefore also holds all the
+counts, each as its offset from the block's per-atom minimum in the
+narrowest unsigned integer the block needs, 2 or 4 bytes at most rates
+instead of 8. A sample is refused above MAX_SAMPLE_CELLS cells before
+anything is drawn.
 
 The checks at the end hold the samplers against the theory: marginal
 distribution (one-sample KS), agreement of the two modes (two-sample KS),
@@ -43,9 +46,9 @@ from .spaces import INF, MeasurableSet, fold_atoms
 
 MAX_MATERIALIZED_POINTS = 10_000_000
 # n * k cells of one sample. Streamed, exact mode holds one block of rows
-# and the caller's n set values; Poisson mode also holds all n * k int64
-# counts, 400 MB at the limit. sample_matrix adds the n * k float64 matrix
-# it returns.
+# and the caller's n set values; Poisson mode also holds all n * k counts as
+# block offsets, 200 MB at the limit at rates up to about 1e16 and 400 MB
+# above. sample_matrix adds the n * k float64 matrix it returns.
 MAX_SAMPLE_CELLS = 50_000_000
 # Rows drawn and evaluated per step: a block of 4096 rows of 12 atoms is
 # 384 KB of float64, whatever the sample size.
@@ -136,6 +139,19 @@ def _exact_blocks(masses, p, rng, n):
         yield start, u
 
 
+def _column_min(block):
+    """block.min(axis=0), as a new array, for a block of at least one row.
+
+    numpy's reduction runs a k-long inner loop per row; folding the block in
+    halves first runs rows/2, rows/4, ... long loops, two to three times
+    faster at k = 12. For an odd row count the halves share the middle row.
+    """
+    while len(block) > 1:
+        half = (len(block) + 1) // 2
+        block = np.minimum(block[:half], block[-half:])
+    return block.min(axis=0)
+
+
 def _poisson_blocks(masses, p, rng, n, eps, lam):
     """Same distribution through the truncated point process, batched.
 
@@ -145,14 +161,28 @@ def _poisson_blocks(masses, p, rng, n, eps, lam):
     -expm1(log(V)/N). All n x k counts are drawn, a block at a time, before
     the first uniform; the maximum is evaluated in place on each block of
     uniforms.
+
+    A block of counts is kept as its per-atom minimum (k int64) and its
+    offsets from that minimum in the narrowest unsigned dtype that holds
+    them: within a block the counts of an atom spread over a few standard
+    deviations, sqrt(lam), while the counts themselves reach lam. Each block
+    is rebuilt exactly into one reused int64 buffer when its uniforms come.
     """
     k = len(masses)
-    counts = np.empty((n, k), dtype=np.int64)
+    encoded = []
     for start in range(0, n, BLOCK_ROWS):
-        block = counts[start : start + BLOCK_ROWS]
-        block[...] = rng.poisson(lam, size=block.shape)
-    for start, v in _uniform_blocks(rng, n, k):
-        c = counts[start : start + len(v)]
+        block = rng.poisson(lam, size=(min(BLOCK_ROWS, n - start), k))
+        lo = _column_min(block)
+        block -= lo
+        encoded.append((lo, block.astype(np.min_scalar_type(block.max(initial=0)))))
+        # freed before the next draw: two live draws would leave holes
+        # between the kept offsets, about 10 MB of heap at 10^6 x 12
+        del block
+    counts = np.empty((min(n, BLOCK_ROWS), k), dtype=np.int64)
+    for (start, v), (lo, offsets) in zip(_uniform_blocks(rng, n, k), encoded):
+        c = counts[: len(v)]
+        # in int64: uint64 offsets plus int64 would promote to float64
+        np.add(offsets, lo, out=c, dtype=np.int64)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             np.log(v, out=v)
             np.divide(v, c, out=v)

@@ -146,6 +146,22 @@ def test_check(docs):
     assert out["finiteness"]["odot_finite"] is True
 
 
+def test_check_at_tolerance_zero_flags_a_drop_from_inf(tmp_path, capsys):
+    doc = {
+        "schema": "1",
+        "kind": "set_function",
+        "space": {"ground": ["a", "b"], "blocks": [["a"], ["b"]]},
+        "table": {"a": "inf", "b": 1, "a+b": 1},
+    }
+    path = write_doc(tmp_path / "w.json", doc)
+    assert cli.main(["check", "--measure", path, "--tolerance", "0"]) == 0
+    out = capsys.readouterr()
+    assert out.err == ""
+    props = json.loads(out.out)["properties"]
+    assert props["monotone"] is False
+    assert props["witnesses"]["monotone"] == [1, 3]
+
+
 def test_check_prints_a_signed_zero_as_zero(tmp_path):
     path = write_doc(tmp_path / "z.json", measure_doc("maxitive", ["a", "b"], [-0.0, 2.0]))
     proc = run_cli("check", "--measure", path, "--order", "0")

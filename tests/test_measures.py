@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -91,6 +92,16 @@ def test_predicates_on_hand_fixtures(abc):
     assert not ok and wit is not None
     b1, b2 = wit[0], wit[1]
     assert additive(b1 | b2) > max(additive(b1), additive(b2))
+
+
+@pytest.mark.parametrize("tol", [0.0, 1e-9])
+def test_is_monotone_sees_a_drop_from_inf(tol):
+    # w({a}) = inf > w({a, b}) = 1; an inf value makes a relative slack
+    # inf or nan, so the drop is read off the order and close() alone
+    w = SetFunction(build_space("ab", [["a"], ["b"]]), [0, INF, 1, 1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert is_monotone(w, tol) == (False, (1, 3))
 
 
 def test_classify_flags(abc):

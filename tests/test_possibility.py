@@ -238,3 +238,30 @@ def test_power_mean_converges_randomly():
         sub = random_subalgebra(rng, space)
         rep = power_mean_limit(m, x, sub, ps=(1, 5, 25, 125, 625))
         assert rep.max_rel_gap[-1] < 2e-2, rep.max_rel_gap
+
+
+@pytest.mark.parametrize("op", [TIMES, MIN])
+def test_conditional_suite_builds_no_function_per_block(op, monkeypatch):
+    # the characterization law perturbs every block; each perturbed version
+    # is read on its block alone, so the functions built stay as many at
+    # 1600 one-atom blocks as at 200
+    init = MeasurableFn.__init__
+    built = []
+
+    def counting_init(self, *args):
+        built.append(None)
+        init(self, *args)
+
+    monkeypatch.setattr(MeasurableFn, "__init__", counting_init)
+    counts = {}
+    for n in (200, 1600):
+        labels = [f"x{i}" for i in range(n)]
+        sp = build_space(labels, [[l] for l in labels])
+        pi = PossibilitySpace.from_values(sp, [1.0] + [(i % 9 + 1) / 10 for i in range(n - 1)])
+        x = MeasurableFn(sp, [(i % 7) / 2 for i in range(n)])
+        sub = SubAlgebra.from_string(sp, "|".join(labels))
+        built.clear()
+        rep = conditional_suite(op, x, pi, sub)
+        assert rep.all_hold(), rep.details
+        counts[n] = len(built)
+    assert counts[1600] == counts[200], counts

@@ -90,6 +90,17 @@ def test_table_op_continuity_falls_back_to_the_grid_verdict():
     assert verify_axioms(op) == expected
 
 
+def test_table_op_monotonicity_sees_a_drop_from_inf():
+    # min over the grid, except 1 (.) 1 = inf: the scan over s at t = 1
+    # reads 0, inf, 1, 1
+    table = _min_table(_STEP_GRID)
+    table[1][1] = INF
+    op = TableOp("tbump", _STEP_GRID, table, left_identity=INF)
+    for tol in (0.0, 1e-9):
+        rep = verify_axioms(op, tol=tol)
+        assert not rep.monotone and rep.witnesses["monotone"] == (2.0, 1.0)
+
+
 def test_residual_values_frozen():
     # worked out by hand from inf{t : t (.) s >= r}
     assert PLUS.residual(5.0, 3.0) == 2.0

@@ -306,6 +306,12 @@ blocks_st = st.sampled_from([1, 7, BLOCK_ROWS]).flatmap(
 )
 @example(masses=[1.0, 0.0, 2.0], p=2.0, blocks=(BLOCK_ROWS, 3 * BLOCK_ROWS),
          eps=1e-3, seed=0)  # ends on a block boundary
+# a rate near 1e18, whose counts spread past 2^32 within a block: their
+# offsets need uint64
+@example(masses=[1e6, 1.0], p=4.0, blocks=(BLOCK_ROWS, BLOCK_ROWS + 100),
+         eps=1e-3, seed=0)
+@example(masses=[], p=2.0, blocks=(7, 30), eps=1e-3, seed=0)  # no atoms
+@example(masses=[1.0, 2.0], p=2.0, blocks=(7, 0), eps=1e-3, seed=0)  # no rows
 def test_samplers_are_bit_identical_to_the_reference_expressions(
     masses, p, blocks, eps, seed
 ):
@@ -393,11 +399,12 @@ def test_simulate_report_and_csv_match_the_reference(mode, tmp_path, capsys):
         assert_same_text(fh.read(), ref_csv(space.atom_labels(), mat, draws))
 
 
-@pytest.mark.parametrize("mode, bound_cells", [("exact", 0.5), ("poisson", 1.5)])
+@pytest.mark.parametrize("mode, bound_cells", [("exact", 0.5), ("poisson", 0.5)])
 def test_simulate_streams_without_an_n_by_k_matrix(mode, bound_cells, capsys):
     # tracemalloc sees numpy's buffers. Exact mode holds one block and the n
-    # set values; Poisson mode adds the n x k int64 counts. A float64 n x k
-    # matrix (8 bytes a cell) breaks either bound.
+    # set values; Poisson mode adds the counts as offsets from their block
+    # minimum, 2 bytes a cell at these rates. A float64 or int64 n x k matrix
+    # (8 bytes a cell) breaks the bound.
     n, k = 200_000, 12
     atoms = ",".join(f"{l}:{0.1 * (i + 1)!r}" for i, l in enumerate(LABELS[:k]))
     argv = ["simulate", "--atoms", atoms, "--p", "2", "--n", str(n), "--mode", mode]
