@@ -7,8 +7,9 @@ chain. On a finite algebra several of these notions collapse into each
 other; the checkers compute each side independently so the collapse is a
 verified output, not an assumption. Localizability is the exception: a
 finite algebra gives it to every measure, so it is returned with its reason.
-``from_set_function`` and the sigma- and semi-finiteness checks read the
-whole 2^k table of atom sums, so they share the 12-atom table cap.
+``from_set_function``, the sigma- and semi-finiteness checks and
+``family_essential_supremum`` read the whole 2^k table of atom sums, so they
+share the 12-atom table cap.
 """
 
 from __future__ import annotations
@@ -27,13 +28,14 @@ from .spaces import (
     MeasurableFn,
     MeasurableSet,
     SetFunction,
+    as_mask,
     as_values,
     atom_table,
-    atoms_of,
     first_flagged,
     fold_atoms,
     mask_of,
     max_over_submasks,
+    per_distinct,
     union_of,
     vclose,
 )
@@ -50,8 +52,7 @@ class AdditiveMeasure:
         self._table = None
 
     def __call__(self, bset):
-        mask = bset.mask if isinstance(bset, MeasurableSet) else int(bset)
-        return fold_atoms(self.atom_masses, mask, operator.add, 0.0)
+        return fold_atoms(self.atom_masses, as_mask(bset), operator.add, 0.0)
 
     def to_set_function(self):
         if self._table is None:
@@ -115,12 +116,7 @@ def classical_density(nu, m, tol=DEFAULT_TOL):
             dens.append(ni / mi)
     c = MeasurableFn(space, dens)
     # lebesgue_integral's left-to-right sum on every mask at once
-    got = atom_table(
-        [
-            _times(float(c.atom_values[i]), float(m.atom_masses[i]))
-            for i in range(space.n_atoms)
-        ]
-    )
+    got = atom_table(per_distinct(_times, c.atom_values, m.atom_masses))
     b = first_flagged(~vclose(got, nu.to_set_function().table, tol))
     if b is not None:
         raise NoDensity(f"candidate density fails on mask {b}")
@@ -155,21 +151,23 @@ def family_essential_supremum(m, masks):
     The union with its m-null atoms removed is the candidate; both defining
     properties (it almost contains every member; anything that almost
     contains every member almost contains it) are verified against all
-    competitors.
+    competitors at once on the table of m.
     """
-    space = m.space
+    table = atom_table(m.atom_masses)
     union = 0
     for b in masks:
         union |= int(b)
-    h = mask_of(i for i in atoms_of(union) if m(1 << i) > 0)
+    h = union & mask_of(np.flatnonzero(m.atom_masses > 0))
+    g = np.arange(len(table))
+    bounds = np.ones(len(table), dtype=bool)  # g almost contains every member
     for b in masks:
-        if m(int(b) & ~h) != 0.0:
+        if table[int(b) & ~h] != 0.0:
             raise OracleMismatch(f"candidate misses member mask {b}")
-    for g in range(space.n_sets):
-        if all(m(int(b) & ~g) == 0.0 for b in masks):
-            if m(h & ~g) != 0.0:
-                raise OracleMismatch(f"candidate is not least at competitor {g}")
-    return MeasurableSet(space, h)
+        bounds &= table[int(b) & ~g] == 0.0
+    g = first_flagged(bounds & (table[h & ~g] != 0.0))
+    if g is not None:
+        raise OracleMismatch(f"candidate is not least at competitor {g}")
+    return MeasurableSet(m.space, h)
 
 
 def is_localizable_measure(m):

@@ -36,6 +36,7 @@ from .spaces import (
     mask_of,
     max_over_submasks,
     partition_dp,
+    per_distinct,
     vclose,
 )
 
@@ -56,8 +57,7 @@ def odot_abs_continuous(op, nu, tau, tol=DEFAULT_TOL):
     tau_t = _as_table(tau)
     if nu_t.space is not tau_t.space and nu_t.space != tau_t.space:
         raise ValueError("measures live on different spaces")
-    values, where = np.unique(tau_t.table, return_inverse=True)
-    bound = np.array([op(INF, float(v)) for v in values])[where]
+    bound = per_distinct(lambda v: op(INF, v), tau_t.table)
     with np.errstate(invalid="ignore"):  # tol = 0 times an infinite bound
         b = first_flagged(nu_t.table > bound + tol * np.maximum(1.0, np.abs(bound)))
     if b is not None:
@@ -73,15 +73,14 @@ def verify_density(op, f, nu, tau, tol=DEFAULT_TOL):
     """
     if not isinstance(tau, MaxitiveMeasure):
         raise TypeError("atom form needs a MaxitiveMeasure")
-    got = atom_table(
-        [
-            op(float(f.atom_values[i]), float(tau.atom_values[i]))
-            for i in range(tau.space.n_atoms)
-        ],
-        np.maximum,
-    )
+    got = atom_table(per_distinct(op, f.atom_values, tau.atom_values), np.maximum)
     b = first_flagged(~vclose(got, _as_table(nu).table, tol))
     return b is None, b
+
+
+def _residuals(op, num, den):
+    """The scalar residuals num_i / den_i, zero where num vanishes."""
+    return per_distinct(lambda r, s: 0.0 if r == 0.0 else op.residual(r, s), num, den)
 
 
 def rn_density(op, nu, tau, tol=DEFAULT_TOL):
@@ -101,13 +100,7 @@ def rn_density(op, nu, tau, tol=DEFAULT_TOL):
         raise NotOdotAbsolutelyContinuous(
             f"nu is not {op.name}-absolutely continuous; witness mask {rep.witness}"
         )
-    space = nu.space
-    vals = []
-    for i in range(space.n_atoms):
-        ni = float(nu.atom_values[i])
-        ti = float(tau.atom_values[i])
-        vals.append(0.0 if ni == 0.0 else op.residual(ni, ti))
-    c = MeasurableFn(space, vals)
+    c = MeasurableFn(nu.space, _residuals(op, nu.atom_values, tau.atom_values))
     ok, wit = verify_density(op, c, nu, tau, tol)
     if not ok:
         raise NoDensity(f"residual candidate fails on mask {wit}")
@@ -235,25 +228,17 @@ def density_from_associated(op, mu, c1, c2, tol=DEFAULT_TOL):
     space = mu_t.space
     nu = esssup_measure(mu_t, c1, tol)
     tau = esssup_measure(mu_t, c2, tol)
-    escapes = []
-    for i in range(space.n_atoms):
-        bound = op(INF, float(c2.atom_values[i]))
-        if float(c1.atom_values[i]) > bound + tol * max(1.0, abs(bound)):
-            escapes.append(i)
-    bad = mask_of(escapes)
+    bound = per_distinct(lambda v: op(INF, v), c2.atom_values)
+    with np.errstate(invalid="ignore"):  # tol = 0 times an infinite bound
+        escapes = c1.atom_values > bound + tol * np.maximum(1.0, np.abs(bound))
+    bad = mask_of(np.flatnonzero(escapes))
     if bad and not negligible(mu_t, bad):
         raise NegligibilityViolation(
             f"c1 escapes the scalar bound on a non-negligible set, mask {bad}"
         )
     dead = atom_flags(bad | _null_atoms(mu_t.table), space.n_atoms)
-    vals = []
-    for i in range(space.n_atoms):
-        if dead[i]:
-            vals.append(0.0)
-        else:
-            r = float(c1.atom_values[i])
-            vals.append(0.0 if r == 0.0 else op.residual(r, float(c2.atom_values[i])))
-    c = MeasurableFn(space, vals)
+    live = np.where(dead, 0.0, c1.atom_values)
+    c = MeasurableFn(space, _residuals(op, live, c2.atom_values))
     ok, wit = verify_density(op, c, nu, tau, tol)
     if not ok:
         raise NoDensity(f"associated-density candidate fails on mask {wit}")

@@ -4,12 +4,15 @@ Three evaluators are provided. The level sweep works for any monotone set
 function; the submask maximization is an independent route that agrees with
 the sweep when the measure is maxitive; the atom form is the closed formula
 for maxitive measures. Tests and the crosscheck flag hold them against each
-other.
+other. The submask maximization and density_measure on a general set
+function read whole 2^k tables through the kernels of ``spaces``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import OracleMismatch
 from .measures import MaxitiveMeasure, _as_table
@@ -17,15 +20,16 @@ from .spaces import (
     DEFAULT_TOL,
     INF,
     MeasurableFn,
-    MeasurableSet,
     SetFunction,
+    atom_table,
     close,
     esub,
+    per_distinct,
     require_budget,
 )
 
-#: largest set (in atoms) whose 2^k submasks gerritse_integral sweeps; the
-#: sweep is a Python loop, about 15 s at 20 atoms
+#: largest set (in atoms) whose 2^k submasks gerritse_integral tabulates;
+#: about 0.2 s and 75 MB at 20 atoms, and each further atom doubles both
 MAX_SUBMASK_ATOMS = 20
 
 
@@ -80,23 +84,24 @@ def idempotent_integral(op, f, nu, bset=None, tol=DEFAULT_TOL, crosscheck=False)
 def gerritse_integral(op, f, nu, bset=None):
     """Max over nonempty subsets A of op(min of f on A, nu(A)).
 
-    Exponential in the atom count of bset, and refused above
-    MAX_SUBMASK_ATOMS; intended as an independent oracle.
+    Tabulates f's minimum and nu over every submask of bset and applies the
+    operation once per distinct pair; exponential in the atom count of bset,
+    and refused above MAX_SUBMASK_ATOMS. Intended as an independent oracle.
     """
     nu = _coerce_measure(nu)
     bset = _fullset(nu, bset)
     require_budget(len(bset), MAX_SUBMASK_ATOMS, "submask maximization")
-    best = 0.0
-    sub = bset.mask
-    while True:
-        if sub:
-            cand = op(f.min_on(sub), nu(sub))
-            if cand > best:
-                best = cand
-        if sub == 0:
-            break
-        sub = (sub - 1) & bset.mask
-    return best
+    idx = np.array(bset.atom_indices(), dtype=np.int64)
+    low = atom_table(f.atom_values[idx], np.minimum, INF, MAX_SUBMASK_ATOMS)
+    if isinstance(nu, MaxitiveMeasure):
+        meas = atom_table(nu.atom_values[idx], np.maximum, 0.0, MAX_SUBMASK_ATOMS)
+    else:
+        meas = nu.table[atom_table(1 << idx, np.add, 0)]
+    # nonempty submasks from bset down: an operation off its grid raises at
+    # the largest submask where it is off
+    cand = per_distinct(op, low[:0:-1], meas[:0:-1])
+    # the sup starts from 0.0, so a -0.0 from a table operation never shows
+    return float(np.where(cand > 0.0, cand, 0.0).max(initial=0.0))
 
 
 def atom_integral(op, f, nu, bset=None):
@@ -116,20 +121,24 @@ def density_measure(op, f, nu):
     """The measure B -> integral of f over B, written tau = f (op) nu.
 
     For a maxitive nu the result is again maxitive with atom values
-    op(f_i, nu_i); for a general set function the level sweep is tabulated.
+    op(f_i, nu_i); for a general set function the level sweep of
+    idempotent_integral is run on every set at once.
     """
     if isinstance(nu, MaxitiveMeasure):
-        vals = [
-            op(float(f.atom_values[i]), float(nu.atom_values[i]))
-            for i in range(nu.space.n_atoms)
-        ]
-        return MaxitiveMeasure(nu.space, vals)
+        return MaxitiveMeasure(nu.space, per_distinct(op, f.atom_values, nu.atom_values))
     w = _as_table(nu)
-    table = [
-        idempotent_integral(op, f, w, MeasurableSet(w.space, b)).value
-        for b in range(w.space.n_sets)
-    ]
-    return SetFunction(w.space, table)
+    levels = np.unique(np.append(f.atom_values, 0.0))
+    cut = np.array([[f.level_set_ge(v).mask, f.level_set(v).mask] for v in levels])
+    sets = np.arange(w.space.n_sets)[:, None, None]
+    meas = w.table[sets & cut]  # by set, level, then weak or strict level set
+    # the sweep on a set reads level 0 and each value f takes on it, the weak
+    # level set before the strict; the calls below go set by set in that order
+    taken = (levels[:, None] == 0.0) | ((sets & cut[:, :1] & ~cut[:, 1:]) != 0)
+    swept = np.broadcast_to(taken, meas.shape)
+    level = np.broadcast_to(levels[:, None], meas.shape)
+    cand = np.zeros(meas.shape)
+    cand[swept] = per_distinct(op, level[swept], meas[swept])
+    return SetFunction(w.space, cand.max(axis=(1, 2)))
 
 
 def _abs_diff(f, g):

@@ -18,7 +18,7 @@ bit-for-bit test.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -35,6 +35,7 @@ from .spaces import (
     INF,
     MeasurableSet,
     SetFunction,
+    as_mask,
     as_values,
     atom_flags,
     atom_table,
@@ -45,6 +46,7 @@ from .spaces import (
     mask_of,
     max_over_submasks,
     partition_dp,
+    per_distinct,
     set_partitions,
     submasks,
     union_of,
@@ -69,8 +71,7 @@ class MaxitiveMeasure:
         self._table = None
 
     def __call__(self, bset):
-        mask = bset.mask if isinstance(bset, MeasurableSet) else int(bset)
-        return fold_atoms(self.atom_values, mask, max, 0.0)
+        return fold_atoms(self.atom_values, as_mask(bset), max, 0.0)
 
     def to_set_function(self):
         if self._table is None:
@@ -121,7 +122,7 @@ def _null_atoms(table):
 def negligible(w, bset):
     """Whether the set is contained in some measurable zero set of ``w``."""
     w = _as_table(w)
-    mask = bset.mask if isinstance(bset, MeasurableSet) else int(bset)
+    mask = as_mask(bset)
     return bool(((_zero_masks(w.table) & mask) == mask).any())
 
 
@@ -375,23 +376,9 @@ class PropertyReport:
 
     def flags(self):
         return {
-            k: getattr(self, k)
-            for k in (
-                "monotone",
-                "normed",
-                "null_additive",
-                "finite",
-                "sigma_finite",
-                "maxitive",
-                "completely_maxitive",
-                "continuous_from_above",
-                "exhaustive",
-                "ccc",
-                "sigma_principal",
-                "autocontinuous",
-                "of_bounded_variation",
-                "essential",
-            )
+            f.name: getattr(self, f.name)
+            for f in fields(self)
+            if f.name not in ("atom_values", "witnesses")
         }
 
 
@@ -660,8 +647,7 @@ def finiteness_suite(op, nu):
     odot = op.finite_element(nu(space.full_mask))
     sigma = all(op.finite_element(float(v)) for v in nu.atom_values)
     table = nu.to_set_function().table
-    values, where = np.unique(table, return_inverse=True)
-    finite = np.array([op.finite_element(float(v)) for v in values])[where]
+    finite = per_distinct(op.finite_element, table)
     semi = bool(np.array_equal(max_over_submasks(np.where(finite, table, 0.0)), table))
     if semi != odot:
         raise OracleMismatch("semi-finiteness must match op-finiteness here")

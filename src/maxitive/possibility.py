@@ -28,7 +28,7 @@ from .errors import (
 from .integral import atom_integral, idempotent_integral
 from .measures import MaxitiveMeasure, delta_measure
 from .semigroup import TIMES
-from .spaces import DEFAULT_TOL, MeasurableFn, MeasurableSet, atoms_of, close, mask_of
+from .spaces import DEFAULT_TOL, MeasurableFn, MeasurableSet, as_mask, atoms_of, close, mask_of
 
 
 class PossibilitySpace:
@@ -123,7 +123,7 @@ class SubAlgebra:
         return out
 
     def contains(self, mask):
-        mask = mask.mask if isinstance(mask, MeasurableSet) else int(mask)
+        mask = as_mask(mask)
         for b in self.blocks:
             inter = mask & b
             if inter != 0 and inter != b:
@@ -341,7 +341,9 @@ def conditional_suite(op, x, pi, sub, tol=DEFAULT_TOL):
             y_b = float(y.atom_values[idx[0]])
             hi = max(xs)
             lo = min(xs) if op.name == "times" else min(min(xs), pi.measure(b))
-            if y_b > hi + tol * max(1.0, hi) or y_b < lo - tol * max(1.0, abs(lo)):
+            if (y_b > hi and not close(y_b, hi, tol)) or (
+                y_b < lo and not close(y_b, lo, tol)
+            ):
                 monotone = False
                 details["envelope_block"] = j
                 break

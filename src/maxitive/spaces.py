@@ -99,6 +99,11 @@ def require_budget(n_atoms, limit=MAX_EXHAUSTIVE_ATOMS, what="exhaustive enumera
         )
 
 
+def as_mask(bset):
+    """The mask of a MeasurableSet, or an int-like mask as an int."""
+    return bset.mask if isinstance(bset, MeasurableSet) else int(bset)
+
+
 def atoms_of(mask):
     """The atom indices of a mask, ascending; one step per atom in it."""
     mask = int(mask)
@@ -146,16 +151,18 @@ def set_partitions(items):
 # ---------------------------------------------------------------------------
 
 
-def atom_table(values, combine=np.add):
-    """The table b -> 0.0 combined with the values of the atoms of b.
+def atom_table(values, combine=np.add, start=0.0, limit=MAX_EXHAUSTIVE_ATOMS):
+    """The table b -> ``start`` combined with the values of the atoms of b.
 
     Atoms are folded in ascending index order, so ``np.add`` gives every
-    left-to-right float sum bit for bit and ``np.maximum`` gives the
-    atom-sup table of a maxitive measure.
+    left-to-right float sum bit for bit, ``np.maximum`` gives the atom-sup
+    table of a maxitive measure, and ``np.minimum`` from ``INF`` gives the
+    minimum on each set. The table takes the dtype of ``start``, and more
+    than ``limit`` atoms are refused.
     """
     k = len(values)
-    require_budget(k, what="set-function table")
-    table = np.zeros(1 << k)
+    require_budget(k, limit, "set-function table")
+    table = np.full(1 << k, start)
     for i, v in enumerate(values):
         combine(table[: 1 << i], v, out=table[1 << i : 2 << i])
     return table
@@ -172,6 +179,25 @@ def fold_atoms(values, mask, combine, start):
     for i in atoms_of(mask):
         out = combine(out, float(values[i]))
     return out
+
+
+def per_distinct(fn, *arrays):
+    """``fn`` applied elementwise to equal-length arrays, once per distinct tuple.
+
+    Each array is ranked by ``np.unique`` and the ranks are keyed as one
+    int64. The calls go in the order their tuples first occur, so ``fn``
+    raises where a loop over the elements would first raise.
+    """
+    key = np.zeros(len(arrays[0]), dtype=np.int64)
+    for a in arrays:
+        values, rank = np.unique(a, return_inverse=True)
+        key = key * len(values) + rank
+    _, first, where = np.unique(key, return_index=True, return_inverse=True)
+    args = [np.asarray(a)[first].tolist() for a in arrays]
+    out = [None] * len(first)
+    for j in np.argsort(first):
+        out[j] = fn(*(arg[j] for arg in args))
+    return np.array(out)[where]
 
 
 def first_flagged(flags):
@@ -481,22 +507,13 @@ class MeasurableFn:
         vals = self.atom_values if bset is None else self.atom_values[atoms_of(bset.mask)]
         return sorted(set(vals.tolist()))
 
-    def min_on(self, mask):
-        """Infimum over the atoms of ``mask``; inf on the empty set."""
-        return fold_atoms(self.atom_values, mask, min, INF)
-
     def pointwise(self, fn, other=None):
         """Apply ``fn`` atomwise, optionally zipped with another function."""
         if other is None:
-            vals = [fn(float(v)) for v in self.atom_values]
-        else:
-            if other.space != self.space:
-                raise ValueError("functions live on different spaces")
-            vals = [
-                fn(float(a), float(b))
-                for a, b in zip(self.atom_values, other.atom_values)
-            ]
-        return MeasurableFn(self.space, vals)
+            return MeasurableFn(self.space, per_distinct(fn, self.atom_values))
+        if other.space != self.space:
+            raise ValueError("functions live on different spaces")
+        return MeasurableFn(self.space, per_distinct(fn, self.atom_values, other.atom_values))
 
     def __repr__(self):
         return f"MeasurableFn({list(map(float, self.atom_values))})"
@@ -516,8 +533,7 @@ class SetFunction:
         self.table = arr
 
     def __call__(self, bset):
-        mask = bset.mask if isinstance(bset, MeasurableSet) else int(bset)
-        return float(self.table[mask])
+        return float(self.table[as_mask(bset)])
 
     def __repr__(self):
         return f"SetFunction(on {self.space!r})"

@@ -42,7 +42,7 @@ import numpy as np
 
 from .errors import ExplicitBudgetExceeded, InvalidTruncation
 from .measures import MaxitiveMeasure
-from .spaces import INF, MeasurableSet, fold_atoms
+from .spaces import INF, as_mask, fold_atoms
 
 MAX_MATERIALIZED_POINTS = 10_000_000
 # n * k cells of one sample. Streamed, exact mode holds one block of rows
@@ -81,8 +81,7 @@ class SupMeasureSample:
         self.config = config
 
     def __call__(self, bset):
-        mask = bset.mask if isinstance(bset, MeasurableSet) else int(bset)
-        return fold_atoms(self.atom_maxima, mask, max, 0.0)
+        return fold_atoms(self.atom_maxima, as_mask(bset), max, 0.0)
 
     def of_variable(self, f):
         """max over atoms of f_i times the atom maximum."""

@@ -92,6 +92,22 @@ def test_crosscheck_on_24_atoms_is_refused_not_swept(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["result"]["value"] == 2.5
 
 
+def test_crosscheck_on_20_atoms_finishes_within_seconds(tmp_path, capsys):
+    labels = [f"x{i}" for i in range(20)]
+    nu = write_doc(tmp_path / "nu.json",
+                   measure_doc("maxitive", labels, [(i % 5) / 4 for i in range(20)]))
+    f = write_doc(tmp_path / "f.json",
+                  measure_doc("function", labels, [(i % 7) / 2 for i in range(20)]))
+    argv = ["integrate", "--op", "times", "--measure", nu, "--fn", f]
+    assert cli.main(argv) == 0
+    plain = capsys.readouterr().out
+    start = time.perf_counter()
+    assert cli.main(argv + ["--crosscheck"]) == 0
+    # the 2^20 submasks are read as tables, about 0.2 s
+    assert time.perf_counter() - start < 3.0
+    assert capsys.readouterr().out == plain
+
+
 def test_oversized_set_function_document_is_refused_before_its_table(tmp_path, capsys):
     labels = [f"x{i}" for i in range(24)]
     doc = {

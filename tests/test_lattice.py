@@ -12,9 +12,12 @@ The sigma-ideal and essential-supremum enumerations live here too, as the
 oracles for the sigma-principality and the localizability that a finite
 algebra gives every set function and every additive measure, and so does
 the sweep over every union of blocks that the conditional's block-only
-check is held against. Last come the per-atom bit loops that decoded and
+check is held against. Then come the per-atom bit loops that decoded and
 built masks before ``spaces.atoms_of`` and ``mask_of`` did, held against
-them on spaces of up to 200 atoms.
+them on spaces of up to 200 atoms. Last, the integral's submask walk and
+its per-set level sweeps are held against the tables that replaced them,
+bit for bit and raising where they raise, under every builtin operation and
+a table operation whose grid may miss some inputs.
 """
 
 import math
@@ -52,7 +55,15 @@ from maxitive.errors import (
     NotNullAdditive,
     OracleMismatch,
 )
-from maxitive.integral import atom_integral
+from maxitive.integral import (
+    MAX_SUBMASK_ATOMS,
+    _coerce_measure,
+    _fullset,
+    atom_integral,
+    density_measure,
+    gerritse_integral,
+    idempotent_integral,
+)
 from maxitive.modelio import _set_key, parse_set
 from maxitive.measures import (
     AtomDecomposition,
@@ -98,6 +109,7 @@ from maxitive.semigroup import (
     PLUS,
     TIMES,
     SemigroupOp,
+    TableOp,
     _times,
     _times_abs_cont,
     _times_residual,
@@ -118,6 +130,7 @@ from maxitive.spaces import (
     mask_of,
     max_over_submasks,
     partition_dp,
+    require_budget,
     set_partitions,
     submasks,
     vclose,
@@ -829,9 +842,11 @@ def outcome(fn, *args):
 
 
 def settled(fn, *args):
-    """outcome(), with a returned measure or function as its type and bytes."""
+    """outcome(), with a returned float, measure or function as its type and bytes."""
     out = outcome(fn, *args)
-    for attr in ("atom_values", "atom_masses"):
+    if isinstance(out, float):
+        return float, bits(out)
+    for attr in ("atom_values", "atom_masses", "table"):
         if hasattr(out, attr):
             return type(out), getattr(out, attr).tobytes()
     return out
@@ -1433,3 +1448,78 @@ def test_family_essential_supremum_matches_the_bit_loop(vals, data):
     assert outcome(family_essential_supremum, m, masks) == outcome(
         ref_family_essential_supremum, m, masks
     )
+
+
+# ---------------------------------------------------------------------------
+# the integral's submask walk and per-set level sweeps, as tables replace them
+# ---------------------------------------------------------------------------
+
+
+def ref_gerritse_integral(op, f, nu, bset=None):
+    nu = _coerce_measure(nu)
+    bset = _fullset(nu, bset)
+    require_budget(len(bset), MAX_SUBMASK_ATOMS, "submask maximization")
+    best = 0.0
+    sub = bset.mask
+    while True:
+        if sub:
+            cand = op(fold_atoms(f.atom_values, sub, min, INF), nu(sub))
+            if cand > best:
+                best = cand
+        if sub == 0:
+            break
+        sub = (sub - 1) & bset.mask
+    return best
+
+
+def ref_density_measure(op, f, nu):
+    if isinstance(nu, MaxitiveMeasure):
+        vals = [
+            op(float(f.atom_values[i]), float(nu.atom_values[i]))
+            for i in range(nu.space.n_atoms)
+        ]
+        return MaxitiveMeasure(nu.space, vals)
+    w = _as_table(nu)
+    table = [
+        idempotent_integral(op, f, w, MeasurableSet(w.space, b)).value
+        for b in range(w.space.n_sets)
+    ]
+    return SetFunction(w.space, table)
+
+
+#: a table operation's grid is drawn from these, and so are its inputs; its
+#: values may also be -0.0, which a table document can hold
+GRID = [0.0, 0.5, 1.0, 2.0, INF]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 6), st.sampled_from([TIMES, MIN, PLUS, MAX, None]), st.data())
+def test_integral_tables_match_the_submask_walk_and_level_sweeps(k, op, data):
+    # a table operation on part of GRID raises on the pairs off its grid
+    pool = values
+    if op is None:
+        grid = sorted(data.draw(st.sets(st.sampled_from(GRID))))
+        row = st.lists(st.sampled_from([-0.0, *GRID]), min_size=len(grid), max_size=len(grid))
+        op = TableOp("drawn", grid, data.draw(st.lists(row, min_size=len(grid), max_size=len(grid))))
+        pool = st.sampled_from(GRID)
+    space = space_of(k)
+    f = MeasurableFn(space, data.draw(st.lists(pool, min_size=k, max_size=k)))
+    nu = MaxitiveMeasure(space, data.draw(st.lists(pool, min_size=k, max_size=k)))
+    n = space.n_sets - 1
+    w = SetFunction(space, [0.0] + data.draw(st.lists(pool, min_size=n, max_size=n)))
+    bset = MeasurableSet(space, data.draw(st.integers(0, space.full_mask)))
+    for measure in (nu, w, data.draw(tables(k=k))):
+        assert settled(gerritse_integral, op, f, measure, bset) == settled(
+            ref_gerritse_integral, op, f, measure, bset
+        )
+        assert settled(density_measure, op, f, measure) == settled(
+            ref_density_measure, op, f, measure
+        )
+
+
+def test_gerritse_integral_of_signed_zeros_is_zero():
+    space = space_of(2)
+    op = TableOp("zero", [0.0, 1.0], [[-0.0, -0.0], [-0.0, -0.0]])
+    f = MeasurableFn(space, [1.0, 1.0])
+    nu = MaxitiveMeasure(space, [1.0, 1.0])
+    assert bits(gerritse_integral(op, f, nu)) == bits(ref_gerritse_integral(op, f, nu)) == bits(0.0)

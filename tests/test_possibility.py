@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from maxitive import possibility
 from maxitive.additive import AdditiveMeasure
 from maxitive.errors import NonExactOperation, NotProbability, UnmappedValue
 from maxitive.integral import atom_integral
@@ -265,3 +266,27 @@ def test_conditional_suite_builds_no_function_per_block(op, monkeypatch):
         assert rep.all_hold(), rep.details
         counts[n] = len(built)
     assert counts[1600] == counts[200], counts
+
+
+def test_conditional_suite_envelope_sees_a_drop_below_an_infinite_block(monkeypatch):
+    # on a block where x is inf the envelope's lower bound is inf, and a
+    # finite conditional there must be flagged rather than compared with nan
+    sp = build_space("abc", [["a"], ["b"], ["c"]])
+    pi = PossibilitySpace.from_values(sp, [1, 0.5, 1])
+    x = MeasurableFn(sp, [INF, INF, 2])
+    sub = SubAlgebra.from_string(sp, "a+b|c")
+    real = possibility.conditional
+    calls = []
+
+    def first_call_wrong(*args):
+        y = real(*args)
+        calls.append(None)
+        if len(calls) > 1:
+            return y
+        assert list(y.atom_values[:2]) == [INF, INF]
+        return MeasurableFn(sp, [5.0, 5.0, float(y.atom_values[2])])
+
+    monkeypatch.setattr(possibility, "conditional", first_call_wrong)
+    rep = conditional_suite(TIMES, x, pi, sub)
+    assert rep.monotone is False
+    assert rep.details["envelope_block"] == 0

@@ -177,8 +177,6 @@ def test_level_sets_and_values(abc):
     assert f.level_set_ge(3).mask == 0b101
     assert f.distinct_values() == [1.0, 3.0, 4.0]
     assert f.distinct_values(abc.set_of_labels(["b"])) == [1.0]
-    assert f.min_on(0b101) == 3.0
-    assert f.min_on(0) == INF
 
 
 def test_pointwise(abc):
