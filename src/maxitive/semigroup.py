@@ -210,25 +210,26 @@ class TableOp(SemigroupOp):
             raise ValueError("values must be a square table over the grid")
         self._values = vals
 
-        def eval_fn(s, t):
+        def at(v):
             try:
-                return self._values[self._index[s]][self._index[t]]
+                return self._index[v]
             except KeyError:
-                raise ValueError(f"({s}, {t}) is off the declared grid of {name!r}")
+                raise ValueError(f"{v} is off the declared grid of {name!r}") from None
+
+        def eval_fn(s, t):
+            return self._values[at(s)][at(t)]
 
         def abs_cont(r, s):
-            if s not in self._index:
-                raise ValueError(f"{s} off grid")
-            col = self._index[s]
+            col = at(s)
             return any(self._values[i][col] >= r for i in range(len(grid)))
 
         def residual(r, s):
-            col = self._index[s]
+            col = at(s)
             cands = [grid[i] for i in range(len(grid)) if self._values[i][col] >= r]
             return min(cands)
 
         def omap(t):
-            col = self._index[t]
+            col = at(t)
             pos = [self._values[i][col] for i in range(len(grid)) if grid[i] > 0]
             return min(pos) if pos else INF
 

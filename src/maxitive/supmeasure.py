@@ -19,7 +19,9 @@ draw, so the block size changes no output, and Poisson mode draws every
 counts, each as its offset from the block's per-atom minimum in the
 narrowest unsigned integer the block needs, 2 or 4 bytes at most rates
 instead of 8. A sample is refused above MAX_SAMPLE_CELLS cells before
-anything is drawn.
+anything is drawn. The simulate command formats the rows of its --csv file
+in up to one worker process per usable CPU; the draws happen here, in this
+process and in this order, so the bytes do not depend on how many.
 
 The checks at the end hold the samplers against the theory: marginal
 distribution (one-sample KS), agreement of the two modes (two-sample KS),

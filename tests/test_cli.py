@@ -1,7 +1,9 @@
 """The command line interface, exercised through real subprocesses."""
 
+import errno
 import json
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -187,6 +189,20 @@ def test_check_prints_a_signed_zero_as_zero(tmp_path):
     assert "-0.0" not in proc.stdout
 
 
+def test_check_names_a_value_off_a_table_operation_grid(tmp_path, capsys):
+    op = write_doc(tmp_path / "op.json", {
+        "grid": [0, 1, "inf"],
+        "values": [[0, 0, 0], [0, 1, 1], [0, 1, "inf"]],
+        "left_identity": "inf",
+        "name": "json-min",
+    })
+    nu = write_doc(tmp_path / "nu.json", measure_doc("maxitive", ["a", "b"], [1, 2]))
+    assert cli.main(["check", "--measure", nu, "--order", "0", "--op", op]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: 2.0 is off the declared grid of 'json-min'\n"
+
+
 def test_esssup(docs):
     proc = run_cli("esssup", "--measure", docs["nu"], "--fn", docs["f"])
     out = json.loads(proc.stdout)
@@ -323,6 +339,32 @@ def test_simulate_refuses_before_opening_the_csv(atoms, extra, tmp_path, capsys)
     assert not csv_path.exists()
 
 
+def test_pooled_simulate_leaves_no_process_behind(tmp_path, monkeypatch, capfd):
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    csv_path = tmp_path / "draws.csv"
+    argv = ["simulate", "--atoms", "a:1,b:0.5,c:2", "--p", "2", "--n", "20000",
+            "--seed", "3", "--csv", str(csv_path)]
+    assert cli.main(argv) == 0
+    assert multiprocessing.active_children() == []
+    # the workers' stderr included
+    assert capfd.readouterr().err == ""
+    assert len(csv_path.read_text().splitlines()) == 20_001
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_pooled_simulate_on_a_full_device_exits_one_and_leaves_no_process(
+    monkeypatch, capsys
+):
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    argv = ["simulate", "--atoms", "a:1,b:0.5,c:2", "--p", "2", "--n", "20000",
+            "--seed", "3", "--csv", "/dev/full"]
+    assert cli.main(argv) == 1
+    assert multiprocessing.active_children() == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
+
+
 def test_simulate_refuses_a_set_naming_no_atom():
     proc = run_cli("simulate", "--atoms", "a:0.5,b:0.5", "--p", "2", "--n", "5",
                    "--set", " ")
@@ -350,22 +392,22 @@ def test_suite_command():
 
 
 # Runs one statement in a fresh interpreter; the last stdout line is the
-# exit code of main (or null) and the scipy modules then loaded.
-SCIPY_PROBE = """
+# exit code of main (or null) and the modules of one package then loaded.
+MODULE_PROBE = """
 import contextlib, io, json, sys
 rc = None
 with contextlib.redirect_stdout(io.StringIO()):
     {}
-print(json.dumps([rc, sorted(m for m in sys.modules if m.startswith("scipy"))]))
+print(json.dumps([rc, sorted(m for m in sys.modules if m.split(".")[0] == {!r})]))
 """
 
 
-def scipy_probe(statement):
+def module_probe(statement, package):
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", SCIPY_PROBE.format(statement)],
+        [sys.executable, "-c", MODULE_PROBE.format(statement, package)],
         capture_output=True, text=True, timeout=300, env=env,
     )
     assert proc.returncode == 0, proc.stderr
@@ -382,9 +424,27 @@ def test_the_runtime_never_imports_scipy(docs):
         # every invariant, the KS and Lambert W checks included
         main.format(["suite", "--seed", "0"]),
     ):
-        rc, loaded = scipy_probe(statement)
+        rc, loaded = module_probe(statement, "scipy")
         assert rc in (None, 0), statement
         assert loaded == [], statement
+
+
+# multiprocessing is imported only to format the rows of more than one
+# block of --csv output
+def test_short_commands_never_import_multiprocessing(docs):
+    main = "import maxitive.cli; rc = maxitive.cli.main({!r})"
+    csv_path = str(docs["tmp"] / "draws.csv")
+    for statement in (
+        "import maxitive.cli",
+        main.format(["check", "--measure", docs["nu"], "--order", "0"]),
+        main.format(["simulate", "--m", docs["m"], "--p", "2", "--n", "1000"]),
+        main.format(["simulate", "--m", docs["m"], "--p", "2", "--n", "1000",
+                     "--csv", csv_path]),
+    ):
+        rc, loaded = module_probe(statement, "multiprocessing")
+        assert rc in (None, 0), statement
+        assert loaded == [], statement
+    assert len(Path(csv_path).read_text().splitlines()) == 1001
 
 
 def test_usage_errors_exit_two():

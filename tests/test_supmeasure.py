@@ -399,15 +399,79 @@ def test_simulate_report_and_csv_match_the_reference(mode, tmp_path, capsys):
         assert_same_text(fh.read(), ref_csv(space.atom_labels(), mat, draws))
 
 
-@pytest.mark.parametrize("mode, bound_cells", [("exact", 0.5), ("poisson", 0.5)])
-def test_simulate_streams_without_an_n_by_k_matrix(mode, bound_cells, capsys):
+@pytest.mark.parametrize("block_rows", [1, 7, BLOCK_ROWS])
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("mode", ["exact", "poisson"])
+def test_csv_bytes_do_not_depend_on_the_worker_count(
+    mode, workers, block_rows, monkeypatch, tmp_path, capsys
+):
+    monkeypatch.setattr(supmeasure, "BLOCK_ROWS", block_rows)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: workers)
+    # the inputs of the two tests above: b never fires, and in exact mode
+    # d's maxima overflow to inf, outside the set (a report of over 1000
+    # draws takes quantiles, which an infinite draw would make nan)
+    if mode == "exact":
+        masses, p, eps, cols, set_arg = [0.5, 0.0, 2.0, 1e300, 1.0], 0.5, 1e-3, [0, 2, 4], "a+c+e"
+    else:
+        masses, p, eps, cols, set_arg = [0.5, 0.0, 2.0, 0.25, 1.0], 1.5, 0.05, [1, 2, 4], "b+c+e"
+    # more blocks than the two per worker in flight, the last one partial
+    n = 7 * block_rows + 3
+    space = space_of(len(masses))
+    atoms = ",".join(f"{l}:{v!r}" for l, v in zip(space.atom_labels(), masses))
+    csv_path = tmp_path / "draws.csv"
+    argv = ["simulate", "--atoms", atoms, "--p", str(p), "--n", str(n), "--seed", "41",
+            "--mode", mode, "--eps", str(eps), "--set", set_arg, "--csv", str(csv_path)]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().err == ""
+    if mode == "exact":
+        mat = ref_exact_matrix(np.asarray(masses), p, rng_for(41), n)
+        assert (mat == INF).any()
+    else:
+        mat = ref_poisson_matrix(np.asarray(masses), p, rng_for(41), n, eps)
+    assert (mat == 0.0).any() and (mat > 0).any()
+    draws = mat[:, cols].max(axis=1)
+    with open(csv_path, newline="") as fh:
+        assert_same_text(fh.read(), ref_csv(space.atom_labels(), mat, draws))
+
+
+def test_csv_of_no_replicates_is_its_header(monkeypatch, tmp_path, capsys):
+    # no block to format: no worker is started, whatever the CPU count
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    csv_path = tmp_path / "draws.csv"
+    argv = ["simulate", "--atoms", "a:1,b:2", "--p", "2", "--n", "0", "--csv", str(csv_path)]
+    assert cli.main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["draws"] == []
+    assert csv_path.read_bytes() == b"a,b,value\r\n"
+
+
+def untraced_csv_rows(rows, _csv_rows=cli._csv_rows):
+    # cli._csv_rows in a forked worker, which need not trace its allocations:
+    # only the process that forked it is measured
+    tracemalloc.stop()
+    return _csv_rows(rows)
+
+
+@pytest.mark.parametrize("mode, bound_cells, to_csv", [
+    pytest.param("exact", 0.5, False, id="exact-0.5"),
+    pytest.param("poisson", 0.5, False, id="poisson-0.5"),
+    pytest.param("exact", 0.5, True, id="exact-0.5-csv"),
+])
+def test_simulate_streams_without_an_n_by_k_matrix(
+    mode, bound_cells, to_csv, monkeypatch, tmp_path, capsys
+):
     # tracemalloc sees numpy's buffers. Exact mode holds one block and the n
     # set values; Poisson mode adds the counts as offsets from their block
     # minimum, 2 bytes a cell at these rates. A float64 or int64 n x k matrix
-    # (8 bytes a cell) breaks the bound.
+    # (8 bytes a cell) breaks the bound. With --csv, two forked workers
+    # format the rows and at most four blocks' arrays or text are in flight;
+    # handing every block to them at once breaks it too.
     n, k = 200_000, 12
     atoms = ",".join(f"{l}:{0.1 * (i + 1)!r}" for i, l in enumerate(LABELS[:k]))
     argv = ["simulate", "--atoms", atoms, "--p", "2", "--n", str(n), "--mode", mode]
+    if to_csv:
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(cli, "_csv_rows", untraced_csv_rows)
+        argv += ["--csv", str(tmp_path / "draws.csv")]
     tracemalloc.start()
     try:
         assert cli.main(argv) == 0
