@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import collections
 import csv
+import math
 import os
 import sys
 
@@ -300,6 +301,23 @@ def _write_csv(fh, header, blocks, n_blocks):
         pool.join()
 
 
+def _quantiles(draws, qs):
+    """np.quantile's linear interpolation, taken to its limit at inf draws.
+
+    Where an inf order statistic has positive weight the quantile is inf,
+    and where its weight is 0 it is the lower order statistic; numpy forms
+    inf - inf or inf * 0 there and returns NaN. Other quantiles are numpy's.
+    """
+    with np.errstate(invalid="ignore"):
+        out = np.quantile(draws, qs)
+    nan = np.isnan(out)
+    if nan.any():
+        at = (len(draws) - 1) * np.asarray(qs)
+        lower = np.quantile(draws, qs, method="lower")
+        out[nan] = np.where(at == np.floor(at), lower, math.inf)[nan]
+    return out
+
+
 def _cmd_simulate(args):
     if not args.p > 0:
         raise ValueError(f"--p must be a positive tail index, got {args.p}")
@@ -353,10 +371,9 @@ def _cmd_simulate(args):
         payload["draws"] = [float(v) for v in draws]
     else:
         qs = (0.01, 0.05, 0.25, 0.5, 0.75, 0.95, 0.99)
-        payload["quantiles"] = {
-            str(q): float(v) for q, v in zip(qs, np.quantile(draws, qs))
-        }
-        payload["mean"] = float(draws.mean())
+        payload["quantiles"] = {str(q): float(v) for q, v in zip(qs, _quantiles(draws, qs))}
+        # an inf draw makes the mean inf; the finite sum before it may overflow
+        payload["mean"] = math.inf if np.isinf(draws).any() else float(draws.mean())
     if args.csv:
         payload["csv"] = args.csv
     _emit("simulate", payload)
@@ -378,6 +395,17 @@ def _cmd_suite(args):
 # ---------------------------------------------------------------------------
 
 
+def _tolerance(text):
+    """A --tolerance in [0, 1); at 1 or more every two finite values are close."""
+    try:
+        tol = float(text)
+    except ValueError:
+        tol = math.nan
+    if not 0.0 <= tol < 1.0:
+        raise argparse.ArgumentTypeError(f"must be a number in [0, 1), got {text!r}")
+    return tol
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="maxitive",
@@ -386,8 +414,8 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_tol(p):
-        p.add_argument("--tolerance", type=float, default=1e-9,
-                       help="numeric comparison tolerance (default 1e-9)")
+        p.add_argument("--tolerance", type=_tolerance, default=1e-9,
+                       help="numeric comparison tolerance in [0, 1) (default 1e-9)")
 
     p = sub.add_parser("check", help="classify a set function and test alternation")
     p.add_argument("--measure", required=True, help="measure JSON document")

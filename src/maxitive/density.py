@@ -38,6 +38,7 @@ from .spaces import (
     partition_dp,
     per_distinct,
     vclose,
+    vle,
 )
 
 
@@ -58,8 +59,7 @@ def odot_abs_continuous(op, nu, tau, tol=DEFAULT_TOL):
     if nu_t.space is not tau_t.space and nu_t.space != tau_t.space:
         raise ValueError("measures live on different spaces")
     bound = per_distinct(lambda v: op(INF, v), tau_t.table)
-    with np.errstate(invalid="ignore"):  # tol = 0 times an infinite bound
-        b = first_flagged(nu_t.table > bound + tol * np.maximum(1.0, np.abs(bound)))
+    b = first_flagged(~vle(nu_t.table, bound, tol))
     if b is not None:
         return AbsContReport(holds=False, op=op.name, witness=b)
     return AbsContReport(holds=True, op=op.name)
@@ -193,14 +193,12 @@ def envelope_density(nu, m, tol=DEFAULT_TOL, force_transform=False):
         c = c1
         env = env1
     # the density must agree with nu on every atom m charges
-    for i in range(space.n_atoms):
-        if float(m.atom_masses[i]) > 0 and not close(
-            float(c.atom_values[i]), float(nu.atom_values[i]), tol
-        ):
-            raise NoDensity(
-                f"envelope density {float(c.atom_values[i])} differs from "
-                f"nu {float(nu.atom_values[i])} on atom {i}"
-            )
+    i = first_flagged((m.atom_masses > 0) & ~vclose(c.atom_values, nu.atom_values, tol))
+    if i is not None:
+        raise NoDensity(
+            f"envelope density {float(c.atom_values[i])} differs from "
+            f"nu {float(nu.atom_values[i])} on atom {i}"
+        )
     recon = True
     if np.isfinite(m.atom_masses).all():
         recon = _reconstruct(nu, m, env, tol)
@@ -229,9 +227,7 @@ def density_from_associated(op, mu, c1, c2, tol=DEFAULT_TOL):
     nu = esssup_measure(mu_t, c1, tol)
     tau = esssup_measure(mu_t, c2, tol)
     bound = per_distinct(lambda v: op(INF, v), c2.atom_values)
-    with np.errstate(invalid="ignore"):  # tol = 0 times an infinite bound
-        escapes = c1.atom_values > bound + tol * np.maximum(1.0, np.abs(bound))
-    bad = mask_of(np.flatnonzero(escapes))
+    bad = mask_of(np.flatnonzero(~vle(c1.atom_values, bound, tol)))
     if bad and not negligible(mu_t, bad):
         raise NegligibilityViolation(
             f"c1 escapes the scalar bound on a non-negligible set, mask {bad}"

@@ -23,9 +23,9 @@ from .spaces import (
     SetFunction,
     atom_table,
     close,
-    esub,
     per_distinct,
     require_budget,
+    vsub,
 )
 
 #: largest set (in atoms) whose 2^k submasks gerritse_integral tabulates;
@@ -141,16 +141,6 @@ def density_measure(op, f, nu):
     return SetFunction(w.space, cand.max(axis=(1, 2)))
 
 
-def _abs_diff(f, g):
-    """|f - g| pointwise with equal infinities treated as distance zero."""
-    space = f.space
-    vals = []
-    for i in range(space.n_atoms):
-        a, b = float(f.atom_values[i]), float(g.atom_values[i])
-        vals.append(abs(esub(a, b)))
-    return MeasurableFn(space, vals)
-
-
 def ky_fan_distance(nu, f, g, bset=None):
     """inf of t > 0 with nu(|f - g| > t) <= t, by segment analysis.
 
@@ -161,7 +151,8 @@ def ky_fan_distance(nu, f, g, bset=None):
     """
     nu = _coerce_measure(nu)
     bset = _fullset(nu, bset)
-    d = _abs_diff(f, g)
+    # |f - g|, equal infinities at distance zero
+    d = MeasurableFn(f.space, np.abs(vsub(f.atom_values, g.atom_values)))
     vs = [0.0] + d.distinct_values(bset)
     if vs[-1] != INF:
         vs = vs + [INF]

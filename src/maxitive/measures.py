@@ -43,6 +43,7 @@ from .spaces import (
     close,
     first_flagged,
     fold_atoms,
+    le,
     mask_of,
     max_over_submasks,
     partition_dp,
@@ -51,6 +52,8 @@ from .spaces import (
     submasks,
     union_of,
     vclose,
+    vle,
+    vsub,
 )
 
 #: largest atom count whose set partitions total_variation sweeps
@@ -137,7 +140,7 @@ def is_monotone(w, tol=DEFAULT_TOL):
     masks = np.arange(w.space.n_sets)
     for i in range(w.space.n_atoms):
         bigger = table[masks | (1 << i)]
-        b = first_flagged((bigger < table) & ~vclose(table, bigger, tol))
+        b = first_flagged(~vle(table, bigger, tol))
         if b is not None:
             return False, (b, b | (1 << i))
     return True, None
@@ -427,16 +430,6 @@ class AlternationReport:
     min_signed_value: float
 
 
-def _vsub(a, b):
-    """Vectorized extended subtraction: equal-signed infinities cancel."""
-    with np.errstate(invalid="ignore"):
-        d = a - b
-    bad = np.isnan(d)
-    if bad.any():
-        d = np.where(bad, 0.0, d)
-    return d
-
-
 def choquet_alternating(w, order, tol=DEFAULT_TOL):
     """Check the alternating sign of iterated successive differences.
 
@@ -462,13 +455,13 @@ def choquet_alternating(w, order, tol=DEFAULT_TOL):
     witness = None
     min_signed = INF
     for depth in range(1, order + 1):
-        cur = _vsub(cur[or_tab], cur[:, None])
+        cur = vsub(cur[or_tab], cur[:, None])
         sign = 1.0 if depth % 2 == 1 else -1.0
         signed = sign * cur
         m = float(np.min(signed))
         if m < min_signed:
             min_signed = m
-        if ok and m < -tol:
+        if ok and not le(0.0, m, tol):
             flat = int(np.argmin(signed))
             idx = np.unravel_index(flat, signed.shape)
             witness = tuple(int(i) for i in idx)

@@ -28,7 +28,19 @@ from .errors import (
 from .integral import atom_integral, idempotent_integral
 from .measures import MaxitiveMeasure, delta_measure
 from .semigroup import TIMES
-from .spaces import DEFAULT_TOL, MeasurableFn, MeasurableSet, as_mask, atoms_of, close, mask_of
+from .spaces import (
+    DEFAULT_TOL,
+    MeasurableFn,
+    MeasurableSet,
+    as_mask,
+    atoms_of,
+    close,
+    first_flagged,
+    le,
+    mask_of,
+    vclose,
+    vle,
+)
 
 
 class PossibilitySpace:
@@ -324,12 +336,10 @@ def conditional_suite(op, x, pi, sub, tol=DEFAULT_TOL):
     shift = float(np.median([v for v in x.atom_values if math.isfinite(v)] or [1.0]))
     x_up = x.pointwise(max, MeasurableFn.constant(space, shift))
     y_up = conditional(op, x_up, pi, sub, tol)
-    monotone = True
-    for i in range(space.n_atoms):
-        if float(y_up.atom_values[i]) < float(y.atom_values[i]) - tol:
-            monotone = False
-            details["monotone_atom"] = i
-            break
+    drop = first_flagged(~vle(y.atom_values, y_up.atom_values, tol))
+    monotone = drop is None
+    if not monotone:
+        details["monotone_atom"] = drop
     if monotone and op.name in ("times", "min"):
         # envelope: the conditional stays inside the block's value range,
         # floored at the block possibility for min
@@ -341,9 +351,7 @@ def conditional_suite(op, x, pi, sub, tol=DEFAULT_TOL):
             y_b = float(y.atom_values[idx[0]])
             hi = max(xs)
             lo = min(xs) if op.name == "times" else min(min(xs), pi.measure(b))
-            if (y_b > hi and not close(y_b, hi, tol)) or (
-                y_b < lo and not close(y_b, lo, tol)
-            ):
+            if not (le(y_b, hi, tol) and le(lo, y_b, tol)):
                 monotone = False
                 details["envelope_block"] = j
                 break
@@ -354,12 +362,10 @@ def conditional_suite(op, x, pi, sub, tol=DEFAULT_TOL):
         xs = lam_fn.pointwise(op, x)
         ys = conditional(op, xs, pi, sub, tol)
         expect = lam_fn.pointwise(op, y)
-        for i in range(space.n_atoms):
-            if not close(float(ys.atom_values[i]), float(expect.atom_values[i]), tol):
-                scaling = False
-                details["scaling"] = (lam, i)
-                break
-        if not scaling:
+        i = first_flagged(~vclose(ys.atom_values, expect.atom_values, tol))
+        if i is not None:
+            scaling = False
+            details["scaling"] = (lam, i)
             break
 
     tower = True
@@ -367,13 +373,10 @@ def conditional_suite(op, x, pi, sub, tol=DEFAULT_TOL):
         coarse = sub.coarsened()
         direct = conditional(op, x, pi, coarse, tol)
         two_step = conditional(op, y, pi, coarse, tol)
-        for i in range(space.n_atoms):
-            if not close(
-                float(direct.atom_values[i]), float(two_step.atom_values[i]), tol
-            ):
-                tower = False
-                details["tower_atom"] = i
-                break
+        i = first_flagged(~vclose(direct.atom_values, two_step.atom_values, tol))
+        if i is not None:
+            tower = False
+            details["tower_atom"] = i
 
     # conditioning a block-measurable function returns a version of it;
     # conditional has already held the integrals of ym to those of y

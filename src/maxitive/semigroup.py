@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import NotAbsolutelyContinuous
-from .spaces import DEFAULT_TOL, INF, close, esub
+from .spaces import DEFAULT_TOL, INF, close, esub, le
 
 
 def _times(s, t):
@@ -395,9 +395,7 @@ def verify_axioms(op, grid=None, tol=DEFAULT_TOL, jump_tol=0.2):
         prev_l = prev_r = -INF
         for s in svals:
             l, r = op(s, t), op(t, s)
-            if (l < prev_l and not close(l, prev_l, tol)) or (
-                r < prev_r and not close(r, prev_r, tol)
-            ):
+            if not (le(prev_l, l, tol) and le(prev_r, r, tol)):
                 monotone = False
                 wit["monotone"] = (s, t)
                 break
@@ -463,10 +461,7 @@ def galois_holds(op, r, s, t, tol=DEFAULT_TOL):
     Values within tolerance count as below; infinities compare exactly.
     """
     lhs_val = op(t, s)
-    lhs = r <= lhs_val or close(r, lhs_val, tol)
-    res = op.residual(r, s)
-    rhs = res <= t or close(res, t, tol)
-    return lhs == rhs
+    return le(r, op(t, s), tol) == le(op.residual(r, s), t, tol)
 
 
 def exactness_holds(op, r, s, tol=DEFAULT_TOL):

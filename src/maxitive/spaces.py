@@ -6,9 +6,16 @@ set is a bitmask over atom indices (a Python int, so any atom count fits) and
 a measurable function is constant on atoms. Masks are decoded into atom
 indices only through :func:`atoms_of` and built from them only through
 :func:`mask_of`; both cost a step per atom in the set. Values live on the
-extended half-line [0, inf], represented as plain floats with math.inf; the
-arithmetic conventions 0*inf = 0 and inf - inf = 0 are applied by the
-operation evaluators and by :func:`esub`.
+extended half-line [0, inf], represented as plain floats with math.inf.
+Each convention on them has one home:
+
+- tolerant equality is :func:`close` (and :func:`vclose` on arrays): exact
+  at equal values, so at 0 and inf, and otherwise within
+  ``tol * max(1, |a|, |b|)``;
+- the tolerant order is :func:`le` (and :func:`vle`): a <= b, or a and b
+  are close; a drop from inf is never within tolerance;
+- inf - inf = 0 is :func:`esub` (and :func:`vsub`);
+- 0 * inf = 0 is applied by the operation evaluators of ``semigroup``.
 """
 
 from __future__ import annotations
@@ -60,11 +67,31 @@ def vclose(a, b, tol=DEFAULT_TOL):
     return eq | near
 
 
+def le(a, b, tol=DEFAULT_TOL):
+    """Tolerant order: a <= b, or :func:`close`; inf stays above every finite value."""
+    return a <= b or close(a, b, tol)
+
+
+def vle(a, b, tol=DEFAULT_TOL):
+    """Vectorized :func:`le` on numpy arrays. Returns a boolean array."""
+    return (np.asarray(a) <= np.asarray(b)) | vclose(a, b, tol)
+
+
 def esub(a, b):
     """Extended subtraction: same-signed infinities cancel to 0."""
     if math.isinf(a) and math.isinf(b) and a == b:
         return 0.0
     return a - b
+
+
+def vsub(a, b):
+    """Vectorized :func:`esub` on NaN-free arrays: equal infinities cancel."""
+    with np.errstate(invalid="ignore"):
+        d = np.subtract(a, b)
+    bad = np.isnan(d)
+    if bad.any():
+        d = np.where(bad, 0.0, d)
+    return d
 
 
 def as_value(x):

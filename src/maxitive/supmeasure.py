@@ -255,15 +255,20 @@ def sample_supmeasure(m, p, rng, mode="exact", eps=1e-3, keep_points=False):
     )
 
 
-def extremal_integral(f, m, p):
-    """The Frechet scale of M(f): the p-norm of f against the control mass."""
+def _scale_p(f, m, p):
+    """The sum of f_i^p m_i over the atoms where both are positive, in order."""
     total = 0.0
     for i in range(m.space.n_atoms):
         fi = float(f.atom_values[i])
         mi = float(m.atom_masses[i])
         if fi > 0 and mi > 0:
             total += fi**p * mi
-    return total ** (1.0 / p)
+    return total
+
+
+def extremal_integral(f, m, p):
+    """The Frechet scale of M(f): the p-norm of f against the control mass."""
+    return _scale_p(f, m, p) ** (1.0 / p)
 
 
 # ---------------------------------------------------------------------------
@@ -480,12 +485,7 @@ def tail_ratio_check(f, m, p, rng, n, slowly="const", level=0.999, band=(0.9, 1.
     if not (draws > 0).any():
         raise ValueError("no positive draws; f or m is identically zero")
     xq = float(np.quantile(draws, level))
-    scale_p = sum(
-        float(f.atom_values[i]) ** p * float(m.atom_masses[i])
-        for i in range(space.n_atoms)
-        if float(f.atom_values[i]) > 0 and float(m.atom_masses[i]) > 0
-    )
-    predicted = scale_p * xq ** (-p) * _slowly_varying(slowly, xq)
+    predicted = _scale_p(f, m, p) * xq ** (-p) * _slowly_varying(slowly, xq)
     empirical = 1.0 - level
     ratio = empirical / predicted
     return TailReport(

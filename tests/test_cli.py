@@ -453,6 +453,28 @@ def test_usage_errors_exit_two():
     assert run_cli().returncode == 2
 
 
+TOLERANT_COMMANDS = ("check", "integrate", "esssup", "density", "decompose", "variation",
+                     "condition", "suite")
+
+
+@pytest.mark.parametrize("value", ["nan", "-1", "inf", "1", "2"])
+@pytest.mark.parametrize("command", TOLERANT_COMMANDS)
+def test_tolerance_outside_zero_one_is_a_usage_error(command, value, capsys):
+    # at 1 or more every two finite values are close, so no verdict means anything
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--tolerance", value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument --tolerance: must be a number in [0, 1), got '{value}'" in err
+
+
+@pytest.mark.parametrize("value", ["0", "1e-9"])
+def test_tolerance_in_zero_one_still_runs(value, docs, capsys):
+    assert cli.main(["check", "--measure", docs["nu"], "--tolerance", value]) == 0
+    assert json.loads(capsys.readouterr().out)["command"] == "check"
+    assert cli.main(["suite", "--ids", "kyfan-metric", "--tolerance", value]) == 0
+
+
 def test_unknown_operation_exits_one(docs):
     proc = run_cli(
         "integrate", "--op", "sum", "--measure", docs["nu"], "--fn", docs["f"]

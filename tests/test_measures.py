@@ -166,6 +166,18 @@ def test_alternation_rejects_unanimity():
     assert -direct == rep.min_signed_value
 
 
+@pytest.mark.parametrize("tol", [0.0, 1e-9, 0.5])
+def test_alternation_passes_a_drop_of_exactly_tol_and_fails_one_ulp_more(tol):
+    sp = build_space("ab", [["a"], ["b"]])
+    # the least signed difference is w({a, b}) - w({a}) = -w({a})
+    edge = choquet_alternating(SetFunction(sp, [0, tol, 0, 0]), order=1, tol=tol)
+    assert edge.ok and edge.min_signed_value == -tol
+    below = math.nextafter(tol, INF)
+    over = choquet_alternating(SetFunction(sp, [0, below, 0, 0]), order=1, tol=tol)
+    assert not over.ok and over.min_signed_value == -below
+    assert over.witness == (1, 2)
+
+
 def test_alternation_budget():
     sp = build_space("abcdefgh", [[c] for c in "abcdefgh"])
     nu = MaxitiveMeasure(sp, range(1, 9))

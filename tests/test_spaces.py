@@ -23,9 +23,12 @@ from maxitive.spaces import (
     build_space,
     close,
     esub,
+    le,
     set_partitions,
     submasks,
     vclose,
+    vle,
+    vsub,
 )
 
 
@@ -136,6 +139,65 @@ def test_close_and_esub():
     assert esub(INF, 3.0) == INF
     assert list(vclose([1.0, INF], [1.0 + 1e-12, INF])) == [True, True]
     assert list(vclose([INF], [1e300])) == [False]
+
+
+def ref_le(a, b, tol):
+    """a <= b, or a - b within tol * max(1, |a|, |b|); an infinite drop never is."""
+    if a <= b:
+        return True
+    if math.isinf(a) or math.isinf(b):
+        return False
+    return a - b <= tol * max(1.0, abs(a), abs(b))
+
+
+TOLS = st.sampled_from([0.0, 1e-9, 0.5])
+SPECIAL = st.sampled_from([0.0, -0.0, INF, -INF, 1.0])
+SIGNED = st.one_of(SPECIAL, st.floats(-1e12, 1e12), st.floats(0.0, 2.0))
+
+
+@st.composite
+def order_pairs(draw):
+    """(a, b, tol) with b often at the slack edge below a, give or take an ulp."""
+    tol = draw(TOLS)
+    a = draw(SIGNED)
+    edge = a - tol * max(1.0, abs(a)) if math.isfinite(a) else a
+    b = draw(st.one_of(SIGNED, st.just(a), st.just(edge)))
+    for _ in range(draw(st.integers(0, 3))):
+        b = math.nextafter(b, draw(st.sampled_from([INF, -INF])))
+    return a, b, tol
+
+
+@settings(max_examples=400)
+@given(order_pairs())
+def test_le_matches_the_scalar_reference(pair):
+    a, b, tol = pair
+    assert le(a, b, tol) == ref_le(a, b, tol)
+    assert le(a, a, tol)
+
+
+@settings(max_examples=100)
+@given(st.lists(order_pairs(), min_size=1, max_size=12), TOLS)
+def test_vle_is_le_elementwise(pairs, tol):
+    a = np.array([x for x, _, _ in pairs])
+    b = np.array([y for _, y, _ in pairs])
+    assert vle(a, b, tol).tolist() == [le(x, y, tol) for x, y in zip(a.tolist(), b.tolist())]
+
+
+def test_le_keeps_inf_above_every_finite_value():
+    for tol in (0.0, 1e-9, 0.5):
+        assert le(1e300, INF, tol) and le(INF, INF, tol)
+        assert not le(INF, 1e300, tol)
+        assert le(1.0 + tol / 2, 1.0, tol)
+    assert vle([INF, 0.0, -0.0], [1e300, -0.0, 0.0], 0.0).tolist() == [False, True, True]
+
+
+@settings(max_examples=200)
+@given(st.lists(st.tuples(SIGNED, SIGNED), min_size=1, max_size=12))
+def test_vsub_is_esub_elementwise(pairs):
+    a = np.array([x for x, _ in pairs])
+    b = np.array([y for _, y in pairs])
+    want = np.array([esub(x, y) for x, y in pairs])
+    assert vsub(a, b).view(np.int64).tolist() == want.view(np.int64).tolist()
 
 
 def test_as_value_rejects_bad_scalars():

@@ -399,6 +399,45 @@ def test_simulate_report_and_csv_match_the_reference(mode, tmp_path, capsys):
         assert_same_text(fh.read(), ref_csv(space.atom_labels(), mat, draws))
 
 
+def ref_quantile(draws, q):
+    """The limit of linear interpolation between order statistics at q."""
+    s = np.sort(draws)
+    at = (len(s) - 1) * q
+    lo = math.floor(at)
+    if at == lo:
+        return float(s[lo])
+    if math.isinf(s[lo + 1]):
+        return INF
+    return float(np.quantile(draws, q))
+
+
+def test_quantiles_take_their_limit_at_infinite_draws():
+    got = cli._quantiles(np.array([1.0, 2.0, INF, INF]), (1 / 3, 1 / 2, 2 / 3, 1.0, 0.0, 0.25))
+    assert got.tolist() == [2.0, INF, INF, INF, 1.0, 1.75]
+    finite = rng_for(5).standard_exponential(1001) ** 3
+    qs = (0.01, 0.05, 0.25, 0.5, 0.75, 0.95, 0.99)
+    assert cli._quantiles(finite, qs).tobytes() == np.quantile(finite, qs).tobytes()
+
+
+@pytest.mark.parametrize("mass", ["1e300", "1e153"])
+def test_simulate_reports_quantiles_of_infinite_draws(mass, capfd):
+    # every draw of a 1e300 atom overflows at p = 0.5, and some of a 1e153 one
+    n = 2000
+    assert cli.main(["simulate", "--atoms", f"a:{mass},b:1", "--p", "0.5", "--n", str(n)]) == 0
+    out, err = capfd.readouterr()
+    assert err == ""
+    report = json.loads(out)
+    draws = ref_exact_matrix(np.array([float(mass), 1.0]), 0.5, rng_for(0), n).max(axis=1)
+    assert report["quantiles"] == {
+        str(q): "inf" if math.isinf(v) else v for q, v in ((q, ref_quantile(draws, q)) for q in QS)
+    }
+    assert report["mean"] == "inf"
+    if mass == "1e153":
+        assert report["quantiles"]["0.01"] != "inf" and report["quantiles"]["0.99"] == "inf"
+    else:
+        assert set(report["quantiles"].values()) == {"inf"}
+
+
 @pytest.mark.parametrize("block_rows", [1, 7, BLOCK_ROWS])
 @pytest.mark.parametrize("workers", [1, 2, 3])
 @pytest.mark.parametrize("mode", ["exact", "poisson"])
@@ -408,10 +447,9 @@ def test_csv_bytes_do_not_depend_on_the_worker_count(
     monkeypatch.setattr(supmeasure, "BLOCK_ROWS", block_rows)
     monkeypatch.setattr(cli, "_usable_cpus", lambda: workers)
     # the inputs of the two tests above: b never fires, and in exact mode
-    # d's maxima overflow to inf, outside the set (a report of over 1000
-    # draws takes quantiles, which an infinite draw would make nan)
+    # d's maxima overflow to inf
     if mode == "exact":
-        masses, p, eps, cols, set_arg = [0.5, 0.0, 2.0, 1e300, 1.0], 0.5, 1e-3, [0, 2, 4], "a+c+e"
+        masses, p, eps, cols, set_arg = [0.5, 0.0, 2.0, 1e300, 1.0], 0.5, 1e-3, [0, 2, 3, 4], "a+c+d+e"
     else:
         masses, p, eps, cols, set_arg = [0.5, 0.0, 2.0, 0.25, 1.0], 1.5, 0.05, [1, 2, 4], "b+c+e"
     # more blocks than the two per worker in flight, the last one partial
