@@ -8,8 +8,8 @@ other; the checkers compute each side independently so the collapse is a
 verified output, not an assumption. Localizability is the exception: a
 finite algebra gives it to every measure, so it is returned with its reason.
 ``from_set_function``, the sigma- and semi-finiteness checks and
-``family_essential_supremum`` read the whole 2^k table of atom sums, so they
-share the 12-atom table cap.
+``family_essential_supremum`` read the whole 2^k table of atom sums, priced
+as an atom table: k 2^k cells, which admit 21 atoms.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from .spaces import (
     MeasurableSet,
     SetFunction,
     as_mask,
+    as_table,
     as_values,
     atom_table,
     first_flagged,
@@ -36,6 +37,7 @@ from .spaces import (
     mask_of,
     max_over_submasks,
     per_distinct,
+    require_table,
     union_of,
     vclose,
 )
@@ -56,6 +58,7 @@ class AdditiveMeasure:
 
     def to_set_function(self):
         if self._table is None:
+            require_table(self.space.n_atoms)
             self._table = SetFunction(self.space, atom_table(self.atom_masses))
         return self._table
 
@@ -220,7 +223,7 @@ def choquet_integral(f, w, bset=None):
     Riemann sum of w(bset & {f > t}) over the segments between consecutive
     values of f; reduces to the Lebesgue integral when w is additive.
     """
-    w = w if isinstance(w, SetFunction) else w.to_set_function()
+    w = as_table(w)
     if bset is None:
         bset = w.space.full()
     vs = [0.0] + f.distinct_values(bset)

@@ -36,7 +36,7 @@ from .measures import (
 )
 from .possibility import PossibilitySpace, conditional, conditional_suite
 from .semigroup import TableOp, by_name, builtin_names, verify_axioms
-from .spaces import MeasurableFn, SetFunction, build_space
+from .spaces import MeasurableFn, SetFunction, as_table, build_space
 from .supmeasure import sample_blocks
 from .suites import INVARIANTS, run_all
 
@@ -117,7 +117,7 @@ def _emit(command, payload):
 
 def _cmd_check(args):
     obj = _need_measure(_load(args.measure), "--measure")
-    w = obj.to_set_function() if not isinstance(obj, SetFunction) else obj
+    w = as_table(obj)
     rep = classify(w, tol=args.tolerance)
     payload = {"properties": rep}
     if args.order > 0:
@@ -151,7 +151,7 @@ def _cmd_integrate(args):
 def _cmd_esssup(args):
     tau = _need_measure(_load(args.measure), "--measure")
     f = _need_fn(_load(args.fn), "--fn")
-    w = tau.to_set_function() if not isinstance(tau, SetFunction) else tau
+    w = as_table(tau)
     bset = modelio.parse_set(w.space, args.set) if args.set else w.space.full()
     val = essential_supremum(w, f, bset, tol=args.tolerance)
     _emit("esssup", {"value": val, "set": bset})
@@ -372,8 +372,12 @@ def _cmd_simulate(args):
     else:
         qs = (0.01, 0.05, 0.25, 0.5, 0.75, 0.95, 0.99)
         payload["quantiles"] = {str(q): float(v) for q, v in zip(qs, _quantiles(draws, qs))}
-        # an inf draw makes the mean inf; the finite sum before it may overflow
-        payload["mean"] = math.inf if np.isinf(draws).any() else float(draws.mean())
+        # inf at an inf draw; where only a finite sum overflows, sum draws / n
+        with np.errstate(over="ignore"):
+            mean = float(draws.mean())
+        if math.isinf(mean) and np.isfinite(draws).all():
+            mean = float(np.sum(draws / args.n))
+        payload["mean"] = mean
     if args.csv:
         payload["csv"] = args.csv
     _emit("simulate", payload)

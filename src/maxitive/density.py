@@ -24,11 +24,12 @@ from .errors import (
     NotOdotAbsolutelyContinuous,
     OracleMismatch,
 )
-from .measures import MaxitiveMeasure, _as_table, _null_atoms, esssup_measure, negligible
+from .measures import MaxitiveMeasure, _null_atoms, esssup_measure, negligible
 from .spaces import (
     DEFAULT_TOL,
     INF,
     MeasurableFn,
+    as_table,
     atom_flags,
     atom_table,
     close,
@@ -54,8 +55,8 @@ def odot_abs_continuous(op, nu, tau, tol=DEFAULT_TOL):
 
     The bound inf (.) tau(B) is computed once per distinct value of tau.
     """
-    nu_t = _as_table(nu)
-    tau_t = _as_table(tau)
+    nu_t = as_table(nu)
+    tau_t = as_table(tau)
     if nu_t.space is not tau_t.space and nu_t.space != tau_t.space:
         raise ValueError("measures live on different spaces")
     bound = per_distinct(lambda v: op(INF, v), tau_t.table)
@@ -74,7 +75,7 @@ def verify_density(op, f, nu, tau, tol=DEFAULT_TOL):
     if not isinstance(tau, MaxitiveMeasure):
         raise TypeError("atom form needs a MaxitiveMeasure")
     got = atom_table(per_distinct(op, f.atom_values, tau.atom_values), np.maximum)
-    b = first_flagged(~vclose(got, _as_table(nu).table, tol))
+    b = first_flagged(~vclose(got, as_table(nu).table, tol))
     return b is None, b
 
 
@@ -109,7 +110,7 @@ def rn_density(op, nu, tau, tol=DEFAULT_TOL):
 
 def ae_equal(w, f, g, tol=DEFAULT_TOL):
     """Whether f and g agree outside a w-negligible set."""
-    w = _as_table(w)
+    w = as_table(w)
     diff = mask_of(np.flatnonzero(~vclose(f.atom_values, g.atom_values, tol)))
     return negligible(w, diff)
 
@@ -128,8 +129,8 @@ def envelope_measure(nu, m, tol=DEFAULT_TOL):
     additive, so it is returned as an AdditiveMeasure.
     """
     space = nu.space
-    nu_t = _as_table(nu).table
-    m_t = _as_table(m).table
+    nu_t = as_table(nu).table
+    m_t = as_table(m).table
     with np.errstate(invalid="ignore"):  # 0 * inf, replaced by 0
         cost = np.where((nu_t == 0.0) | (m_t == 0.0), 0.0, nu_t * m_t)
     dp = partition_dp(cost, np.minimum)
@@ -159,7 +160,7 @@ def _reconstruct(nu, m, env, tol):
         ratio = np.where(np.isinf(env_t), INF, env_t / mass)
     charged = (0.0 < mass) & (mass < INF)
     best = max_over_submasks(np.where(charged, ratio, 0.0))
-    return bool(vclose(_as_table(nu).table, best, tol).all())
+    return bool(vclose(as_table(nu).table, best, tol).all())
 
 
 def envelope_density(nu, m, tol=DEFAULT_TOL, force_transform=False):
@@ -222,7 +223,7 @@ def density_from_associated(op, mu, c1, c2, tol=DEFAULT_TOL):
     happens in particular when the operation is not exact at the needed
     pairs.
     """
-    mu_t = _as_table(mu)
+    mu_t = as_table(mu)
     space = mu_t.space
     nu = esssup_measure(mu_t, c1, tol)
     tau = esssup_measure(mu_t, c2, tol)

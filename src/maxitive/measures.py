@@ -25,7 +25,6 @@ import numpy as np
 from .additive import AdditiveMeasure
 from .errors import (
     DecompositionVerificationFailed,
-    ExplicitBudgetExceeded,
     NotMonotone,
     NotNullAdditive,
     OracleMismatch,
@@ -36,6 +35,7 @@ from .spaces import (
     MeasurableSet,
     SetFunction,
     as_mask,
+    as_table,
     as_values,
     atom_flags,
     atom_table,
@@ -48,6 +48,8 @@ from .spaces import (
     max_over_submasks,
     partition_dp,
     per_distinct,
+    require_budget,
+    require_table,
     set_partitions,
     submasks,
     union_of,
@@ -55,13 +57,6 @@ from .spaces import (
     vle,
     vsub,
 )
-
-#: largest atom count whose set partitions total_variation sweeps
-VARIATION_ATOMS = 10
-
-#: largest table of iterated differences choquet_alternating builds
-MAX_ALTERNATION_CELLS = 1 << 21
-
 
 class MaxitiveMeasure:
     """A measure with nu(B1 | B2) = max(nu(B1), nu(B2)) and nu(empty) = 0."""
@@ -78,6 +73,7 @@ class MaxitiveMeasure:
 
     def to_set_function(self):
         if self._table is None:
+            require_table(self.space.n_atoms)
             table = atom_table(self.atom_values, np.maximum)
             self._table = SetFunction(self.space, table)
         return self._table
@@ -106,13 +102,6 @@ class MaxitiveMeasure:
         return f"MaxitiveMeasure({list(map(float, self.atom_values))})"
 
 
-def _as_table(w):
-    """Accept a SetFunction or anything with to_set_function()."""
-    if isinstance(w, SetFunction):
-        return w
-    return w.to_set_function()
-
-
 def _zero_masks(table):
     return np.nonzero(table == 0.0)[0]
 
@@ -124,7 +113,7 @@ def _null_atoms(table):
 
 def negligible(w, bset):
     """Whether the set is contained in some measurable zero set of ``w``."""
-    w = _as_table(w)
+    w = as_table(w)
     mask = as_mask(bset)
     return bool(((_zero_masks(w.table) & mask) == mask).any())
 
@@ -135,7 +124,7 @@ def negligible(w, bset):
 
 
 def is_monotone(w, tol=DEFAULT_TOL):
-    w = _as_table(w)
+    w = as_table(w)
     table = w.table
     masks = np.arange(w.space.n_sets)
     for i in range(w.space.n_atoms):
@@ -147,7 +136,7 @@ def is_monotone(w, tol=DEFAULT_TOL):
 
 
 def is_normed(w, tol=DEFAULT_TOL):
-    w = _as_table(w)
+    w = as_table(w)
     top = float(np.max(w.table))
     return (close(top, 1.0, tol), None if close(top, 1.0, tol) else top)
 
@@ -159,7 +148,7 @@ def is_null_additive(w, tol=DEFAULT_TOL):
     table with nu(B | U) = nu(B) bit for bit passes every zero set; only a
     table that differs pays for the per-zero-set scan that finds the witness.
     """
-    w = _as_table(w)
+    w = as_table(w)
     table = w.table
     masks = np.arange(w.space.n_sets)
     if np.array_equal(table[masks | _null_atoms(table)], table):
@@ -172,13 +161,13 @@ def is_null_additive(w, tol=DEFAULT_TOL):
 
 
 def is_finite_valued(w):
-    b = first_flagged(~np.isfinite(_as_table(w).table))
+    b = first_flagged(~np.isfinite(as_table(w).table))
     return b is None, b
 
 
 def is_sigma_finite(w):
     """Some countable cover by finite-value sets exists."""
-    w = _as_table(w)
+    w = as_table(w)
     covered = union_of(np.isfinite(w.table))
     if covered == w.space.full_mask:
         return True, None
@@ -197,7 +186,7 @@ def is_maxitive(w, tol=DEFAULT_TOL):
     A table equal to its atom-sup table bit for bit passes every pair, so
     only a table that differs pays for the 4^k scan that finds the witness.
     """
-    w = _as_table(w)
+    w = as_table(w)
     table = w.table
     if np.array_equal(table, _atom_sup(table)):
         return True, None
@@ -213,7 +202,7 @@ def is_maxitive(w, tol=DEFAULT_TOL):
 
 def is_completely_maxitive(w, tol=DEFAULT_TOL):
     """Same as maxitivity on a finite algebra; checked by the atom-sup route."""
-    table = _as_table(w).table
+    table = as_table(w).table
     b = first_flagged(~vclose(table, _atom_sup(table), tol))
     return b is None, b
 
@@ -263,7 +252,7 @@ def is_autocontinuous(w, tol=DEFAULT_TOL):
     x -> w(atom of x), whose integral on b is the max of w over the
     non-negligible atoms of b.
     """
-    w = _as_table(w)
+    w = as_table(w)
     ok, wit = is_null_additive(w, tol)
     if not ok:
         return False, {"null_additive": wit}
@@ -278,12 +267,22 @@ def is_autocontinuous(w, tol=DEFAULT_TOL):
     return b is None, b
 
 
+def _bell(n):
+    """The number of set partitions of n items: B(m + 1) = sum_j C(m, j) B(j)."""
+    b = [1]
+    for m in range(n):
+        b.append(sum(math.comb(m, j) * b[j] for j in range(m + 1)))
+    return b[n]
+
+
 def _enumerated_variation(table, n_atoms):
     """total_variation by brute force over the Bell(k) set partitions.
 
     Returns the first partition reaching the best left-to-right block sum;
-    the scan stops at an infinite sum, which nothing can beat.
+    the scan stops at an infinite sum, which nothing can beat. Priced at
+    k Bell(k) cells, a step per block of each partition.
     """
+    require_budget(n_atoms * _bell(n_atoms), f"partition enumeration on {n_atoms} atoms")
     best = 0.0
     best_part = None
     for part in set_partitions(range(n_atoms)) if n_atoms else [[]]:
@@ -305,16 +304,12 @@ def total_variation(w):
     An infinite sup is witnessed, as by the brute-force enumeration, by the
     first partition in set_partitions order with an infinite sum.
     """
-    w = _as_table(w)
-    k = w.space.n_atoms
-    if k > VARIATION_ATOMS:
-        raise ExplicitBudgetExceeded(
-            f"partition enumeration needs Bell({k}); budget is {VARIATION_ATOMS} atoms"
-        )
+    w = as_table(w)
     table = w.table
-    dp = partition_dp(table, np.maximum)
-    if math.isinf(dp[-1]):
-        return _enumerated_variation(table, k)
+    # an inf value needs the enumeration, priced before any DP; so does a DP sum that overflows
+    dp = None if np.isinf(table).any() else partition_dp(table, np.maximum)
+    if dp is None or math.isinf(dp[-1]):
+        return _enumerated_variation(table, w.space.n_atoms)
     part = []
     rest = w.space.full_mask
     while rest:
@@ -334,12 +329,14 @@ def is_of_bounded_variation(w):
 
     Finitely many partitions exist, and every set is a block of one, so the
     sup is finite iff every value is. An infinite sup is witnessed by the
-    partition of total_variation within its budget, and by the first
-    infinite mask beyond.
+    partition of total_variation up to 10 atoms, and by the first infinite
+    mask above.
     """
-    w = _as_table(w)
+    w = as_table(w)
     ok, wit = is_finite_valued(w)
-    if not ok and w.space.n_atoms <= VARIATION_ATOMS:
+    # 10 atoms is a rule of the witness format, not a budget: check's
+    # witnesses keep the form they had when variation was capped there
+    if not ok and w.space.n_atoms <= 10:
         wit = total_variation(w)[1]
     return ok, wit
 
@@ -351,7 +348,7 @@ def is_essential(w):
     needs checking: a set must be positive iff it holds a positive atom,
     which is where the atom-sup table is positive.
     """
-    table = _as_table(w).table
+    table = as_table(w).table
     b = first_flagged((table > 0) != (_atom_sup(table) > 0))
     return b is None, b
 
@@ -387,7 +384,7 @@ class PropertyReport:
 
 def classify(w, tol=DEFAULT_TOL):
     """Run every named predicate on a set function and collect the report."""
-    w = _as_table(w)
+    w = as_table(w)
     wit = {}
     out = {}
     checks = {
@@ -438,16 +435,13 @@ def choquet_alternating(w, order, tol=DEFAULT_TOL):
     nonnegative, where D_{G1} f(G) = f(G | G1) - f(G) and equal infinities
     cancel to zero.
     """
-    w = _as_table(w)
+    w = as_table(w)
     n = w.space.n_sets
     if order < 1:
         raise ValueError("order must be at least 1")
-    cells = n ** (order + 1)
-    if cells > MAX_ALTERNATION_CELLS:
-        raise ExplicitBudgetExceeded(
-            f"alternation of order {order} on {w.space.n_atoms} atoms needs "
-            f"{cells} cells; budget is {MAX_ALTERNATION_CELLS}"
-        )
+    # three arrays of the deepest table's n^(order+1) cells are held at once:
+    # the gather, the difference and the signed copy
+    require_budget(3 * n ** (order + 1), f"alternation of order {order} on {w.space.n_atoms} atoms")
     masks = np.arange(n)
     or_tab = np.bitwise_or.outer(masks, masks)
     cur = w.table.astype(float)
@@ -490,7 +484,7 @@ def essential_supremum(tau, f, bset=None, tol=DEFAULT_TOL):
     Swept over the distinct values of f and cross-checked against the max of
     f over the non-negligible atoms of B.
     """
-    tau = _as_table(tau)
+    tau = as_table(tau)
     _require_fuzzy(tau, tol)
     if bset is None:
         bset = tau.space.full()
@@ -515,7 +509,7 @@ def essential_supremum(tau, f, bset=None, tol=DEFAULT_TOL):
 
 def esssup_measure(tau, f, tol=DEFAULT_TOL):
     """The maxitive measure B -> essential supremum of f over B."""
-    tau = _as_table(tau)
+    tau = as_table(tau)
     _require_fuzzy(tau, tol)
     dead = atom_flags(_null_atoms(tau.table), tau.space.n_atoms)
     return MaxitiveMeasure(tau.space, np.where(dead, 0.0, f.atom_values))
@@ -526,7 +520,7 @@ def delta_measure(w, tol=DEFAULT_TOL):
     if isinstance(w, MaxitiveMeasure):
         vals = [1.0 if v > 0 else 0.0 for v in w.atom_values]
         return MaxitiveMeasure(w.space, vals)
-    w = _as_table(w)
+    w = as_table(w)
     _require_fuzzy(w, tol)
     # the two-valued companion must reproduce positivity on every set
     ok, b = is_essential(w)

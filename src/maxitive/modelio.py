@@ -27,7 +27,7 @@ from .spaces import (
     atoms_of,
     build_space,
     mask_of,
-    require_budget,
+    require_table,
 )
 
 SCHEMA = "1"
@@ -166,7 +166,7 @@ def measure_from_json(doc, space=None):
             return PossibilitySpace(MaxitiveMeasure(space, vals))
         return MeasurableFn(space, vals)
     if kind == "set_function":
-        require_budget(space.n_atoms, what="set-function table")
+        require_table(space.n_atoms)
         table = [0.0] * space.n_sets
         for key, v in doc["table"].items():
             table[parse_set(space, key).mask] = decode_value(v)

@@ -216,7 +216,6 @@ class Law:
 def law(x, pi, tol=DEFAULT_TOL):
     """Push the possibility forward through the variable."""
     pi = as_possibility(pi, tol)
-    space = pi.space
     values = sorted({float(v) for v in x.atom_values})
     poss = []
     for v in values:

@@ -460,7 +460,6 @@ def galois_holds(op, r, s, t, tol=DEFAULT_TOL):
 
     Values within tolerance count as below; infinities compare exactly.
     """
-    lhs_val = op(t, s)
     return le(r, op(t, s), tol) == le(op.residual(r, s), t, tol)
 
 

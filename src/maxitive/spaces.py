@@ -15,7 +15,9 @@ Each convention on them has one home:
 - the tolerant order is :func:`le` (and :func:`vle`): a <= b, or a and b
   are close; a drop from inf is never within tolerance;
 - inf - inf = 0 is :func:`esub` (and :func:`vsub`);
-- 0 * inf = 0 is applied by the operation evaluators of ``semigroup``.
+- 0 * inf = 0 is applied by the operation evaluators of ``semigroup``;
+- the work budget of every exponential routine is :data:`BUDGET_CELLS`,
+  against which :func:`require_budget` refuses a priced cost.
 """
 
 from __future__ import annotations
@@ -36,8 +38,9 @@ INF = math.inf
 #: default comparison tolerance
 DEFAULT_TOL = 1e-9
 
-#: largest atom count accepted by exhaustive (all 2^k sets) oracles
-MAX_EXHAUSTIVE_ATOMS = 12
+#: the one work budget of every exponential routine, in cells: a cell is one
+#: 8-byte element held at one time, or one element-step of a scan
+BUDGET_CELLS = 50_000_000
 
 
 def close(a, b, tol=DEFAULT_TOL):
@@ -119,11 +122,24 @@ def as_values(values, length, what):
     return arr
 
 
-def require_budget(n_atoms, limit=MAX_EXHAUSTIVE_ATOMS, what="exhaustive enumeration"):
-    if n_atoms > limit:
-        raise ExplicitBudgetExceeded(
-            f"{what} needs 2^{n_atoms} sets; budget is {limit} atoms"
-        )
+def require_budget(cells, what):
+    """Refuse ``what`` above BUDGET_CELLS; each exponential entry point
+    prices itself with this before it allocates or draws anything."""
+    if cells > BUDGET_CELLS:
+        raise ExplicitBudgetExceeded(f"{what} needs {cells} cells; budget is {BUDGET_CELLS}")
+
+
+def require_table(n_atoms):
+    """Price a set-function table at 4^k cells: any predicate may run on
+    it, and the witness scans of is_maxitive and is_null_additive take 4^k."""
+    require_budget(4**n_atoms, f"set-function table on {n_atoms} atoms")
+
+
+def as_table(w):
+    """A SetFunction as it is, or anything else through its to_set_function()."""
+    if isinstance(w, SetFunction):
+        return w
+    return w.to_set_function()
 
 
 def as_mask(bset):
@@ -178,17 +194,17 @@ def set_partitions(items):
 # ---------------------------------------------------------------------------
 
 
-def atom_table(values, combine=np.add, start=0.0, limit=MAX_EXHAUSTIVE_ATOMS):
+def atom_table(values, combine=np.add, start=0.0):
     """The table b -> ``start`` combined with the values of the atoms of b.
 
     Atoms are folded in ascending index order, so ``np.add`` gives every
     left-to-right float sum bit for bit, ``np.maximum`` gives the atom-sup
     table of a maxitive measure, and ``np.minimum`` from ``INF`` gives the
-    minimum on each set. The table takes the dtype of ``start``, and more
-    than ``limit`` atoms are refused.
+    minimum on each set. The table takes the dtype of ``start``. It is
+    priced at k 2^k cells, the table and one subset transform of it.
     """
     k = len(values)
-    require_budget(k, limit, "set-function table")
+    require_budget(k << k, f"atom table on {k} atoms")
     table = np.full(1 << k, start)
     for i, v in enumerate(values):
         combine(table[: 1 << i], v, out=table[1 << i : 2 << i])
@@ -280,6 +296,7 @@ def partition_dp(cost, combine):
     take k vectorized steps.
     """
     k = len(cost).bit_length() - 1
+    require_budget(3**k, f"partition DP on {k} atoms")
     sup, block = submask_pairs(k)
     keep = (block & sup & -sup) != 0
     sup, block = sup[keep], block[keep]
@@ -552,7 +569,7 @@ class SetFunction:
     __slots__ = ("space", "table")
 
     def __init__(self, space, table):
-        require_budget(space.n_atoms, what="set-function table")
+        require_table(space.n_atoms)
         arr = as_values(table, space.n_sets, "table entries")
         if arr[0] != 0.0:
             raise ValueError("a set function must vanish at the empty set")

@@ -18,10 +18,11 @@ draw, so the block size changes no output, and Poisson mode draws every
 (n, k) count before any uniform. Poisson mode therefore also holds all the
 counts, each as its offset from the block's per-atom minimum in the
 narrowest unsigned integer the block needs, 2 or 4 bytes at most rates
-instead of 8. A sample is refused above MAX_SAMPLE_CELLS cells before
-anything is drawn. The simulate command formats the rows of its --csv file
-in up to one worker process per usable CPU; the draws happen here, in this
-process and in this order, so the bytes do not depend on how many.
+instead of 8. A sample is priced at n * k cells of the ``spaces`` budget,
+and refused above it before anything is drawn. The simulate command formats
+the rows of its --csv file in up to one worker process per usable CPU; the
+draws happen here, in this process and in this order, so the bytes do not
+depend on how many.
 
 The checks at the end hold the samplers against the theory: marginal
 distribution (one-sample KS), agreement of the two modes (two-sample KS),
@@ -42,16 +43,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ExplicitBudgetExceeded, InvalidTruncation
+from .errors import InvalidTruncation
 from .measures import MaxitiveMeasure
-from .spaces import INF, as_mask, fold_atoms
+from .spaces import INF, as_mask, fold_atoms, require_budget
 
-MAX_MATERIALIZED_POINTS = 10_000_000
-# n * k cells of one sample. Streamed, exact mode holds one block of rows
-# and the caller's n set values; Poisson mode also holds all n * k counts as
-# block offsets, 200 MB at the limit at rates up to about 1e16 and 400 MB
-# above. sample_matrix adds the n * k float64 matrix it returns.
-MAX_SAMPLE_CELLS = 50_000_000
 # Rows drawn and evaluated per step: a block of 4096 rows of 12 atoms is
 # 384 KB of float64, whatever the sample size.
 BLOCK_ROWS = 4096
@@ -208,11 +203,7 @@ def sample_blocks(m, p, rng, n, mode="exact", eps=1e-3):
     masses = np.asarray(m.atom_masses, dtype=float)
     if not np.isfinite(masses).all():
         raise ValueError("control measure must be finite")
-    if n * len(masses) > MAX_SAMPLE_CELLS:
-        raise ExplicitBudgetExceeded(
-            f"{n} replicates of {len(masses)} atoms exceed the "
-            f"{MAX_SAMPLE_CELLS}-cell sample limit"
-        )
+    require_budget(n * len(masses), f"sample of {n} replicates of {len(masses)} atoms")
     if mode == "exact":
         return _exact_blocks(masses, p, rng, n)
     if mode == "poisson":
@@ -236,10 +227,9 @@ def sample_supmeasure(m, p, rng, mode="exact", eps=1e-3, keep_points=False):
         masses = np.asarray(m.atom_masses, dtype=float)
         counts = rng.poisson(_poisson_rate(masses, p, eps))
         total = int(counts.sum())
-        if total > MAX_MATERIALIZED_POINTS:
-            raise ExplicitBudgetExceeded(
-                f"{total} points above the cutoff; raise eps or drop keep_points"
-            )
+        # four 8-byte arrays per point at the peak: its atom, its uniform,
+        # the power of it and its value
+        require_budget(4 * total, f"{total} points above the cutoff {eps}")
         atoms = np.repeat(np.arange(len(masses)), counts)
         values = eps * rng.uniform(size=total) ** (-1.0 / p)
         config = PointConfig(atom_indices=atoms, values=values, eps=eps)

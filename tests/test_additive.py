@@ -37,8 +37,8 @@ def test_additive_measure_basics(abc):
 
 
 def test_finiteness_chain_refuses_beyond_the_table_cap():
-    labs = [f"g{i}" for i in range(13)]
-    m = AdditiveMeasure(build_space(labs, [[l] for l in labs]), [1.0] * 12 + [INF])
+    labs = [f"g{i}" for i in range(22)]
+    m = AdditiveMeasure(build_space(labs, [[l] for l in labs]), [1.0] * 21 + [INF])
     for check in (
         is_sigma_finite_measure,
         is_semi_finite_measure,

@@ -89,7 +89,7 @@ def test_crosscheck_on_24_atoms_is_refused_not_swept(tmp_path, capsys):
     assert time.perf_counter() - start < 1.0
     out = capsys.readouterr()
     assert out.out == ""
-    assert "submask maximization needs 2^24 sets; budget is 20 atoms" in out.err
+    assert "atom table on 24 atoms needs 402653184 cells; budget is 50000000" in out.err
     assert cli.main(argv) == 0
     assert json.loads(capsys.readouterr().out)["result"]["value"] == 2.5
 
@@ -110,6 +110,18 @@ def test_crosscheck_on_20_atoms_finishes_within_seconds(tmp_path, capsys):
     assert capsys.readouterr().out == plain
 
 
+@pytest.mark.parametrize("k, witness", [(10, [list(range(10))]), (11, 1024)])
+def test_bounded_variation_witness_is_a_partition_up_to_ten_atoms(k, witness, tmp_path, capsys):
+    # the witness format, not the variation budget, sets this edge: above 10
+    # atoms an infinite sup is witnessed by the first infinite mask
+    labels = [f"x{i}" for i in range(k)]
+    path = write_doc(tmp_path / "nu.json", measure_doc("maxitive", labels, [1.0] * (k - 1) + ["inf"]))
+    assert cli.main(["check", "--order", "0", "--measure", path]) == 0
+    rep = json.loads(capsys.readouterr().out)["properties"]
+    assert rep["of_bounded_variation"] is False
+    assert rep["witnesses"]["of_bounded_variation"] == witness
+
+
 def test_oversized_set_function_document_is_refused_before_its_table(tmp_path, capsys):
     labels = [f"x{i}" for i in range(24)]
     doc = {
@@ -128,7 +140,10 @@ def test_oversized_set_function_document_is_refused_before_its_table(tmp_path, c
         tracemalloc.stop()
     out = capsys.readouterr()
     assert out.out == ""
-    assert out.err == "error: set-function table needs 2^24 sets; budget is 12 atoms\n"
+    assert out.err == (
+        "error: set-function table on 24 atoms needs 281474976710656 cells; "
+        "budget is 50000000\n"
+    )
     assert peak < 10 * 2**20, peak
 
 

@@ -2,12 +2,14 @@
 
 import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 from maxitive import measures
+from maxitive.additive import AdditiveMeasure
 from maxitive.errors import (
     DecompositionVerificationFailed,
     ExplicitBudgetExceeded,
@@ -183,6 +185,9 @@ def test_alternation_budget():
     nu = MaxitiveMeasure(sp, range(1, 9))
     with pytest.raises(ExplicitBudgetExceeded):
         choquet_alternating(nu.to_set_function(), order=7)
+    # three arrays of (2^8)^3 cells: order 2 stops at 7 atoms, as it did
+    with pytest.raises(ExplicitBudgetExceeded, match="order 2 on 8 atoms needs 50331648 cells"):
+        choquet_alternating(nu.to_set_function(), order=2)
     with pytest.raises(ValueError):
         choquet_alternating(nu.to_set_function(), order=0)
 
@@ -258,11 +263,35 @@ def test_disjoint_variation_rejects_a_wrong_partition(abc, monkeypatch):
 
 
 def test_variation_budget():
-    labs = [f"g{i}" for i in range(11)]
+    # the partition DP runs at 12 atoms; an infinite sup falls back to the
+    # Bell(12) enumeration, 12 * Bell(12) cells, which the budget refuses
+    labs = [f"g{i}" for i in range(12)]
     sp = build_space(labs, [[l] for l in labs])
-    nu = MaxitiveMeasure(sp, [1.0] * 11)
-    with pytest.raises(ExplicitBudgetExceeded):
-        disjoint_variation(nu)
+    w = MaxitiveMeasure(sp, [1.0] * 11 + [INF]).to_set_function()
+    tracemalloc.start()
+    try:
+        with pytest.raises(ExplicitBudgetExceeded, match="needs 50563164 cells"):
+            total_variation(w)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # refused before the DP, whose 3^12 submask pairs alone take 8 MB
+    assert peak < 2**20, peak
+
+
+def test_to_set_function_is_priced_before_its_table():
+    labs = [f"g{i}" for i in range(20)]
+    sp = build_space(labs, [[l] for l in labs])
+    for measure in (MaxitiveMeasure(sp, [1.0] * 20), AdditiveMeasure(sp, [1.0] * 20)):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ExplicitBudgetExceeded, match="set-function table on 20 atoms"):
+                measure.to_set_function()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the atom table alone would take 8 MB
+        assert peak < 2**20, peak
 
 
 def test_bounded_variation(abc):

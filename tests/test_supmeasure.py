@@ -9,6 +9,7 @@ import csv
 import io
 import json
 import math
+import re
 import tracemalloc
 import warnings
 from types import SimpleNamespace
@@ -25,10 +26,9 @@ from maxitive.additive import AdditiveMeasure
 from maxitive.errors import ExplicitBudgetExceeded, InvalidTruncation
 from maxitive.measures import is_completely_maxitive, is_maxitive
 from maxitive.sampling import rng_for
-from maxitive.spaces import INF, MeasurableFn, MeasurableSet, build_space, close
+from maxitive.spaces import BUDGET_CELLS, INF, MeasurableFn, MeasurableSet, build_space, close
 from maxitive.supmeasure import (
     BLOCK_ROWS,
-    MAX_SAMPLE_CELLS,
     _ks_2samp_equal,
     _lambert_wm1,
     compare_modes_check,
@@ -193,9 +193,15 @@ def test_lambert_inversion_identity():
 def test_budget_is_enforced_not_advisory():
     sp = build_space("a", [["a"]])
     m = AdditiveMeasure(sp, [1.0])
-    # eps chosen so the expected point count crosses ten million
-    with pytest.raises(ExplicitBudgetExceeded):
+    # eps chosen so the expected point count, 2 * 10^7, crosses the budget
+    # at four cells a point
+    with pytest.raises(ExplicitBudgetExceeded) as refused:
         sample_supmeasure(m, 1.0, rng_for(1), mode="poisson", eps=5e-8, keep_points=True)
+    points, cells = re.fullmatch(
+        r"(\d+) points above the cutoff 5e-08 needs (\d+) cells; budget is 50000000",
+        str(refused.value),
+    ).groups()
+    assert int(cells) == 4 * int(points)
 
 
 def test_sample_matrix_refuses_oversized_n_before_drawing():
@@ -220,7 +226,24 @@ def test_sample_matrix_refuses_oversized_n_before_drawing():
             sampler(m, 2.0, rng, 10, mode="other")
     assert rng.bit_generator.state == state
     # the benchmark's largest sample, 10^6 replicates of 12 atoms, fits
-    assert 10**6 * 12 <= MAX_SAMPLE_CELLS
+    assert 10**6 * 12 <= BUDGET_CELLS
+
+
+def test_sample_price_is_n_times_k_cells():
+    # priced, not drawn: the block sampler draws as its blocks are taken
+    sp = build_space("ab", [["a"], ["b"]])
+    m = AdditiveMeasure(sp, [0.5, 0.5])
+    rng = rng_for(3)
+    state = rng.bit_generator.state
+    for mode in ("exact", "poisson"):
+        sample_blocks(m, 2.0, rng, BUDGET_CELLS // 2, mode=mode)
+        with pytest.raises(
+            ExplicitBudgetExceeded,
+            match="^sample of 25000001 replicates of 2 atoms needs 50000002 cells; "
+            "budget is 50000000$",
+        ):
+            sample_blocks(m, 2.0, rng, BUDGET_CELLS // 2 + 1, mode=mode)
+    assert rng.bit_generator.state == state
 
 
 # ---------------------------------------------------------------------------
@@ -436,6 +459,20 @@ def test_simulate_reports_quantiles_of_infinite_draws(mass, capfd):
         assert report["quantiles"]["0.01"] != "inf" and report["quantiles"]["0.99"] == "inf"
     else:
         assert set(report["quantiles"].values()) == {"inf"}
+
+
+def test_simulate_mean_of_finite_draws_whose_sum_overflows(capfd):
+    # every draw is finite, the largest about 1.3e308, but their sum is not
+    n = 5000
+    argv = ["simulate", "--atoms", "a:1e151", "--p", "0.5", "--n", str(n), "--seed", "4"]
+    assert cli.main(argv) == 0
+    out, err = capfd.readouterr()
+    assert err == ""
+    draws = ref_exact_matrix(np.array([1e151]), 0.5, rng_for(4), n)[:, 0]
+    assert np.isfinite(draws).all()
+    want = math.fsum(d / n for d in draws)
+    mean = json.loads(out)["mean"]
+    assert math.isfinite(mean) and abs(mean - want) <= 1e-12 * want
 
 
 @pytest.mark.parametrize("block_rows", [1, 7, BLOCK_ROWS])
