@@ -50,7 +50,6 @@ from .spaces import (
     per_distinct,
     require_budget,
     require_table,
-    set_partitions,
     submasks,
     union_of,
     vclose,
@@ -267,49 +266,54 @@ def is_autocontinuous(w, tol=DEFAULT_TOL):
     return b is None, b
 
 
-def _bell(n):
-    """The number of set partitions of n items: B(m + 1) = sum_j C(m, j) B(j)."""
-    b = [1]
-    for m in range(n):
-        b.append(sum(math.comb(m, j) * b[j] for j in range(m + 1)))
-    return b[n]
+def _first_infinite_partition(table, n_atoms):
+    """The first partition with an infinite block, in enumeration order.
 
-
-def _enumerated_variation(table, n_atoms):
-    """total_variation by brute force over the Bell(k) set partitions.
-
-    Returns the first partition reaching the best left-to-right block sum;
-    the scan stops at an infinite sum, which nothing can beat. Priced at
-    k Bell(k) cells, a step per block of each partition.
+    Partitions are built by placing atoms k - 1 down to 0 in turn: each
+    atom joins one of the blocks so far, in block order, or else opens a
+    new first block. The order is lexicographic in these choices, the
+    highest atom's first. reach[j] flags the sets b for which b plus some
+    atoms below j is infinite, so a choice can still be completed iff one
+    of its blocks, or the empty set, is flagged there; one greedy choice
+    per atom then finds the partition. Priced at k 2^k cells, the k
+    superset-OR tables.
     """
-    require_budget(n_atoms * _bell(n_atoms), f"partition enumeration on {n_atoms} atoms")
-    best = 0.0
-    best_part = None
-    for part in set_partitions(range(n_atoms)) if n_atoms else [[]]:
-        total = 0.0
-        for block in part:
-            total += float(table[mask_of(block)])
-        if total > best or best_part is None:
-            best = total
-            best_part = part
-        if math.isinf(best):
-            break
-    return best, best_part
+    require_budget(n_atoms << n_atoms, f"infinite-block search on {n_atoms} atoms")
+    reach = [np.isinf(table)]
+    for j in range(n_atoms - 1):
+        r = reach[-1].copy()
+        halves = r.reshape(-1, 2, 1 << j)
+        halves[:, 0] |= halves[:, 1]
+        reach.append(r)
+    blocks = []
+    for j in reversed(range(n_atoms)):
+        bit = 1 << j
+        choices = [blocks[:i] + [b | bit] + blocks[i + 1 :] for i, b in enumerate(blocks)]
+        choices.append([bit] + blocks)
+        blocks = next(c for c in choices if reach[j][0] or reach[j][c].any())
+    return [atoms_of(b) for b in blocks]
 
 
 def total_variation(w):
     """sup over partitions of the whole space of the block-value sum.
 
-    Returns the sup and a partition attaining it, from the partition DP.
-    An infinite sup is witnessed, as by the brute-force enumeration, by the
-    first partition in set_partitions order with an infinite sum.
+    Returns the sup and a partition attaining it. On a finite table both
+    come from the partition DP, since the optimum can lie away from the
+    singletons; a best sum that overflows is inf, witnessed by the DP's
+    partition of the table scaled by its largest value. An infinite value
+    makes the sup infinite, witnessed by the first partition with an
+    infinite block (see _first_infinite_partition).
     """
     w = as_table(w)
     table = w.table
-    # an inf value needs the enumeration, priced before any DP; so does a DP sum that overflows
-    dp = None if np.isinf(table).any() else partition_dp(table, np.maximum)
-    if dp is None or math.isinf(dp[-1]):
-        return _enumerated_variation(table, w.space.n_atoms)
+    if np.isinf(table).any():
+        return INF, _first_infinite_partition(table, w.space.n_atoms)
+    with np.errstate(over="ignore"):
+        dp = partition_dp(table, np.maximum)
+    total = float(dp[-1])
+    if math.isinf(total):
+        table = table / table.max()
+        dp = partition_dp(table, np.maximum)
     part = []
     rest = w.space.full_mask
     while rest:
@@ -321,7 +325,7 @@ def total_variation(w):
         )
         part.append(atoms_of(block))
         rest ^= block
-    return float(dp[-1]), part
+    return total, part
 
 
 def is_of_bounded_variation(w):
@@ -585,17 +589,20 @@ def atom_decomposition(nu, tol=DEFAULT_TOL):
 
 
 def disjoint_variation(nu, tol=DEFAULT_TOL):
-    """|nu| as a sup over partitions, cross-checked against the atom sum."""
-    w = nu.to_set_function()
-    brute, part = total_variation(w)
-    dec = atom_decomposition(nu, tol)
-    closed = float(sum(dec.values)) if dec.values else 0.0
-    # both sides as exactly rounded sums, so tol = 0 compares the values
-    # and not the order in which they were added
-    blocks = math.fsum(w.table[mask_of(block)] for block in part)
-    if not close(blocks, math.fsum(dec.values), tol):
-        raise OracleMismatch(f"partition sup {brute} vs atom sum {closed}")
-    return closed
+    """|nu|, the sup over partitions of the block-value sum, as the atom sum.
+
+    The all-singletons partition sums the atom values, and no partition
+    sums more: every set b has nu(b) <= the sum of the atom values in b,
+    which is checked on the whole table (OracleMismatch at the least
+    failing mask). The atom sum is inf where it overflows.
+    """
+    table = nu.to_set_function().table
+    with np.errstate(over="ignore"):
+        sums = atom_table(nu.atom_values)
+    b = first_flagged(~vle(table, sums, tol))
+    if b is not None:
+        raise OracleMismatch(f"block value {table[b]} above atom sum {sums[b]} at mask {b}")
+    return float(sum(atom_decomposition(nu, tol).values))
 
 
 def essential_witness(nu, tol=DEFAULT_TOL):

@@ -176,19 +176,6 @@ def submasks(mask):
         sub = (sub - 1) & mask
 
 
-def set_partitions(items):
-    """Yield all partitions of ``items`` (a sequence) as lists of lists."""
-    items = list(items)
-    if not items:
-        yield []
-        return
-    first, rest = items[0], items[1:]
-    for part in set_partitions(rest):
-        for i in range(len(part)):
-            yield part[:i] + [[first] + part[i]] + part[i + 1 :]
-        yield [[first]] + part
-
-
 # ---------------------------------------------------------------------------
 # subset-lattice kernels over whole tables indexed by mask
 # ---------------------------------------------------------------------------

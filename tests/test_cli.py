@@ -265,6 +265,18 @@ def test_decompose_and_variation(docs):
     assert json.loads(proc2.stdout)["value"] == 3.5
 
 
+@pytest.mark.parametrize("k, value", [(10, 1.8e307), (11, 1.7e307)])
+def test_variation_of_an_overflowing_atom_sum_is_inf(k, value, tmp_path):
+    # finite atom values whose sum is not: the variation is inf, with no
+    # overflow warning and no traceback
+    labels = [f"x{i}" for i in range(k)]
+    path = write_doc(tmp_path / "nu.json", measure_doc("maxitive", labels, [value] * k))
+    proc = run_cli("variation", "--nu", path)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert proc.stdout == '{\n  "command": "variation",\n  "schema": "1",\n  "value": "inf"\n}\n'
+
+
 def test_condition(docs):
     proc = run_cli(
         "condition", "--op", "times", "--pi", docs["pi"], "--x", docs["x"],

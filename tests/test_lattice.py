@@ -10,7 +10,8 @@ partitions are associated differently by the DP, so those values are
 compared with a relative tolerance of 1e-12 (six float64 additions).
 The sigma-ideal and essential-supremum enumerations live here too, as the
 oracles for the sigma-principality and the localizability that a finite
-algebra gives every set function and every additive measure, and so does
+algebra gives every set function and every additive measure, so does the
+set-partition enumeration that total_variation is held against, and so does
 the sweep over every union of blocks that the conditional's block-only
 check is held against. Then come the per-atom bit loops that decoded and
 built masks before ``spaces.atoms_of`` and ``mask_of`` did, held against
@@ -121,6 +122,7 @@ from maxitive.spaces import (
     SetFunction,
     as_table,
     atom_flags,
+    atom_table,
     atoms_of,
     build_space,
     close,
@@ -130,7 +132,6 @@ from maxitive.spaces import (
     max_over_submasks,
     partition_dp,
     require_budget,
-    set_partitions,
     submasks,
     vclose,
 )
@@ -290,6 +291,19 @@ def ref_is_sigma_principal(w, ideal_atoms=4):
     return True, None
 
 
+def set_partitions(items):
+    """Yield all partitions of ``items`` (a sequence) as lists of lists."""
+    items = list(items)
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for part in set_partitions(rest):
+        for i in range(len(part)):
+            yield part[:i] + [[first] + part[i]] + part[i + 1 :]
+        yield [[first]] + part
+
+
 def ref_total_variation(w):
     k = w.space.n_atoms
     best = 0.0
@@ -302,6 +316,15 @@ def ref_total_variation(w):
             best = total
             best_part = part
     return best, best_part
+
+
+def ref_first_infinite_block(w):
+    """The first partition in set_partitions order with an infinite block."""
+    return next(
+        part
+        for part in set_partitions(range(w.space.n_atoms))
+        if any(math.isinf(w.table[mask_of(block)]) for block in part)
+    )
 
 
 def ref_finiteness_suite(op, nu):
@@ -914,6 +937,57 @@ def test_predicates_match_brute_force(w):
     assert rep.of_bounded_variation == rep.finite
 
 
+# the sums of two of these overflow, and a sum of one and any moderate values does not
+huge = st.sampled_from([9e307, 1.7e308])
+
+
+@st.composite
+def variation_tables(draw):
+    """Tables on up to 8 atoms: arbitrary, finite with huge values, or mostly zero."""
+    k = draw(st.integers(0, 8))
+    n = 1 << k
+    moderate = st.one_of(st.just(0.0), st.sampled_from([0.5, 1.0, 2.0]), st.floats(0.01, 100.0))
+    kind = draw(st.sampled_from(["any", "finite", "sparse"]))
+    if kind == "sparse":
+        table = [0.0] * n
+        pool = st.one_of(moderate, huge, st.just(INF))
+        for b, v in draw(st.dictionaries(st.integers(0, n - 1), pool, max_size=4)).items():
+            table[b] = v
+        table[0] = 0.0
+    else:
+        pool = st.one_of(moderate, huge) if kind == "finite" else st.one_of(moderate, huge, st.just(INF))
+        table = [0.0] + draw(st.lists(pool, min_size=n - 1, max_size=n - 1))
+    labs = [f"g{i}" for i in range(k)]
+    return SetFunction(build_space(labs, [[l] for l in labs]), table)
+
+
+@settings(max_examples=60, deadline=None)
+@given(variation_tables())
+def test_total_variation_matches_enumeration_up_to_eight_atoms(w):
+    val, part = total_variation(w)
+    ref_val, ref_part = ref_total_variation(w)
+    assert sorted(i for block in part for i in block) == list(range(w.space.n_atoms))
+    if np.isinf(w.table).any():
+        # the search finds the first partition with an infinite block; the
+        # enumeration stops at the first infinite sum, which is that one
+        # unless finite blocks overflow earlier
+        assert val == INF
+        assert part == ref_first_infinite_block(w)
+        if any(math.isinf(w.table[mask_of(block)]) for block in ref_part):
+            assert part == ref_part
+        assert is_of_bounded_variation(w) == (False, part)
+    elif math.isinf(ref_val):
+        # the best sum overflows: the witness is best on the scaled table
+        assert val == INF
+        scaled = SetFunction(w.space, w.table / w.table.max())
+        got = math.fsum(scaled.table[mask_of(block)] for block in part)
+        assert math.isclose(got, ref_total_variation(scaled)[0], rel_tol=REL)
+    else:
+        assert math.isclose(val, ref_val, rel_tol=REL)
+        got = math.fsum(w.table[mask_of(block)] for block in part)
+        assert math.isclose(val, got, rel_tol=REL)
+
+
 @settings(max_examples=100, deadline=None)
 @given(atom_values())
 def test_finiteness_suite_matches_brute_force(vals):
@@ -949,6 +1023,21 @@ def test_envelope_matches_brute_force(vals, data):
     # a measure the envelope does not come from
     other = MaxitiveMeasure(space, [v / 2 for v in vals])
     assert _reconstruct(other, m, env, 1e-9) == ref_reconstruct(other, m, env, 1e-9)
+
+    # a table that is not maxitive: the per-block check flags the least mask
+    # at which the partition DP misses the singleton sum
+    arb = SetFunction(space, [0.0] + data.draw(
+        st.lists(values, min_size=space.n_sets - 1, max_size=space.n_sets - 1)))
+    with np.errstate(invalid="ignore"):
+        cost = np.where((arb.table == 0.0) | (m_t == 0.0), 0.0, arb.table * m_t)
+    closed = atom_table(cost[1 << np.arange(space.n_atoms)])
+    want = first_flagged(~vclose(partition_dp(cost, np.minimum), closed))
+    try:
+        envelope_measure(arb, m)
+        got = None
+    except OracleMismatch as e:
+        got = int(str(e).rsplit(" ", 1)[1])
+    assert got == want
 
 
 @settings(max_examples=100, deadline=None)

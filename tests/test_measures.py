@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import time
 import tracemalloc
 import warnings
 
@@ -255,27 +256,39 @@ def test_disjoint_variation_exact_at_zero_tolerance():
         assert disjoint_variation(nu, tol=0.0) == float(sum(sorted(vals, reverse=True)))
 
 
-def test_disjoint_variation_rejects_a_wrong_partition(abc, monkeypatch):
+def test_disjoint_variation_rejects_a_table_above_its_atom_sum(abc, monkeypatch):
+    # nu({a, b}) = 3.5 exceeds nu(a) + nu(b) = 3, so the all-singletons
+    # partition would not be the sup
     nu = MaxitiveMeasure(abc, [1, 2, 0.5])
-    monkeypatch.setattr(measures, "total_variation", lambda w: (3.5, [[0, 1, 2]]))
-    with pytest.raises(OracleMismatch):
+    table = SetFunction(abc, [0, 1, 2, 3.5, 0.5, 1, 2, 2])
+    monkeypatch.setattr(MaxitiveMeasure, "to_set_function", lambda self: table)
+    with pytest.raises(OracleMismatch, match="block value 3.5 above atom sum 3.0 at mask 3"):
         disjoint_variation(nu)
 
 
 def test_variation_budget():
-    # the partition DP runs at 12 atoms; an infinite sup falls back to the
-    # Bell(12) enumeration, 12 * Bell(12) cells, which the budget refuses
+    # an infinite sup is found at 12 atoms, the table's edge, by a search
+    # over 12 superset-OR tables; 13 atoms are refused at the table
     labs = [f"g{i}" for i in range(12)]
     sp = build_space(labs, [[l] for l in labs])
     w = MaxitiveMeasure(sp, [1.0] * 11 + [INF]).to_set_function()
+    start = time.perf_counter()
+    assert total_variation(w) == (INF, [list(range(12))])
+    # the finite sum that overflows only at the all-singletons partition
+    table = np.zeros(sp.n_sets)
+    table[1 << np.arange(12)] = 1.7e307
+    assert total_variation(SetFunction(sp, table)) == (INF, [[i] for i in range(12)])
+    assert time.perf_counter() - start < 5.0
+    labs = [f"g{i}" for i in range(13)]
+    sp = build_space(labs, [[l] for l in labs])
     tracemalloc.start()
     try:
-        with pytest.raises(ExplicitBudgetExceeded, match="needs 50563164 cells"):
-            total_variation(w)
+        with pytest.raises(ExplicitBudgetExceeded, match="set-function table on 13 atoms"):
+            MaxitiveMeasure(sp, [1.0] * 12 + [INF]).to_set_function()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # refused before the DP, whose 3^12 submask pairs alone take 8 MB
+    # refused before its table is built
     assert peak < 2**20, peak
 
 
@@ -299,7 +312,7 @@ def test_bounded_variation(abc):
     w = MaxitiveMeasure(abc, [1, INF, 3]).to_set_function()
     ok, part = is_of_bounded_variation(w)
     assert not ok and part == total_variation(w)[1]
-    # beyond the partition budget the witness is the first infinite mask
+    # above 10 atoms the witness is the first infinite mask
     labs = [f"g{i}" for i in range(11)]
     sp = build_space(labs, [[l] for l in labs])
     w = MaxitiveMeasure(sp, [1, INF, 3] + [1] * 8).to_set_function()

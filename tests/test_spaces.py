@@ -24,12 +24,12 @@ from maxitive.spaces import (
     close,
     esub,
     le,
-    set_partitions,
     submasks,
     vclose,
     vle,
     vsub,
 )
+from test_lattice import set_partitions
 
 
 def test_build_space_basic(abc):
