@@ -53,7 +53,7 @@ print("envelope on the full set:", rep.envelope(space.full_mask))
 print("envelope density:", [float(v) for v in rep.density.atom_values])
 print("reconstruction verified:", rep.reconstruction_ok)
 
-# infinite values go through the arctan transform transparently
+# an infinite atom takes the same closed form: its density is inf / m_i = inf
 big = MaxitiveMeasure(space, [INF, 2, 0.5])
 rep_inf = envelope_density(big, m)
 print("transformed:", rep_inf.transformed,

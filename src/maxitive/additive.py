@@ -38,6 +38,7 @@ from .spaces import (
     max_over_submasks,
     per_distinct,
     require_table,
+    singletons,
     union_of,
     vclose,
 )
@@ -64,7 +65,7 @@ class AdditiveMeasure:
 
     @classmethod
     def from_set_function(cls, w, tol=DEFAULT_TOL):
-        m = cls(w.space, w.table[1 << np.arange(w.space.n_atoms)])
+        m = cls(w.space, singletons(w.table))
         b = first_flagged(~vclose(w.table, atom_table(m.atom_masses), tol))
         if b is not None:
             raise ValueError(f"table is not additive; witness mask {b}")

@@ -1,23 +1,22 @@
 """Density extraction for the idempotent integral.
 
 Three routes to a density are implemented: residuation atom by atom (the
-exact-operation theorem), the additive envelope built from partition sums
-(whose classical density recovers the maxitive measure, through a bounded
-transform when infinite values are present), and residuation of two given
-densities over a common background measure. Extraction always ends with a
-full verification sweep; a candidate that fails it raises NoDensity rather
-than being returned.
+exact-operation theorem), the additive envelope with atoms nu_i m_i (whose
+classical density recovers the maxitive measure by one closed form, infinite
+atoms included), and residuation of two given densities over a common
+background measure. Extraction always ends with a full verification sweep;
+a candidate that fails it raises NoDensity rather than being returned.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .additive import AdditiveMeasure, classical_density
 from .errors import (
+    MaxitiveError,
     NegligibilityViolation,
     NoDensity,
     NonExactOperation,
@@ -32,11 +31,11 @@ from .spaces import (
     as_table,
     atom_flags,
     atom_table,
-    close,
     first_flagged,
     mask_of,
     max_over_submasks,
     per_distinct,
+    singletons,
     vclose,
     vle,
 )
@@ -126,73 +125,67 @@ def envelope_measure(nu, m, tol=DEFAULT_TOL):
     the product inequality nu(b) m(b) >= the sum over the atoms i of b of
     nu_i m_i, no block costs less than its singletons, so no partition
     does. The inequality is checked on every set, and a block below its
-    singleton sum raises OracleMismatch at the least such mask. The result
-    is additive, so it is returned as an AdditiveMeasure.
+    singleton sum raises OracleMismatch at the least such mask. A product
+    nu_i m_i of two finite factors that overflows is refused; a block
+    product or an atom sum that overflows is inf. The result is additive,
+    so it is returned as an AdditiveMeasure.
     """
-    space = nu.space
     nu_t = as_table(nu).table
     m_t = as_table(m).table
-    with np.errstate(invalid="ignore"):  # 0 * inf, replaced by 0
+    # 0 * inf is nan and replaced by 0; an overflow is inf
+    with np.errstate(invalid="ignore", over="ignore"):
         cost = np.where((nu_t == 0.0) | (m_t == 0.0), 0.0, nu_t * m_t)
-    closed = atom_table(cost[1 << np.arange(space.n_atoms)])
+        masses = singletons(cost)
+        closed = atom_table(masses)
+    nu_a, m_a = singletons(nu_t), singletons(m_t)
+    i = first_flagged(np.isinf(masses) & np.isfinite(nu_a) & np.isfinite(m_a))
+    if i is not None:
+        raise MaxitiveError(f"product nu * m overflows on atom {i}: {nu_a[i]} * {m_a[i]}")
     b = first_flagged(~vle(closed, cost, tol))
     if b is not None:
         raise OracleMismatch(
             f"block cost {cost[b]} below singleton sum {closed[b]} at mask {b}"
         )
-    masses = [float(closed[1 << i]) for i in range(space.n_atoms)]
-    return AdditiveMeasure(space, masses)
+    return AdditiveMeasure(nu.space, masses)
 
 
 @dataclass
 class EnvelopeReport:
     envelope: AdditiveMeasure
     density: MeasurableFn
-    transformed: bool
+    transformed: bool  # nu has an infinite atom
     reconstruction_ok: bool
 
 
 def _reconstruct(nu, m, env, tol):
     """nu(B) as the sup of envelope/m ratios over subsets of positive mass."""
-    mass = atom_table(m.atom_masses)
-    env_t = atom_table(env.atom_masses)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        mass = atom_table(m.atom_masses)
+        env_t = atom_table(env.atom_masses)
         ratio = np.where(np.isinf(env_t), INF, env_t / mass)
     charged = (0.0 < mass) & (mass < INF)
     best = max_over_submasks(np.where(charged, ratio, 0.0))
     return bool(vclose(as_table(nu).table, best, tol).all())
 
 
-def envelope_density(nu, m, tol=DEFAULT_TOL, force_transform=False):
+def envelope_density(nu, m, tol=DEFAULT_TOL):
     """Density of the envelope with respect to m; equals nu atom by atom.
 
-    Infinite nu values are routed through the arctan transform: the envelope
-    is built for the bounded measure arctan(nu), its density extracted, and
-    tan applied back, mapping pi/2 to infinity exactly. Reconstruction of nu
-    from envelope ratios is verified when m is finite-valued.
+    The envelope's atoms are nu_i m_i, infinite ones included, so its
+    classical density is nu on every atom m charges. An atom of infinite
+    m-mass where nu is positive leaves the density undetermined there and
+    raises NoDensity. Reconstruction of nu from envelope ratios is verified
+    when m is finite-valued.
     """
-    space = nu.space
-    has_inf = bool(np.isinf(nu.atom_values).any())
-    transformed = has_inf or force_transform
-    if transformed:
-        base = MaxitiveMeasure(space, [math.atan(float(v)) for v in nu.atom_values])
-    else:
-        base = nu
-    env1 = envelope_measure(base, m, tol)
-    c1 = classical_density(env1, m, tol)
-    if transformed:
-        # the classical division puts the transform value a few ulp off
-        # pi/2 on infinite atoms; anything that close can only be infinity
-        half_pi = math.atan(INF)
-        vals = [
-            INF if close(float(v), half_pi, 1e-12) else math.tan(float(v))
-            for v in c1.atom_values
-        ]
-        c = MeasurableFn(space, vals)
-        env = envelope_measure(nu, m, tol)
-    else:
-        c = c1
-        env = env1
+    i = first_flagged(np.isinf(m.atom_masses) & (nu.atom_values > 0))
+    if i is not None:
+        raise NoDensity(
+            f"m has infinite mass on atom {i} where nu is positive, "
+            "so the density is not determined there"
+        )
+    env = envelope_measure(nu, m, tol)
+    with np.errstate(over="ignore"):  # an atom sum that overflows is inf
+        c = classical_density(env, m, tol)
     # the density must agree with nu on every atom m charges
     i = first_flagged((m.atom_masses > 0) & ~vclose(c.atom_values, nu.atom_values, tol))
     if i is not None:
@@ -203,8 +196,9 @@ def envelope_density(nu, m, tol=DEFAULT_TOL, force_transform=False):
     recon = True
     if np.isfinite(m.atom_masses).all():
         recon = _reconstruct(nu, m, env, tol)
+    has_inf = bool(np.isinf(nu.atom_values).any())
     return EnvelopeReport(
-        envelope=env, density=c, transformed=transformed, reconstruction_ok=recon
+        envelope=env, density=c, transformed=has_inf, reconstruction_ok=recon
     )
 
 

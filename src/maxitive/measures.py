@@ -50,6 +50,7 @@ from .spaces import (
     per_distinct,
     require_budget,
     require_table,
+    singletons,
     submasks,
     union_of,
     vclose,
@@ -82,8 +83,7 @@ class MaxitiveMeasure:
         ok, wit = is_maxitive(w, tol)
         if not ok:
             raise ValueError(f"table is not maxitive; witness masks {wit[:2]}")
-        vals = [w.table[1 << i] for i in range(w.space.n_atoms)]
-        return cls(w.space, vals)
+        return cls(w.space, singletons(w.table))
 
     def support_mask(self):
         return mask_of(np.flatnonzero(self.atom_values > 0))
@@ -175,8 +175,7 @@ def is_sigma_finite(w):
 
 def _atom_sup(table):
     """The maxitive table generated by the singleton values of ``table``."""
-    k = len(table).bit_length() - 1
-    return atom_table(table[1 << np.arange(k)], np.maximum)
+    return atom_table(singletons(table), np.maximum)
 
 
 def is_maxitive(w, tol=DEFAULT_TOL):
@@ -261,7 +260,7 @@ def is_autocontinuous(w, tol=DEFAULT_TOL):
     table = w.table
     k = w.space.n_atoms
     dead = atom_flags(_null_atoms(table), k)
-    ess = atom_table(np.where(dead, 0.0, table[1 << np.arange(k)]), np.maximum)
+    ess = atom_table(np.where(dead, 0.0, singletons(table)), np.maximum)
     b = first_flagged(~vclose(table, ess, tol))
     return b is None, b
 
@@ -414,7 +413,7 @@ def classify(w, tol=DEFAULT_TOL):
             wit[name] = witness
     atom_values = None
     if out["maxitive"]:
-        atom_values = tuple(float(w.table[1 << i]) for i in range(w.space.n_atoms))
+        atom_values = tuple(singletons(w.table).tolist())
     return PropertyReport(atom_values=atom_values, witnesses=wit, **out)
 
 
@@ -530,8 +529,7 @@ def delta_measure(w, tol=DEFAULT_TOL):
     ok, b = is_essential(w)
     if not ok:
         raise NotNullAdditive(f"positivity not atom-determined at mask {b}")
-    vals = [1.0 if w.table[1 << i] > 0 else 0.0 for i in range(w.space.n_atoms)]
-    return MaxitiveMeasure(w.space, vals)
+    return MaxitiveMeasure(w.space, np.where(singletons(w.table) > 0, 1.0, 0.0))
 
 
 def counting_delta(space):

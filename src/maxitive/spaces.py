@@ -198,6 +198,12 @@ def atom_table(values, combine=np.add, start=0.0):
     return table
 
 
+def singletons(table):
+    """The values of a table on the k singletons, in atom order."""
+    k = len(table).bit_length() - 1
+    return table[1 << np.arange(k)]
+
+
 def fold_atoms(values, mask, combine, start):
     """``start`` combined with the values of the atoms of one mask.
 

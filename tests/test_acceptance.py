@@ -253,7 +253,7 @@ def test_criterion_05_additive_envelope():
             for j in range(space.n_atoms):
                 assert close(float(rep.density.atom_values[j]), vals[j], 1e-9), (i, j)
 
-    _check(5, "additive envelope reconstructs 100 finite measures and 20 infinite ones via arctan", body)
+    _check(5, "additive envelope reconstructs 100 finite measures and 20 infinite ones by the same closed form", body)
 
 
 def test_criterion_06_decomposition_and_variation():

@@ -257,6 +257,45 @@ def test_density_refusal_exits_one(docs, tmp_path):
     assert proc.stdout == ""
 
 
+def test_envelope_density_with_an_inf_atom_keeps_large_finite_atoms(tmp_path):
+    nu = write_doc(
+        tmp_path / "nu.json",
+        measure_doc("maxitive", ["a", "b", "c"], ["inf", 4609817.575, 1e12]),
+    )
+    m = write_doc(tmp_path / "m.json", measure_doc("additive", ["a", "b", "c"], [1, 1.7, 2]))
+    proc = run_cli("density", "--method", "envelope", "--nu", nu, "--m", m)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    out = json.loads(proc.stdout)
+    assert out["density"]["atoms"] == {"a": "inf", "b": 4609817.575, "c": 1e12}
+    assert out["transformed"] is True
+    assert out["reconstruction_ok"] is True
+
+
+@pytest.mark.parametrize(
+    "nu, m, message",
+    [
+        # a singleton product of two finite factors overflows
+        ([9e307, 0, 0], [3.24, 0, 0], "error: product nu * m overflows on atom 0: 9e+307 * 3.24"),
+        # infinite m-mass where nu is positive: no density is determined
+        (
+            [4.419498912558229, 1, 0],
+            ["inf", 1, 1],
+            "error: m has infinite mass on atom 0 where nu is positive,"
+            " so the density is not determined there",
+        ),
+    ],
+)
+def test_envelope_density_refusals_are_one_error_line(nu, m, message, tmp_path):
+    nu = write_doc(tmp_path / "nu.json", measure_doc("maxitive", ["a", "b", "c"], nu))
+    m = write_doc(tmp_path / "m.json", measure_doc("additive", ["a", "b", "c"], m))
+    proc = run_cli("density", "--method", "envelope", "--nu", nu, "--m", m)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    # exactly one line: no RuntimeWarning from numpy precedes it
+    assert proc.stderr == message + "\n"
+
+
 def test_decompose_and_variation(docs):
     proc = run_cli("decompose", "--nu", docs["nu"])
     out = json.loads(proc.stdout)

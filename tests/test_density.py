@@ -3,6 +3,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maxitive.additive import AdditiveMeasure
 from maxitive.density import (
@@ -187,21 +189,43 @@ def test_envelope_density_infinite_values():
     m = AdditiveMeasure(sp, [1, 1])
     rep = envelope_density(nu, m)
     assert rep.transformed
-    # the finite atom goes through tan(atan(.)) and may lose an ulp
     assert rep.density.atom_values[0] == INF
-    assert close(float(rep.density.atom_values[1]), 2.0)
+    assert rep.density.atom_values[1] == 2.0
     assert rep.reconstruction_ok
     assert rep.envelope(0b01) == INF
 
 
-def test_envelope_force_transform_matches(abc):
-    nu = MaxitiveMeasure(abc, [1, 2, 0.5])
-    m = AdditiveMeasure(abc, [1, 0.5, 2])
-    plain = envelope_density(nu, m)
-    forced = envelope_density(nu, m, force_transform=True)
-    for a, b in zip(plain.density.atom_values, forced.density.atom_values):
-        assert close(float(a), float(b))
-    assert forced.transformed and not plain.transformed
+def test_envelope_density_of_finite_atoms_whose_sum_overflows():
+    # the atom sum is inf, with no overflow warning (an error under pytest)
+    sp = build_space("ab", [["a"], ["b"]])
+    rep = envelope_density(MaxitiveMeasure(sp, [1e308, 1e308]), AdditiveMeasure(sp, [1, 1]))
+    assert list(rep.density.atom_values) == [1e308, 1e308]
+    assert rep.envelope(0b11) == INF
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_an_infinite_atom_leaves_the_other_envelope_densities_unchanged(data):
+    # the envelope density is nu_i m_i / m_i atom by atom, so an inf atom
+    # takes the finite route's closed form and moves no other atom's value
+    k = data.draw(st.integers(1, 6))
+    finite = st.one_of(st.just(0.0), st.floats(1e-3, 1e13))
+    vals = data.draw(st.lists(finite, min_size=k, max_size=k))
+    masses = data.draw(
+        st.lists(st.one_of(st.just(0.0), st.floats(0.1, 10.0)), min_size=k, max_size=k)
+    )
+    j = data.draw(st.integers(0, k - 1))
+    labels = [f"x{i}" for i in range(k)]
+    space = build_space(labels, [[lab] for lab in labels])
+    m = AdditiveMeasure(space, masses)
+    finite_rep = envelope_density(MaxitiveMeasure(space, vals), m)
+    vals[j] = INF
+    inf_rep = envelope_density(MaxitiveMeasure(space, vals), m)
+    assert inf_rep.transformed and not finite_rep.transformed
+    assert inf_rep.density.atom_values[j] == (INF if masses[j] > 0 else 0.0)
+    for i in range(k):
+        if i != j:
+            assert inf_rep.density.atom_values[i] == finite_rep.density.atom_values[i]
 
 
 def test_envelope_uncharged_support_breaks_reconstruction():
