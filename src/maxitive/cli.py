@@ -4,23 +4,20 @@ Every command reads measures and functions from JSON documents (see
 modelio), prints exactly one JSON report to stdout with sorted keys, and
 exits 0 on success, 1 on a domain refusal (no density, budget exceeded,
 bad input values), 2 on usage errors. Seeded commands are byte-identical
-across runs. The one command that starts processes is simulate: the rows
-of its --csv file are formatted by up to one forked worker per usable CPU,
-written in order, so the bytes do not depend on how many.
+across runs. No command starts a process: simulate formats the rows of its
+--csv file block by block in this process, as it draws them.
 """
 
 from __future__ import annotations
 
 import argparse
-import collections
 import csv
 import math
-import os
 import sys
 
 import numpy as np
 
-from . import modelio, sampling, supmeasure
+from . import modelio, sampling
 from .additive import AdditiveMeasure
 from .density import density_from_associated, envelope_density, rn_density
 from .errors import MaxitiveError
@@ -246,59 +243,27 @@ def _cmd_residual(args):
 
 
 def _csv_rows(rows):
-    """CSV text of a 2-d float array: the shortest repr of each float joined
-    by commas, which is what csv.writer writes for such fields, CRLF-terminated."""
-    return "".join(",".join(map(repr, row)) + "\r\n" for row in rows.tolist())
+    """CSV text of a 2-d float64 array: the shortest repr of each float joined
+    by commas, which is what csv.writer writes for such fields, CRLF-terminated.
 
-
-def _usable_cpus():
-    """The number of CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _write_csv(fh, header, blocks, n_blocks):
-    """Write a header through csv.writer, which quotes labels as needed, then
-    the rows of each (block, set values) pair through _csv_rows, in order.
-
-    Formatting the floats is most of the time of a large sample, so with
-    more than one usable CPU and more than one block it runs in forked
-    workers, one per CPU and at most one per block, while this process
-    draws and writes. The text is written in block order, so the bytes do
-    not depend on how many workers there are, and at most two blocks per
-    worker are in flight, so memory does not grow with the sample.
+    orjson writes a float with Ryu, the same shortest round-trip digits as
+    repr, and in the same notation for zero and for magnitudes in
+    [1e-4, 1e16). Every other cell (inf, nan, tiny or huge values) goes to
+    orjson as nan, which it writes as null, and the pieces of its text
+    between the nulls are joined with the repr of those cells, in order.
     """
-    workers = min(_usable_cpus(), n_blocks) if hasattr(os, "fork") else 1
-    if workers <= 1:
-        csv.writer(fh).writerow(header)
-        for pair in blocks:
-            fh.write(_csv_rows(np.column_stack(pair)))
-        return
-    # imported here: it costs a short command about a tenth of its time
-    import multiprocessing
+    # imported here: at import it would cost every other command its load time
+    import orjson
 
-    # forked, not spawned: a spawned worker imports numpy and this package
-    # again, which costs more than its share of the formatting saves. A
-    # forked worker flushes its copies of the standard streams when it ends,
-    # so nothing may wait in them at the fork; fh is still empty.
-    sys.stdout.flush()
-    sys.stderr.flush()
-    pool = multiprocessing.get_context("fork").Pool(workers)
-    try:
-        csv.writer(fh).writerow(header)
-        pending = collections.deque()
-        for pair in blocks:
-            # column_stack makes a new array: the sampler overwrites block
-            # with the next draw
-            pending.append(pool.apply_async(_csv_rows, (np.column_stack(pair),)))
-            if len(pending) >= 2 * workers:
-                fh.write(pending.popleft().get())
-        for result in pending:
-            fh.write(result.get())
-    finally:
-        pool.terminate()
-        pool.join()
+    mag = np.abs(rows)
+    odd = ~((mag < 1e16) & ((mag >= 1e-4) | (mag == 0.0)))
+    text = orjson.dumps(np.where(odd, np.nan, rows), option=orjson.OPT_SERIALIZE_NUMPY)
+    # [[1.0,2.0],[3.0,4.0]] -> 1.0,2.0\r\n3.0,4.0\r\n
+    pieces = (text[2:-2].replace(b"],[", b"\r\n").decode() + "\r\n").split("null")
+    out = [None] * (2 * len(pieces) - 1)
+    out[::2] = pieces
+    out[1::2] = map(repr, rows[odd].tolist())
+    return "".join(out)
 
 
 def _quantiles(draws, qs):
@@ -351,8 +316,10 @@ def _cmd_simulate(args):
 
     if args.csv:
         with open(args.csv, "w", newline="") as fh:
-            n_blocks = -(-args.n // supmeasure.BLOCK_ROWS)
-            _write_csv(fh, list(m.space.atom_labels()) + ["value"], set_values(), n_blocks)
+            # csv.writer quotes the labels as needed
+            csv.writer(fh).writerow(list(m.space.atom_labels()) + ["value"])
+            for pair in set_values():
+                fh.write(_csv_rows(np.column_stack(pair)))
     else:
         for _ in set_values():
             pass

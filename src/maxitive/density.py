@@ -158,11 +158,21 @@ class EnvelopeReport:
 
 
 def _reconstruct(nu, m, env, tol):
-    """nu(B) as the sup of envelope/m ratios over subsets of positive mass."""
+    """nu(B) as the sup of envelope/m ratios over subsets of positive mass.
+
+    Where a subset's envelope sum is inf, its ratio is formed from the atoms
+    divided by their largest finite value and multiplied back, so a sum of
+    finite atoms that overflows keeps its finite ratio; an infinite atom
+    keeps it inf. The atoms lost to underflow there lie below the last digit
+    of a sum that large.
+    """
+    atoms = env.atom_masses
+    scale = max(atoms[np.isfinite(atoms)], default=0.0) or 1.0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         mass = atom_table(m.atom_masses)
-        env_t = atom_table(env.atom_masses)
-        ratio = np.where(np.isinf(env_t), INF, env_t / mass)
+        env_t = atom_table(atoms)
+        scaled = atom_table(atoms / scale) / mass * scale
+        ratio = np.where(np.isinf(env_t), scaled, env_t / mass)
     charged = (0.0 < mass) & (mass < INF)
     best = max_over_submasks(np.where(charged, ratio, 0.0))
     return bool(vclose(as_table(nu).table, best, tol).all())

@@ -20,9 +20,7 @@ counts, each as its offset from the block's per-atom minimum in the
 narrowest unsigned integer the block needs, 2 or 4 bytes at most rates
 instead of 8. A sample is priced at n * k cells of the ``spaces`` budget,
 and refused above it before anything is drawn. The simulate command formats
-the rows of its --csv file in up to one worker process per usable CPU; the
-draws happen here, in this process and in this order, so the bytes do not
-depend on how many.
+the rows of its --csv file one block at a time, as the blocks are drawn.
 
 The checks at the end hold the samplers against the theory: marginal
 distribution (one-sample KS), agreement of the two modes (two-sample KS),

@@ -272,6 +272,17 @@ def test_envelope_density_with_an_inf_atom_keeps_large_finite_atoms(tmp_path):
     assert out["reconstruction_ok"] is True
 
 
+def test_envelope_reconstruction_of_an_overflowing_atom_sum(tmp_path):
+    nu = write_doc(tmp_path / "nu.json", measure_doc("maxitive", ["a", "b"], [1e308, 1e308]))
+    m = write_doc(tmp_path / "m.json", measure_doc("additive", ["a", "b"], [1, 1]))
+    proc = run_cli("density", "--method", "envelope", "--nu", nu, "--m", m)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    out = json.loads(proc.stdout)
+    assert out["density"]["atoms"] == {"a": 1e308, "b": 1e308}
+    assert out["reconstruction_ok"] is True
+
+
 @pytest.mark.parametrize(
     "nu, m, message",
     [
@@ -405,23 +416,18 @@ def test_simulate_refuses_before_opening_the_csv(atoms, extra, tmp_path, capsys)
     assert not csv_path.exists()
 
 
-def test_pooled_simulate_leaves_no_process_behind(tmp_path, monkeypatch, capfd):
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+def test_pooled_simulate_leaves_no_process_behind(tmp_path, capfd):
     csv_path = tmp_path / "draws.csv"
     argv = ["simulate", "--atoms", "a:1,b:0.5,c:2", "--p", "2", "--n", "20000",
             "--seed", "3", "--csv", str(csv_path)]
     assert cli.main(argv) == 0
     assert multiprocessing.active_children() == []
-    # the workers' stderr included
     assert capfd.readouterr().err == ""
     assert len(csv_path.read_text().splitlines()) == 20_001
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
-def test_pooled_simulate_on_a_full_device_exits_one_and_leaves_no_process(
-    monkeypatch, capsys
-):
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+def test_pooled_simulate_on_a_full_device_exits_one_and_leaves_no_process(capsys):
     argv = ["simulate", "--atoms", "a:1,b:0.5,c:2", "--p", "2", "--n", "20000",
             "--seed", "3", "--csv", "/dev/full"]
     assert cli.main(argv) == 1

@@ -203,6 +203,22 @@ def test_envelope_density_of_finite_atoms_whose_sum_overflows():
     assert rep.envelope(0b11) == INF
 
 
+@pytest.mark.parametrize("nu, m", [
+    ([1e308, 1e308], [1, 1]),
+    # a tiny atom that underflows when the atoms are scaled by 1e308
+    ([1e308, 1e308, 1e-300], [1, 1, 1]),
+    ([INF, 1e308, 1e308, 2.0], [1, 1.5, 0.5, 3]),
+    ([8e307, 0.0, 9e307], [2, 0, 1.5]),
+])
+def test_reconstruction_holds_where_the_envelope_sum_overflows(nu, m):
+    # the full set's envelope sum is inf; its ratio env / m is not
+    labels = "abcd"[: len(nu)]
+    sp = build_space(labels, [[l] for l in labels])
+    rep = envelope_density(MaxitiveMeasure(sp, nu), AdditiveMeasure(sp, m))
+    assert rep.envelope((1 << len(nu)) - 1) == INF
+    assert rep.reconstruction_ok
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_an_infinite_atom_leaves_the_other_envelope_densities_unchanged(data):

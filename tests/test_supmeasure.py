@@ -10,6 +10,7 @@ import io
 import json
 import math
 import re
+import struct
 import tracemalloc
 import warnings
 from types import SimpleNamespace
@@ -396,6 +397,39 @@ def test_csv_rows_match_csv_writer(block_rows, monkeypatch, tmp_path, capsys):
     assert "\r\n" in text and ",inf," in text
 
 
+def edge_floats():
+    # orjson writes repr's notation only for zero and magnitudes in
+    # [1e-4, 1e16): the neighbours of both ends, and values far outside
+    edges = [0.0, INF, math.nan, 5e-324, 2.225073858507201e-308,
+             2.2250738585072014e-308, 1.7976931348623157e308]
+    for x in (1e-4, 1e16):
+        edges += [float(np.nextafter(x, 0.0)), x, float(np.nextafter(x, INF))]
+    return [s * v for v in edges for s in (1.0, -1.0)]
+
+
+EDGE_FLOATS = edge_floats()
+cells_st = st.one_of(
+    st.integers(0, 2**64 - 1).map(lambda bits: struct.unpack("<d", bits.to_bytes(8, "little"))[0]),
+    st.sampled_from(EDGE_FLOATS),
+    st.floats(),
+    st.floats(1e-4, 1e16, exclude_max=True),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 6).flatmap(
+    lambda c: st.lists(st.lists(cells_st, min_size=c, max_size=c), min_size=1, max_size=8)
+))
+@example(rows=[EDGE_FLOATS])
+# every cell out of orjson's range, then none
+@example(rows=[[INF, -INF, math.nan], [5e-324, 1e300, -9.999999999999999e-05]])
+@example(rows=[[0.0, -0.0, 1e-4], [9999999999999998.0, 0.5, -123.456]])
+def test_csv_rows_are_the_repr_of_their_floats(rows):
+    rows = np.array(rows, dtype=np.float64)
+    want = "".join(",".join(map(repr, r)) + "\r\n" for r in rows.tolist())
+    assert cli._csv_rows(rows) == want
+
+
 @pytest.mark.parametrize("mode", ["exact", "poisson"])
 def test_simulate_report_and_csv_match_the_reference(mode, tmp_path, capsys):
     masses = [0.5, 0.0, 2.0, 0.25, 1.0]
@@ -476,20 +510,18 @@ def test_simulate_mean_of_finite_draws_whose_sum_overflows(capfd):
 
 
 @pytest.mark.parametrize("block_rows", [1, 7, BLOCK_ROWS])
-@pytest.mark.parametrize("workers", [1, 2, 3])
 @pytest.mark.parametrize("mode", ["exact", "poisson"])
-def test_csv_bytes_do_not_depend_on_the_worker_count(
-    mode, workers, block_rows, monkeypatch, tmp_path, capsys
+def test_csv_bytes_match_the_reference_at_every_block_size(
+    mode, block_rows, monkeypatch, tmp_path, capsys
 ):
     monkeypatch.setattr(supmeasure, "BLOCK_ROWS", block_rows)
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: workers)
     # the inputs of the two tests above: b never fires, and in exact mode
     # d's maxima overflow to inf
     if mode == "exact":
         masses, p, eps, cols, set_arg = [0.5, 0.0, 2.0, 1e300, 1.0], 0.5, 1e-3, [0, 2, 3, 4], "a+c+d+e"
     else:
         masses, p, eps, cols, set_arg = [0.5, 0.0, 2.0, 0.25, 1.0], 1.5, 0.05, [1, 2, 4], "b+c+e"
-    # more blocks than the two per worker in flight, the last one partial
+    # several blocks, the last one partial
     n = 7 * block_rows + 3
     space = space_of(len(masses))
     atoms = ",".join(f"{l}:{v!r}" for l, v in zip(space.atom_labels(), masses))
@@ -509,21 +541,12 @@ def test_csv_bytes_do_not_depend_on_the_worker_count(
         assert_same_text(fh.read(), ref_csv(space.atom_labels(), mat, draws))
 
 
-def test_csv_of_no_replicates_is_its_header(monkeypatch, tmp_path, capsys):
-    # no block to format: no worker is started, whatever the CPU count
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+def test_csv_of_no_replicates_is_its_header(tmp_path, capsys):
     csv_path = tmp_path / "draws.csv"
     argv = ["simulate", "--atoms", "a:1,b:2", "--p", "2", "--n", "0", "--csv", str(csv_path)]
     assert cli.main(argv) == 0
     assert json.loads(capsys.readouterr().out)["draws"] == []
     assert csv_path.read_bytes() == b"a,b,value\r\n"
-
-
-def untraced_csv_rows(rows, _csv_rows=cli._csv_rows):
-    # cli._csv_rows in a forked worker, which need not trace its allocations:
-    # only the process that forked it is measured
-    tracemalloc.stop()
-    return _csv_rows(rows)
 
 
 @pytest.mark.parametrize("mode, bound_cells, to_csv", [
@@ -532,20 +555,18 @@ def untraced_csv_rows(rows, _csv_rows=cli._csv_rows):
     pytest.param("exact", 0.5, True, id="exact-0.5-csv"),
 ])
 def test_simulate_streams_without_an_n_by_k_matrix(
-    mode, bound_cells, to_csv, monkeypatch, tmp_path, capsys
+    mode, bound_cells, to_csv, tmp_path, capsys
 ):
     # tracemalloc sees numpy's buffers. Exact mode holds one block and the n
     # set values; Poisson mode adds the counts as offsets from their block
     # minimum, 2 bytes a cell at these rates. A float64 or int64 n x k matrix
-    # (8 bytes a cell) breaks the bound. With --csv, two forked workers
-    # format the rows and at most four blocks' arrays or text are in flight;
-    # handing every block to them at once breaks it too.
+    # (8 bytes a cell) breaks the bound. With --csv, one block's rows and
+    # their text are formatted at a time; formatting every block at once
+    # breaks it too.
     n, k = 200_000, 12
     atoms = ",".join(f"{l}:{0.1 * (i + 1)!r}" for i, l in enumerate(LABELS[:k]))
     argv = ["simulate", "--atoms", atoms, "--p", "2", "--n", str(n), "--mode", mode]
     if to_csv:
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
-        monkeypatch.setattr(cli, "_csv_rows", untraced_csv_rows)
         argv += ["--csv", str(tmp_path / "draws.csv")]
     tracemalloc.start()
     try:
