@@ -9,6 +9,7 @@ import csv
 import io
 import json
 import math
+import os
 import re
 import struct
 import tracemalloc
@@ -510,11 +511,16 @@ def test_simulate_mean_of_finite_draws_whose_sum_overflows(capfd):
 
 
 @pytest.mark.parametrize("block_rows", [1, 7, BLOCK_ROWS])
+@pytest.mark.parametrize("workers", [1, 2, 3])
 @pytest.mark.parametrize("mode", ["exact", "poisson"])
-def test_csv_bytes_match_the_reference_at_every_block_size(
-    mode, block_rows, monkeypatch, tmp_path, capsys
+def test_csv_bytes_do_not_depend_on_the_worker_count(
+    mode, workers, block_rows, monkeypatch, tmp_path, capsys
 ):
     monkeypatch.setattr(supmeasure, "BLOCK_ROWS", block_rows)
+    # the rows are formatted in-process: the CPUs the process may run on
+    # change no byte of the file
+    monkeypatch.setattr(os, "cpu_count", lambda: workers)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)), raising=False)
     # the inputs of the two tests above: b never fires, and in exact mode
     # d's maxima overflow to inf
     if mode == "exact":
