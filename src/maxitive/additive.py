@@ -37,7 +37,6 @@ from .spaces import (
     mask_of,
     max_over_submasks,
     per_distinct,
-    require_table,
     singletons,
     union_of,
     vclose,
@@ -59,8 +58,8 @@ class AdditiveMeasure:
 
     def to_set_function(self):
         if self._table is None:
-            require_table(self.space.n_atoms)
-            self._table = SetFunction(self.space, atom_table(self.atom_masses))
+            with np.errstate(over="ignore"):  # a mass sum that overflows is inf
+                self._table = SetFunction(self.space, atom_table(self.atom_masses))
         return self._table
 
     @classmethod

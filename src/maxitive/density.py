@@ -33,7 +33,6 @@ from .spaces import (
     atom_table,
     first_flagged,
     mask_of,
-    max_over_submasks,
     per_distinct,
     singletons,
     vclose,
@@ -157,35 +156,18 @@ class EnvelopeReport:
     reconstruction_ok: bool
 
 
-def _reconstruct(nu, m, env, tol):
-    """nu(B) as the sup of envelope/m ratios over subsets of positive mass.
-
-    Where a subset's envelope sum is inf, its ratio is formed from the atoms
-    divided by their largest finite value and multiplied back, so a sum of
-    finite atoms that overflows keeps its finite ratio; an infinite atom
-    keeps it inf. The atoms lost to underflow there lie below the last digit
-    of a sum that large.
-    """
-    atoms = env.atom_masses
-    scale = max(atoms[np.isfinite(atoms)], default=0.0) or 1.0
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        mass = atom_table(m.atom_masses)
-        env_t = atom_table(atoms)
-        scaled = atom_table(atoms / scale) / mass * scale
-        ratio = np.where(np.isinf(env_t), scaled, env_t / mass)
-    charged = (0.0 < mass) & (mass < INF)
-    best = max_over_submasks(np.where(charged, ratio, 0.0))
-    return bool(vclose(as_table(nu).table, best, tol).all())
-
-
 def envelope_density(nu, m, tol=DEFAULT_TOL):
     """Density of the envelope with respect to m; equals nu atom by atom.
 
     The envelope's atoms are nu_i m_i, infinite ones included, so its
     classical density is nu on every atom m charges. An atom of infinite
     m-mass where nu is positive leaves the density undetermined there and
-    raises NoDensity. Reconstruction of nu from envelope ratios is verified
-    when m is finite-valued.
+    raises NoDensity. When m is finite-valued, the reconstruction of nu(b)
+    as the sup of env(S) / m(S) over the subsets S of b of positive mass is
+    checked. By the mediant inequality that sup is attained at an atom of b
+    that m charges, where the ratio is the density just checked against nu.
+    So it is nu(b) on every set b iff nu is 0, within tolerance, on every
+    atom that m does not charge.
     """
     i = first_flagged(np.isinf(m.atom_masses) & (nu.atom_values > 0))
     if i is not None:
@@ -205,7 +187,7 @@ def envelope_density(nu, m, tol=DEFAULT_TOL):
         )
     recon = True
     if np.isfinite(m.atom_masses).all():
-        recon = _reconstruct(nu, m, env, tol)
+        recon = bool(vclose(nu.atom_values[m.atom_masses == 0.0], 0.0, tol).all())
     has_inf = bool(np.isinf(nu.atom_values).any())
     return EnvelopeReport(
         envelope=env, density=c, transformed=has_inf, reconstruction_ok=recon

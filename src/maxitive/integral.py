@@ -25,6 +25,7 @@ from .spaces import (
     atom_table,
     close,
     per_distinct,
+    require_budget,
     vsub,
 )
 
@@ -117,12 +118,15 @@ def density_measure(op, f, nu):
 
     For a maxitive nu the result is again maxitive with atom values
     op(f_i, nu_i); for a general set function the level sweep of
-    idempotent_integral is run on every set at once.
+    idempotent_integral is run on every set at once. Its gather holds about
+    14 cells per level and set (measured), so it is priced at 16.
     """
     if isinstance(nu, MaxitiveMeasure):
         return MaxitiveMeasure(nu.space, per_distinct(op, f.atom_values, nu.atom_values))
     w = as_table(nu)
     levels = np.unique(np.append(f.atom_values, 0.0))
+    k = w.space.n_atoms
+    require_budget(16 * len(levels) << k, f"level sweep of {len(levels)} levels on {k} atoms")
     cut = np.array([[f.level_set_ge(v).mask, f.level_set(v).mask] for v in levels])
     sets = np.arange(w.space.n_sets)[:, None, None]
     meas = w.table[sets & cut]  # by set, level, then weak or strict level set

@@ -12,7 +12,7 @@ essentiality among them, read whole 2^k tables through the subset-lattice
 kernels of ``spaces`` (k 2^k transforms, a 3^k partition DP) instead of
 looping over sets in Python. Only the witness scans of ``is_maxitive`` and
 ``is_null_additive`` still loop, and only on a table that fails their
-bit-for-bit test.
+bit-for-bit test, and each prices its scan when it starts.
 """
 
 from __future__ import annotations
@@ -49,7 +49,6 @@ from .spaces import (
     partition_dp,
     per_distinct,
     require_budget,
-    require_table,
     singletons,
     submasks,
     union_of,
@@ -73,7 +72,6 @@ class MaxitiveMeasure:
 
     def to_set_function(self):
         if self._table is None:
-            require_table(self.space.n_atoms)
             table = atom_table(self.atom_values, np.maximum)
             self._table = SetFunction(self.space, table)
         return self._table
@@ -145,14 +143,17 @@ def is_null_additive(w, tol=DEFAULT_TOL):
 
     Every zero set lies inside their union U, and (B | N) | U = B | U, so a
     table with nu(B | U) = nu(B) bit for bit passes every zero set; only a
-    table that differs pays for the per-zero-set scan that finds the witness.
+    table that differs pays for the per-zero-set scan that finds the witness,
+    priced at 2^k cells per zero set.
     """
     w = as_table(w)
     table = w.table
     masks = np.arange(w.space.n_sets)
     if np.array_equal(table[masks | _null_atoms(table)], table):
         return True, None
-    for n in _zero_masks(table):
+    zeros, k = _zero_masks(table), w.space.n_atoms
+    require_budget(len(zeros) << k, f"scan of {len(zeros)} zero sets on {k} atoms")
+    for n in zeros:
         b = first_flagged(~vclose(table[masks | int(n)], table, tol))
         if b is not None:
             return False, (b, int(n))
@@ -182,12 +183,14 @@ def is_maxitive(w, tol=DEFAULT_TOL):
     """nu(B1 | B2) = max(nu(B1), nu(B2)) on every pair of sets.
 
     A table equal to its atom-sup table bit for bit passes every pair, so
-    only a table that differs pays for the 4^k scan that finds the witness.
+    only a table that differs pays for the 4^k scan that finds the witness,
+    priced when it starts.
     """
     w = as_table(w)
     table = w.table
     if np.array_equal(table, _atom_sup(table)):
         return True, None
+    require_budget(len(table) ** 2, f"pair scan on {w.space.n_atoms} atoms")
     masks = np.arange(w.space.n_sets)
     for b1 in range(w.space.n_sets):
         union = table[b1 | masks]

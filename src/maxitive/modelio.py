@@ -12,6 +12,8 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+from functools import reduce
+from operator import or_
 
 import numpy as np
 
@@ -90,17 +92,24 @@ def _set_key(space, mask):
     return "+".join(labels[i] for i in atoms_of(mask))
 
 
+def _set_parser(space):
+    """The map from a set's name to its mask, the OR of its atoms' masks."""
+    bits = {l: mask_of([i]) for i, l in enumerate(space.atom_labels())}
+
+    def mask(text):
+        if not text.strip():
+            return 0
+        try:
+            return reduce(or_, map(bits.__getitem__, map(str.strip, text.split("+"))))
+        except KeyError as e:
+            raise ValueError(f"unknown atom label {e.args[0]!r}") from None
+
+    return mask
+
+
 def parse_set(space, text):
     """A set named by atom labels joined with +; empty string is the empty set."""
-    text = text.strip()
-    if not text:
-        return space.empty()
-    labels = [p.strip() for p in text.split("+")]
-    index = {l: i for i, l in enumerate(space.atom_labels())}
-    for l in labels:
-        if l not in index:
-            raise ValueError(f"unknown atom label {l!r}")
-    return MeasurableSet(space, mask_of(index[l] for l in labels))
+    return MeasurableSet(space, _set_parser(space)(text))
 
 
 def parse_subalgebra(space, text):
@@ -167,9 +176,10 @@ def measure_from_json(doc, space=None):
         return MeasurableFn(space, vals)
     if kind == "set_function":
         require_table(space.n_atoms)
+        mask = _set_parser(space)
         table = [0.0] * space.n_sets
         for key, v in doc["table"].items():
-            table[parse_set(space, key).mask] = decode_value(v)
+            table[mask(key)] = decode_value(v)
         return SetFunction(space, table)
     raise ValueError(f"unknown kind {kind!r}")
 

@@ -17,7 +17,8 @@ Each convention on them has one home:
 - inf - inf = 0 is :func:`esub` (and :func:`vsub`);
 - 0 * inf = 0 is applied by the operation evaluators of ``semigroup``;
 - the work budget of every exponential routine is :data:`BUDGET_CELLS`,
-  against which :func:`require_budget` refuses a priced cost.
+  against which :func:`require_budget` refuses a priced cost; each routine
+  prices the work it runs when it starts, and a whole table what it holds.
 """
 
 from __future__ import annotations
@@ -130,9 +131,9 @@ def require_budget(cells, what):
 
 
 def require_table(n_atoms):
-    """Price a set-function table at 4^k cells: any predicate may run on
-    it, and the witness scans of is_maxitive and is_null_additive take 4^k."""
-    require_budget(4**n_atoms, f"set-function table on {n_atoms} atoms")
+    """Price a table that arrives whole at k 2^k cells, as :func:`atom_table`
+    prices one: the table and one subset transform of it."""
+    require_budget(n_atoms << n_atoms, f"set-function table on {n_atoms} atoms")
 
 
 def as_table(w):
@@ -286,10 +287,10 @@ def partition_dp(cost, combine):
     ``combine`` is ``np.minimum`` or ``np.maximum``. Entry b combines, over
     the blocks c of b that hold the lowest atom of b, cost[c] plus entry
     b \\ c. Masks are scored a size at a time, so the 3^k / 2 block choices
-    take k vectorized steps.
+    take k vectorized steps, holding about 30 bytes per pair: 4 3^k cells.
     """
     k = len(cost).bit_length() - 1
-    require_budget(3**k, f"partition DP on {k} atoms")
+    require_budget(4 * 3**k, f"partition DP on {k} atoms")
     sup, block = submask_pairs(k)
     keep = (block & sup & -sup) != 0
     sup, block = sup[keep], block[keep]

@@ -14,7 +14,11 @@ from pathlib import Path
 import pytest
 
 from conftest import measure_doc, write_doc
-from maxitive import cli
+from maxitive import cli, modelio
+from maxitive.additive import AdditiveMeasure
+from maxitive.errors import ExplicitBudgetExceeded
+from maxitive.measures import MaxitiveMeasure, classify
+from maxitive.spaces import build_space
 
 
 def run_cli(*args):
@@ -141,10 +145,40 @@ def test_oversized_set_function_document_is_refused_before_its_table(tmp_path, c
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err == (
-        "error: set-function table on 24 atoms needs 281474976710656 cells; "
+        "error: set-function table on 24 atoms needs 402653184 cells; "
         "budget is 50000000\n"
     )
     assert peak < 10 * 2**20, peak
+
+
+def _table_doc(path, measure):
+    return write_doc(path, modelio.measure_to_json(measure.to_set_function()))
+
+
+def test_set_function_documents_on_13_atoms_are_priced_at_their_work(tmp_path, capsys):
+    # the table is priced at what it holds, so 13 atoms load; a maxitive
+    # table passes the bitwise test, and a table that fails it is refused at
+    # the 4^13-cell pair scan that would find its witness
+    labels = [f"x{i}" for i in range(13)]
+    sp = build_space(labels, [[l] for l in labels])
+    path = _table_doc(tmp_path / "max.json", MaxitiveMeasure(sp, [i % 4 for i in range(13)]))
+    assert cli.main(["check", "--order", "0", "--measure", path]) == 0
+    assert json.loads(capsys.readouterr().out)["properties"]["maxitive"] is True
+    path = _table_doc(tmp_path / "add.json", AdditiveMeasure(sp, [1.0] * 13))
+    assert cli.main(["check", "--order", "0", "--measure", path]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error: pair scan on 13 atoms needs 67108864 cells; budget is 50000000\n"
+    # refused before the scan allocates anything
+    w = modelio.load_measure(path)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ExplicitBudgetExceeded, match="pair scan on 13 atoms"):
+            classify(w)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
 
 
 def test_condition_on_200_blocks_checks_blocks_not_their_unions(tmp_path, capsys):
@@ -281,6 +315,18 @@ def test_envelope_reconstruction_of_an_overflowing_atom_sum(tmp_path):
     out = json.loads(proc.stdout)
     assert out["density"]["atoms"] == {"a": 1e308, "b": 1e308}
     assert out["reconstruction_ok"] is True
+
+
+def test_envelope_reconstruction_at_tolerance_zero(tmp_path, capsys):
+    # in float64 the mediant of atoms c and d rounds one ulp above 1e-10;
+    # the sup of the envelope ratios is attained at an atom, where it is nu
+    labels = ["a", "b", "c", "d"]
+    nu = write_doc(tmp_path / "nu.json", measure_doc("maxitive", labels, [0, 0, 1e-10, 1e-10]))
+    m = write_doc(tmp_path / "m.json", measure_doc(
+        "additive", labels, [26.389728284, 0, 750.565338406, 0.083029034]))
+    argv = ["density", "--method", "envelope", "--nu", nu, "--m", m, "--tolerance", "0"]
+    assert cli.main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["reconstruction_ok"] is True
 
 
 @pytest.mark.parametrize(

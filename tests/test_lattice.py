@@ -8,6 +8,8 @@ them): the same flags and witnesses, the same raised errors,
 and bit-identical tables wherever the arithmetic is unchanged. Sums over
 partitions are associated differently by the DP, so those values are
 compared with a relative tolerance of 1e-12 (six float64 additions).
+The envelope reconstruction's closed form over the atoms is held against
+the subset sweep it replaced, with the sweep's ratios taken exactly.
 The sigma-ideal and essential-supremum enumerations live here too, as the
 oracles for the sigma-principality and the localizability that a finite
 algebra gives every set function and every additive measure, so does the
@@ -24,6 +26,7 @@ a table operation whose grid may miss some inputs.
 import math
 import operator
 import struct
+from fractions import Fraction
 
 import numpy as np
 from hypothesis import example, given, settings
@@ -38,9 +41,9 @@ from maxitive.additive import (
 from maxitive.additive import is_semi_finite_measure, is_sigma_finite_measure
 from maxitive.density import (
     AbsContReport,
-    _reconstruct,
     ae_equal,
     density_from_associated,
+    envelope_density,
     envelope_measure,
     odot_abs_continuous,
     verify_density,
@@ -365,14 +368,27 @@ def ref_envelope_dp(nu, m):
 
 
 def ref_reconstruct(nu, m, env, tol):
+    """Whether nu(b) is the sup of env(S) / m(S) over the subsets S of b of
+    positive m-mass, on every set b: the subset sweep that envelope_density's
+    closed form replaced, for a finite m. Each ratio is taken exactly and
+    rounded once, so no sum overflows and no mediant of two atoms rounds
+    above the larger of their ratios, as it could in float64."""
     for b in range(nu.space.n_sets):
         best = 0.0
         for sub in submasks(b):
-            mb = m(sub)
-            if 0.0 < mb < INF:
-                ratio = env(sub) / mb if not math.isinf(env(sub)) else INF
-                if ratio > best:
-                    best = ratio
+            atoms = atoms_of(sub)
+            mass = sum(Fraction(float(m.atom_masses[i])) for i in atoms)
+            if mass == 0:
+                continue
+            if any(math.isinf(env.atom_masses[i]) for i in atoms):
+                ratio = INF
+            else:
+                q = sum(Fraction(float(env.atom_masses[i])) for i in atoms) / mass
+                try:
+                    ratio = float(q)
+                except OverflowError:
+                    ratio = INF
+            best = max(best, ratio)
         if not close(nu(b), best, tol):
             return False
     return True
@@ -1018,11 +1034,9 @@ def test_envelope_matches_brute_force(vals, data):
     dp = partition_dp(cost, np.minimum)
     assert dp.tobytes() == ref_envelope_dp(nu, m).tobytes()
 
-    env = envelope_measure(nu, m)
-    assert _reconstruct(nu, m, env, 1e-9) == ref_reconstruct(nu, m, env, 1e-9)
-    # a measure the envelope does not come from
-    other = MaxitiveMeasure(space, [v / 2 for v in vals])
-    assert _reconstruct(other, m, env, 1e-9) == ref_reconstruct(other, m, env, 1e-9)
+    if np.isfinite(m.atom_masses).all():
+        rep = envelope_density(nu, m)
+        assert rep.reconstruction_ok == ref_reconstruct(nu, m, rep.envelope, 1e-9)
 
     # a table that is not maxitive: the per-block check flags the least mask
     # at which the partition DP misses the singleton sum
@@ -1038,6 +1052,34 @@ def test_envelope_matches_brute_force(vals, data):
     except OracleMismatch as e:
         got = int(str(e).rsplit(" ", 1)[1])
     assert got == want
+
+
+wide = st.one_of(st.just(0.0), st.sampled_from([1e-300, 1e308]), st.floats(1e-3, 1e3))
+
+
+@st.composite
+def envelope_inputs(draw):
+    """nu and a finite m on up to five atoms, with inf, huge and tiny values."""
+    k = draw(st.integers(1, 5))
+    nu = draw(st.lists(st.one_of(wide, st.just(INF)), min_size=k, max_size=k))
+    return nu, draw(st.lists(wide, min_size=k, max_size=k))
+
+
+@settings(max_examples=300, deadline=None)
+@given(envelope_inputs(), st.sampled_from([0.0, 1e-12, 1e-9, 1e-6, 0.1]))
+# at tolerance 0 the float64 sweep rounded the mediant of atoms c and d one
+# ulp above 1e-10 and reported a failure
+@example(([0.0, 0.0, 1e-10, 1e-10], [26.389728284, 0.0, 750.565338406, 0.083029034]), 0.0)
+def test_reconstruction_closed_form_matches_the_subset_sweep(inputs, tol):
+    # the closed form holds exactly once the per-atom check has passed
+    nu_vals, m_vals = inputs
+    space = space_of(len(nu_vals))
+    nu, m = MaxitiveMeasure(space, nu_vals), AdditiveMeasure(space, m_vals)
+    try:
+        rep = envelope_density(nu, m, tol)
+    except MaxitiveError:  # an overflowing product or a failed atom check
+        return
+    assert rep.reconstruction_ok == ref_reconstruct(nu, m, rep.envelope, tol)
 
 
 @settings(max_examples=100, deadline=None)

@@ -34,6 +34,7 @@ from maxitive.measures import (
     is_essential,
     is_maxitive,
     is_monotone,
+    is_null_additive,
     is_of_bounded_variation,
     is_sigma_finite,
     is_sigma_principal,
@@ -42,7 +43,7 @@ from maxitive.measures import (
 )
 from maxitive.sampling import random_maxitive, random_non_maxitive, random_space, rng_for
 from maxitive.semigroup import MIN, TIMES
-from maxitive.spaces import INF, MeasurableFn, SetFunction, build_space, close
+from maxitive.spaces import INF, MeasurableFn, SetFunction, build_space, close, mask_of
 
 from test_lattice import enumerate_sigma_ideals
 
@@ -267,24 +268,26 @@ def test_disjoint_variation_rejects_a_table_above_its_atom_sum(abc, monkeypatch)
 
 
 def test_variation_budget():
-    # an infinite sup is found at 12 atoms, the table's edge, by a search
-    # over 12 superset-OR tables; 13 atoms are refused at the table
+    # an infinite sup is found at 21 atoms, the table's edge, by a search
+    # over 21 superset-OR tables; 22 atoms are refused at the table
+    labs = [f"g{i}" for i in range(21)]
+    sp = build_space(labs, [[l] for l in labs])
+    w = MaxitiveMeasure(sp, [1.0] * 20 + [INF]).to_set_function()
+    start = time.perf_counter()
+    assert total_variation(w) == (INF, [list(range(21))])
+    # the finite sum that overflows only at the all-singletons partition
     labs = [f"g{i}" for i in range(12)]
     sp = build_space(labs, [[l] for l in labs])
-    w = MaxitiveMeasure(sp, [1.0] * 11 + [INF]).to_set_function()
-    start = time.perf_counter()
-    assert total_variation(w) == (INF, [list(range(12))])
-    # the finite sum that overflows only at the all-singletons partition
     table = np.zeros(sp.n_sets)
     table[1 << np.arange(12)] = 1.7e307
     assert total_variation(SetFunction(sp, table)) == (INF, [[i] for i in range(12)])
     assert time.perf_counter() - start < 5.0
-    labs = [f"g{i}" for i in range(13)]
+    labs = [f"g{i}" for i in range(22)]
     sp = build_space(labs, [[l] for l in labs])
     tracemalloc.start()
     try:
-        with pytest.raises(ExplicitBudgetExceeded, match="set-function table on 13 atoms"):
-            MaxitiveMeasure(sp, [1.0] * 12 + [INF]).to_set_function()
+        with pytest.raises(ExplicitBudgetExceeded, match="atom table on 22 atoms needs 92274688 cells"):
+            MaxitiveMeasure(sp, [1.0] * 21 + [INF]).to_set_function()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -292,18 +295,61 @@ def test_variation_budget():
     assert peak < 2**20, peak
 
 
-def test_to_set_function_is_priced_before_its_table():
-    labs = [f"g{i}" for i in range(20)]
-    sp = build_space(labs, [[l] for l in labs])
-    for measure in (MaxitiveMeasure(sp, [1.0] * 20), AdditiveMeasure(sp, [1.0] * 20)):
+def test_partition_dp_runs_at_14_atoms_and_refuses_15():
+    # the DP holds about 30 bytes per submask pair and is priced at 4 3^k
+    # cells; its table is priced at only k 2^k
+    rng = np.random.default_rng(5)
+    for k in (14, 15):
+        labs = [f"g{i}" for i in range(k)]
+        sp = build_space(labs, [[l] for l in labs])
+        w = SetFunction(sp, np.append(0.0, rng.uniform(0.0, 1.0, sp.n_sets - 1)))
+        if k == 14:
+            start = time.perf_counter()
+            total, part = total_variation(w)
+            assert time.perf_counter() - start < 5.0
+            assert sorted(i for block in part for i in block) == list(range(k))
+            assert total == pytest.approx(sum(w(mask_of(block)) for block in part), rel=1e-12)
+            continue
         tracemalloc.start()
         try:
-            with pytest.raises(ExplicitBudgetExceeded, match="set-function table on 20 atoms"):
+            with pytest.raises(ExplicitBudgetExceeded, match="partition DP on 15 atoms needs 57395628 cells"):
+                total_variation(w)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, peak
+
+
+def test_zero_set_scan_is_priced_by_its_zero_sets():
+    # positive only on the sets that hold atoms 0 and 1: {0} and {1} are
+    # null and their union is not, so the bitwise test fails and the scan
+    # over the zero sets runs, at 2^k cells per zero set
+    for k, zeros in ((12, 3072), (13, 6144)):
+        labs = [f"g{i}" for i in range(k)]
+        sp = build_space(labs, [[l] for l in labs])
+        w = SetFunction(sp, (np.arange(sp.n_sets) & 0b11 == 0b11).astype(float))
+        if k == 12:
+            assert is_null_additive(w) == (False, (2, 1))
+            continue
+        with pytest.raises(ExplicitBudgetExceeded, match=f"scan of {zeros} zero sets on 13 atoms needs 50331648 cells"):
+            is_null_additive(w)
+    # three zero sets cost 3 2^13 cells, so 13 atoms run
+    w = SetFunction(sp, np.where(np.isin(np.arange(sp.n_sets), (0, 1, 2)), 0.0, 1.0))
+    assert is_null_additive(w) == (False, (2, 1))
+
+
+def test_to_set_function_is_priced_before_its_table():
+    labs = [f"g{i}" for i in range(22)]
+    sp = build_space(labs, [[l] for l in labs])
+    for measure in (MaxitiveMeasure(sp, [1.0] * 22), AdditiveMeasure(sp, [1.0] * 22)):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ExplicitBudgetExceeded, match="atom table on 22 atoms"):
                 measure.to_set_function()
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # the atom table alone would take 8 MB
+        # the atom table alone would take 32 MB
         assert peak < 2**20, peak
 
 

@@ -273,7 +273,7 @@ def test_set_function_validation(abc):
     w = SetFunction(abc, given_table)
     assert math.copysign(1.0, w.table[0]) == math.copysign(1.0, w.table[2]) == 1.0
     assert math.copysign(1.0, given_table[2]) == -1.0 and given_table.flags.writeable
-    big = build_space([f"g{i}" for i in range(13)], [[f"g{i}"] for i in range(13)])
+    big = build_space([f"g{i}" for i in range(22)], [[f"g{i}"] for i in range(22)])
     with pytest.raises(ExplicitBudgetExceeded):
         SetFunction(big, [0.0] * big.n_sets)
 
