@@ -33,7 +33,7 @@ from .measures import (
 )
 from .possibility import PossibilitySpace, conditional, conditional_suite
 from .semigroup import TableOp, by_name, builtin_names, verify_axioms
-from .spaces import MeasurableFn, SetFunction, as_table, build_space
+from .spaces import DEFAULT_TOL, MeasurableFn, SetFunction, as_table, build_space
 from .supmeasure import sample_blocks
 from .suites import INVARIANTS, run_all
 
@@ -85,21 +85,21 @@ def _need_measure(obj, what):
     raise ValueError(f"{what} must be a measure document, not a function")
 
 
-def _need_maxitive(obj, what):
+def _need_maxitive(obj, what, tol):
     obj = _need_measure(obj, what)
     if isinstance(obj, MaxitiveMeasure):
         return obj
     if isinstance(obj, SetFunction):
-        return MaxitiveMeasure.from_set_function(obj)
+        return MaxitiveMeasure.from_set_function(obj, tol)
     raise ValueError(f"{what} must be maxitive")
 
 
-def _need_additive(obj, what):
+def _need_additive(obj, what, tol=DEFAULT_TOL):
     obj = _need_measure(obj, what)
     if isinstance(obj, AdditiveMeasure):
         return obj
     if isinstance(obj, SetFunction):
-        return AdditiveMeasure.from_set_function(obj)
+        return AdditiveMeasure.from_set_function(obj, tol)
     raise ValueError(f"{what} must be additive")
 
 
@@ -126,7 +126,7 @@ def _cmd_check(args):
         payload["axioms"] = verify_axioms(op)
         if rep.maxitive:
             payload["finiteness"] = finiteness_suite(
-                op, MaxitiveMeasure.from_set_function(w)
+                op, MaxitiveMeasure(w.space, rep.atom_values)
             )
     _emit("check", payload)
     return 0
@@ -158,14 +158,14 @@ def _cmd_esssup(args):
 def _cmd_density(args):
     if args.method == "residual":
         op = _resolve_op(args.op)
-        nu = _need_maxitive(_load(args.nu), "--nu")
-        tau = _need_maxitive(_load(args.tau), "--tau")
+        nu = _need_maxitive(_load(args.nu), "--nu", args.tolerance)
+        tau = _need_maxitive(_load(args.tau), "--tau", args.tolerance)
         c = rn_density(op, nu, tau, tol=args.tolerance)
         _emit("density", {"method": "residual", "op": op.name, "density": c})
         return 0
     if args.method == "envelope":
-        nu = _need_maxitive(_load(args.nu), "--nu")
-        m = _need_additive(_load(args.tau), "--tau")
+        nu = _need_maxitive(_load(args.nu), "--nu", args.tolerance)
+        m = _need_additive(_load(args.tau), "--tau", args.tolerance)
         rep = envelope_density(nu, m, tol=args.tolerance)
         _emit(
             "density",
@@ -190,15 +190,15 @@ def _cmd_density(args):
 
 
 def _cmd_decompose(args):
-    nu = _need_maxitive(_load(args.nu), "--nu")
-    dec = atom_decomposition(nu, tol=args.tolerance)
+    nu = _need_maxitive(_load(args.nu), "--nu", args.tolerance)
+    dec = atom_decomposition(nu)
     _emit("decompose", {"decomposition": dec})
     return 0
 
 
 def _cmd_variation(args):
-    nu = _need_maxitive(_load(args.nu), "--nu")
-    val = disjoint_variation(nu, tol=args.tolerance)
+    nu = _need_maxitive(_load(args.nu), "--nu", args.tolerance)
+    val = disjoint_variation(nu)
     _emit("variation", {"value": val})
     return 0
 

@@ -4,8 +4,12 @@ Three routes to a density are implemented: residuation atom by atom (the
 exact-operation theorem), the additive envelope with atoms nu_i m_i (whose
 classical density recovers the maxitive measure by one closed form, infinite
 atoms included), and residuation of two given densities over a common
-background measure. Extraction always ends with a full verification sweep;
-a candidate that fails it raises NoDensity rather than being returned.
+background measure. Extraction always ends with a verification of the
+candidate; one that fails it raises NoDensity rather than being returned.
+A density of a maxitive measure is verified on the k atoms, which the
+representation nu(B) = max of nu_i over the atoms of B carries to every
+set. The envelope is the closed atom sum nu_i m_i, the minimum over
+partitions by the product inequality, and builds no table.
 """
 
 from __future__ import annotations
@@ -21,7 +25,6 @@ from .errors import (
     NoDensity,
     NonExactOperation,
     NotOdotAbsolutelyContinuous,
-    OracleMismatch,
 )
 from .measures import MaxitiveMeasure, _null_atoms, esssup_measure, negligible
 from .spaces import (
@@ -30,11 +33,9 @@ from .spaces import (
     MeasurableFn,
     as_table,
     atom_flags,
-    atom_table,
     first_flagged,
     mask_of,
     per_distinct,
-    singletons,
     vclose,
     vle,
 )
@@ -66,14 +67,17 @@ def odot_abs_continuous(op, nu, tau, tol=DEFAULT_TOL):
 def verify_density(op, f, nu, tau, tol=DEFAULT_TOL):
     """Whether integrating f against tau reproduces nu on every set.
 
-    The integral table is atom_integral's sup from 0.0 on every mask at
-    once; the witness is the least mask where it is not close to nu's.
+    Both measures are maxitive, so on a set b the atom-form integral is the
+    max of op(f_i, tau_i) over the atoms i of b and nu(b) is the max of
+    nu_i there. Maxima of pairwise close values are close at the same
+    tolerance scale (and equal at inf), so the check runs on the k atoms,
+    and the least failing set is the singleton of the least failing atom.
     """
-    if not isinstance(tau, MaxitiveMeasure):
+    if not (isinstance(nu, MaxitiveMeasure) and isinstance(tau, MaxitiveMeasure)):
         raise TypeError("atom form needs a MaxitiveMeasure")
-    got = atom_table(per_distinct(op, f.atom_values, tau.atom_values), np.maximum)
-    b = first_flagged(~vclose(got, as_table(nu).table, tol))
-    return b is None, b
+    got = per_distinct(op, f.atom_values, tau.atom_values)
+    i = first_flagged(~vclose(got, nu.atom_values, tol))
+    return i is None, None if i is None else mask_of([i])
 
 
 def _residuals(op, num, den):
@@ -117,34 +121,26 @@ def ae_equal(w, f, g, tol=DEFAULT_TOL):
 # ---------------------------------------------------------------------------
 
 
-def envelope_measure(nu, m, tol=DEFAULT_TOL):
+def envelope_measure(nu, m):
     """min over partitions of B of the sum of nu(block) * m(block).
 
-    The minimum is the closed atom sum, the all-singletons partition: by
-    the product inequality nu(b) m(b) >= the sum over the atoms i of b of
-    nu_i m_i, no block costs less than its singletons, so no partition
-    does. The inequality is checked on every set, and a block below its
-    singleton sum raises OracleMismatch at the least such mask. A product
-    nu_i m_i of two finite factors that overflows is refused; a block
-    product or an atom sum that overflows is inf. The result is additive,
-    so it is returned as an AdditiveMeasure.
+    nu is a MaxitiveMeasure and m an AdditiveMeasure. The minimum is the
+    closed atom sum, the all-singletons partition: the product inequality
+    max_{i in b} nu_i * sum_{i in b} m_i >= sum_{i in b} nu_i m_i holds on
+    every set b, so no block costs less than its singletons and no
+    partition does. It is not checked in floats, where rounding can put a
+    block one ulp below its singleton sum. A product nu_i m_i of two finite
+    factors that overflows is refused. The result is additive, so it is
+    returned as an AdditiveMeasure, whose atom sums are inf where they
+    overflow.
     """
-    nu_t = as_table(nu).table
-    m_t = as_table(m).table
+    nu_a, m_a = nu.atom_values, m.atom_masses
     # 0 * inf is nan and replaced by 0; an overflow is inf
     with np.errstate(invalid="ignore", over="ignore"):
-        cost = np.where((nu_t == 0.0) | (m_t == 0.0), 0.0, nu_t * m_t)
-        masses = singletons(cost)
-        closed = atom_table(masses)
-    nu_a, m_a = singletons(nu_t), singletons(m_t)
+        masses = np.where((nu_a == 0.0) | (m_a == 0.0), 0.0, nu_a * m_a)
     i = first_flagged(np.isinf(masses) & np.isfinite(nu_a) & np.isfinite(m_a))
     if i is not None:
         raise MaxitiveError(f"product nu * m overflows on atom {i}: {nu_a[i]} * {m_a[i]}")
-    b = first_flagged(~vle(closed, cost, tol))
-    if b is not None:
-        raise OracleMismatch(
-            f"block cost {cost[b]} below singleton sum {closed[b]} at mask {b}"
-        )
     return AdditiveMeasure(nu.space, masses)
 
 
@@ -175,7 +171,7 @@ def envelope_density(nu, m, tol=DEFAULT_TOL):
             f"m has infinite mass on atom {i} where nu is positive, "
             "so the density is not determined there"
         )
-    env = envelope_measure(nu, m, tol)
+    env = envelope_measure(nu, m)
     with np.errstate(over="ignore"):  # an atom sum that overflows is inf
         c = classical_density(env, m, tol)
     # the density must agree with nu on every atom m charges

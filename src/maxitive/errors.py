@@ -45,10 +45,6 @@ class OracleMismatch(MaxitiveError):
     """A production routine and its brute-force oracle disagree."""
 
 
-class DecompositionVerificationFailed(MaxitiveError):
-    """An atom decomposition does not reproduce the measure."""
-
-
 class NotOdotAbsolutelyContinuous(MaxitiveError):
     """The derived measure pair fails op-absolute continuity."""
 

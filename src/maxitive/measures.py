@@ -10,9 +10,15 @@ reason in their docstrings, and bounded variation is plain finiteness. The
 other checks, negligibility, the essential supremum, autocontinuity and
 essentiality among them, read whole 2^k tables through the subset-lattice
 kernels of ``spaces`` (k 2^k transforms, a 3^k partition DP) instead of
-looping over sets in Python. Only the witness scans of ``is_maxitive`` and
-``is_null_additive`` still loop, and only on a table that fails their
-bit-for-bit test, and each prices its scan when it starts.
+looping over sets in Python. The witness scans of ``is_monotone``,
+``is_maxitive`` and ``is_null_additive`` run only on a table that fails
+their bit-for-bit test, and the last two price their scans when they start.
+The results that the atoms of a maxitive measure determine (the atom
+decomposition, the disjoint variation and the essential witness) are read
+off the atom values: the representation nu(B) = max of nu_i over the atoms
+of B makes each of their claims true, so they build no table and have no
+atom cap, and the sweeps over every set that restate them are oracles in
+the tests.
 """
 
 from __future__ import annotations
@@ -23,12 +29,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .additive import AdditiveMeasure
-from .errors import (
-    DecompositionVerificationFailed,
-    NotMonotone,
-    NotNullAdditive,
-    OracleMismatch,
-)
+from .errors import NotMonotone, NotNullAdditive, OracleMismatch
 from .spaces import (
     DEFAULT_TOL,
     INF,
@@ -121,8 +122,16 @@ def negligible(w, bset):
 
 
 def is_monotone(w, tol=DEFAULT_TOL):
+    """nu(B) <= nu(B | {i}) for every set B and atom i.
+
+    A table equal to its max over submasks bit for bit is monotone, so only
+    a table that differs pays for the per-atom tolerant scan that finds the
+    witness, or accepts a table that is monotone within tolerance.
+    """
     w = as_table(w)
     table = w.table
+    if np.array_equal(max_over_submasks(table), table):
+        return True, None
     masks = np.arange(w.space.n_sets)
     for i in range(w.space.n_atoms):
         bigger = table[masks | (1 << i)]
@@ -552,11 +561,17 @@ class AtomDecomposition:
     residual_null: MeasurableSet
 
 
-def atom_decomposition(nu, tol=DEFAULT_TOL):
+def atom_decomposition(nu):
     """Pairwise disjoint measure atoms H_n with nu(B) = max_n nu(B & H_n).
 
-    Ordered by decreasing value, ties by atom index; the leftover union is
-    null. Every claim is verified exhaustively before returning.
+    The atoms of the space that nu charges, ordered by decreasing value,
+    ties by atom index; the leftover union is null. Since nu(B) is the max
+    of nu_i over the atoms i of B, each claim holds by construction: a
+    singleton cannot split into two non-null parts, since one part is empty
+    and nu(empty) = 0; nu on the leftover is a max of zeros; nu({i}) = nu_i
+    > 0 on every kept atom; and the max over the atoms of nu(B & {i}) is
+    nu(B) itself. So this is a sort of the atom values, with no table
+    and no atom cap; the tests hold it against the sweep over every set.
     """
     space = nu.space
     order = sorted(
@@ -565,63 +580,34 @@ def atom_decomposition(nu, tol=DEFAULT_TOL):
     )
     hs = tuple(space.atom_block(i) for i in order)
     values = tuple(float(nu.atom_values[i]) for i in order)
-    null_mask = space.full_mask & ~mask_of(order)
-    residual = MeasurableSet(space, null_mask)
-
-    table = nu.to_set_function().table
-    masks = np.arange(space.n_sets)
-    if table[null_mask] != 0.0:
-        raise DecompositionVerificationFailed("leftover set has positive measure")
-    best = np.zeros(space.n_sets)
-    for h in hs:
-        if table[h.mask] <= 0:
-            raise DecompositionVerificationFailed("candidate atom is null")
-        inside = table[masks & h.mask]
-        b = first_flagged((inside != 0.0) & (table[h.mask & ~masks] != 0.0))
-        if b is not None:
-            raise DecompositionVerificationFailed(
-                f"{h!r} splits into two non-null parts at mask {b}"
-            )
-        np.maximum(best, inside, out=best)
-    b = first_flagged(~vclose(table, best, tol))
-    if b is not None:
-        raise DecompositionVerificationFailed(f"max over atoms misses nu at mask {b}")
+    residual = MeasurableSet(space, space.full_mask & ~mask_of(order))
     return AtomDecomposition(atoms=hs, values=values, residual_null=residual)
 
 
-def disjoint_variation(nu, tol=DEFAULT_TOL):
+def disjoint_variation(nu):
     """|nu|, the sup over partitions of the block-value sum, as the atom sum.
 
     The all-singletons partition sums the atom values, and no partition
-    sums more: every set b has nu(b) <= the sum of the atom values in b,
-    which is checked on the whole table (OracleMismatch at the least
-    failing mask). The atom sum is inf where it overflows.
+    sums more: a block's value is one of its atom values, and a float sum
+    of nonnegative values, rounded at each step, is at least each of its
+    addends. The sum runs in the decomposition's order (decreasing value,
+    ties by index) and is inf where it overflows.
     """
-    table = nu.to_set_function().table
-    with np.errstate(over="ignore"):
-        sums = atom_table(nu.atom_values)
-    b = first_flagged(~vle(table, sums, tol))
-    if b is not None:
-        raise OracleMismatch(f"block value {table[b]} above atom sum {sums[b]} at mask {b}")
-    return float(sum(atom_decomposition(nu, tol).values))
+    return float(sum(atom_decomposition(nu).values))
 
 
-def essential_witness(nu, tol=DEFAULT_TOL):
-    """A sigma-additive measure with the same null sets, from the atom masses.
+def essential_witness(nu):
+    """A sigma-additive measure with the same null sets: masses nu_i.
 
-    Requires finite atom values; transform infinite measures (for instance
-    atomwise arctan) before asking for a witness.
+    A set is nu-null iff its atom values are all 0, and a float sum of
+    nonnegative values is positive exactly when one of its addends is, so
+    the witness has the null sets of nu on every set. Requires finite atom
+    values; transform infinite measures (for instance atomwise arctan)
+    before asking for a witness.
     """
     if not np.isfinite(nu.atom_values).all():
         raise ValueError("essential witness needs finite values; transform first")
-    dec = atom_decomposition(nu, tol)
-    masses = np.zeros(nu.space.n_atoms)
-    for h, v in zip(dec.atoms, dec.values):
-        masses[h.atom_indices()[0]] = v
-    b = first_flagged((atom_table(masses) > 0) != (nu.to_set_function().table > 0))
-    if b is not None:
-        raise OracleMismatch(f"null sets differ at mask {b}")
-    return AdditiveMeasure(nu.space, masses)
+    return AdditiveMeasure(nu.space, nu.atom_values)
 
 
 @dataclass

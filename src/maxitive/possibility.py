@@ -246,19 +246,19 @@ def conditional(op, x, pi, sub, tol=DEFAULT_TOL):
     if not op.exact:
         raise NonExactOperation(f"{op.name} cannot attain its residuals")
     pi = as_possibility(pi, tol)
+    kappas = []
     block_vals = []
     for b in sub.blocks:
         pb = pi.measure(b)
         kappa = atom_integral(op, x, pi.measure, MeasurableSet(pi.space, b))
+        kappas.append(kappa)
         block_vals.append(0.0 if pb == 0.0 else op.residual(kappa, pb))
     y = sub.spread(block_vals)
-    for b in sub.blocks:
-        bset = MeasurableSet(pi.space, b)
-        lhs = atom_integral(op, y, pi.measure, bset)
-        rhs = atom_integral(op, x, pi.measure, bset)
-        if not close(lhs, rhs, tol):
+    for b, kappa in zip(sub.blocks, kappas):
+        lhs = atom_integral(op, y, pi.measure, MeasurableSet(pi.space, b))
+        if not close(lhs, kappa, tol):
             raise DefiningPropertyFailed(
-                f"conditional integrates to {lhs}, variable to {rhs}, on mask {b}"
+                f"conditional integrates to {lhs}, variable to {kappa}, on mask {b}"
             )
     return y
 

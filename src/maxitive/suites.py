@@ -255,7 +255,7 @@ def _inv_decomposition(seed, tol):
     for _ in range(10):
         space = sampling.random_space(rng, int(rng.integers(1, 7)))
         nu = sampling.random_maxitive(rng, space, allow_inf=True)
-        dec = atom_decomposition(nu, tol)
+        dec = atom_decomposition(nu)
         vals = list(dec.values)
         assert vals == sorted(vals, reverse=True)
         assert nu(dec.residual_null) == 0.0
@@ -267,7 +267,7 @@ def _inv_variation(seed, tol):
     for _ in range(10):
         space = sampling.random_space(rng, int(rng.integers(1, 6)))
         nu = sampling.random_maxitive(rng, space, allow_inf=True)
-        disjoint_variation(nu, tol=tol)
+        disjoint_variation(nu)
 
 
 @_register("essential-witness", "maxitive", "an additive measure shares the null sets of a finite maxitive one")
@@ -276,7 +276,7 @@ def _inv_essential(seed, tol):
     for _ in range(10):
         space = sampling.random_space(rng, int(rng.integers(1, 6)))
         nu = sampling.random_maxitive(rng, space)
-        essential_witness(nu, tol)
+        essential_witness(nu)
 
 
 @_register("finiteness-notions", "maxitive", "semi-finiteness collapses to plain op-finiteness")

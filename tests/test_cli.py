@@ -11,6 +11,7 @@ import time
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import measure_doc, write_doc
@@ -18,7 +19,7 @@ from maxitive import cli, modelio
 from maxitive.additive import AdditiveMeasure
 from maxitive.errors import ExplicitBudgetExceeded
 from maxitive.measures import MaxitiveMeasure, classify
-from maxitive.spaces import build_space
+from maxitive.spaces import SetFunction, build_space
 
 
 def run_cli(*args):
@@ -329,6 +330,21 @@ def test_envelope_reconstruction_at_tolerance_zero(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["reconstruction_ok"] is True
 
 
+def test_envelope_density_at_tolerance_zero_is_not_refused(tmp_path, capsys):
+    # nu(b) m(b) >= the sum of nu_i m_i holds on every set b; its float
+    # re-check put the block {b, c} one ulp below its singleton sum
+    labels = ["a", "b", "c", "d"]
+    nu = write_doc(tmp_path / "nu.json", measure_doc("maxitive", labels, [5.6727] * 4))
+    m = write_doc(tmp_path / "m.json", measure_doc("additive", labels, [7.69, 1.26, 0.17, 0.88]))
+    argv = ["density", "--method", "envelope", "--nu", nu, "--m", m, "--tolerance", "0"]
+    assert cli.main(argv) == 0
+    out = capsys.readouterr()
+    assert out.err == ""
+    assert json.loads(out.out)["density"]["atoms"] == dict.fromkeys(labels, 5.6727)
+    proc = run_cli(*argv)
+    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", out.out)
+
+
 @pytest.mark.parametrize(
     "nu, m, message",
     [
@@ -359,6 +375,64 @@ def test_decompose_and_variation(docs):
     assert out["decomposition"]["values"] == [2.0, 1.0, 0.5]
     proc2 = run_cli("variation", "--nu", docs["nu"])
     assert json.loads(proc2.stdout)["value"] == 3.5
+
+
+def _near_maxitive_doc(path, gap):
+    # a = 1, b = 2, c = 0.5, and every set at the max of its atoms except
+    # a + b, which is 2 + gap
+    sp = build_space("abc", [["a"], ["b"], ["c"]])
+    table = np.array(MaxitiveMeasure(sp, [1, 2, 0.5]).to_set_function().table)
+    table[0b011] += gap
+    return write_doc(path, modelio.measure_to_json(SetFunction(sp, table)))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "--order", "0", "--measure"],
+        ["check", "--order", "0", "--op", "times", "--measure"],
+        ["decompose", "--nu"],
+        ["variation", "--nu"],
+        ["density", "--method", "envelope", "--m", "{m}", "--nu"],
+    ],
+)
+def test_a_table_is_read_as_a_measure_at_the_given_tolerance(argv, tmp_path, capsys):
+    m = write_doc(tmp_path / "m.json", measure_doc("additive", ["a", "b", "c"], [1, 1, 1]))
+    argv = [m if a == "{m}" else a for a in argv]
+    # maxitive within 1e-5, not within the default 1e-9
+    path = _near_maxitive_doc(tmp_path / "w.json", 1e-6)
+    assert cli.main(argv + [path, "--tolerance", "1e-5"]) == 0
+    out = capsys.readouterr()
+    assert out.err == ""
+    if argv[0] == "check":
+        assert json.loads(out.out)["properties"]["maxitive"] is True
+    # maxitive within the default 1e-9, not at tolerance 0
+    path = _near_maxitive_doc(tmp_path / "w.json", 1e-12)
+    if argv[0] == "check":
+        assert cli.main(argv + [path, "--tolerance", "0"]) == 0
+        assert json.loads(capsys.readouterr().out)["properties"]["maxitive"] is False
+    else:
+        assert cli.main(argv + [path, "--tolerance", "0"]) == 1
+        assert capsys.readouterr().err.startswith("error: table is not maxitive; witness masks")
+    assert cli.main(argv + [path]) == 0
+
+
+@pytest.mark.parametrize("k", [22, 200])
+def test_decompose_and_variation_have_no_atom_cap(k, tmp_path, capsys):
+    # both read their result off the atom values and build no table
+    labels = [f"x{i}" for i in range(k)]
+    vals = [0.0, 1e308, 1e308] + [1.0 + i % 7 for i in range(k - 3)]
+    path = write_doc(tmp_path / "nu.json", measure_doc("maxitive", labels, vals))
+    start = time.perf_counter()
+    assert cli.main(["decompose", "--nu", path]) == 0
+    out = capsys.readouterr()
+    assert out.err == ""
+    dec = json.loads(out.out)["decomposition"]
+    assert dec["values"][:2] == [1e308, 1e308] and len(dec["values"]) == k - 1
+    assert cli.main(["variation", "--nu", path]) == 0
+    out = capsys.readouterr()
+    assert (out.err, json.loads(out.out)["value"]) == ("", "inf")
+    assert time.perf_counter() - start < 5.0
 
 
 @pytest.mark.parametrize("k, value", [(10, 1.8e307), (11, 1.7e307)])

@@ -10,6 +10,11 @@ partitions are associated differently by the DP, so those values are
 compared with a relative tolerance of 1e-12 (six float64 additions).
 The envelope reconstruction's closed form over the atoms is held against
 the subset sweep it replaced, with the sweep's ratios taken exactly.
+The sweeps over every set that the atom decomposition, the disjoint
+variation, the essential witness and the density check no longer run,
+because a maxitive measure's atom values make their claims true, are kept
+as oracles: on every maxitive measure, extreme values and tolerances
+included, each passes and returns the atom form.
 The sigma-ideal and essential-supremum enumerations live here too, as the
 oracles for the sigma-principality and the localizability that a finite
 algebra gives every set function and every additive measure, so does the
@@ -29,6 +34,7 @@ import struct
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -49,7 +55,6 @@ from maxitive.density import (
     verify_density,
 )
 from maxitive.errors import (
-    DecompositionVerificationFailed,
     DefiningPropertyFailed,
     MaxitiveError,
     NegligibilityViolation,
@@ -77,6 +82,7 @@ from maxitive.measures import (
     atom_decomposition,
     classify,
     delta_measure,
+    disjoint_variation,
     essential_supremum,
     essential_witness,
     esssup_measure,
@@ -125,12 +131,12 @@ from maxitive.spaces import (
     SetFunction,
     as_table,
     atom_flags,
-    atom_table,
     atoms_of,
     build_space,
     close,
     first_flagged,
     fold_atoms,
+    le,
     mask_of,
     max_over_submasks,
     partition_dp,
@@ -210,6 +216,14 @@ def ref_is_completely_maxitive(w, tol=1e-9):
     if agree.all():
         return True, None
     return False, int(np.nonzero(~agree)[0][0])
+
+
+def ref_is_monotone(w, tol=1e-9):
+    for i in range(w.space.n_atoms):
+        for b in range(w.space.n_sets):
+            if not le(float(w.table[b]), float(w.table[b | (1 << i)]), tol):
+                return False, (b, b | (1 << i))
+    return True, None
 
 
 def _principal_ideal(u):
@@ -406,23 +420,26 @@ def ref_atom_decomposition(nu, tol=1e-9):
     for i in order:
         null_mask &= ~(1 << i)
     residual = MeasurableSet(space, null_mask)
-    if nu(residual) != 0.0:
-        raise DecompositionVerificationFailed("leftover set has positive measure")
+    assert nu(residual) == 0.0, "leftover set has positive measure"
     for h in hs:
-        if nu(h) <= 0:
-            raise DecompositionVerificationFailed("candidate atom is null")
+        assert nu(h) > 0, "candidate atom is null"
         for b in range(space.n_sets):
-            if nu(h.mask & b) != 0.0 and nu(h.mask & ~b) != 0.0:
-                raise DecompositionVerificationFailed(
-                    f"{h!r} splits into two non-null parts at mask {b}"
-                )
+            assert nu(h.mask & b) == 0.0 or nu(h.mask & ~b) == 0.0, (
+                f"{h!r} splits into two non-null parts at mask {b}"
+            )
     for b in range(space.n_sets):
         best = 0.0
         for h in hs:
             best = max(best, nu(b & h.mask))
-        if not close(nu(b), best, tol):
-            raise DecompositionVerificationFailed(f"max over atoms misses nu at mask {b}")
+        assert close(nu(b), best, tol), f"max over atoms misses nu at mask {b}"
     return AtomDecomposition(atoms=hs, values=values, residual_null=residual)
+
+
+def ref_disjoint_variation(nu, tol=1e-9):
+    for b in range(nu.space.n_sets):
+        atom_sum = sum(float(nu.atom_values[i]) for i in atoms_of(b))
+        assert le(nu(b), atom_sum, tol), f"block value above atom sum at mask {b}"
+    return float(sum(ref_atom_decomposition(nu, tol).values))
 
 
 def ref_verify_density(op, f, nu, tau, tol=1e-9):
@@ -596,14 +613,13 @@ def ref_delta_measure(w, tol=1e-9):
 def ref_essential_witness(nu, tol=1e-9):
     if not np.isfinite(nu.atom_values).all():
         raise ValueError("essential witness needs finite values; transform first")
-    dec = atom_decomposition(nu, tol)
+    dec = ref_atom_decomposition(nu, tol)
     masses = np.zeros(nu.space.n_atoms)
     for h, v in zip(dec.atoms, dec.values):
         masses[h.atom_indices()[0]] = v
     m = AdditiveMeasure(nu.space, masses)
     for b in range(nu.space.n_sets):
-        if (m(b) > 0) != (nu(b) > 0):
-            raise OracleMismatch(f"null sets differ at mask {b}")
+        assert (m(b) > 0) == (nu(b) > 0), f"null sets differ at mask {b}"
     return m
 
 
@@ -856,21 +872,6 @@ def perturbed(draw, vals):
     return vals
 
 
-class TableMeasure:
-    """A set-function table posing as a measure stored by its atom values."""
-
-    def __init__(self, w):
-        self.space = w.space
-        self.atom_values = np.array([w.table[1 << i] for i in range(w.space.n_atoms)])
-        self._w = w
-
-    def __call__(self, bset):
-        return self._w(bset)
-
-    def to_set_function(self):
-        return self._w
-
-
 def outcome(fn, *args):
     """The result of a call, or the type and message of what it raised."""
     try:
@@ -928,6 +929,7 @@ def test_predicates_match_brute_force(w):
     assert is_maxitive(w) == ref_is_maxitive(w)
     for tol in (0.0, 1e-9):
         assert is_null_additive(w, tol) == ref_is_null_additive(w, tol)
+        assert is_monotone(w, tol) == ref_is_monotone(w, tol)
     assert is_completely_maxitive(w) == ref_is_completely_maxitive(w)
     assert is_sigma_principal(w) == ref_is_sigma_principal(w)
     assert is_sigma_principal(w) == ref_is_sigma_principal(w, ideal_atoms=2)
@@ -1033,25 +1035,12 @@ def test_envelope_matches_brute_force(vals, data):
         cost = np.where((nu_t == 0.0) | (m_t == 0.0), 0.0, nu_t * m_t)
     dp = partition_dp(cost, np.minimum)
     assert dp.tobytes() == ref_envelope_dp(nu, m).tobytes()
+    # the closed atom sum is the minimum over partitions
+    assert vclose(envelope_measure(nu, m).to_set_function().table, dp, REL).all()
 
     if np.isfinite(m.atom_masses).all():
         rep = envelope_density(nu, m)
         assert rep.reconstruction_ok == ref_reconstruct(nu, m, rep.envelope, 1e-9)
-
-    # a table that is not maxitive: the per-block check flags the least mask
-    # at which the partition DP misses the singleton sum
-    arb = SetFunction(space, [0.0] + data.draw(
-        st.lists(values, min_size=space.n_sets - 1, max_size=space.n_sets - 1)))
-    with np.errstate(invalid="ignore"):
-        cost = np.where((arb.table == 0.0) | (m_t == 0.0), 0.0, arb.table * m_t)
-    closed = atom_table(cost[1 << np.arange(space.n_atoms)])
-    want = first_flagged(~vclose(partition_dp(cost, np.minimum), closed))
-    try:
-        envelope_measure(arb, m)
-        got = None
-    except OracleMismatch as e:
-        got = int(str(e).rsplit(" ", 1)[1])
-    assert got == want
 
 
 wide = st.one_of(st.just(0.0), st.sampled_from([1e-300, 1e308]), st.floats(1e-3, 1e3))
@@ -1089,11 +1078,30 @@ def test_atom_decomposition_matches_brute_force(vals):
     assert atom_decomposition(nu) == ref_atom_decomposition(nu)
 
 
-@settings(max_examples=100, deadline=None)
-@given(tables())
-def test_atom_decomposition_raises_as_brute_force(w):
-    nu = TableMeasure(w)
-    assert outcome(atom_decomposition, nu) == outcome(ref_atom_decomposition, nu)
+extreme = st.one_of(values, st.sampled_from([1e308, 1.7e308, 1e-300, 5e-324]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(extreme, max_size=6), st.sampled_from([0.0, 1e-12, 1e-9, 0.1]), st.data())
+def test_atom_results_pass_their_sweeps_on_extreme_values(vals, tol, data):
+    # on a maxitive measure no sweep ever fails, and each returns the atom form
+    space = space_of(len(vals))
+    k = space.n_atoms
+    nu = MaxitiveMeasure(space, vals)
+    assert atom_decomposition(nu) == ref_atom_decomposition(nu, tol)
+    var = disjoint_variation(nu)
+    assert bits(var) == bits(ref_disjoint_variation(nu, tol))
+    assert math.isclose(var, total_variation(nu.to_set_function())[0], rel_tol=REL)
+    assert settled(essential_witness, nu) == settled(ref_essential_witness, nu, tol)
+
+    tau = MaxitiveMeasure(space, data.draw(st.lists(extreme, min_size=k, max_size=k)))
+    f = MeasurableFn(space, data.draw(st.lists(extreme, min_size=k, max_size=k)))
+    op = data.draw(st.sampled_from([TIMES, MIN, PLUS, MAX]))
+    exact = [op(float(f.atom_values[i]), float(tau.atom_values[i])) for i in range(k)]
+    for target in (MaxitiveMeasure(space, perturbed(data.draw, exact)), nu):
+        assert verify_density(op, f, target, tau, tol) == ref_verify_density(
+            op, f, target, tau, tol
+        )
 
 
 @settings(max_examples=150, deadline=None)
@@ -1111,10 +1119,10 @@ def test_verify_density_matches_brute_force(vals, data):
     b = data.draw(st.integers(0, space.n_sets - 1))
     if 0.0 < table[b] < INF:
         table[b] = np.nextafter(table[b], INF)
-    for target in (nu, SetFunction(space, table)):
-        assert verify_density(op, f, target, tau, tol) == ref_verify_density(
-            op, f, target, tau, tol
-        )
+    assert verify_density(op, f, nu, tau, tol) == ref_verify_density(op, f, nu, tau, tol)
+    # the atom form reads nu's atoms, so a table is refused
+    with pytest.raises(TypeError, match="atom form needs a MaxitiveMeasure"):
+        verify_density(op, f, SetFunction(space, table), tau, tol)
 
 
 @settings(max_examples=150, deadline=None)
@@ -1204,11 +1212,10 @@ def test_null_set_checks_match_brute_force(w, data):
 
 
 @settings(max_examples=60, deadline=None)
-@given(atom_values(finite=True), st.data())
-def test_essential_witness_matches_brute_force(vals, data):
-    w = data.draw(tables(k=len(vals)))
-    for nu in (MaxitiveMeasure(space_of(len(vals)), vals), TableMeasure(w)):
-        assert settled(essential_witness, nu) == settled(ref_essential_witness, nu)
+@given(atom_values(finite=True))
+def test_essential_witness_matches_brute_force(vals):
+    nu = MaxitiveMeasure(space_of(len(vals)), vals)
+    assert settled(essential_witness, nu) == settled(ref_essential_witness, nu)
 
 
 @settings(max_examples=60, deadline=None)
