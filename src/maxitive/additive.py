@@ -4,12 +4,15 @@ Carries the classical constructions the idempotent theory is played against:
 the Lebesgue integral of simple functions, the classical density theorem
 with its sigma-finiteness obstruction, and the finiteness and localizability
 chain. On a finite algebra several of these notions collapse into each
-other; the checkers compute each side independently so the collapse is a
-verified output, not an assumption. Localizability is the exception: a
-finite algebra gives it to every measure, so it is returned with its reason.
-``from_set_function``, the sigma- and semi-finiteness checks and
-``family_essential_supremum`` read the whole 2^k table of atom sums, priced
-as an atom table: k 2^k cells, which admit 21 atoms.
+other, and the atom masses decide them: sigma- and semi-finiteness both
+mean that no atom mass is inf, the essential supremum of a family is its
+union less its null atoms, and localizability, which a finite algebra gives
+to every measure, is returned with its reason. Each docstring says why, and
+the sweeps over every set that restate them are oracles in the tests. So
+these and ``choquet_integral``, which evaluates the measure on one set per
+level, build no table and have no atom cap. ``from_set_function`` and
+``classical_density`` read the whole 2^k table of atom sums, priced as an
+atom table: k 2^k cells, which admit 21 atoms.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NoDensity, NotAbsolutelyContinuous, OracleMismatch
+from .errors import NoDensity, NotAbsolutelyContinuous
 from .semigroup import _times
 from .spaces import (
     DEFAULT_TOL,
@@ -29,16 +32,13 @@ from .spaces import (
     MeasurableSet,
     SetFunction,
     as_mask,
-    as_table,
     as_values,
     atom_table,
     first_flagged,
     fold_atoms,
     mask_of,
-    max_over_submasks,
     per_distinct,
     singletons,
-    union_of,
     vclose,
 )
 
@@ -136,41 +136,38 @@ def is_finite_measure(m):
 
 
 def is_sigma_finite_measure(m):
-    """Countable cover by finite-mass sets; needs every atom mass finite."""
-    covered = union_of(np.isfinite(atom_table(m.atom_masses)))
-    return covered == m.space.full_mask
+    """Countable cover by finite-mass sets: no atom mass is inf.
+
+    An atom of infinite mass makes every set that holds it infinite, and
+    the singletons of finite-mass atoms cover the rest.
+    """
+    return not np.isinf(m.atom_masses).any()
 
 
 def is_semi_finite_measure(m):
-    """Every set of infinite mass contains a part of positive finite mass."""
-    table = atom_table(m.atom_masses)
-    charged = max_over_submasks((0.0 < table) & (table < INF))
-    return not (np.isinf(table) & (charged == 0.0)).any()
+    """Every set of infinite mass contains a part of positive finite mass.
+
+    An atom of infinite mass has no such part, since its only parts are
+    itself and the empty set. When no atom mass is inf, a set of infinite
+    mass (a sum that overflows) holds a positive atom, which is that part.
+    """
+    return not np.isinf(m.atom_masses).any()
 
 
 def family_essential_supremum(m, masks):
     """Least upper bound of a family of sets modulo m-null sets.
 
-    The union with its m-null atoms removed is the candidate; both defining
-    properties (it almost contains every member; anything that almost
-    contains every member almost contains it) are verified against all
-    competitors at once on the table of m.
+    The union of the family with its m-null atoms removed. It almost
+    contains every member: the part of a member outside it holds only null
+    atoms, so its mass is a sum of zeros. It is least: a positive atom of it
+    that a competitor g misses lies in some member b, so m(b - g) > 0 and g
+    does not almost contain b. So neither property is checked on a table.
+    A member mask outside [0, 2^k) raises ValueError.
     """
-    table = atom_table(m.atom_masses)
     union = 0
     for b in masks:
-        union |= int(b)
-    h = union & mask_of(np.flatnonzero(m.atom_masses > 0))
-    g = np.arange(len(table))
-    bounds = np.ones(len(table), dtype=bool)  # g almost contains every member
-    for b in masks:
-        if table[int(b) & ~h] != 0.0:
-            raise OracleMismatch(f"candidate misses member mask {b}")
-        bounds &= table[int(b) & ~g] == 0.0
-    g = first_flagged(bounds & (table[h & ~g] != 0.0))
-    if g is not None:
-        raise OracleMismatch(f"candidate is not least at competitor {g}")
-    return MeasurableSet(m.space, h)
+        union |= MeasurableSet(m.space, b).mask
+    return MeasurableSet(m.space, union & mask_of(np.flatnonzero(m.atom_masses > 0)))
 
 
 def is_localizable_measure(m):
@@ -195,8 +192,8 @@ class ImplicationReport:
 def implication_chain(m):
     """finite => sigma-finite => semi-finite, sigma-finite => localizable.
 
-    Each property is computed from its own definition and the implications
-    are then checked on the instance.
+    Each property is read off the atom masses, for the reason in its
+    docstring, and the implications are then checked on the instance.
     """
     fin = is_finite_measure(m)
     sig = is_sigma_finite_measure(m)
@@ -223,13 +220,12 @@ def choquet_integral(f, w, bset=None):
     Riemann sum of w(bset & {f > t}) over the segments between consecutive
     values of f; reduces to the Lebesgue integral when w is additive.
     """
-    w = as_table(w)
     if bset is None:
         bset = w.space.full()
     vs = [0.0] + f.distinct_values(bset)
     total = 0.0
     for lo, hi in zip(vs, vs[1:]):
-        surv = float(w.table[bset.mask & f.level_set(lo).mask])
+        surv = w(bset.mask & f.level_set(lo).mask)
         width = hi - lo
         total += _times(width, surv)
         if math.isinf(total):

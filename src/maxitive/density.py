@@ -111,7 +111,6 @@ def rn_density(op, nu, tau, tol=DEFAULT_TOL):
 
 def ae_equal(w, f, g, tol=DEFAULT_TOL):
     """Whether f and g agree outside a w-negligible set."""
-    w = as_table(w)
     diff = mask_of(np.flatnonzero(~vclose(f.atom_values, g.atom_values, tol)))
     return negligible(w, diff)
 

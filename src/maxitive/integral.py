@@ -4,8 +4,11 @@ Three evaluators are provided. The level sweep works for any monotone set
 function; the submask maximization is an independent route that agrees with
 the sweep when the measure is maxitive; the atom form is the closed formula
 for maxitive measures. Tests and the crosscheck flag hold them against each
-other. The submask maximization and density_measure on a general set
-function read whole 2^k tables through the kernels of ``spaces``.
+other. The level sweep and ky_fan_distance evaluate the measure they are
+given on one set per level, so they build no table and have no atom cap; an
+additive measure's atom sums are its table's entries bit for bit. The
+submask maximization and density_measure on a general set function read
+whole 2^k tables through the kernels of ``spaces``.
 """
 
 from __future__ import annotations
@@ -37,12 +40,6 @@ class IntegralResult:
     strict_boundary: bool
 
 
-def _coerce_measure(nu):
-    if isinstance(nu, MaxitiveMeasure):
-        return nu
-    return as_table(nu)
-
-
 def _fullset(nu, bset):
     if bset is not None:
         return bset
@@ -59,7 +56,6 @@ def idempotent_integral(op, f, nu, bset=None, tol=DEFAULT_TOL, crosscheck=False)
     maximization is run as well (the measure must be maxitive for the two to
     agree) and disagreement raises OracleMismatch.
     """
-    nu = _coerce_measure(nu)
     bset = _fullset(nu, bset)
     best = IntegralResult(value=0.0, level=0.0, strict_boundary=False)
     for v in [0.0] + f.distinct_values(bset):
@@ -85,14 +81,13 @@ def gerritse_integral(op, f, nu, bset=None):
     operation once per distinct pair; priced as its atom tables, which admit
     21 atoms (about 0.4 s and 180 MB). Intended as an independent oracle.
     """
-    nu = _coerce_measure(nu)
     bset = _fullset(nu, bset)
     idx = np.array(bset.atom_indices(), dtype=np.int64)
     low = atom_table(f.atom_values[idx], np.minimum, INF)
     if isinstance(nu, MaxitiveMeasure):
         meas = atom_table(nu.atom_values[idx], np.maximum, 0.0)
     else:
-        meas = nu.table[atom_table(1 << idx, np.add, 0)]
+        meas = as_table(nu).table[atom_table(1 << idx, np.add, 0)]
     # nonempty submasks from bset down: an operation off its grid raises at
     # the largest submask where it is off
     cand = per_distinct(op, low[:0:-1], meas[:0:-1])
@@ -148,7 +143,6 @@ def ky_fan_distance(nu, f, g, bset=None):
     least admissible t in the segment is the left endpoint when phi is below
     it, phi itself when phi falls inside, and nothing otherwise.
     """
-    nu = _coerce_measure(nu)
     bset = _fullset(nu, bset)
     # |f - g|, equal infinities at distance zero
     d = MeasurableFn(f.space, np.abs(vsub(f.atom_values, g.atom_values)))

@@ -14,11 +14,11 @@ looping over sets in Python. The witness scans of ``is_monotone``,
 ``is_maxitive`` and ``is_null_additive`` run only on a table that fails
 their bit-for-bit test, and the last two price their scans when they start.
 The results that the atoms of a maxitive measure determine (the atom
-decomposition, the disjoint variation and the essential witness) are read
-off the atom values: the representation nu(B) = max of nu_i over the atoms
-of B makes each of their claims true, so they build no table and have no
-atom cap, and the sweeps over every set that restate them are oracles in
-the tests.
+decomposition, the disjoint variation, the essential witness and the
+finiteness suite) are read off the atom values: the representation nu(B) =
+max of nu_i over the atoms of B makes each of their claims true, so they
+build no table and have no atom cap, and the sweeps over every set that
+restate them are oracles in the tests.
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ from .spaces import (
     mask_of,
     max_over_submasks,
     partition_dp,
-    per_distinct,
     require_budget,
     singletons,
     submasks,
@@ -620,16 +619,19 @@ class FinitenessReport:
 def finiteness_suite(op, nu):
     """The three finiteness notions for nu under the operation.
 
-    On a finite algebra the max is attained, so semi-finiteness collapses to
-    plain op-finiteness; the sweep computes both independently and insists
-    they agree.
+    The values of nu on the subsets of a set b are 0 and the atom values in
+    b, so nu is semi-finite iff every positive atom is op-finite, and it is
+    checked on the atoms with no table. It collapses to plain op-finiteness,
+    finiteness of the max atom, when the op-finite elements are 0 and every
+    value below an op-finite one, as under each builtin operation. A table
+    operation need not be so, and where the two differ OracleMismatch is
+    raised.
     """
-    space = nu.space
-    odot = op.finite_element(nu(space.full_mask))
+    odot = op.finite_element(nu(nu.space.full_mask))
     sigma = all(op.finite_element(float(v)) for v in nu.atom_values)
-    table = nu.to_set_function().table
-    finite = per_distinct(op.finite_element, table)
-    semi = bool(np.array_equal(max_over_submasks(np.where(finite, table, 0.0)), table))
+    # a list, not a generator: every positive atom is evaluated, so a table
+    # operation raises on the first one off its grid
+    semi = all([op.finite_element(float(v)) for v in nu.atom_values if v > 0])
     if semi != odot:
         raise OracleMismatch("semi-finiteness must match op-finiteness here")
     return FinitenessReport(

@@ -1,6 +1,7 @@
 """Classical sigma-additive measures and the comparison bridge."""
 
 import math
+import warnings
 
 import pytest
 
@@ -16,7 +17,7 @@ from maxitive.additive import (
     is_sigma_finite_measure,
     lebesgue_integral,
 )
-from maxitive.errors import ExplicitBudgetExceeded, NoDensity, NotAbsolutelyContinuous
+from maxitive.errors import NoDensity, NotAbsolutelyContinuous
 from maxitive.measures import MaxitiveMeasure
 from maxitive.sampling import random_additive, random_fn, random_space, rng_for
 from maxitive.spaces import INF, MeasurableFn, SetFunction, build_space, close
@@ -36,17 +37,39 @@ def test_additive_measure_basics(abc):
         )
 
 
-def test_finiteness_chain_refuses_beyond_the_table_cap():
-    labs = [f"g{i}" for i in range(22)]
-    m = AdditiveMeasure(build_space(labs, [[l] for l in labs]), [1.0] * 21 + [INF])
-    for check in (
-        is_sigma_finite_measure,
-        is_semi_finite_measure,
-        implication_chain,
-        lambda m: family_essential_supremum(m, [0b1, 0b10]),
-    ):
-        with pytest.raises(ExplicitBudgetExceeded):
-            check(m)
+@pytest.mark.parametrize("k", [22, 200])
+def test_finiteness_chain_has_no_atom_cap(k):
+    # the chain and the essential supremum read the atom masses, and the
+    # Choquet integral evaluates the measure on one set per level
+    labs = [f"g{i}" for i in range(k)]
+    space = build_space(labs, [[l] for l in labs])
+    m = AdditiveMeasure(space, [0.0] + [1.0] * (k - 2) + [INF])
+    assert not is_sigma_finite_measure(m) and not is_semi_finite_measure(m)
+    rep = implication_chain(m)
+    assert (rep.finite, rep.chain_holds) == (False, True)
+    assert family_essential_supremum(m, [0b1, 0b10, 1 << (k - 1)]).mask == 0b10 | 1 << (k - 1)
+    finite = AdditiveMeasure(space, [1.0] * k)
+    assert is_sigma_finite_measure(finite) and is_semi_finite_measure(finite)
+    f = MeasurableFn(space, [1.0 + i % 3 for i in range(k)])
+    assert choquet_integral(f, finite) == lebesgue_integral(f, finite)
+
+
+def test_finiteness_chain_of_an_overflowing_mass_sum_warns_nothing(abc):
+    # no table of the mass sums is formed, so no sum overflows
+    m = AdditiveMeasure(abc, [1e308, 1e308, 0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert is_sigma_finite_measure(m) and is_semi_finite_measure(m)
+        rep = implication_chain(m)
+        h = family_essential_supremum(m, [0b001, 0b110])
+    assert (rep.finite, rep.chain_holds, h.mask) == (False, True, 0b011)
+
+
+@pytest.mark.parametrize("mask", [-1, -4, 1 << 3])
+def test_family_essential_supremum_rejects_masks_out_of_range(abc, mask):
+    m = AdditiveMeasure(abc, [1, 0, 2])
+    with pytest.raises(ValueError, match=f"mask {mask} out of range"):
+        family_essential_supremum(m, [0b001, mask])
 
 
 def test_lebesgue_fixture(abc):

@@ -435,6 +435,27 @@ def test_decompose_and_variation_have_no_atom_cap(k, tmp_path, capsys):
     assert time.perf_counter() - start < 5.0
 
 
+@pytest.mark.parametrize("k", [22, 200])
+def test_integrate_on_an_additive_document_has_no_atom_cap(k, tmp_path, capsys):
+    # the level sweep evaluates the measure on one set per level; the
+    # crosscheck's submask tables are still refused above 21 atoms
+    labels = [f"x{i}" for i in range(k)]
+    m = write_doc(tmp_path / "m.json", measure_doc("additive", labels, [1e308] * 2 + [1.0] * (k - 2)))
+    f = write_doc(tmp_path / "f.json", measure_doc("function", labels, [1.0 + i % 7 for i in range(k)]))
+    argv = ["integrate", "--op", "times", "--measure", m, "--fn", f]
+    start = time.perf_counter()
+    assert cli.main(argv + ["--set", "x0+x1+x5"]) == 0
+    out = capsys.readouterr()
+    assert out.err == ""
+    assert json.loads(out.out)["result"] == {"level": 1.0, "strict_boundary": False, "value": "inf"}
+    assert cli.main(argv) == 0
+    out = capsys.readouterr()
+    assert (out.err, json.loads(out.out)["result"]["value"]) == ("", "inf")
+    assert time.perf_counter() - start < 5.0
+    assert cli.main(argv + ["--crosscheck"]) == 1
+    assert capsys.readouterr().err.startswith(f"error: atom table on {k} atoms needs")
+
+
 @pytest.mark.parametrize("k, value", [(10, 1.8e307), (11, 1.7e307)])
 def test_variation_of_an_overflowing_atom_sum_is_inf(k, value, tmp_path):
     # finite atom values whose sum is not: the variation is inf, with no

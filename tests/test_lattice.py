@@ -14,7 +14,10 @@ The sweeps over every set that the atom decomposition, the disjoint
 variation, the essential witness and the density check no longer run,
 because a maxitive measure's atom values make their claims true, are kept
 as oracles: on every maxitive measure, extreme values and tolerances
-included, each passes and returns the atom form.
+included, each passes and returns the atom form. So are the sweeps of the
+finiteness suite, under builtin and table operations, and of the additive
+finiteness chain and family essential supremum, which the atom values and
+masses decide.
 The sigma-ideal and essential-supremum enumerations live here too, as the
 oracles for the sigma-principality and the localizability that a finite
 algebra gives every set function and every additive measure, so does the
@@ -25,7 +28,9 @@ built masks before ``spaces.atoms_of`` and ``mask_of`` did, held against
 them on spaces of up to 200 atoms. Last, the integral's submask walk and
 its per-set level sweeps are held against the tables that replaced them,
 bit for bit and raising where they raise, under every builtin operation and
-a table operation whose grid may miss some inputs.
+a table operation whose grid may miss some inputs; so are the level sweep,
+the Ky Fan distance and the Choquet integral, which evaluate an additive or
+maxitive measure on a few sets, against the same calls on its table.
 """
 
 import math
@@ -40,6 +45,7 @@ from hypothesis import strategies as st
 
 from maxitive.additive import (
     AdditiveMeasure,
+    choquet_integral,
     classical_density,
     family_essential_supremum,
     is_localizable_measure,
@@ -65,12 +71,13 @@ from maxitive.errors import (
     OracleMismatch,
 )
 from maxitive.integral import (
-    _coerce_measure,
+    IntegralResult,
     _fullset,
     atom_integral,
     density_measure,
     gerritse_integral,
     idempotent_integral,
+    ky_fan_distance,
 )
 from maxitive.modelio import _set_key, parse_set
 from maxitive.measures import (
@@ -1006,12 +1013,38 @@ def test_total_variation_matches_enumeration_up_to_eight_atoms(w):
         assert math.isclose(val, got, rel_tol=REL)
 
 
+#: a table operation's grid holds 0 and inf and some of the rest
+TABLE_GRID = [0.0, 0.5, 1.0, 2.0, INF]
+
+
+@st.composite
+def table_ops(draw):
+    """A table operation with random values on a grid that holds 0 and inf."""
+    grid = sorted({0.0, INF, *draw(st.sets(st.sampled_from(TABLE_GRID)))})
+    row = st.lists(st.sampled_from(TABLE_GRID), min_size=len(grid), max_size=len(grid))
+    return TableOp("drawn", grid, draw(st.lists(row, min_size=len(grid), max_size=len(grid))))
+
+
+@st.composite
+def on_grid(draw):
+    """A table operation and up to six atom values on its grid."""
+    op = draw(table_ops())
+    return op, draw(st.lists(st.sampled_from(op.grid), max_size=6))
+
+
 @settings(max_examples=100, deadline=None)
-@given(atom_values())
-def test_finiteness_suite_matches_brute_force(vals):
+@given(atom_values(), on_grid())
+# 1 is not op-finite and inf is, so semi- and op-finiteness differ
+@example([], (TableOp("gap", [0.0, 1.0, INF], [[0.0] * 3, [0.0, 1.0, 0.0], [0.0, 1.0, 0.0]]), [1.0, INF]))
+def test_finiteness_suite_matches_brute_force(vals, case):
     nu = MaxitiveMeasure(space_of(len(vals)), vals)
     for op in (TIMES, MIN, PLUS, MAX):
         assert outcome(finiteness_suite, op, nu) == outcome(ref_finiteness_suite, op, nu)
+    # a table operation's op-finite values need not lie below one another,
+    # so the OracleMismatch can fire
+    op, grid_vals = case
+    nu = MaxitiveMeasure(space_of(len(grid_vals)), grid_vals)
+    assert outcome(finiteness_suite, op, nu) == outcome(ref_finiteness_suite, op, nu)
 
 
 @settings(max_examples=60, deadline=None)
@@ -1593,7 +1626,6 @@ def test_family_essential_supremum_matches_the_bit_loop(vals, data):
 
 
 def ref_gerritse_integral(op, f, nu, bset=None):
-    nu = _coerce_measure(nu)
     bset = _fullset(nu, bset)
     require_budget(len(bset) << len(bset), f"atom table on {len(bset)} atoms")
     best = 0.0
@@ -1660,3 +1692,38 @@ def test_gerritse_integral_of_signed_zeros_is_zero():
     f = MeasurableFn(space, [1.0, 1.0])
     nu = MaxitiveMeasure(space, [1.0, 1.0])
     assert bits(gerritse_integral(op, f, nu)) == bits(ref_gerritse_integral(op, f, nu)) == bits(0.0)
+
+
+#: values whose sums overflow or underflow, with 0 and inf
+EXTREME = [0.0, INF, 1e308, 1.7e308, 1e-300, 5e-324]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 6), st.one_of(st.sampled_from([TIMES, MIN, PLUS, MAX]), table_ops()), st.data())
+def test_point_evaluations_match_the_measure_table(k, op, data):
+    # the level sweep, the Ky Fan distance and the Choquet integral evaluate
+    # the measure on a few sets; on the measure's table they read the same
+    # values, bit for bit, and raise where the table route raises
+    space = space_of(k)
+    pool = st.one_of(values, st.sampled_from([*EXTREME, *TABLE_GRID]))
+
+    def draw_values():
+        return data.draw(st.lists(pool, min_size=k, max_size=k))
+
+    f, g = MeasurableFn(space, draw_values()), MeasurableFn(space, draw_values())
+    bset = MeasurableSet(space, data.draw(st.integers(0, space.full_mask)))
+    tol = data.draw(st.sampled_from([0.0, 1e-12, 1e-9, 0.1]))
+    crosscheck = data.draw(st.booleans())
+
+    def evaluations(nu):
+        res = outcome(idempotent_integral, op, f, nu, bset, tol, crosscheck)
+        if isinstance(res, IntegralResult):
+            res = bits(res.value), bits(res.level), res.strict_boundary
+        return (
+            res,
+            settled(ky_fan_distance, nu, f, g, bset),
+            settled(choquet_integral, f, nu, bset),
+        )
+
+    for measure in (AdditiveMeasure(space, draw_values()), MaxitiveMeasure(space, draw_values())):
+        assert evaluations(measure) == evaluations(measure.to_set_function())

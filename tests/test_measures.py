@@ -37,7 +37,7 @@ from maxitive.measures import (
     total_variation,
 )
 from maxitive.sampling import random_maxitive, random_non_maxitive, random_space, rng_for
-from maxitive.semigroup import MIN, TIMES
+from maxitive.semigroup import MIN, TIMES, TableOp
 from maxitive.spaces import INF, MeasurableFn, SetFunction, build_space, close, mask_of
 
 from test_lattice import enumerate_sigma_ideals
@@ -425,6 +425,17 @@ def test_finiteness_suite(abc):
     # under min everything is finite: O(t) = 0 for every t
     rep3 = finiteness_suite(MIN, nu_inf)
     assert rep3.odot_finite and rep3.sigma_odot_finite and rep3.semi_odot_finite
+
+
+def test_finiteness_suite_evaluates_every_positive_atom(abc):
+    # under min on this grid only 0 is op-finite; the first atom already
+    # settles every notion, and the atom off the grid still raises
+    grid = [0.0, 0.5, 1.0, 2.0, INF]
+    op = TableOp("grid-min", grid, [[min(s, t) for t in grid] for s in grid])
+    with pytest.raises(ValueError, match="5e-324 is off the declared grid"):
+        finiteness_suite(op, MaxitiveMeasure(abc, [1.0, 0.0, 5e-324]))
+    rep = finiteness_suite(op, MaxitiveMeasure(abc, [1.0, 0.0, 2.0]))
+    assert not (rep.odot_finite or rep.sigma_odot_finite or rep.semi_odot_finite)
 
 
 def test_sigma_ideals_are_principal(abc):
