@@ -33,7 +33,7 @@ from .measures import (
 )
 from .possibility import PossibilitySpace, conditional, conditional_suite
 from .semigroup import TableOp, by_name, builtin_names, verify_axioms
-from .spaces import DEFAULT_TOL, MeasurableFn, SetFunction, as_table, build_space
+from .spaces import DEFAULT_TOL, MeasurableFn, SetFunction, build_space
 from .supmeasure import sample_blocks
 from .suites import INVARIANTS, run_all
 
@@ -65,10 +65,6 @@ def _parse_atoms_spec(text):
         values.append(modelio.decode_value(val.strip()))
     space = build_space(labels, [[l] for l in labels])
     return space, values
-
-
-def _load(path):
-    return modelio.load_measure(path)
 
 
 def _need_fn(obj, what):
@@ -113,29 +109,24 @@ def _emit(command, payload):
 
 
 def _cmd_check(args):
-    obj = _need_measure(_load(args.measure), "--measure")
-    w = as_table(obj)
+    w = _need_measure(modelio.load_measure(args.measure), "--measure")
     rep = classify(w, tol=args.tolerance)
     payload = {"properties": rep}
     if args.order > 0:
-        payload["alternation"] = choquet_alternating(
-            w, order=args.order, tol=args.tolerance
-        )
+        payload["alternation"] = choquet_alternating(w, args.order, args.tolerance)
     if args.op is not None:
         op = _resolve_op(args.op)
         payload["axioms"] = verify_axioms(op)
         if rep.maxitive:
-            payload["finiteness"] = finiteness_suite(
-                op, MaxitiveMeasure(w.space, rep.atom_values)
-            )
+            payload["finiteness"] = finiteness_suite(op, MaxitiveMeasure(w.space, rep.atom_values))
     _emit("check", payload)
     return 0
 
 
 def _cmd_integrate(args):
     op = _resolve_op(args.op)
-    nu = _need_measure(_load(args.measure), "--measure")
-    f = _need_fn(_load(args.fn), "--fn")
+    nu = _need_measure(modelio.load_measure(args.measure), "--measure")
+    f = _need_fn(modelio.load_measure(args.fn), "--fn")
     space = nu.space
     bset = modelio.parse_set(space, args.set) if args.set else space.full()
     res = idempotent_integral(
@@ -146,11 +137,10 @@ def _cmd_integrate(args):
 
 
 def _cmd_esssup(args):
-    tau = _need_measure(_load(args.measure), "--measure")
-    f = _need_fn(_load(args.fn), "--fn")
-    w = as_table(tau)
-    bset = modelio.parse_set(w.space, args.set) if args.set else w.space.full()
-    val = essential_supremum(w, f, bset, tol=args.tolerance)
+    tau = _need_measure(modelio.load_measure(args.measure), "--measure")
+    f = _need_fn(modelio.load_measure(args.fn), "--fn")
+    bset = modelio.parse_set(tau.space, args.set) if args.set else tau.space.full()
+    val = essential_supremum(tau, f, bset, tol=args.tolerance)
     _emit("esssup", {"value": val, "set": bset})
     return 0
 
@@ -158,14 +148,14 @@ def _cmd_esssup(args):
 def _cmd_density(args):
     if args.method == "residual":
         op = _resolve_op(args.op)
-        nu = _need_maxitive(_load(args.nu), "--nu", args.tolerance)
-        tau = _need_maxitive(_load(args.tau), "--tau", args.tolerance)
+        nu = _need_maxitive(modelio.load_measure(args.nu), "--nu", args.tolerance)
+        tau = _need_maxitive(modelio.load_measure(args.tau), "--tau", args.tolerance)
         c = rn_density(op, nu, tau, tol=args.tolerance)
         _emit("density", {"method": "residual", "op": op.name, "density": c})
         return 0
     if args.method == "envelope":
-        nu = _need_maxitive(_load(args.nu), "--nu", args.tolerance)
-        m = _need_additive(_load(args.tau), "--tau", args.tolerance)
+        nu = _need_maxitive(modelio.load_measure(args.nu), "--nu", args.tolerance)
+        m = _need_additive(modelio.load_measure(args.tau), "--tau", args.tolerance)
         rep = envelope_density(nu, m, tol=args.tolerance)
         _emit(
             "density",
@@ -180,9 +170,9 @@ def _cmd_density(args):
         return 0
     if args.method == "associated":
         op = _resolve_op(args.op)
-        mu = _need_measure(_load(args.mu), "--mu")
-        c1 = _need_fn(_load(args.c1), "--c1")
-        c2 = _need_fn(_load(args.c2), "--c2")
+        mu = _need_measure(modelio.load_measure(args.mu), "--mu")
+        c1 = _need_fn(modelio.load_measure(args.c1), "--c1")
+        c2 = _need_fn(modelio.load_measure(args.c2), "--c2")
         c = density_from_associated(op, mu, c1, c2, tol=args.tolerance)
         _emit("density", {"method": "associated", "op": op.name, "density": c})
         return 0
@@ -190,14 +180,14 @@ def _cmd_density(args):
 
 
 def _cmd_decompose(args):
-    nu = _need_maxitive(_load(args.nu), "--nu", args.tolerance)
+    nu = _need_maxitive(modelio.load_measure(args.nu), "--nu", args.tolerance)
     dec = atom_decomposition(nu)
     _emit("decompose", {"decomposition": dec})
     return 0
 
 
 def _cmd_variation(args):
-    nu = _need_maxitive(_load(args.nu), "--nu", args.tolerance)
+    nu = _need_maxitive(modelio.load_measure(args.nu), "--nu", args.tolerance)
     val = disjoint_variation(nu)
     _emit("variation", {"value": val})
     return 0
@@ -205,12 +195,12 @@ def _cmd_variation(args):
 
 def _cmd_condition(args):
     op = _resolve_op(args.op)
-    pi = _load(args.pi)
+    pi = modelio.load_measure(args.pi)
     if isinstance(pi, MaxitiveMeasure):
         pi = PossibilitySpace(pi, tol=args.tolerance)
     if not isinstance(pi, PossibilitySpace):
         raise ValueError("--pi must be a possibility (or normed maxitive) document")
-    x = _need_fn(_load(args.x), "--x")
+    x = _need_fn(modelio.load_measure(args.x), "--x")
     sub = modelio.parse_subalgebra(pi.space, args.sub)
     if args.suite:
         rep = conditional_suite(op, x, pi, sub, tol=args.tolerance)
@@ -289,7 +279,7 @@ def _cmd_simulate(args):
     if args.n < 0:
         raise ValueError(f"--n must be a nonnegative sample count, got {args.n}")
     if args.m is not None:
-        m = _need_additive(_load(args.m), "--m")
+        m = _need_additive(modelio.load_measure(args.m), "--m")
     elif args.atoms is not None:
         space, values = _parse_atoms_spec(args.atoms)
         m = AdditiveMeasure(space, values)

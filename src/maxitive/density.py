@@ -6,9 +6,11 @@ classical density recovers the maxitive measure by one closed form, infinite
 atoms included), and residuation of two given densities over a common
 background measure. Extraction always ends with a verification of the
 candidate; one that fails it raises NoDensity rather than being returned.
-A density of a maxitive measure is verified on the k atoms, which the
-representation nu(B) = max of nu_i over the atoms of B carries to every
-set. The envelope is the closed atom sum nu_i m_i, the minimum over
+A density of a maxitive measure is verified on the k atoms, and so is the
+absolute continuity of a maxitive pair under a builtin operation: the
+representation nu(B) = max of nu_i over the atoms of B carries both to
+every set. With maxitive measures the residual and associated routes build
+no table. The envelope is the closed atom sum nu_i m_i, the minimum over
 partitions by the product inequality, and builds no table.
 """
 
@@ -27,6 +29,7 @@ from .errors import (
     NotOdotAbsolutelyContinuous,
 )
 from .measures import MaxitiveMeasure, _null_atoms, esssup_measure, negligible
+from .semigroup import MAX, MIN, PLUS, TIMES
 from .spaces import (
     DEFAULT_TOL,
     INF,
@@ -52,13 +55,22 @@ def odot_abs_continuous(op, nu, tau, tol=DEFAULT_TOL):
     """nu(B) <= inf (.) tau(B) on every set; the witness is a failing mask.
 
     The bound inf (.) tau(B) is computed once per distinct value of tau.
+    A maxitive pair under a builtin operation, where op(inf, .) is monotone,
+    is checked on the k atoms: a set passes when the atom of its largest nu
+    value does, so the least failing set is the singleton of the least
+    failing atom. Under a table operation two atoms that each pass can fail
+    together, so the table is checked on every set.
     """
-    nu_t = as_table(nu)
-    tau_t = as_table(tau)
-    if nu_t.space is not tau_t.space and nu_t.space != tau_t.space:
+    if nu.space is not tau.space and nu.space != tau.space:
         raise ValueError("measures live on different spaces")
-    bound = per_distinct(lambda v: op(INF, v), tau_t.table)
-    b = first_flagged(~vle(nu_t.table, bound, tol))
+    pair = isinstance(nu, MaxitiveMeasure) and isinstance(tau, MaxitiveMeasure)
+    if pair and op in (TIMES, MIN, PLUS, MAX):
+        bound = per_distinct(lambda v: op(INF, v), tau.atom_values)
+        i = first_flagged(~vle(nu.atom_values, bound, tol))
+        b = None if i is None else mask_of([i])
+    else:
+        bound = per_distinct(lambda v: op(INF, v), as_table(tau).table)
+        b = first_flagged(~vle(as_table(nu).table, bound, tol))
     if b is not None:
         return AbsContReport(holds=False, op=op.name, witness=b)
     return AbsContReport(holds=True, op=op.name)
@@ -204,17 +216,16 @@ def density_from_associated(op, mu, c1, c2, tol=DEFAULT_TOL):
     happens in particular when the operation is not exact at the needed
     pairs.
     """
-    mu_t = as_table(mu)
-    space = mu_t.space
-    nu = esssup_measure(mu_t, c1, tol)
-    tau = esssup_measure(mu_t, c2, tol)
+    space = mu.space
+    nu = esssup_measure(mu, c1, tol)
+    tau = esssup_measure(mu, c2, tol)
     bound = per_distinct(lambda v: op(INF, v), c2.atom_values)
     bad = mask_of(np.flatnonzero(~vle(c1.atom_values, bound, tol)))
-    if bad and not negligible(mu_t, bad):
+    if bad and not negligible(mu, bad):
         raise NegligibilityViolation(
             f"c1 escapes the scalar bound on a non-negligible set, mask {bad}"
         )
-    dead = atom_flags(bad | _null_atoms(mu_t.table), space.n_atoms)
+    dead = atom_flags(bad | _null_atoms(mu), space.n_atoms)
     live = np.where(dead, 0.0, c1.atom_values)
     c = MeasurableFn(space, _residuals(op, live, c2.atom_values))
     ok, wit = verify_density(op, c, nu, tau, tol)

@@ -7,7 +7,8 @@ for maxitive measures. Tests and the crosscheck flag hold them against each
 other. The level sweep and ky_fan_distance evaluate the measure they are
 given on one set per level, so they build no table and have no atom cap; an
 additive measure's atom sums are its table's entries bit for bit. The
-submask maximization and density_measure on a general set function read
+submask maximization tables a maxitive or additive measure over the atoms
+of the set only; on another set function it, and density_measure, read
 whole 2^k tables through the kernels of ``spaces``.
 """
 
@@ -17,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .additive import AdditiveMeasure
 from .errors import OracleMismatch
 from .measures import MaxitiveMeasure
 from .spaces import (
@@ -86,6 +88,9 @@ def gerritse_integral(op, f, nu, bset=None):
     low = atom_table(f.atom_values[idx], np.minimum, INF)
     if isinstance(nu, MaxitiveMeasure):
         meas = atom_table(nu.atom_values[idx], np.maximum, 0.0)
+    elif isinstance(nu, AdditiveMeasure):
+        with np.errstate(over="ignore"):  # the table's left-to-right sums
+            meas = atom_table(nu.atom_masses[idx], np.add, 0.0)
     else:
         meas = as_table(nu).table[atom_table(1 << idx, np.add, 0)]
     # nonempty submasks from bset down: an operation off its grid raises at

@@ -1,24 +1,21 @@
 """Maxitive measures on finite spaces: classification and structure theory.
 
 A maxitive measure is stored by its atom values; its value on a set is the
-max over the atoms inside. General set functions are classified by a battery
-of named predicates, each of which returns a witness when it fails. On a
-finite algebra four textbook properties (continuity along decreasing chains,
-exhaustivity, the countable chain condition, sigma-principality) hold for
-every set function, so their predicates return True with the one-line
-reason in their docstrings, and bounded variation is plain finiteness. The
-other checks, negligibility, the essential supremum, autocontinuity and
-essentiality among them, read whole 2^k tables through the subset-lattice
-kernels of ``spaces`` (k 2^k transforms, a 3^k partition DP) instead of
-looping over sets in Python. The witness scans of ``is_monotone``,
-``is_maxitive`` and ``is_null_additive`` run only on a table that fails
-their bit-for-bit test, and the last two price their scans when they start.
-The results that the atoms of a maxitive measure determine (the atom
-decomposition, the disjoint variation, the essential witness and the
-finiteness suite) are read off the atom values: the representation nu(B) =
-max of nu_i over the atoms of B makes each of their claims true, so they
-build no table and have no atom cap, and the sweeps over every set that
-restate them are oracles in the tests.
+max over the atoms inside. That representation decides its
+classification, alternation, negligible sets and essential suprema, atom
+decomposition, disjoint variation, essential witness and finiteness suite,
+so these are read off the atom values, build no table and have no atom
+cap, and the table routes that restate them are oracles in the tests.
+Other set functions are classified by a battery of named predicates, each returning a
+witness when it fails. On a finite algebra four textbook properties
+(continuity along decreasing chains, exhaustivity, the countable chain
+condition, sigma-principality) hold for every set function, so their
+predicates return True with the one-line reason in their docstrings, and
+bounded variation is plain finiteness. The other checks read whole 2^k
+tables through the subset-lattice kernels of ``spaces`` (k 2^k transforms,
+a 3^k partition DP); the witness scans of ``is_monotone``, ``is_maxitive``
+and ``is_null_additive`` run only on a table that fails their bit-for-bit
+test, and the last two price their scans when they start.
 """
 
 from __future__ import annotations
@@ -103,16 +100,20 @@ def _zero_masks(table):
     return np.nonzero(table == 0.0)[0]
 
 
-def _null_atoms(table):
+def _null_atoms(w):
     """Bit i is set iff {i} is negligible: the OR of the zero masks."""
-    return union_of(table == 0.0)
+    if isinstance(w, MaxitiveMeasure):
+        return w.space.full_mask & ~w.support_mask()
+    return union_of(as_table(w).table == 0.0)
 
 
 def negligible(w, bset):
-    """Whether the set is contained in some measurable zero set of ``w``."""
-    w = as_table(w)
+    """Whether the set is contained in some measurable zero set of ``w``; for
+    a maxitive measure, whether each of its atoms is 0 (its value is their max)."""
     mask = as_mask(bset)
-    return bool(((_zero_masks(w.table) & mask) == mask).any())
+    if isinstance(w, MaxitiveMeasure):
+        return (mask & w.support_mask()) == 0
+    return bool(((_zero_masks(as_table(w).table) & mask) == mask).any())
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +158,7 @@ def is_null_additive(w, tol=DEFAULT_TOL):
     w = as_table(w)
     table = w.table
     masks = np.arange(w.space.n_sets)
-    if np.array_equal(table[masks | _null_atoms(table)], table):
+    if np.array_equal(table[masks | _null_atoms(w)], table):
         return True, None
     zeros, k = _zero_masks(table), w.space.n_atoms
     require_budget(len(zeros) << k, f"scan of {len(zeros)} zero sets on {k} atoms")
@@ -270,7 +271,7 @@ def is_autocontinuous(w, tol=DEFAULT_TOL):
         return False, {"monotone": wit}
     table = w.table
     k = w.space.n_atoms
-    dead = atom_flags(_null_atoms(table), k)
+    dead = atom_flags(_null_atoms(w), k)
     ess = atom_table(np.where(dead, 0.0, singletons(table)), np.maximum)
     b = first_flagged(~vclose(table, ess, tol))
     return b is None, b
@@ -397,7 +398,24 @@ class PropertyReport:
 
 
 def classify(w, tol=DEFAULT_TOL):
-    """Run every named predicate on a set function and collect the report."""
+    """Run every named predicate on a set function and collect the report.
+
+    A maxitive measure's table, the max of nu_i over the atoms of each set,
+    passes every bitwise test by construction, so only its top value (the
+    max atom) and its infinite sets (those with an infinite atom, the least
+    being the singleton of the least such atom i, and the first partition
+    with an infinite block the one-block partition) are read off the atoms.
+    """
+    if isinstance(w, MaxitiveMeasure):
+        vals, k = w.atom_values, w.space.n_atoms
+        top = float(np.max(vals, initial=0.0))
+        wit = {} if close(top, 1.0, tol) else {"normed": top}
+        i = first_flagged(np.isinf(vals))
+        if i is not None:
+            b = mask_of([i])
+            wit.update(finite=b, sigma_finite=i, of_bounded_variation=[list(range(k))] if k <= 10 else b)
+        flags = {f.name: f.name not in wit for f in fields(PropertyReport) if f.type == "bool"}
+        return PropertyReport(atom_values=tuple(vals.tolist()), witnesses=wit, **flags)
     w = as_table(w)
     wit = {}
     out = {}
@@ -422,9 +440,7 @@ def classify(w, tol=DEFAULT_TOL):
         out[name] = bool(ok)
         if witness is not None and not ok:
             wit[name] = witness
-    atom_values = None
-    if out["maxitive"]:
-        atom_values = tuple(singletons(w.table).tolist())
+    atom_values = tuple(singletons(w.table).tolist()) if out["maxitive"] else None
     return PropertyReport(atom_values=atom_values, witnesses=wit, **out)
 
 
@@ -449,10 +465,15 @@ def choquet_alternating(w, order, tol=DEFAULT_TOL):
     nonnegative, where D_{G1} f(G) = f(G | G1) - f(G) and equal infinities
     cancel to zero.
     """
-    w = as_table(w)
-    n = w.space.n_sets
     if order < 1:
         raise ValueError("order must be at least 1")
+    if isinstance(w, MaxitiveMeasure):
+        # a possibility measure is the plausibility of a consonant belief
+        # function, alternating of every order (Shafer 1976, ch. 10); the
+        # least signed difference is the 0.0 at G1 = empty
+        return AlternationReport(ok=True, order=order, witness=None, min_signed_value=0.0)
+    w = as_table(w)
+    n = w.space.n_sets
     # three arrays of the deepest table's n^(order+1) cells are held at once:
     # the gather, the difference and the signed copy
     require_budget(3 * n ** (order + 1), f"alternation of order {order} on {w.space.n_atoms} atoms")
@@ -483,6 +504,9 @@ def choquet_alternating(w, order, tol=DEFAULT_TOL):
 
 
 def _require_fuzzy(w, tol=DEFAULT_TOL):
+    """Refuse a w that is not monotone and null-additive; a maxitive w is both."""
+    if isinstance(w, MaxitiveMeasure):
+        return
     ok, wit = is_monotone(w, tol)
     if not ok:
         raise NotMonotone(f"witness masks {wit}")
@@ -495,52 +519,45 @@ def essential_supremum(tau, f, bset=None, tol=DEFAULT_TOL):
     """inf of t > 0 such that B & {f > t} is tau-negligible.
 
     tau must be monotone and null-additive so that negligibility behaves.
-    Swept over the distinct values of f and cross-checked against the max of
-    f over the non-negligible atoms of B.
+    For a maxitive tau it is the max of f over the non-negligible atoms of B,
+    since a union of zero sets is a zero set. On a table it is the min over
+    the zero sets N of the max of f on B less N, the first level t with B &
+    {f > t} inside some N, cross-checked against that atom max.
     """
-    tau = as_table(tau)
     _require_fuzzy(tau, tol)
     if bset is None:
         bset = tau.space.full()
-    candidates = [0.0] + f.distinct_values(bset)
-    result = None
-    for t in candidates:
-        if negligible(tau, bset.mask & f.level_set(t).mask):
-            result = t
-            break
-    if result is None:
-        result = INF
-
-    # independent route: max of f over non-negligible atoms inside B
-    live = atom_flags(bset.mask & ~_null_atoms(tau.table), tau.space.n_atoms)
+    live = atom_flags(bset.mask & ~_null_atoms(tau), tau.space.n_atoms)
     oracle = float(np.max(f.atom_values[live], initial=0.0))
+    if isinstance(tau, MaxitiveMeasure):
+        return oracle
+    zeros = _zero_masks(as_table(tau).table)
+    result = float(atom_table(f.atom_values, np.maximum)[bset.mask & ~zeros].min())
     if not close(result, oracle, tol):
-        raise OracleMismatch(
-            f"essential supremum sweep {result} vs atom oracle {oracle}"
-        )
+        raise OracleMismatch(f"essential supremum sweep {result} vs atom oracle {oracle}")
     return result
 
 
 def esssup_measure(tau, f, tol=DEFAULT_TOL):
     """The maxitive measure B -> essential supremum of f over B."""
-    tau = as_table(tau)
     _require_fuzzy(tau, tol)
-    dead = atom_flags(_null_atoms(tau.table), tau.space.n_atoms)
+    dead = atom_flags(_null_atoms(tau), tau.space.n_atoms)
     return MaxitiveMeasure(tau.space, np.where(dead, 0.0, f.atom_values))
 
 
 def delta_measure(w, tol=DEFAULT_TOL):
-    """The two-valued companion: 1 exactly on the sets of positive value."""
-    if isinstance(w, MaxitiveMeasure):
-        vals = [1.0 if v > 0 else 0.0 for v in w.atom_values]
-        return MaxitiveMeasure(w.space, vals)
-    w = as_table(w)
-    _require_fuzzy(w, tol)
-    # the two-valued companion must reproduce positivity on every set
-    ok, b = is_essential(w)
-    if not ok:
-        raise NotNullAdditive(f"positivity not atom-determined at mask {b}")
-    return MaxitiveMeasure(w.space, np.where(singletons(w.table) > 0, 1.0, 0.0))
+    """The two-valued companion: 1 exactly on the sets of positive value.
+
+    A table must show that its positivity is determined by its atoms, as a
+    maxitive measure's is by construction.
+    """
+    if not isinstance(w, MaxitiveMeasure):
+        _require_fuzzy(w, tol)
+        ok, b = is_essential(w)
+        if not ok:
+            raise NotNullAdditive(f"positivity not atom-determined at mask {b}")
+        w = MaxitiveMeasure(w.space, singletons(as_table(w).table))
+    return MaxitiveMeasure(w.space, np.where(w.atom_values > 0, 1.0, 0.0))
 
 
 def counting_delta(space):

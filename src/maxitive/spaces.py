@@ -89,8 +89,9 @@ def esub(a, b):
 
 
 def vsub(a, b):
-    """Vectorized :func:`esub` on NaN-free arrays: equal infinities cancel."""
-    with np.errstate(invalid="ignore"):
+    """Vectorized :func:`esub` on NaN-free arrays: equal infinities cancel,
+    and a difference that overflows is an infinity of its sign."""
+    with np.errstate(invalid="ignore", over="ignore"):
         d = np.subtract(a, b)
     bad = np.isnan(d)
     if bad.any():

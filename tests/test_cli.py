@@ -456,6 +456,65 @@ def test_integrate_on_an_additive_document_has_no_atom_cap(k, tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"error: atom table on {k} atoms needs")
 
 
+@pytest.mark.parametrize("k", [22, 200])
+def test_crosscheck_on_a_set_of_an_additive_document_has_no_atom_cap(k, tmp_path, capsys):
+    # the crosscheck tables the sums over the set's atoms, not the whole table
+    labels = [f"x{i}" for i in range(k)]
+    m = write_doc(tmp_path / "m.json", measure_doc("additive", labels, [1e308] * 2 + [1.0] * (k - 2)))
+    f = write_doc(tmp_path / "f.json", measure_doc("function", labels, [1.0 + i % 7 for i in range(k)]))
+    argv = ["integrate", "--op", "times", "--measure", m, "--fn", f, "--crosscheck"]
+    assert cli.main(argv + ["--set", "x0+x1+x5"]) == 0
+    out = capsys.readouterr()
+    assert out.err == ""
+    assert json.loads(out.out)["result"] == {"level": 1.0, "strict_boundary": False, "value": "inf"}
+
+
+@pytest.mark.parametrize("k", [22, 200])
+def test_maxitive_verdicts_have_no_atom_cap(k, tmp_path, capsys):
+    # check at every order, esssup and the residual and associated densities
+    # read a maxitive document's atoms and build no table
+    labels = [f"x{i}" for i in range(k)]
+    vals = [0.0, "inf"] + [1.0 + i % 7 for i in range(k - 2)]
+    nu = write_doc(tmp_path / "nu.json", measure_doc("maxitive", labels, vals))
+    f = write_doc(tmp_path / "f.json", measure_doc("function", labels, [1.0 + i % 5 for i in range(k)]))
+    density = ["density", "--op", "times", "--method"]
+    for argv in (
+        ["check", "--measure", nu],
+        ["check", "--order", "5", "--measure", nu],
+        ["check", "--order", "0", "--op", "times", "--measure", nu],
+        ["esssup", "--measure", nu, "--fn", f],
+        ["esssup", "--measure", nu, "--fn", f, "--set", "x0+x1+x5"],
+        density + ["residual", "--nu", nu, "--tau", nu],
+        density + ["associated", "--mu", nu, "--c1", f, "--c2", f],
+    ):
+        start = time.perf_counter()
+        assert cli.main(argv) == 0, argv
+        out = capsys.readouterr()
+        assert out.err == "" and time.perf_counter() - start < 5.0, argv
+        if argv[0] == "check":
+            report = json.loads(out.out)
+            assert report["properties"]["witnesses"] == {
+                "finite": 2, "normed": "inf", "of_bounded_variation": 2, "sigma_finite": 1}
+            assert report.get("alternation", {"ok": True})["ok"] is True
+    assert json.loads(out.out)["density"]["atoms"]["x0"] == 0.0
+
+
+def test_esssup_on_a_table_null_additive_only_within_tolerance(tmp_path, capsys):
+    # a and b are zero sets whose union is not: check calls the table
+    # null-additive within 1e-9, but the sweep's zero sets leave 5 on a + b
+    # while the atom oracle zeroes both atoms, so esssup refuses
+    doc = {"schema": "1", "kind": "set_function",
+           "space": {"ground": ["a", "b"], "blocks": [["a"], ["b"]]},
+           "table": {"a": 0.0, "b": 0.0, "a+b": 1e-10}}
+    w = write_doc(tmp_path / "w.json", doc)
+    f = write_doc(tmp_path / "f.json", measure_doc("function", ["a", "b"], [5.0, 5.0]))
+    assert cli.main(["check", "--order", "0", "--measure", w]) == 0
+    assert json.loads(capsys.readouterr().out)["properties"]["null_additive"] is True
+    assert cli.main(["esssup", "--measure", w, "--fn", f]) == 1
+    out = capsys.readouterr()
+    assert (out.out, out.err) == ("", "error: essential supremum sweep 5.0 vs atom oracle 0.0\n")
+
+
 @pytest.mark.parametrize("k, value", [(10, 1.8e307), (11, 1.7e307)])
 def test_variation_of_an_overflowing_atom_sum_is_inf(k, value, tmp_path):
     # finite atom values whose sum is not: the variation is inf, with no

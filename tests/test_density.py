@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from maxitive.additive import AdditiveMeasure
 from maxitive.density import (
+    AbsContReport,
     ae_equal,
     density_from_associated,
     envelope_density,
@@ -25,7 +26,7 @@ from maxitive.errors import (
 from maxitive.integral import density_measure
 from maxitive.measures import MaxitiveMeasure
 from maxitive.sampling import random_fn, random_maxitive, random_space, rng_for
-from maxitive.semigroup import MIN, PLUS, TIMES
+from maxitive.semigroup import MIN, PLUS, TIMES, TableOp
 from maxitive.spaces import INF, MeasurableFn, build_space, close
 
 
@@ -91,6 +92,16 @@ def test_abs_continuity_gate(abc):
     assert not rep.holds and rep.witness is not None
     with pytest.raises(NotOdotAbsolutelyContinuous):
         rn_density(TIMES, nu, tau)
+
+
+def test_abs_continuity_under_a_table_operation_checks_every_set():
+    # inf (.) 2 = 0 < inf (.) 1: each atom passes alone, but on {a, b} the
+    # bound is inf (.) tau(a + b) = inf (.) 2 = 0, below nu(a + b) = 1
+    sp = build_space("ab", [["a"], ["b"]])
+    grid = [0.0, 1.0, 2.0, INF]
+    op = TableOp("dip", grid, [[0.0] * 4, [0.0] * 4, [0.0] * 4, [0.0, INF, 0.0, INF]])
+    nu, tau = MaxitiveMeasure(sp, [1.0, 0.0]), MaxitiveMeasure(sp, [1.0, 2.0])
+    assert odot_abs_continuous(op, nu, tau) == AbsContReport(holds=False, op="dip", witness=3)
 
 
 def test_non_exact_operations_are_refused(abc):

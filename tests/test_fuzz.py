@@ -4,7 +4,9 @@ Each call of ``cli.main`` must exit 0, 1 or 2, leave no traceback and no
 RuntimeWarning on stderr, and return within a few seconds. This covers
 ``integrate`` (with and without ``--set`` and ``--crosscheck``) and
 ``check --order 0 --op`` under the builtin operations and one table
-operation, on maxitive, additive, possibility and set_function documents.
+operation, and ``check`` at orders 1 to 5, ``esssup`` (with and without
+``--set``) and the residual and associated densities, on maxitive,
+additive, possibility and set_function documents.
 Atom counts run to 12, where every table is small, and from 22 to 30, above
 the 21 atoms that a table admits, where a table is refused before it is
 allocated and the atom routes run.
@@ -110,3 +112,37 @@ def test_fuzzed_documents_exit_cleanly(tmp_path_factory, case, op, tol, crossche
         assert code in (0, 1, 2), (argv, code, err)
         assert "Traceback" not in err and "RuntimeWarning" not in err, (argv, err)
         assert seconds < 5.0, (argv, seconds)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    documents(),
+    st.sampled_from(["check", "alternation", "esssup", "residual", "associated"]),
+    st.integers(1, 5),
+    st.sampled_from(TOLERANCES),
+)
+def test_fuzzed_verdicts_exit_cleanly(tmp_path_factory, case, verb, order, tol):
+    doc, fn, bset = case
+    root = tmp_path_factory.mktemp("fuzz")
+    # the function's values as a maxitive measure, and reversed as a second function
+    tau = dict(fn, kind="maxitive")
+    c2 = dict(fn, atoms=dict(zip(fn["atoms"], reversed(fn["atoms"].values()))))
+    paths = {}
+    for name, body in (("measure", doc), ("fn", fn), ("tau", tau), ("c2", c2)):
+        paths[name] = str(root / f"{name}.json")
+        (root / f"{name}.json").write_text(json.dumps(body))
+    density = ["density", "--op", "times", "--method"]
+    argv = {
+        "check": ["check", "--measure", paths["measure"]],
+        "alternation": ["check", "--order", str(order), "--measure", paths["measure"]],
+        "esssup": ["esssup", "--measure", paths["measure"], "--fn", paths["fn"]],
+        "residual": density + ["residual", "--nu", paths["measure"], "--tau", paths["tau"]],
+        "associated": density + ["associated", "--mu", paths["measure"],
+                                 "--c1", paths["fn"], "--c2", paths["c2"]],
+    }[verb] + ["--tolerance", tol]
+    if verb == "esssup" and bset is not None:
+        argv += ["--set", bset]
+    code, err, seconds = run(argv)
+    assert code in (0, 1, 2), (argv, code, err)
+    assert "Traceback" not in err and "RuntimeWarning" not in err, (argv, err)
+    assert seconds < 5.0, (argv, seconds)

@@ -87,6 +87,7 @@ from maxitive.measures import (
     _require_fuzzy,
     _zero_masks,
     atom_decomposition,
+    choquet_alternating,
     classify,
     delta_measure,
     disjoint_variation,
@@ -131,6 +132,7 @@ from maxitive.semigroup import (
     _times_residual_defined,
 )
 from maxitive.spaces import (
+    BUDGET_CELLS,
     DEFAULT_TOL,
     INF,
     MeasurableFn,
@@ -1244,6 +1246,50 @@ def test_null_set_checks_match_brute_force(w, data):
     )
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    # near 1, normedness turns on the tolerance
+    st.lists(extreme | st.sampled_from([1.0 + 1e-10, 1.05]), max_size=6),
+    st.sampled_from([0.0, 1e-12, 1e-9, 0.1]),
+    st.data(),
+)
+def test_maxitive_verdicts_match_the_table_route(vals, tol, data):
+    # classify, alternation, negligibility, the essential supremum, the
+    # absolute continuity and the associated density read a maxitive
+    # measure's atoms; on its table they take the table route, the oracle
+    space = space_of(len(vals))
+    k = space.n_atoms
+    nu = MaxitiveMeasure(space, vals)
+    w = nu.to_set_function()
+    assert classify(nu, tol) == classify(w, tol)
+    for order in range(1, 5):
+        if 3 * space.n_sets ** (order + 1) > BUDGET_CELLS:
+            break
+        got, want = choquet_alternating(nu, order, tol), choquet_alternating(w, order, tol)
+        assert got == want
+        assert math.copysign(1.0, got.min_signed_value) == math.copysign(1.0, want.min_signed_value)
+    for b in range(space.n_sets):
+        assert negligible(nu, b) is negligible(w, b)
+
+    def draw_fn():
+        return MeasurableFn(space, data.draw(st.lists(extreme, min_size=k, max_size=k)))
+
+    f, g = draw_fn(), draw_fn()
+    bset = MeasurableSet(space, data.draw(st.integers(0, space.full_mask)))
+    assert settled(essential_supremum, nu, f, bset, tol) == settled(essential_supremum, w, f, bset, tol)
+    assert settled(esssup_measure, nu, f, tol) == settled(esssup_measure, w, f, tol)
+    assert settled(delta_measure, nu, tol) == settled(delta_measure, w, tol)
+    op = data.draw(st.sampled_from([TIMES, MIN, PLUS, MAX]))
+    tau = MaxitiveMeasure(space, draw_fn().atom_values)
+    for a, b in ((nu, tau), (tau, nu)):
+        assert odot_abs_continuous(op, a, b, tol) == odot_abs_continuous(
+            op, a.to_set_function(), b.to_set_function(), tol
+        )
+    assert settled(density_from_associated, op, nu, f, g, tol) == settled(
+        density_from_associated, op, w, f, g, tol
+    )
+
+
 @settings(max_examples=60, deadline=None)
 @given(atom_values(finite=True))
 def test_essential_witness_matches_brute_force(vals):
@@ -1702,8 +1748,9 @@ EXTREME = [0.0, INF, 1e308, 1.7e308, 1e-300, 5e-324]
 @given(st.integers(0, 6), st.one_of(st.sampled_from([TIMES, MIN, PLUS, MAX]), table_ops()), st.data())
 def test_point_evaluations_match_the_measure_table(k, op, data):
     # the level sweep, the Ky Fan distance and the Choquet integral evaluate
-    # the measure on a few sets; on the measure's table they read the same
-    # values, bit for bit, and raise where the table route raises
+    # the measure on a few sets, and the submask walk tables its atoms in the
+    # set; on the measure's table they read the same values, bit for bit,
+    # and raise where the table route raises
     space = space_of(k)
     pool = st.one_of(values, st.sampled_from([*EXTREME, *TABLE_GRID]))
 
@@ -1723,6 +1770,7 @@ def test_point_evaluations_match_the_measure_table(k, op, data):
             res,
             settled(ky_fan_distance, nu, f, g, bset),
             settled(choquet_integral, f, nu, bset),
+            settled(gerritse_integral, op, f, nu, bset),
         )
 
     for measure in (AdditiveMeasure(space, draw_values()), MaxitiveMeasure(space, draw_values())):

@@ -11,6 +11,7 @@ import pytest
 
 from maxitive import measures
 from maxitive.additive import AdditiveMeasure
+from maxitive.density import density_from_associated, odot_abs_continuous
 from maxitive.errors import ExplicitBudgetExceeded
 from maxitive.measures import (
     MaxitiveMeasure,
@@ -192,6 +193,15 @@ def test_alternation_passes_a_drop_of_exactly_tol_and_fails_one_ulp_more(tol):
     over = choquet_alternating(SetFunction(sp, [0, below, 0, 0]), order=1, tol=tol)
     assert not over.ok and over.min_signed_value == -below
     assert over.witness == (1, 2)
+
+
+def test_alternation_of_overflowing_differences_warns_nothing():
+    # the order-2 differences of a non-monotone table reach 2e308, which is inf
+    sp = build_space("ab", [["a"], ["b"]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = choquet_alternating(SetFunction(sp, [0, 1e308, 1e308, 0]), order=2)
+    assert not rep.ok and rep.min_signed_value == -1e308
 
 
 def test_alternation_budget():
@@ -399,6 +409,36 @@ def test_atom_results_have_no_atom_cap():
     finite = MaxitiveMeasure(sp, vals[:1] + vals[2:] + [2.0])
     assert disjoint_variation(finite) == float(sum(sorted(vals[2:] + [2.0], reverse=True)))
     assert essential_witness(finite).atom_masses.tolist() == finite.atom_values.tolist()
+
+
+def test_maxitive_verdicts_build_no_table(monkeypatch):
+    # each routine reads a maxitive measure's atoms: at 30 atoms a table
+    # would be refused, and here building one raises
+    labs = [f"g{i}" for i in range(30)]
+    sp = build_space(labs, [[l] for l in labs])
+    nu = MaxitiveMeasure(sp, [0.0, INF] + [1.0 + i % 7 for i in range(28)])
+    f = MeasurableFn(sp, [1.0 + i % 5 for i in range(30)])
+
+    def no_table(self):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(MaxitiveMeasure, "to_set_function", no_table)
+    rep = classify(nu)
+    assert (rep.monotone, rep.maxitive, rep.autocontinuous, rep.essential) == (True,) * 4
+    assert rep.witnesses == {"normed": INF, "finite": 2, "sigma_finite": 1, "of_bounded_variation": 2}
+    alt = choquet_alternating(nu, order=5)
+    assert alt.ok and alt.witness is None and math.copysign(1.0, alt.min_signed_value) == 1.0
+    assert negligible(nu, 1) and not negligible(nu, 3)
+    assert essential_supremum(nu, f) == 5.0
+    assert essential_supremum(nu, f, sp.atom_block(0)) == 0.0
+    assert esssup_measure(nu, f).atom_values.tolist() == [0.0] + f.atom_values.tolist()[1:]
+    assert delta_measure(nu).atom_values.tolist() == [0.0] + [1.0] * 29
+    c = density_from_associated(TIMES, nu, f, f)
+    assert c.atom_values.tolist() == [0.0] + [1.0] * 29
+    assert odot_abs_continuous(TIMES, nu, delta_measure(nu)).holds
+    # the least failing set is the singleton of the last atom, where tau is 0
+    tau = MaxitiveMeasure(sp, [1.0] * 29 + [0.0])
+    assert odot_abs_continuous(TIMES, nu, tau).witness == mask_of([29])
 
 
 def test_essentiality_witness_is_the_least_mismatch(abc):
