@@ -19,11 +19,11 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import NoDensity, NotAbsolutelyContinuous
+from .records import Record
 from .semigroup import _times
 from .spaces import (
     DEFAULT_TOL,
@@ -179,14 +179,13 @@ def is_localizable_measure(m):
     return True
 
 
-@dataclass
-class ImplicationReport:
+class ImplicationReport(Record):
     finite: bool
     sigma_finite: bool
     semi_finite: bool
     localizable: bool
     chain_holds: bool
-    details: dict = field(default_factory=dict)
+    details: dict = {}
 
 
 def implication_chain(m):

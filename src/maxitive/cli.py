@@ -11,7 +11,6 @@ across runs. No command starts a process: simulate formats the rows of its
 from __future__ import annotations
 
 import argparse
-import csv
 import math
 import sys
 
@@ -305,6 +304,9 @@ def _cmd_simulate(args):
             yield block, out
 
     if args.csv:
+        # imported here: at import it would cost every other command its load time
+        import csv
+
         with open(args.csv, "w", newline="") as fh:
             # csv.writer quotes the labels as needed
             csv.writer(fh).writerow(list(m.space.atom_labels()) + ["value"])
@@ -367,44 +369,38 @@ def _tolerance(text):
     return tol
 
 
-def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="maxitive",
-        description="Maxitive measures: integrals, densities, conditioning, simulation.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _add_tol(p):
+    p.add_argument("--tolerance", type=_tolerance, default=1e-9,
+                   help="numeric comparison tolerance in [0, 1) (default 1e-9)")
 
-    def add_tol(p):
-        p.add_argument("--tolerance", type=_tolerance, default=1e-9,
-                       help="numeric comparison tolerance in [0, 1) (default 1e-9)")
 
-    p = sub.add_parser("check", help="classify a set function and test alternation")
+def _check_args(p):
     p.add_argument("--measure", required=True, help="measure JSON document")
     p.add_argument("--order", type=int, default=2,
                    help="alternation order to verify (0 skips; default 2)")
     p.add_argument("--op", default=None,
                    help="also verify operation axioms and finiteness under this operation")
-    add_tol(p)
-    p.set_defaults(run=_cmd_check)
+    _add_tol(p)
 
-    p = sub.add_parser("integrate", help="idempotent integral of a function")
+
+def _integrate_args(p):
     p.add_argument("--op", required=True)
     p.add_argument("--measure", required=True)
     p.add_argument("--fn", required=True)
     p.add_argument("--set", default=None, help="restrict to a set like a+b")
     p.add_argument("--crosscheck", action="store_true",
                    help="also run the exponential submask oracle")
-    add_tol(p)
-    p.set_defaults(run=_cmd_integrate)
+    _add_tol(p)
 
-    p = sub.add_parser("esssup", help="essential supremum of a function")
+
+def _esssup_args(p):
     p.add_argument("--measure", required=True)
     p.add_argument("--fn", required=True)
     p.add_argument("--set", default=None)
-    add_tol(p)
-    p.set_defaults(run=_cmd_esssup)
+    _add_tol(p)
 
-    p = sub.add_parser("density", help="extract and verify a density")
+
+def _density_args(p):
     p.add_argument("--method", choices=("residual", "envelope", "associated"),
                    default="residual")
     p.add_argument("--op", default="times")
@@ -414,36 +410,31 @@ def build_parser():
     p.add_argument("--mu", help="background measure (associated)")
     p.add_argument("--c1", help="numerator density document (associated)")
     p.add_argument("--c2", help="reference density document (associated)")
-    add_tol(p)
-    p.set_defaults(run=_cmd_density)
+    _add_tol(p)
 
-    p = sub.add_parser("decompose", help="optimal-measure atom decomposition")
+
+def _nu_args(p):
     p.add_argument("--nu", required=True)
-    add_tol(p)
-    p.set_defaults(run=_cmd_decompose)
+    _add_tol(p)
 
-    p = sub.add_parser("variation", help="disjoint variation of a maxitive measure")
-    p.add_argument("--nu", required=True)
-    add_tol(p)
-    p.set_defaults(run=_cmd_variation)
 
-    p = sub.add_parser("condition", help="conditional variable on a sub-algebra")
+def _condition_args(p):
     p.add_argument("--op", required=True)
     p.add_argument("--pi", required=True, help="possibility document")
     p.add_argument("--x", required=True, help="variable document")
     p.add_argument("--sub", required=True, help="blocks like a+b|c+d")
     p.add_argument("--suite", action="store_true",
                    help="verify the conditioning laws, not just the value")
-    add_tol(p)
-    p.set_defaults(run=_cmd_condition)
+    _add_tol(p)
 
-    p = sub.add_parser("residual", help="scalar residual r / s under an operation")
+
+def _residual_args(p):
     p.add_argument("op", help="operation name or table document")
     p.add_argument("r")
     p.add_argument("s")
-    p.set_defaults(run=_cmd_residual)
 
-    p = sub.add_parser("simulate", help="sample a Frechet sup-measure")
+
+def _simulate_args(p):
     p.add_argument("--m", default=None, help="additive control measure document")
     p.add_argument("--atoms", default=None,
                    help="inline control measure like a:0.5,b:0.5")
@@ -456,20 +447,59 @@ def build_parser():
     p.add_argument("--stream", type=int, default=0)
     p.add_argument("--set", default=None, help="evaluate the measure on this set")
     p.add_argument("--csv", default=None, help="also write per-atom draws to this file")
-    p.set_defaults(run=_cmd_simulate)
 
-    p = sub.add_parser("suite", help="run the registered invariants")
+
+def _suite_args(p):
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--ids", default=None, help="comma-separated invariant ids")
-    add_tol(p)
-    p.set_defaults(run=_cmd_suite)
+    _add_tol(p)
 
+
+# verb -> (help, adds its arguments, runs it), in the order usage lists them
+VERBS = {
+    "check": ("classify a set function and test alternation", _check_args, _cmd_check),
+    "integrate": ("idempotent integral of a function", _integrate_args, _cmd_integrate),
+    "esssup": ("essential supremum of a function", _esssup_args, _cmd_esssup),
+    "density": ("extract and verify a density", _density_args, _cmd_density),
+    "decompose": ("optimal-measure atom decomposition", _nu_args, _cmd_decompose),
+    "variation": ("disjoint variation of a maxitive measure", _nu_args, _cmd_variation),
+    "condition": ("conditional variable on a sub-algebra", _condition_args, _cmd_condition),
+    "residual": ("scalar residual r / s under an operation", _residual_args, _cmd_residual),
+    "simulate": ("sample a Frechet sup-measure", _simulate_args, _cmd_simulate),
+    "suite": ("run the registered invariants", _suite_args, _cmd_suite),
+}
+
+
+def build_parser(verb=None):
+    """The command line parser; with a known verb, only that verb's subparser.
+
+    The top-level usage line names every verb either way, so a usage error
+    reads the same. Without a known verb (a missing or unknown one, or a
+    top-level -h) every subparser is built, for the help and error texts.
+    """
+    parser = argparse.ArgumentParser(
+        prog="maxitive",
+        description="Maxitive measures: integrals, densities, conditioning, simulation.",
+    )
+    if verb in VERBS:
+        # the metavar argparse would write for the full set of choices
+        sub = parser.add_subparsers(dest="command", required=True,
+                                    metavar="{" + ",".join(VERBS) + "}")
+        names = (verb,)
+    else:
+        sub = parser.add_subparsers(dest="command", required=True)
+        names = VERBS
+    for name in names:
+        help_text, add_args, run = VERBS[name]
+        p = sub.add_parser(name, help=help_text)
+        add_args(p)
+        p.set_defaults(run=run)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.run(args)
     except (MaxitiveError, ValueError, OSError, KeyError) as exc:

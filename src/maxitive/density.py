@@ -16,8 +16,6 @@ partitions by the product inequality, and builds no table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .additive import AdditiveMeasure, classical_density
@@ -29,6 +27,7 @@ from .errors import (
     NotOdotAbsolutelyContinuous,
 )
 from .measures import MaxitiveMeasure, _null_atoms, esssup_measure, negligible
+from .records import Record
 from .semigroup import MAX, MIN, PLUS, TIMES
 from .spaces import (
     DEFAULT_TOL,
@@ -44,8 +43,7 @@ from .spaces import (
 )
 
 
-@dataclass
-class AbsContReport:
+class AbsContReport(Record):
     holds: bool
     op: str
     witness: int | None = None
@@ -155,8 +153,7 @@ def envelope_measure(nu, m):
     return AdditiveMeasure(nu.space, masses)
 
 
-@dataclass
-class EnvelopeReport:
+class EnvelopeReport(Record):
     envelope: AdditiveMeasure
     density: MeasurableFn
     transformed: bool  # nu has an infinite atom

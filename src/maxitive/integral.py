@@ -14,13 +14,12 @@ whole 2^k tables through the kernels of ``spaces``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .additive import AdditiveMeasure
 from .errors import OracleMismatch
 from .measures import MaxitiveMeasure
+from .records import Record
 from .spaces import (
     DEFAULT_TOL,
     INF,
@@ -35,8 +34,7 @@ from .spaces import (
 )
 
 
-@dataclass
-class IntegralResult:
+class IntegralResult(Record):
     value: float
     level: float
     strict_boundary: bool

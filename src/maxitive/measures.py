@@ -21,12 +21,12 @@ test, and the last two price their scans when they start.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .additive import AdditiveMeasure
 from .errors import NotMonotone, NotNullAdditive, OracleMismatch
+from .records import Record
 from .spaces import (
     DEFAULT_TOL,
     INF,
@@ -368,8 +368,7 @@ def is_essential(w):
     return b is None, b
 
 
-@dataclass
-class PropertyReport:
+class PropertyReport(Record):
     """Classification booleans; every False has a witness under the same key."""
 
     monotone: bool
@@ -387,13 +386,13 @@ class PropertyReport:
     of_bounded_variation: bool
     essential: bool
     atom_values: tuple | None = None
-    witnesses: dict = field(default_factory=dict)
+    witnesses: dict = {}
 
     def flags(self):
         return {
-            f.name: getattr(self, f.name)
-            for f in fields(self)
-            if f.name not in ("atom_values", "witnesses")
+            name: getattr(self, name)
+            for name in self._fields
+            if name not in ("atom_values", "witnesses")
         }
 
 
@@ -414,7 +413,7 @@ def classify(w, tol=DEFAULT_TOL):
         if i is not None:
             b = mask_of([i])
             wit.update(finite=b, sigma_finite=i, of_bounded_variation=[list(range(k))] if k <= 10 else b)
-        flags = {f.name: f.name not in wit for f in fields(PropertyReport) if f.type == "bool"}
+        flags = {name: name not in wit for name, t in PropertyReport._fields.items() if t == "bool"}
         return PropertyReport(atom_values=tuple(vals.tolist()), witnesses=wit, **flags)
     w = as_table(w)
     wit = {}
@@ -449,8 +448,7 @@ def classify(w, tol=DEFAULT_TOL):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class AlternationReport:
+class AlternationReport(Record):
     ok: bool
     order: int
     witness: tuple | None
@@ -570,8 +568,7 @@ def counting_delta(space):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class AtomDecomposition:
+class AtomDecomposition(Record):
     atoms: tuple
     values: tuple
     residual_null: MeasurableSet
@@ -626,8 +623,7 @@ def essential_witness(nu):
     return AdditiveMeasure(nu.space, nu.atom_values)
 
 
-@dataclass
-class FinitenessReport:
+class FinitenessReport(Record):
     odot_finite: bool
     sigma_odot_finite: bool
     semi_odot_finite: bool

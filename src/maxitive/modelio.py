@@ -9,7 +9,6 @@ set key "" may be omitted; it is always zero).
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 from functools import reduce
@@ -20,6 +19,7 @@ import numpy as np
 from .additive import AdditiveMeasure
 from .measures import MaxitiveMeasure
 from .possibility import Law, PossibilitySpace, SubAlgebra
+from .records import Record
 from .spaces import (
     INF,
     MeasurableFn,
@@ -224,11 +224,8 @@ def to_jsonable(obj, space=None):
             "values": [to_jsonable(v) for v in obj.values],
             "possibilities": [to_jsonable(v) for v in obj.possibilities],
         }
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {
-            f.name: to_jsonable(getattr(obj, f.name))
-            for f in dataclasses.fields(obj)
-        }
+    if isinstance(obj, Record):
+        return {name: to_jsonable(getattr(obj, name)) for name in obj._fields}
     if isinstance(obj, dict):
         return {str(k): to_jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

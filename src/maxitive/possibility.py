@@ -14,7 +14,6 @@ realizes the conditional as a limit of conditional power means.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,6 +26,7 @@ from .errors import (
 )
 from .integral import atom_integral, idempotent_integral
 from .measures import MaxitiveMeasure, delta_measure
+from .records import Record
 from .semigroup import TIMES
 from .spaces import (
     DEFAULT_TOL,
@@ -277,8 +277,7 @@ def _perturbations(op, y_b, p_b):
     return [c for c in cands if math.isfinite(c) and not close(c, y_b)]
 
 
-@dataclass
-class ConditionalSuiteReport:
+class ConditionalSuiteReport(Record):
     y: MeasurableFn
     defining: bool
     characterization: bool
@@ -287,7 +286,7 @@ class ConditionalSuiteReport:
     tower: bool
     total: bool
     measurable_fixed: bool
-    details: dict = field(default_factory=dict)
+    details: dict = {}
 
     def all_hold(self):
         return (
@@ -409,8 +408,7 @@ def conditional_suite(op, x, pi, sub, tol=DEFAULT_TOL):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class PowerMeanReport:
+class PowerMeanReport(Record):
     ps: tuple
     max_abs_gap: tuple
     max_rel_gap: tuple

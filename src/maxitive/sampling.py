@@ -8,8 +8,6 @@ generator it used.
 
 from __future__ import annotations
 
-import string
-
 import numpy as np
 
 from .additive import AdditiveMeasure
@@ -35,7 +33,7 @@ def rng_for(seed, stream=0):
 def random_space(rng, n_atoms):
     if not 1 <= n_atoms <= 12:
         raise ValueError("atom count must be between 1 and 12")
-    ground = list(string.ascii_lowercase[:n_atoms])
+    ground = list("abcdefghijkl"[:n_atoms])
     return build_space(ground, [[g] for g in ground])
 
 

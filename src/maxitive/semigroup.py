@@ -9,9 +9,9 @@ semigroups with a left identity but fail the annihilator axiom.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 from .errors import NotAbsolutelyContinuous
+from .records import Record
 from .spaces import DEFAULT_TOL, INF, close, esub, le
 
 
@@ -276,8 +276,7 @@ def default_grid():
     return [0.0] + finite + [INF]
 
 
-@dataclass
-class AxiomReport:
+class AxiomReport(Record):
     """One boolean per semigroup axiom plus a sampled continuity verdict."""
 
     op: str
@@ -288,7 +287,7 @@ class AxiomReport:
     no_zero_divisors: bool
     continuity_sampled: bool
     pseudo_multiplication: bool
-    witnesses: dict = field(default_factory=dict)
+    witnesses: dict = {}
 
 
 def _atan_gap(a, b):

@@ -13,7 +13,6 @@ from __future__ import annotations
 import contextlib
 import io
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,6 +60,7 @@ from .possibility import (
     law,
     power_mean_limit,
 )
+from .records import Record
 from .semigroup import (
     MIN,
     PLUS,
@@ -94,8 +94,7 @@ AREAS = (
 )
 
 
-@dataclass
-class Invariant:
+class Invariant(Record):
     id: str
     area: str
     summary: str
@@ -729,8 +728,7 @@ def _inv_cli(seed, tol):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class SuiteReport:
+class SuiteReport(Record):
     results: dict
     ok: bool
 

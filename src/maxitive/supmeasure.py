@@ -37,12 +37,12 @@ reference implementations of a statistics library.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidTruncation
 from .measures import MaxitiveMeasure
+from .records import Record
 from .spaces import INF, as_mask, fold_atoms, require_budget
 
 # Rows drawn and evaluated per step: a block of 4096 rows of 12 atoms is
@@ -53,8 +53,7 @@ BLOCK_ROWS = 4096
 _POISSON_RATE_MAX = np.iinfo("l").max - np.sqrt(np.iinfo("l").max) * 10
 
 
-@dataclass
-class PointConfig:
+class PointConfig(Record):
     """Materialized points of a truncated Poisson configuration."""
 
     atom_indices: np.ndarray
@@ -264,24 +263,21 @@ def extremal_integral(f, m, p):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class KSReport:
+class KSReport(Record):
     statistic: float
     threshold: float
     n: int
     passed: bool
 
 
-@dataclass
-class TwoSampleReport:
+class TwoSampleReport(Record):
     statistic: float
     pvalue: float
     n: int
     passed: bool
 
 
-@dataclass
-class ScaleReport:
+class ScaleReport(Record):
     estimated: float
     predicted: float
     rel_err: float
@@ -289,8 +285,7 @@ class ScaleReport:
     passed: bool
 
 
-@dataclass
-class TailReport:
+class TailReport(Record):
     quantile: float
     level: float
     empirical_survival: float

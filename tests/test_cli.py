@@ -664,22 +664,30 @@ def test_suite_command():
 
 
 # Runs one statement in a fresh interpreter; the last stdout line is the
-# exit code of main (or null) and the modules of one package then loaded.
+# exit code of main (or null) and the modules of the named packages then
+# loaded. It is written at exit, so a statement that ends the process (as
+# python -m maxitive does) is probed too.
 MODULE_PROBE = """
-import contextlib, io, json, sys
+import atexit, contextlib, io, json, sys
 rc = None
+
+@atexit.register
+def report():
+    loaded = sorted(m for m in sys.modules if m.split(".")[0] in {!r})
+    sys.__stdout__.write(json.dumps([rc, loaded]) + "\\n")
+    sys.__stdout__.flush()
+
 with contextlib.redirect_stdout(io.StringIO()):
     {}
-print(json.dumps([rc, sorted(m for m in sys.modules if m.split(".")[0] == {!r})]))
 """
 
 
-def module_probe(statement, package):
+def module_probe(statement, *packages):
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", MODULE_PROBE.format(statement, package)],
+        [sys.executable, "-c", MODULE_PROBE.format(packages, statement)],
         capture_output=True, text=True, timeout=300, env=env,
     )
     assert proc.returncode == 0, proc.stderr
@@ -701,8 +709,8 @@ def test_the_runtime_never_imports_scipy(docs):
         assert loaded == [], statement
 
 
-# multiprocessing is imported only to format the rows of more than one
-# block of --csv output
+# No command starts a process: simulate writes its --csv rows in this
+# process. python -m maxitive ends with os._exit on that ground.
 def test_short_commands_never_import_multiprocessing(docs):
     main = "import maxitive.cli; rc = maxitive.cli.main({!r})"
     csv_path = str(docs["tmp"] / "draws.csv")
@@ -723,6 +731,119 @@ def test_usage_errors_exit_two():
     assert run_cli("integrate").returncode == 2
     assert run_cli("frobnicate").returncode == 2
     assert run_cli().returncode == 2
+
+
+def test_the_entry_point_loads_no_dataclasses_csv_or_string(docs):
+    entry = ("sys.argv = ['maxitive', *{!r}]; import runpy; "
+             "runpy.run_module('maxitive', run_name='__main__')")
+    for statement in (
+        "import maxitive.cli",
+        entry.format(["check", "--measure", docs["nu"]]),
+    ):
+        rc, loaded = module_probe(statement, "dataclasses", "csv", "string")
+        assert loaded == [], statement
+    # bench/layers.py wraps the functions of these modules after importing cli
+    _, loaded = module_probe("import maxitive.cli", "maxitive")
+    traced = ("cli", "modelio", "measures", "integral", "density", "additive",
+              "possibility", "semigroup", "supmeasure", "suites")
+    assert {f"maxitive.{m}" for m in traced} <= set(loaded)
+
+
+# main builds only the named verb's subparser; its texts are those of all ten
+@pytest.mark.parametrize("verb", cli.VERBS)
+def test_a_parser_of_one_verb_reads_as_the_full_parser(verb, capsys):
+    assert cli.build_parser(verb).format_usage() == cli.build_parser().format_usage()
+    helps = []
+    for parser in (cli.build_parser(verb), cli.build_parser()):
+        with pytest.raises(SystemExit):
+            parser.parse_args([verb, "-h"])
+        helps.append(capsys.readouterr().out)
+    assert helps[0] == helps[1] and helps[0].startswith(f"usage: maxitive {verb} ")
+
+
+def in_process(argv, capsys):
+    """Exit code, stdout and stderr of cli.main(argv) in this process."""
+    try:
+        rc = cli.main(argv)
+    except SystemExit as exc:
+        rc = exc.code
+    captured = capsys.readouterr()
+    return rc, captured.out, captured.err
+
+
+# python -m maxitive ends the process itself once the report is out; what
+# it prints and its exit code are those of cli.main. The child's stdout is
+# block-buffered, as it is for a user, so a report it failed to flush would
+# be lost.
+@pytest.mark.parametrize("argv", [
+    ["residual", "times", "5", "3"],
+    ["decompose", "--nu", "/nonexistent/nu.json"],
+    ["integrate", "--op", "times"],
+    ["check", "--measure", "nu.json", "--bogus"],
+    ["-h"],
+], ids=["success", "refusal", "usage", "unknown-option", "help"])
+def test_the_entry_point_prints_and_exits_as_main_does(argv, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # help is wrapped at the terminal's width
+    monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+    proc = run_cli(*argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == in_process(argv, capsys)
+
+
+def test_the_entry_point_writes_every_csv_row(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+    csv_path = tmp_path / "draws.csv"
+    argv = ["simulate", "--atoms", "a:1,b:0.5,c:2", "--p", "2", "--n", "10000",
+            "--seed", "3", "--csv", str(csv_path)]
+    proc = run_cli(*argv)
+    written = csv_path.read_bytes()
+    assert (proc.returncode, proc.stdout, proc.stderr) == in_process(argv, capsys)
+    assert csv_path.read_bytes() == written
+    assert written.count(b"\r\n") == 10_001  # three blocks of rows and a header
+
+
+def test_atexit_handlers_registered_before_the_entry_point_run(capsys):
+    argv = ["residual", "times", "5", "3"]
+    code = ("import atexit, runpy, sys; atexit.register(print, 'atexit ran'); "
+            f"sys.argv = ['maxitive', *{argv!r}]; "
+            "runpy.run_module('maxitive', run_name='__main__')")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=300)
+    rc, out, err = in_process(argv, capsys)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (rc, out + "atexit ran\n", err)
+
+
+class _FullDevice:
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+def _to_full_device(head, env):
+    with open("/dev/full", "w") as full:
+        return subprocess.run([sys.executable, *head, "residual", "times", "5", "3"],
+                              stdout=full, stderr=subprocess.PIPE, text=True,
+                              env=env, timeout=300)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_an_unbuffered_report_to_a_full_device_is_one_error_line(monkeypatch, capsys):
+    proc = _to_full_device(["-m", "maxitive"], dict(os.environ, PYTHONUNBUFFERED="1"))
+    monkeypatch.setattr(sys, "stdout", _FullDevice())
+    rc, _, err = in_process(["residual", "times", "5", "3"], capsys)
+    assert (proc.returncode, proc.stderr) == (rc, err)
+    assert rc == 1 and err == f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
+
+
+# A buffered report fails only when it is flushed at exit; then the entry
+# point takes the interpreter's own exit, which reports it as before.
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_a_buffered_report_to_a_full_device_fails_as_the_interpreter_exit_does():
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    ours = _to_full_device(["-m", "maxitive"], env)
+    plain = _to_full_device(
+        ["-c", "import sys; from maxitive.cli import main; sys.exit(main())"], env)
+    assert (ours.returncode, ours.stderr) == (plain.returncode, plain.stderr)
+    assert ours.returncode == 120 and "No space left on device" in ours.stderr
 
 
 TOLERANT_COMMANDS = ("check", "integrate", "esssup", "density", "decompose", "variation",
