@@ -20,8 +20,6 @@ from __future__ import annotations
 import math
 import operator
 
-import numpy as np
-
 from .errors import NoDensity, NotAbsolutelyContinuous
 from .records import Record
 from .semigroup import _times
@@ -31,12 +29,13 @@ from .spaces import (
     MeasurableFn,
     MeasurableSet,
     SetFunction,
+    as_atoms,
     as_mask,
-    as_values,
     atom_table,
     first_flagged,
     fold_atoms,
     mask_of,
+    np,
     per_distinct,
     singletons,
     vclose,
@@ -50,7 +49,7 @@ class AdditiveMeasure:
 
     def __init__(self, space, atom_masses):
         self.space = space
-        self.atom_masses = as_values(atom_masses, space.n_atoms, "atom masses")
+        self.atom_masses = as_atoms(atom_masses, space.n_atoms, "atom masses")
         self._table = None
 
     def __call__(self, bset):
@@ -74,7 +73,7 @@ class AdditiveMeasure:
         return self(self.space.full_mask)
 
     def __repr__(self):
-        return f"AdditiveMeasure({list(map(float, self.atom_masses))})"
+        return f"AdditiveMeasure({list(self.atom_masses)})"
 
 
 def lebesgue_integral(f, m, bset=None):
@@ -83,7 +82,7 @@ def lebesgue_integral(f, m, bset=None):
         bset = m.space.full()
     total = 0.0
     for i in bset.atom_indices():
-        total += _times(float(f.atom_values[i]), float(m.atom_masses[i]))
+        total += _times(f.atom_values[i], m.atom_masses[i])
     return total
 
 
@@ -98,8 +97,8 @@ def classical_density(nu, m, tol=DEFAULT_TOL):
     space = nu.space
     dens = []
     for i in range(space.n_atoms):
-        mi = float(m.atom_masses[i])
-        ni = float(nu.atom_masses[i])
+        mi = m.atom_masses[i]
+        ni = nu.atom_masses[i]
         if mi == 0.0:
             if ni != 0.0:
                 raise NotAbsolutelyContinuous(
@@ -141,7 +140,7 @@ def is_sigma_finite_measure(m):
     An atom of infinite mass makes every set that holds it infinite, and
     the singletons of finite-mass atoms cover the rest.
     """
-    return not np.isinf(m.atom_masses).any()
+    return not any(map(math.isinf, m.atom_masses))
 
 
 def is_semi_finite_measure(m):
@@ -151,7 +150,7 @@ def is_semi_finite_measure(m):
     itself and the empty set. When no atom mass is inf, a set of infinite
     mass (a sum that overflows) holds a positive atom, which is that part.
     """
-    return not np.isinf(m.atom_masses).any()
+    return not any(map(math.isinf, m.atom_masses))
 
 
 def family_essential_supremum(m, masks):
@@ -167,7 +166,8 @@ def family_essential_supremum(m, masks):
     union = 0
     for b in masks:
         union |= MeasurableSet(m.space, b).mask
-    return MeasurableSet(m.space, union & mask_of(np.flatnonzero(m.atom_masses > 0)))
+    positive = mask_of(i for i, v in enumerate(m.atom_masses) if v > 0)
+    return MeasurableSet(m.space, union & positive)
 
 
 def is_localizable_measure(m):

@@ -14,8 +14,6 @@ import argparse
 import math
 import sys
 
-import numpy as np
-
 from . import modelio, sampling
 from .additive import AdditiveMeasure
 from .density import density_from_associated, envelope_density, rn_density
@@ -32,7 +30,7 @@ from .measures import (
 )
 from .possibility import PossibilitySpace, conditional, conditional_suite
 from .semigroup import TableOp, by_name, builtin_names, verify_axioms
-from .spaces import DEFAULT_TOL, MeasurableFn, SetFunction, build_space
+from .spaces import DEFAULT_TOL, MeasurableFn, SetFunction, build_space, np
 from .supmeasure import sample_blocks
 from .suites import INVARIANTS, run_all
 
@@ -144,7 +142,20 @@ def _cmd_esssup(args):
     return 0
 
 
+# the documents each density method reads: option dest -> its name in usage
+DENSITY_INPUTS = {
+    "residual": {"nu": "--nu", "tau": "--tau/--m"},
+    "envelope": {"nu": "--nu", "tau": "--tau/--m"},
+    "associated": {"mu": "--mu", "c1": "--c1", "c2": "--c2"},
+}
+
+
 def _cmd_density(args):
+    missing = [name for dest, name in DENSITY_INPUTS[args.method].items()
+               if getattr(args, dest) is None]
+    if missing:
+        args.usage_error(f"the following arguments are required for --method "
+                         f"{args.method}: {', '.join(missing)}")
     if args.method == "residual":
         op = _resolve_op(args.op)
         nu = _need_maxitive(modelio.load_measure(args.nu), "--nu", args.tolerance)
@@ -411,6 +422,9 @@ def _density_args(p):
     p.add_argument("--c1", help="numerator density document (associated)")
     p.add_argument("--c2", help="reference density document (associated)")
     _add_tol(p)
+    # which documents are required depends on --method; a missing one is a
+    # usage error, exit 2, as a missing required option is
+    p.set_defaults(usage_error=p.error)
 
 
 def _nu_args(p):

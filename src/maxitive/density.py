@@ -16,8 +16,6 @@ partitions by the product inequality, and builds no table.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .additive import AdditiveMeasure, classical_density
 from .errors import (
     MaxitiveError,
@@ -35,8 +33,12 @@ from .spaces import (
     MeasurableFn,
     as_table,
     atom_flags,
+    close,
+    first_atom,
     first_flagged,
+    le,
     mask_of,
+    np,
     per_distinct,
     vclose,
     vle,
@@ -64,7 +66,7 @@ def odot_abs_continuous(op, nu, tau, tol=DEFAULT_TOL):
     pair = isinstance(nu, MaxitiveMeasure) and isinstance(tau, MaxitiveMeasure)
     if pair and op in (TIMES, MIN, PLUS, MAX):
         bound = per_distinct(lambda v: op(INF, v), tau.atom_values)
-        i = first_flagged(~vle(nu.atom_values, bound, tol))
+        i = first_atom(not le(v, c, tol) for v, c in zip(nu.atom_values, bound))
         b = None if i is None else mask_of([i])
     else:
         bound = per_distinct(lambda v: op(INF, v), as_table(tau).table)
@@ -86,7 +88,7 @@ def verify_density(op, f, nu, tau, tol=DEFAULT_TOL):
     if not (isinstance(nu, MaxitiveMeasure) and isinstance(tau, MaxitiveMeasure)):
         raise TypeError("atom form needs a MaxitiveMeasure")
     got = per_distinct(op, f.atom_values, tau.atom_values)
-    i = first_flagged(~vclose(got, nu.atom_values, tol))
+    i = first_atom(not close(g, v, tol) for g, v in zip(got, nu.atom_values))
     return i is None, None if i is None else mask_of([i])
 
 
@@ -121,7 +123,8 @@ def rn_density(op, nu, tau, tol=DEFAULT_TOL):
 
 def ae_equal(w, f, g, tol=DEFAULT_TOL):
     """Whether f and g agree outside a w-negligible set."""
-    diff = mask_of(np.flatnonzero(~vclose(f.atom_values, g.atom_values, tol)))
+    pairs = enumerate(zip(f.atom_values, g.atom_values))
+    diff = mask_of(i for i, (a, b) in pairs if not close(a, b, tol))
     return negligible(w, diff)
 
 
@@ -143,7 +146,7 @@ def envelope_measure(nu, m):
     returned as an AdditiveMeasure, whose atom sums are inf where they
     overflow.
     """
-    nu_a, m_a = nu.atom_values, m.atom_masses
+    nu_a, m_a = np.asarray(nu.atom_values), np.asarray(m.atom_masses)
     # 0 * inf is nan and replaced by 0; an overflow is inf
     with np.errstate(invalid="ignore", over="ignore"):
         masses = np.where((nu_a == 0.0) | (m_a == 0.0), 0.0, nu_a * m_a)
@@ -173,7 +176,8 @@ def envelope_density(nu, m, tol=DEFAULT_TOL):
     So it is nu(b) on every set b iff nu is 0, within tolerance, on every
     atom that m does not charge.
     """
-    i = first_flagged(np.isinf(m.atom_masses) & (nu.atom_values > 0))
+    nu_a, m_a = np.asarray(nu.atom_values), np.asarray(m.atom_masses)
+    i = first_flagged(np.isinf(m_a) & (nu_a > 0))
     if i is not None:
         raise NoDensity(
             f"m has infinite mass on atom {i} where nu is positive, "
@@ -183,16 +187,16 @@ def envelope_density(nu, m, tol=DEFAULT_TOL):
     with np.errstate(over="ignore"):  # an atom sum that overflows is inf
         c = classical_density(env, m, tol)
     # the density must agree with nu on every atom m charges
-    i = first_flagged((m.atom_masses > 0) & ~vclose(c.atom_values, nu.atom_values, tol))
+    i = first_flagged((m_a > 0) & ~vclose(c.atom_values, nu_a, tol))
     if i is not None:
         raise NoDensity(
-            f"envelope density {float(c.atom_values[i])} differs from "
-            f"nu {float(nu.atom_values[i])} on atom {i}"
+            f"envelope density {c.atom_values[i]} differs from "
+            f"nu {nu.atom_values[i]} on atom {i}"
         )
     recon = True
-    if np.isfinite(m.atom_masses).all():
-        recon = bool(vclose(nu.atom_values[m.atom_masses == 0.0], 0.0, tol).all())
-    has_inf = bool(np.isinf(nu.atom_values).any())
+    if np.isfinite(m_a).all():
+        recon = bool(vclose(nu_a[m_a == 0.0], 0.0, tol).all())
+    has_inf = bool(np.isinf(nu_a).any())
     return EnvelopeReport(
         envelope=env, density=c, transformed=has_inf, reconstruction_ok=recon
     )
@@ -217,13 +221,14 @@ def density_from_associated(op, mu, c1, c2, tol=DEFAULT_TOL):
     nu = esssup_measure(mu, c1, tol)
     tau = esssup_measure(mu, c2, tol)
     bound = per_distinct(lambda v: op(INF, v), c2.atom_values)
-    bad = mask_of(np.flatnonzero(~vle(c1.atom_values, bound, tol)))
+    pairs = enumerate(zip(c1.atom_values, bound))
+    bad = mask_of(i for i, (v, c) in pairs if not le(v, c, tol))
     if bad and not negligible(mu, bad):
         raise NegligibilityViolation(
             f"c1 escapes the scalar bound on a non-negligible set, mask {bad}"
         )
     dead = atom_flags(bad | _null_atoms(mu), space.n_atoms)
-    live = np.where(dead, 0.0, c1.atom_values)
+    live = [0.0 if d else v for d, v in zip(dead, c1.atom_values)]
     c = MeasurableFn(space, _residuals(op, live, c2.atom_values))
     ok, wit = verify_density(op, c, nu, tau, tol)
     if not ok:

@@ -14,8 +14,6 @@ whole 2^k tables through the kernels of ``spaces``.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .additive import AdditiveMeasure
 from .errors import OracleMismatch
 from .measures import MaxitiveMeasure
@@ -28,9 +26,10 @@ from .spaces import (
     as_table,
     atom_table,
     close,
+    esub,
+    np,
     per_distinct,
     require_budget,
-    vsub,
 )
 
 
@@ -83,12 +82,12 @@ def gerritse_integral(op, f, nu, bset=None):
     """
     bset = _fullset(nu, bset)
     idx = np.array(bset.atom_indices(), dtype=np.int64)
-    low = atom_table(f.atom_values[idx], np.minimum, INF)
+    low = atom_table(np.asarray(f.atom_values)[idx], np.minimum, INF)
     if isinstance(nu, MaxitiveMeasure):
-        meas = atom_table(nu.atom_values[idx], np.maximum, 0.0)
+        meas = atom_table(np.asarray(nu.atom_values)[idx], np.maximum, 0.0)
     elif isinstance(nu, AdditiveMeasure):
         with np.errstate(over="ignore"):  # the table's left-to-right sums
-            meas = atom_table(nu.atom_masses[idx], np.add, 0.0)
+            meas = atom_table(np.asarray(nu.atom_masses)[idx], np.add, 0.0)
     else:
         meas = as_table(nu).table[atom_table(1 << idx, np.add, 0)]
     # nonempty submasks from bset down: an operation off its grid raises at
@@ -105,7 +104,7 @@ def atom_integral(op, f, nu, bset=None):
     bset = _fullset(nu, bset)
     best = 0.0
     for i in bset.atom_indices():
-        cand = op(float(f.atom_values[i]), float(nu.atom_values[i]))
+        cand = op(f.atom_values[i], nu.atom_values[i])
         if cand > best:
             best = cand
     return best
@@ -148,7 +147,7 @@ def ky_fan_distance(nu, f, g, bset=None):
     """
     bset = _fullset(nu, bset)
     # |f - g|, equal infinities at distance zero
-    d = MeasurableFn(f.space, np.abs(vsub(f.atom_values, g.atom_values)))
+    d = MeasurableFn(f.space, [abs(esub(a, b)) for a, b in zip(f.atom_values, g.atom_values)])
     vs = [0.0] + d.distinct_values(bset)
     if vs[-1] != INF:
         vs = vs + [INF]

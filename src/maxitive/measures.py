@@ -1,17 +1,18 @@
 """Maxitive measures on finite spaces: classification and structure theory.
 
-A maxitive measure is stored by its atom values; its value on a set is the
-max over the atoms inside. That representation decides its
-classification, alternation, negligible sets and essential suprema, atom
-decomposition, disjoint variation, essential witness and finiteness suite,
-so these are read off the atom values, build no table and have no atom
-cap, and the table routes that restate them are oracles in the tests.
-Other set functions are classified by a battery of named predicates, each returning a
-witness when it fails. On a finite algebra four textbook properties
-(continuity along decreasing chains, exhaustivity, the countable chain
-condition, sigma-principality) hold for every set function, so their
-predicates return True with the one-line reason in their docstrings, and
-bounded variation is plain finiteness. The other checks read whole 2^k
+A maxitive measure is stored by its atom values, a tuple of Python floats;
+its value on a set is the max over the atoms inside. That representation
+decides its classification, alternation, negligible sets and essential
+suprema, atom decomposition, disjoint variation, essential witness and
+finiteness suite, so these are read off the atom values in plain Python,
+build no table, import no numpy and have no atom cap, and the table routes
+that restate them are oracles in the tests. Other set functions are
+classified by a battery of named predicates, each returning a witness when
+it fails. On a finite algebra four textbook properties (continuity along
+decreasing chains, exhaustivity, the countable chain condition,
+sigma-principality) hold for every set function, so their predicates
+return True with the one-line reason in their docstrings, and bounded
+variation is plain finiteness. The other checks read whole 2^k numpy
 tables through the subset-lattice kernels of ``spaces`` (k 2^k transforms,
 a 3^k partition DP); the witness scans of ``is_monotone``, ``is_maxitive``
 and ``is_null_additive`` run only on a table that fails their bit-for-bit
@@ -22,8 +23,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .additive import AdditiveMeasure
 from .errors import NotMonotone, NotNullAdditive, OracleMismatch
 from .records import Record
@@ -32,18 +31,20 @@ from .spaces import (
     INF,
     MeasurableSet,
     SetFunction,
+    as_atoms,
     as_mask,
     as_table,
-    as_values,
     atom_flags,
     atom_table,
     atoms_of,
     close,
+    first_atom,
     first_flagged,
     fold_atoms,
     le,
     mask_of,
     max_over_submasks,
+    np,
     partition_dp,
     require_budget,
     singletons,
@@ -61,7 +62,7 @@ class MaxitiveMeasure:
 
     def __init__(self, space, atom_values):
         self.space = space
-        self.atom_values = as_values(atom_values, space.n_atoms, "atom values")
+        self.atom_values = as_atoms(atom_values, space.n_atoms, "atom values")
         self._table = None
 
     def __call__(self, bset):
@@ -81,19 +82,17 @@ class MaxitiveMeasure:
         return cls(w.space, singletons(w.table))
 
     def support_mask(self):
-        return mask_of(np.flatnonzero(self.atom_values > 0))
+        return mask_of(i for i, v in enumerate(self.atom_values) if v > 0)
 
     def power(self, alpha):
         """Atomwise power; inf**a = inf and 0**a = 0 for a > 0."""
         if alpha <= 0:
             raise ValueError("power must be positive")
-        vals = [
-            INF if math.isinf(v) else float(v) ** alpha for v in self.atom_values
-        ]
+        vals = [INF if math.isinf(v) else v ** alpha for v in self.atom_values]
         return MaxitiveMeasure(self.space, vals)
 
     def __repr__(self):
-        return f"MaxitiveMeasure({list(map(float, self.atom_values))})"
+        return f"MaxitiveMeasure({list(self.atom_values)})"
 
 
 def _zero_masks(table):
@@ -407,14 +406,14 @@ def classify(w, tol=DEFAULT_TOL):
     """
     if isinstance(w, MaxitiveMeasure):
         vals, k = w.atom_values, w.space.n_atoms
-        top = float(np.max(vals, initial=0.0))
+        top = max(vals, default=0.0)
         wit = {} if close(top, 1.0, tol) else {"normed": top}
-        i = first_flagged(np.isinf(vals))
+        i = first_atom(map(math.isinf, vals))
         if i is not None:
             b = mask_of([i])
             wit.update(finite=b, sigma_finite=i, of_bounded_variation=[list(range(k))] if k <= 10 else b)
         flags = {name: name not in wit for name, t in PropertyReport._fields.items() if t == "bool"}
-        return PropertyReport(atom_values=tuple(vals.tolist()), witnesses=wit, **flags)
+        return PropertyReport(atom_values=vals, witnesses=wit, **flags)
     w = as_table(w)
     wit = {}
     out = {}
@@ -525,8 +524,8 @@ def essential_supremum(tau, f, bset=None, tol=DEFAULT_TOL):
     _require_fuzzy(tau, tol)
     if bset is None:
         bset = tau.space.full()
-    live = atom_flags(bset.mask & ~_null_atoms(tau), tau.space.n_atoms)
-    oracle = float(np.max(f.atom_values[live], initial=0.0))
+    live = atoms_of(bset.mask & ~_null_atoms(tau))
+    oracle = max((f.atom_values[i] for i in live), default=0.0)
     if isinstance(tau, MaxitiveMeasure):
         return oracle
     zeros = _zero_masks(as_table(tau).table)
@@ -540,7 +539,8 @@ def esssup_measure(tau, f, tol=DEFAULT_TOL):
     """The maxitive measure B -> essential supremum of f over B."""
     _require_fuzzy(tau, tol)
     dead = atom_flags(_null_atoms(tau), tau.space.n_atoms)
-    return MaxitiveMeasure(tau.space, np.where(dead, 0.0, f.atom_values))
+    vals = [0.0 if d else v for d, v in zip(dead, f.atom_values)]
+    return MaxitiveMeasure(tau.space, vals)
 
 
 def delta_measure(w, tol=DEFAULT_TOL):
@@ -555,7 +555,7 @@ def delta_measure(w, tol=DEFAULT_TOL):
         if not ok:
             raise NotNullAdditive(f"positivity not atom-determined at mask {b}")
         w = MaxitiveMeasure(w.space, singletons(as_table(w).table))
-    return MaxitiveMeasure(w.space, np.where(w.atom_values > 0, 1.0, 0.0))
+    return MaxitiveMeasure(w.space, [1.0 if v > 0 else 0.0 for v in w.atom_values])
 
 
 def counting_delta(space):
@@ -589,10 +589,10 @@ def atom_decomposition(nu):
     space = nu.space
     order = sorted(
         (i for i in range(space.n_atoms) if nu.atom_values[i] > 0),
-        key=lambda i: (-float(nu.atom_values[i]), i),
+        key=lambda i: (-nu.atom_values[i], i),
     )
     hs = tuple(space.atom_block(i) for i in order)
-    values = tuple(float(nu.atom_values[i]) for i in order)
+    values = tuple(nu.atom_values[i] for i in order)
     residual = MeasurableSet(space, space.full_mask & ~mask_of(order))
     return AtomDecomposition(atoms=hs, values=values, residual_null=residual)
 
@@ -618,7 +618,7 @@ def essential_witness(nu):
     values; transform infinite measures (for instance atomwise arctan)
     before asking for a witness.
     """
-    if not np.isfinite(nu.atom_values).all():
+    if not all(map(math.isfinite, nu.atom_values)):
         raise ValueError("essential witness needs finite values; transform first")
     return AdditiveMeasure(nu.space, nu.atom_values)
 
@@ -641,10 +641,10 @@ def finiteness_suite(op, nu):
     raised.
     """
     odot = op.finite_element(nu(nu.space.full_mask))
-    sigma = all(op.finite_element(float(v)) for v in nu.atom_values)
+    sigma = all(op.finite_element(v) for v in nu.atom_values)
     # a list, not a generator: every positive atom is evaluated, so a table
     # operation raises on the first one off its grid
-    semi = all([op.finite_element(float(v)) for v in nu.atom_values if v > 0])
+    semi = all([op.finite_element(v) for v in nu.atom_values if v > 0])
     if semi != odot:
         raise OracleMismatch("semi-finiteness must match op-finiteness here")
     return FinitenessReport(

@@ -14,8 +14,6 @@ import math
 from functools import reduce
 from operator import or_
 
-import numpy as np
-
 from .additive import AdditiveMeasure
 from .measures import MaxitiveMeasure
 from .possibility import Law, PossibilitySpace, SubAlgebra
@@ -29,6 +27,7 @@ from .spaces import (
     atoms_of,
     build_space,
     mask_of,
+    np,
     require_table,
 )
 
@@ -203,12 +202,6 @@ def to_jsonable(obj, space=None):
         if math.isnan(obj):
             raise ValueError("reports must not contain NaN")
         return obj
-    if isinstance(obj, (np.floating,)):
-        return to_jsonable(float(obj))
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, np.ndarray):
-        return [to_jsonable(v) for v in obj.tolist()]
     if isinstance(obj, MeasurableSet):
         return _set_key(obj.space, obj.mask)
     if isinstance(obj, (MaxitiveMeasure, AdditiveMeasure, SetFunction, MeasurableFn, PossibilitySpace)):
@@ -230,6 +223,13 @@ def to_jsonable(obj, space=None):
         return {str(k): to_jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [to_jsonable(v) for v in obj]
+    # numpy's types last: a report of Python values never imports numpy
+    if isinstance(obj, np.floating):
+        return to_jsonable(float(obj))
+    if isinstance(obj, np.integer):
+        return int(obj)
+    if isinstance(obj, np.ndarray):
+        return [to_jsonable(v) for v in obj.tolist()]
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 

@@ -15,8 +15,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .errors import (
     DefiningPropertyFailed,
     NonExactOperation,
@@ -35,11 +33,10 @@ from .spaces import (
     as_mask,
     atoms_of,
     close,
-    first_flagged,
+    first_atom,
     le,
     mask_of,
-    vclose,
-    vle,
+    np,
 )
 
 
@@ -49,7 +46,7 @@ class PossibilitySpace:
     __slots__ = ("measure",)
 
     def __init__(self, measure, tol=DEFAULT_TOL):
-        top = max((float(v) for v in measure.atom_values), default=0.0)
+        top = max(measure.atom_values, default=0.0)
         if not close(top, 1.0, tol):
             raise NotProbability(f"maximum possibility is {top}, not 1")
         self.measure = measure
@@ -74,7 +71,7 @@ class PossibilitySpace:
         return PossibilitySpace(delta_measure(self.measure))
 
     def __repr__(self):
-        return f"PossibilitySpace({list(map(float, self.atom_values))})"
+        return f"PossibilitySpace({list(self.atom_values)})"
 
 
 def as_possibility(obj, tol=DEFAULT_TOL):
@@ -152,8 +149,8 @@ class SubAlgebra:
     def is_measurable(self, f, tol=DEFAULT_TOL):
         for b in self.blocks:
             idx = MeasurableSet(self.space, b).atom_indices()
-            v0 = float(f.atom_values[idx[0]])
-            if any(not close(float(f.atom_values[i]), v0, tol) for i in idx[1:]):
+            v0 = f.atom_values[idx[0]]
+            if any(not close(f.atom_values[i], v0, tol) for i in idx[1:]):
                 return False
         return True
 
@@ -216,10 +213,10 @@ class Law:
 def law(x, pi, tol=DEFAULT_TOL):
     """Push the possibility forward through the variable."""
     pi = as_possibility(pi, tol)
-    values = sorted({float(v) for v in x.atom_values})
+    values = sorted(set(x.atom_values))
     poss = []
     for v in values:
-        poss.append(pi.measure(mask_of(np.flatnonzero(x.atom_values == v))))
+        poss.append(pi.measure(mask_of(i for i, xi in enumerate(x.atom_values) if xi == v)))
     if not close(max(poss), 1.0, tol):
         raise OracleMismatch("law does not reach possibility one")
     return Law(values, poss)
@@ -261,6 +258,14 @@ def conditional(op, x, pi, sub, tol=DEFAULT_TOL):
                 f"conditional integrates to {lhs}, variable to {kappa}, on mask {b}"
             )
     return y
+
+
+def _median(values):
+    """The median of a nonempty list of floats, as ``np.median`` rounds it:
+    the middle value, or the mean of the middle two."""
+    vals = sorted(values)
+    mid = len(vals) // 2
+    return vals[mid] if len(vals) % 2 else (vals[mid - 1] + vals[mid]) / 2
 
 
 def _perturbations(op, y_b, p_b):
@@ -319,10 +324,10 @@ def conditional_suite(op, x, pi, sub, tol=DEFAULT_TOL):
         bset = MeasurableSet(space, b)
         target = atom_integral(op, x, pi.measure, bset)
         idx = bset.atom_indices()
-        y_b = float(y.atom_values[idx[0]])
+        y_b = y.atom_values[idx[0]]
         # y set to z on the block has the block integral of the constant z,
         # which reads the block alone: max of 0 and every z (.) pi_i on it
-        pis = [float(pi.measure.atom_values[i]) for i in idx]
+        pis = [pi.measure.atom_values[i] for i in idx]
         if all(
             close(max([0.0] + [op(z, v) for v in pis]), target, tol)
             for z in _perturbations(op, y_b, pb)
@@ -331,10 +336,10 @@ def conditional_suite(op, x, pi, sub, tol=DEFAULT_TOL):
             details["characterization_block"] = j
 
     # raising the variable can only raise the conditional
-    shift = float(np.median([v for v in x.atom_values if math.isfinite(v)] or [1.0]))
+    shift = _median([v for v in x.atom_values if math.isfinite(v)] or [1.0])
     x_up = x.pointwise(max, MeasurableFn.constant(space, shift))
     y_up = conditional(op, x_up, pi, sub, tol)
-    drop = first_flagged(~vle(y.atom_values, y_up.atom_values, tol))
+    drop = first_atom(not le(a, b, tol) for a, b in zip(y.atom_values, y_up.atom_values))
     monotone = drop is None
     if not monotone:
         details["monotone_atom"] = drop
@@ -345,8 +350,8 @@ def conditional_suite(op, x, pi, sub, tol=DEFAULT_TOL):
             if pi.measure(b) == 0.0:
                 continue
             idx = MeasurableSet(space, b).atom_indices()
-            xs = [float(x.atom_values[i]) for i in idx]
-            y_b = float(y.atom_values[idx[0]])
+            xs = [x.atom_values[i] for i in idx]
+            y_b = y.atom_values[idx[0]]
             hi = max(xs)
             lo = min(xs) if op.name == "times" else min(min(xs), pi.measure(b))
             if not (le(y_b, hi, tol) and le(lo, y_b, tol)):
@@ -360,7 +365,7 @@ def conditional_suite(op, x, pi, sub, tol=DEFAULT_TOL):
         xs = lam_fn.pointwise(op, x)
         ys = conditional(op, xs, pi, sub, tol)
         expect = lam_fn.pointwise(op, y)
-        i = first_flagged(~vclose(ys.atom_values, expect.atom_values, tol))
+        i = first_atom(not close(a, b, tol) for a, b in zip(ys.atom_values, expect.atom_values))
         if i is not None:
             scaling = False
             details["scaling"] = (lam, i)
@@ -371,7 +376,8 @@ def conditional_suite(op, x, pi, sub, tol=DEFAULT_TOL):
         coarse = sub.coarsened()
         direct = conditional(op, x, pi, coarse, tol)
         two_step = conditional(op, y, pi, coarse, tol)
-        i = first_flagged(~vclose(direct.atom_values, two_step.atom_values, tol))
+        pairs = zip(direct.atom_values, two_step.atom_values)
+        i = first_atom(not close(a, b, tol) for a, b in pairs)
         if i is not None:
             tower = False
             details["tower_atom"] = i
@@ -385,7 +391,7 @@ def conditional_suite(op, x, pi, sub, tol=DEFAULT_TOL):
             if pi.measure(b) == 0.0:
                 continue
             i = MeasurableSet(space, b).atom_indices()[0]
-            if not close(float(ym.atom_values[i]), float(y.atom_values[i]), tol):
+            if not close(ym.atom_values[i], y.atom_values[i], tol):
                 measurable_fixed = False
                 details["measurable_fixed_block"] = j
                 break

@@ -8,8 +8,6 @@ generator it used.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .additive import AdditiveMeasure
 from .measures import MaxitiveMeasure, is_maxitive
 from .possibility import PossibilitySpace, SubAlgebra
@@ -21,6 +19,7 @@ from .spaces import (
     atom_table,
     build_space,
     mask_of,
+    np,
 )
 
 

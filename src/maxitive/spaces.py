@@ -7,7 +7,17 @@ a measurable function is constant on atoms. Masks are decoded into atom
 indices only through :func:`atoms_of` and built from them only through
 :func:`mask_of`; both cost a step per atom in the set. Values live on the
 extended half-line [0, inf], represented as plain floats with math.inf.
-Each convention on them has one home:
+
+The atom vector of a function or a measure (``MeasurableFn.atom_values``,
+``MaxitiveMeasure.atom_values``, ``AdditiveMeasure.atom_masses``) is a tuple
+of Python floats, checked by :func:`as_atoms`, and the routines on atoms
+loop over it. A table over every set is a read-only numpy array, checked by
+:func:`as_values`, and the subset-lattice kernels below work on whole
+tables. Every module reads numpy through :data:`np`, which imports it on
+first use, so a command that builds no table, sample or random stream never
+imports numpy.
+
+Each convention on values has one home:
 
 - tolerant equality is :func:`close` (and :func:`vclose` on arrays): exact
   at equal values, so at 0 and inf, and otherwise within
@@ -25,8 +35,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .errors import (
     EmptyBlock,
     ExplicitBudgetExceeded,
@@ -35,6 +43,26 @@ from .errors import (
 )
 
 INF = math.inf
+
+
+class _Numpy:
+    """numpy, imported when the first of its names is read.
+
+    Every module of the package reads numpy through the one instance
+    :data:`np`, so a command that builds no table, sample or random stream
+    never imports it. A name, once read, is kept on the instance, and later
+    reads are plain attribute lookups.
+    """
+
+    def __getattr__(self, name):
+        import numpy
+
+        value = getattr(numpy, name)
+        setattr(self, name, value)
+        return value
+
+
+np = _Numpy()
 
 #: default comparison tolerance
 DEFAULT_TOL = 1e-9
@@ -105,6 +133,25 @@ def as_value(x):
     if math.isnan(v) or v < 0:
         raise ValueError(f"not a value in [0, inf]: {x!r}")
     return 0.0 if v == 0.0 else v
+
+
+def as_atoms(values, length, what):
+    """A tuple of ``length`` Python floats in [0, inf], in one Python pass.
+
+    The first NaN or negative entry raises as :func:`as_value` raises on it,
+    before the length is checked; a signed zero becomes 0.0. ``what`` names
+    the entries in the length error. The atom vectors of measures and
+    functions are these tuples.
+    """
+    out = []
+    for x in values:
+        v = float(x)
+        if not v >= 0.0:
+            as_value(x)  # raises on a NaN or negative entry
+        out.append(v + 0.0)  # -0.0 + 0.0 is +0.0
+    if len(out) != length:
+        raise ValueError(f"expected {length} {what}, got {len(out)}")
+    return tuple(out)
 
 
 def as_values(values, length, what):
@@ -183,17 +230,19 @@ def submasks(mask):
 # ---------------------------------------------------------------------------
 
 
-def atom_table(values, combine=np.add, start=0.0):
+def atom_table(values, combine=None, start=0.0):
     """The table b -> ``start`` combined with the values of the atoms of b.
 
-    Atoms are folded in ascending index order, so ``np.add`` gives every
-    left-to-right float sum bit for bit, ``np.maximum`` gives the atom-sup
-    table of a maxitive measure, and ``np.minimum`` from ``INF`` gives the
-    minimum on each set. The table takes the dtype of ``start``. It is
+    Atoms are folded in ascending index order, so ``np.add`` (the default)
+    gives every left-to-right float sum bit for bit, ``np.maximum`` gives
+    the atom-sup table of a maxitive measure, and ``np.minimum`` from
+    ``INF`` gives the minimum on each set. The table takes the dtype of ``start``. It is
     priced at k 2^k cells, the table and one subset transform of it.
     """
     k = len(values)
     require_budget(k << k, f"atom table on {k} atoms")
+    if combine is None:
+        combine = np.add
     table = np.full(1 << k, start)
     for i, v in enumerate(values):
         combine(table[: 1 << i], v, out=table[1 << i : 2 << i])
@@ -222,10 +271,18 @@ def fold_atoms(values, mask, combine, start):
 def per_distinct(fn, *arrays):
     """``fn`` applied elementwise to equal-length arrays, once per distinct tuple.
 
-    Each array is ranked by ``np.unique`` and the ranks are keyed as one
-    int64. The calls go in the order their tuples first occur, so ``fn``
-    raises where a loop over the elements would first raise.
+    The calls go in the order their tuples first occur, so ``fn`` raises
+    where a loop over the elements would first raise. Atom vectors (tuples
+    or lists) are memoized in a dict and give a tuple. Tables (numpy arrays)
+    are ranked by ``np.unique``, the ranks keyed as one int64, and give an
+    array.
     """
+    if isinstance(arrays[0], (tuple, list)):
+        memo = {}
+        for key in zip(*arrays):
+            if key not in memo:
+                memo[key] = fn(*key)
+        return tuple(memo[key] for key in zip(*arrays))
     key = np.zeros(len(arrays[0]), dtype=np.int64)
     for a in arrays:
         values, rank = np.unique(a, return_inverse=True)
@@ -244,15 +301,22 @@ def first_flagged(flags):
     return int(hits[0]) if hits.size else None
 
 
+def first_atom(flags):
+    """The least atom index whose flag is set, or None: the loop form of
+    :func:`first_flagged` for the flags of an atom vector."""
+    return next((i for i, flag in enumerate(flags) if flag), None)
+
+
 def union_of(flags):
     """The OR of the masks whose flag is set (0 when none is)."""
     return int(np.bitwise_or.reduce(np.flatnonzero(flags)))
 
 
 def atom_flags(mask, n_atoms):
-    """A boolean array over the atom indices, set at the atoms of ``mask``."""
-    flags = np.zeros(n_atoms, dtype=bool)
-    flags[atoms_of(mask)] = True
+    """A list of booleans over the atom indices, set at the atoms of ``mask``."""
+    flags = [False] * n_atoms
+    for i in atoms_of(mask):
+        flags[i] = True
     return flags
 
 
@@ -506,7 +570,7 @@ class MeasurableFn:
 
     def __init__(self, space, atom_values):
         self.space = space
-        self.atom_values = as_values(atom_values, space.n_atoms, "atom values")
+        self.atom_values = as_atoms(atom_values, space.n_atoms, "atom values")
 
     @classmethod
     def from_labels(cls, space, label_values):
@@ -531,20 +595,23 @@ class MeasurableFn:
         return cls(space, vals)
 
     def __call__(self, atom_index):
-        return float(self.atom_values[atom_index])
+        return self.atom_values[atom_index]
 
     def level_set(self, t):
         """The strict level set {f > t}."""
-        return MeasurableSet(self.space, mask_of(np.flatnonzero(self.atom_values > t)))
+        vals = self.atom_values
+        return MeasurableSet(self.space, mask_of(i for i, v in enumerate(vals) if v > t))
 
     def level_set_ge(self, t):
         """The non-strict level set {f >= t}."""
-        return MeasurableSet(self.space, mask_of(np.flatnonzero(self.atom_values >= t)))
+        vals = self.atom_values
+        return MeasurableSet(self.space, mask_of(i for i, v in enumerate(vals) if v >= t))
 
     def distinct_values(self, bset=None):
         """Sorted distinct values taken on ``bset`` (default: everywhere)."""
-        vals = self.atom_values if bset is None else self.atom_values[atoms_of(bset.mask)]
-        return sorted(set(vals.tolist()))
+        if bset is None:
+            return sorted(set(self.atom_values))
+        return sorted({self.atom_values[i] for i in atoms_of(bset.mask)})
 
     def pointwise(self, fn, other=None):
         """Apply ``fn`` atomwise, optionally zipped with another function."""
@@ -555,7 +622,7 @@ class MeasurableFn:
         return MeasurableFn(self.space, per_distinct(fn, self.atom_values, other.atom_values))
 
     def __repr__(self):
-        return f"MeasurableFn({list(map(float, self.atom_values))})"
+        return f"MeasurableFn({list(self.atom_values)})"
 
 
 class SetFunction:

@@ -14,8 +14,6 @@ import contextlib
 import io
 import math
 
-import numpy as np
-
 from . import sampling
 from .additive import (
     AdditiveMeasure,
@@ -72,7 +70,7 @@ from .semigroup import (
     inf_distributes,
     verify_axioms,
 )
-from .spaces import INF, MeasurableFn, MeasurableSet, build_space, close, le
+from .spaces import INF, MeasurableFn, MeasurableSet, build_space, close, le, np
 from .supmeasure import (
     compare_modes_check,
     extremal_integral,

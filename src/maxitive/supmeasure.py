@@ -38,19 +38,14 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .errors import InvalidTruncation
 from .measures import MaxitiveMeasure
 from .records import Record
-from .spaces import INF, as_mask, fold_atoms, require_budget
+from .spaces import INF, as_mask, fold_atoms, np, require_budget
 
 # Rows drawn and evaluated per step: a block of 4096 rows of 12 atoms is
 # 384 KB of float64, whatever the sample size.
 BLOCK_ROWS = 4096
-# The largest rate numpy's Generator.poisson accepts; checked up front so a
-# refusal comes before anything is drawn.
-_POISSON_RATE_MAX = np.iinfo("l").max - np.sqrt(np.iinfo("l").max) * 10
 
 
 class PointConfig(Record):
@@ -100,10 +95,13 @@ def _poisson_rate(masses, p, eps):
         scale = INF
     with np.errstate(over="ignore", invalid="ignore"):
         lam = masses * scale
-    if not (lam <= _POISSON_RATE_MAX).all():
+    # the largest rate numpy's Generator.poisson accepts; checked up front so
+    # a refusal comes before anything is drawn
+    rate_max = np.iinfo("l").max - np.sqrt(np.iinfo("l").max) * 10
+    if not (lam <= rate_max).all():
         raise InvalidTruncation(
             f"cutoff {eps} at tail index {p} gives an atom more than "
-            f"{_POISSON_RATE_MAX} expected points; raise eps"
+            f"{rate_max} expected points; raise eps"
         )
     return lam
 

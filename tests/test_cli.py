@@ -369,6 +369,27 @@ def test_envelope_density_refusals_are_one_error_line(nu, m, message, tmp_path):
     assert proc.stderr == message + "\n"
 
 
+# which documents density reads depends on --method; one left out is a usage
+# error that names it, before any document is read
+@pytest.mark.parametrize("method, given, missing", [
+    ("residual", [], "--nu, --tau/--m"),
+    ("residual", ["--nu", "nu"], "--tau/--m"),
+    ("envelope", ["--m", "m"], "--nu"),
+    ("envelope", ["--nu", "nu"], "--tau/--m"),
+    ("associated", ["--c1", "f"], "--mu, --c2"),
+    ("associated", ["--mu", "nu", "--c1", "f"], "--c2"),
+])
+def test_density_without_its_documents_is_a_usage_error(method, given, missing, docs, capsys):
+    argv = ["density", "--method", method] + [docs.get(a, a) for a in given]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: maxitive density ")
+    assert err.endswith("maxitive density: error: the following arguments are required "
+                        f"for --method {method}: {missing}\n")
+
+
 def test_decompose_and_variation(docs):
     proc = run_cli("decompose", "--nu", docs["nu"])
     out = json.loads(proc.stdout)
@@ -727,6 +748,45 @@ def test_short_commands_never_import_multiprocessing(docs):
     assert len(Path(csv_path).read_text().splitlines()) == 1001
 
 
+# Atom vectors are tuples of floats, so only a command that builds a table,
+# a sample or a random stream imports numpy.
+def test_numpy_is_loaded_only_where_a_table_sample_or_stream_is_built(docs):
+    sf = write_doc(docs["tmp"] / "sf.json", {
+        "schema": "1", "kind": "set_function",
+        "space": {"ground": ["a", "b"], "blocks": [["a"], ["b"]]},
+        "table": {"a": 1, "b": 2, "a+b": 2.5},
+    })
+    nu, tau, m, f, pi, x = (docs[k] for k in ("nu", "tau", "m", "f", "pi", "x"))
+    atoms = [
+        ["residual", "times", "5", "3"],
+        ["check", "--measure", nu],
+        ["check", "--measure", nu, "--order", "0"],
+        ["check", "--measure", nu, "--op", "times"],
+        ["integrate", "--op", "times", "--measure", nu, "--fn", f],
+        ["integrate", "--op", "times", "--measure", m, "--fn", f],
+        ["esssup", "--measure", nu, "--fn", f],
+        ["density", "--method", "residual", "--nu", nu, "--tau", tau],
+        ["density", "--method", "associated", "--mu", nu, "--c1", f, "--c2", f],
+        ["decompose", "--nu", nu],
+        ["variation", "--nu", nu],
+        ["condition", "--op", "times", "--pi", pi, "--x", x, "--sub", "a+b|c+d", "--suite"],
+    ]
+    tables = [
+        ["check", "--measure", sf, "--order", "0"],
+        ["density", "--method", "envelope", "--nu", nu, "--m", m],
+        ["integrate", "--op", "times", "--measure", nu, "--fn", f, "--crosscheck"],
+        ["simulate", "--m", m, "--p", "2", "--n", "10"],
+        ["suite", "--seed", "0", "--ids", "integral-fixtures"],
+    ]
+    entry = ("sys.argv = ['maxitive', *{!r}]; import runpy; "
+             "runpy.run_module('maxitive', run_name='__main__')")
+    for statement in ("import maxitive", "import maxitive.cli"):
+        assert module_probe(statement, "numpy")[1] == [], statement
+    for argv in atoms + tables:
+        _, loaded = module_probe(entry.format(argv), "numpy")
+        assert bool(loaded) == (argv in tables), argv
+
+
 def test_usage_errors_exit_two():
     assert run_cli("integrate").returncode == 2
     assert run_cli("frobnicate").returncode == 2
@@ -834,16 +894,16 @@ def test_an_unbuffered_report_to_a_full_device_is_one_error_line(monkeypatch, ca
     assert rc == 1 and err == f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
 
 
-# A buffered report fails only when it is flushed at exit; then the entry
-# point takes the interpreter's own exit, which reports it as before.
+# A buffered report fails only when it is flushed at exit; the entry point
+# reports that flush as main reports a failed write, and drops the buffer.
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
-def test_a_buffered_report_to_a_full_device_fails_as_the_interpreter_exit_does():
+def test_a_buffered_report_to_a_full_device_is_one_error_line(monkeypatch, capsys):
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-    ours = _to_full_device(["-m", "maxitive"], env)
-    plain = _to_full_device(
-        ["-c", "import sys; from maxitive.cli import main; sys.exit(main())"], env)
-    assert (ours.returncode, ours.stderr) == (plain.returncode, plain.stderr)
-    assert ours.returncode == 120 and "No space left on device" in ours.stderr
+    proc = _to_full_device(["-m", "maxitive"], env)
+    monkeypatch.setattr(sys, "stdout", _FullDevice())
+    rc, _, err = in_process(["residual", "times", "5", "3"], capsys)
+    assert (proc.returncode, proc.stderr) == (rc, err)
+    assert rc == 1 and err == f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
 
 
 TOLERANT_COMMANDS = ("check", "integrate", "esssup", "density", "decompose", "variation",

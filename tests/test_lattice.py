@@ -40,6 +40,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from conftest import measure_doc
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -79,11 +80,12 @@ from maxitive.integral import (
     idempotent_integral,
     ky_fan_distance,
 )
-from maxitive.modelio import _set_key, parse_set
+from maxitive.modelio import _set_key, encode_value, measure_from_json, parse_set
 from maxitive.measures import (
     AtomDecomposition,
     FinitenessReport,
     MaxitiveMeasure,
+    PropertyReport,
     _require_fuzzy,
     _zero_masks,
     atom_decomposition,
@@ -112,6 +114,7 @@ from maxitive.possibility import (
     Law,
     PossibilitySpace,
     SubAlgebra,
+    _median,
     _perturbations,
     as_possibility,
     conditional,
@@ -143,15 +146,19 @@ from maxitive.spaces import (
     atoms_of,
     build_space,
     close,
+    first_atom,
     first_flagged,
     fold_atoms,
     le,
     mask_of,
     max_over_submasks,
     partition_dp,
+    per_distinct,
     require_budget,
     submasks,
     vclose,
+    vle,
+    vsub,
 )
 
 REL = 1e-12
@@ -896,7 +903,7 @@ def settled(fn, *args):
         return float, bits(out)
     for attr in ("atom_values", "atom_masses", "table"):
         if hasattr(out, attr):
-            return type(out), getattr(out, attr).tobytes()
+            return type(out), np.asarray(getattr(out, attr)).tobytes()
     return out
 
 
@@ -1191,7 +1198,8 @@ def test_classical_density_matches_brute_force(vals, data):
     got = outcome(classical_density, nu, m, tol)
     want = outcome(ref_classical_density, nu, m, tol)
     if isinstance(want, MeasurableFn):
-        assert got.atom_values.tobytes() == want.atom_values.tobytes()
+        got_bytes = np.asarray(got.atom_values).tobytes()
+        assert got_bytes == np.asarray(want.atom_values).tobytes()
     else:
         assert got == want
 
@@ -1351,7 +1359,7 @@ def reported(fn, *args):
     out = settled(fn, *args)
     if isinstance(out, ConditionalSuiteReport):
         fields = {k: v for k, v in vars(out).items() if k != "y"}
-        return out.y.atom_values.tobytes(), fields
+        return np.asarray(out.y.atom_values).tobytes(), fields
     return out
 
 
@@ -1623,8 +1631,9 @@ def test_mask_codec_matches_the_bit_loops(k, data):
             ref_fold_atoms(f.atom_values, mask, combine, start)
         )
     one = data.draw(values)
-    assert MeasurableFn.indicator(space, bset, one).atom_values.tobytes() == (
-        ref_indicator(space, bset, one).atom_values.tobytes()
+    indicator = MeasurableFn.indicator(space, bset, one)
+    assert np.asarray(indicator.atom_values).tobytes() == (
+        np.asarray(ref_indicator(space, bset, one).atom_values).tobytes()
     )
     assert MaxitiveMeasure(space, vals).support_mask() == ref_support_mask(f)
 
@@ -1775,3 +1784,187 @@ def test_point_evaluations_match_the_measure_table(k, op, data):
 
     for measure in (AdditiveMeasure(space, draw_values()), MaxitiveMeasure(space, draw_values())):
         assert evaluations(measure) == evaluations(measure.to_set_function())
+
+
+# ---------------------------------------------------------------------------
+# atom vectors as tuples of floats, against the array routes they replaced
+# ---------------------------------------------------------------------------
+
+
+def array_as_values(values):
+    """The read-only float array an atom vector was before it became a tuple."""
+    arr = np.asarray(values, dtype=float) + 0.0
+    arr.setflags(write=False)
+    return arr
+
+
+def array_classify(space, vals, tol):
+    """classify's maxitive branch on the atom array."""
+    top = float(np.max(vals, initial=0.0))
+    wit = {} if close(top, 1.0, tol) else {"normed": top}
+    i = first_flagged(np.isinf(vals))
+    if i is not None:
+        k = space.n_atoms
+        b = mask_of([i])
+        wit.update(finite=b, sigma_finite=i, of_bounded_variation=[list(range(k))] if k <= 10 else b)
+    flags = {name: name not in wit for name, t in PropertyReport._fields.items() if t == "bool"}
+    return PropertyReport(atom_values=tuple(vals.tolist()), witnesses=wit, **flags)
+
+
+def array_odot_abs_continuous(op, nu, tau, tol):
+    bound = per_distinct(lambda v: op(INF, v), tau)
+    i = first_flagged(~vle(nu, bound, tol))
+    if i is not None:
+        return AbsContReport(holds=False, op=op.name, witness=mask_of([i]))
+    return AbsContReport(holds=True, op=op.name)
+
+
+def array_verify_density(op, f, nu, tau, tol):
+    i = first_flagged(~vclose(per_distinct(op, f, tau), nu, tol))
+    return i is None, None if i is None else mask_of([i])
+
+
+def array_residuals(op, num, den):
+    return per_distinct(lambda r, s: 0.0 if r == 0.0 else op.residual(r, s), num, den)
+
+
+def array_density_from_associated(op, space, null, c1, c2, tol):
+    """density_from_associated on a maxitive mu with null atoms ``null``."""
+    nu = MaxitiveMeasure(space, np.where(ref_atom_flags(null, space.n_atoms), 0.0, c1))
+    tau = MaxitiveMeasure(space, np.where(ref_atom_flags(null, space.n_atoms), 0.0, c2))
+    bound = per_distinct(lambda v: op(INF, v), c2)
+    bad = mask_of(np.flatnonzero(~vle(c1, bound, tol)))
+    if bad & ~null:
+        raise NegligibilityViolation(
+            f"c1 escapes the scalar bound on a non-negligible set, mask {bad}"
+        )
+    live = np.where(ref_atom_flags(bad | null, space.n_atoms), 0.0, c1)
+    c = array_residuals(op, live, c2)
+    ok, wit = array_verify_density(
+        op, c, array_as_values(nu.atom_values), array_as_values(tau.atom_values), tol
+    )
+    if not ok:
+        raise NoDensity(f"associated-density candidate fails on mask {wit}")
+    return MeasurableFn(space, c)
+
+
+def array_ky_fan_distance(nu, f, g, bset):
+    """ky_fan_distance with |f - g| taken on the arrays."""
+    d = MeasurableFn(f.space, np.abs(vsub(array_as_values(f.atom_values),
+                                          array_as_values(g.atom_values))))
+    vs = [0.0] + sorted(set(np.asarray(d.atom_values)[atoms_of(bset.mask)].tolist()))
+    if vs[-1] != INF:
+        vs = vs + [INF]
+    best = INF
+    for lo, hi in zip(vs, vs[1:]):
+        phi = nu(bset.mask & mask_of(np.flatnonzero(np.asarray(d.atom_values) > lo)))
+        cand = lo if phi <= lo else phi if phi < hi else None
+        if cand is not None and cand < best:
+            best = cand
+    return best
+
+
+def array_law(x, pi, tol):
+    pi = as_possibility(pi, tol)
+    arr = array_as_values(x.atom_values)
+    values = sorted({float(v) for v in arr})
+    poss = [pi.measure(mask_of(np.flatnonzero(arr == v))) for v in values]
+    if not close(max(poss), 1.0, tol):
+        raise OracleMismatch("law does not reach possibility one")
+    return Law(values, poss)
+
+
+def tuple_bits(vals):
+    assert type(vals) is tuple and all(type(v) is float for v in vals)
+    return np.asarray(vals).tobytes()
+
+
+#: atom values with 0, inf, the largest finite magnitudes and the least subnormal
+ATOM_POOL = st.one_of(values, st.sampled_from([0.0, INF, 1e308, 5e-324]))
+
+
+def atom_doc(kind, k, vals):
+    labels = list(LABELS[:k])
+    return measure_doc(kind, labels, [encode_value(v) for v in vals])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 6), st.sampled_from([0.0, 1e-12, 1e-9, 0.1]),
+       st.sampled_from([TIMES, MIN, PLUS, MAX]), st.data())
+def test_atom_tuples_match_the_array_routes_they_replaced(k, tol, op, data):
+    # documents of every atom kind load as tuples of Python floats, and what
+    # the atom routes read off them is, bit for bit, what the array routes
+    # read off the same values as a float64 array
+    space = space_of(k)
+
+    def draw(kind):
+        vals = data.draw(st.lists(ATOM_POOL, min_size=k, max_size=k))
+        obj = measure_from_json(atom_doc(kind, k, vals))
+        vec = obj.atom_masses if kind == "additive" else obj.atom_values
+        assert tuple_bits(vec) == array_as_values(vals).tobytes()
+        return obj, array_as_values(vals)
+
+    (nu, nu_a), (tau, tau_a), (m, m_a) = draw("maxitive"), draw("maxitive"), draw("additive")
+    (f, f_a), (g, g_a) = draw("function"), draw("function")
+    bset = MeasurableSet(space, data.draw(st.integers(0, space.full_mask)))
+
+    # the space layer
+    assert nu.support_mask() == mask_of(np.flatnonzero(nu_a > 0))
+    for t in [0.0, INF, *f_a.tolist()[:2]]:
+        assert f.level_set(t).mask == mask_of(np.flatnonzero(f_a > t))
+        assert f.level_set_ge(t).mask == mask_of(np.flatnonzero(f_a >= t))
+    for b in (None, bset):
+        arr = f_a if b is None else f_a[atoms_of(b.mask)]
+        assert list(map(bits, f.distinct_values(b))) == list(map(bits, sorted(set(arr.tolist()))))
+    assert bits(nu(bset)) == bits(fold_atoms(nu_a, bset.mask, max, 0.0))
+    assert bits(m(bset)) == bits(fold_atoms(m_a, bset.mask, operator.add, 0.0))
+    assert tuple_bits(f.pointwise(op, g).atom_values) == per_distinct(op, f_a, g_a).tobytes()
+    # both routes call once per distinct pair, in the order the pairs first occur
+    calls = [], []
+    for log, args in zip(calls, ((f.atom_values, g.atom_values), (f_a, g_a))):
+        per_distinct(lambda x, y, log=log: log.append(bits(x) + bits(y)) or op(x, y), *args)
+    assert calls[0] == calls[1]
+    for a, b in ((f, g), (nu, tau), (f, f)):
+        a_a, b_a = array_as_values(a.atom_values), array_as_values(b.atom_values)
+        pairs = list(zip(a.atom_values, b.atom_values))
+        assert first_atom(not le(x, y, tol) for x, y in pairs) == first_flagged(~vle(a_a, b_a, tol))
+        assert first_atom(not close(x, y, tol) for x, y in pairs) == first_flagged(~vclose(a_a, b_a, tol))
+
+    # measures: verdicts, null sets and essential suprema
+    assert classify(nu, tol) == array_classify(space, nu_a, tol)
+    assert bits(essential_supremum(nu, f, bset, tol)) == bits(
+        float(np.max(f_a[ref_atom_flags(bset.mask & nu.support_mask(), k)], initial=0.0))
+    )
+    dead = ref_atom_flags(space.full_mask & ~nu.support_mask(), k)
+    assert tuple_bits(esssup_measure(nu, f, tol).atom_values) == np.where(dead, 0.0, f_a).tobytes()
+    assert tuple_bits(delta_measure(nu, tol).atom_values) == np.where(nu_a > 0, 1.0, 0.0).tobytes()
+    assert settled(essential_witness, nu)[0] is (
+        AdditiveMeasure if np.isfinite(nu_a).all() else ValueError
+    )
+    assert is_sigma_finite_measure(m) is is_semi_finite_measure(m) is (not np.isinf(m_a).any())
+    assert family_essential_supremum(m, [bset.mask]).mask == bset.mask & mask_of(np.flatnonzero(m_a > 0))
+
+    # densities
+    assert odot_abs_continuous(op, nu, tau, tol) == array_odot_abs_continuous(op, nu_a, tau_a, tol)
+    target = MaxitiveMeasure(space, perturbed(data.draw, per_distinct(op, f_a, tau_a).tolist()))
+    assert verify_density(op, f, target, tau, tol) == array_verify_density(
+        op, f_a, array_as_values(target.atom_values), tau_a, tol
+    )
+    assert settled(density_from_associated, op, nu, f, g, tol) == settled(
+        array_density_from_associated, op, space, space.full_mask & ~nu.support_mask(), f_a, g_a, tol
+    )
+    diff = mask_of(np.flatnonzero(~vclose(f_a, g_a, tol)))
+    assert ae_equal(nu, f, g, tol) is negligible(nu, diff)
+    assert bits(ky_fan_distance(nu, f, g, bset)) == bits(array_ky_fan_distance(nu, f, g, bset))
+
+    # possibility: the law, and the median that shifts conditional_suite's variable
+    if k:
+        pi = PossibilitySpace.from_values(space, [1.0, *np.minimum(nu_a[1:], 1.0)])
+        got, want = outcome(law, f, pi, tol), outcome(array_law, f, pi, tol)
+        if isinstance(want, Law):
+            assert (tuple_bits(got.values), tuple_bits(got.possibilities)) == (
+                tuple_bits(want.values), tuple_bits(want.possibilities))
+        else:
+            assert got == want
+    finite = [v for v in f.atom_values if math.isfinite(v)] or [1.0]
+    assert bits(_median(finite)) == bits(float(np.median(finite)))

@@ -298,11 +298,12 @@ def test_atom_value_validation(abc, cls, attr, what):
         cls(abc, [-1])
     with pytest.raises(ValueError, match=f"^expected 3 {what}, got 2$"):
         cls(abc, [1.0, 2.0])
-    # a signed zero is stored as +0.0, and the caller's array is left alone
+    # a signed zero is stored as +0.0, in an immutable tuple of Python
+    # floats, and the caller's array is left alone
     given_vals = np.array([-0.0, 1.0, -0.0])
     stored = getattr(cls(abc, given_vals), attr)
     assert [math.copysign(1.0, v) for v in stored] == [1.0, 1.0, 1.0]
-    assert not stored.flags.writeable
+    assert type(stored) is tuple and {type(v) for v in stored} == {float}
     assert math.copysign(1.0, given_vals[0]) == -1.0 and given_vals.flags.writeable
 
 
