@@ -1967,4 +1967,8 @@ def test_atom_tuples_match_the_array_routes_they_replaced(k, tol, op, data):
         else:
             assert got == want
     finite = [v for v in f.atom_values if math.isfinite(v)] or [1.0]
-    assert bits(_median(finite)) == bits(float(np.median(finite)))
+    # two middle values near the float maximum average to inf on both routes;
+    # numpy also warns of the overflow in its sum
+    with np.errstate(over="ignore"):
+        want_median = float(np.median(finite))
+    assert bits(_median(finite)) == bits(want_median)
