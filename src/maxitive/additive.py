@@ -10,9 +10,13 @@ union less its null atoms, and localizability, which a finite algebra gives
 to every measure, is returned with its reason. Each docstring says why, and
 the sweeps over every set that restate them are oracles in the tests. So
 these and ``choquet_integral``, which evaluates the measure on one set per
-level, build no table and have no atom cap. ``from_set_function`` and
-``classical_density`` read the whole 2^k table of atom sums, priced as an
-atom table: k 2^k cells, which admit 21 atoms.
+level, build no table and have no atom cap; so do the negligibility
+routines of ``measures``, which read an additive measure's null sets off
+its zero-mass atoms (``support_mask``). ``classical_density`` checks its
+candidate on every set against Python lists of atom sums
+(``spaces.atom_folds``) and loads no numpy; ``from_set_function`` reads
+the whole numpy table. Both are priced as an atom table: k 2^k cells,
+which admit 21 atoms.
 """
 
 from __future__ import annotations
@@ -31,7 +35,10 @@ from .spaces import (
     SetFunction,
     as_atoms,
     as_mask,
+    atom_folds,
     atom_table,
+    close,
+    first_atom,
     first_flagged,
     fold_atoms,
     mask_of,
@@ -72,6 +79,10 @@ class AdditiveMeasure:
     def total(self):
         return self(self.space.full_mask)
 
+    def support_mask(self):
+        """The atoms of positive mass; the m-null sets are the masks outside it."""
+        return mask_of(i for i, v in enumerate(self.atom_masses) if v > 0)
+
     def __repr__(self):
         return f"AdditiveMeasure({list(self.atom_masses)})"
 
@@ -92,7 +103,9 @@ def classical_density(nu, m, tol=DEFAULT_TOL):
     Raises NotAbsolutelyContinuous if some m-null atom carries nu-mass, and
     NoDensity when an atom of infinite m-mass carries finite positive
     nu-mass (the sigma-finiteness obstruction: c * inf is 0 or inf, never in
-    between). The candidate is verified on every measurable set.
+    between). The candidate is verified on every measurable set: the sums
+    of c_i m_i and of nu's masses over each set's atoms, left to right as
+    in nu's table, are compared in plain Python.
     """
     space = nu.space
     dens = []
@@ -117,9 +130,11 @@ def classical_density(nu, m, tol=DEFAULT_TOL):
         else:
             dens.append(ni / mi)
     c = MeasurableFn(space, dens)
-    # lebesgue_integral's left-to-right sum on every mask at once
-    got = atom_table(per_distinct(_times, c.atom_values, m.atom_masses))
-    b = first_flagged(~vclose(got, nu.to_set_function().table, tol))
+    # lebesgue_integral's left-to-right sum, and nu's, on every mask at once
+    got = atom_folds(per_distinct(_times, c.atom_values, m.atom_masses), operator.add, 0.0)
+    want = atom_folds(nu.atom_masses, operator.add, 0.0)
+    # equal lists pass at every tolerance; only a difference pays for the scan
+    b = None if got == want else first_atom(not close(g, v, tol) for g, v in zip(got, want))
     if b is not None:
         raise NoDensity(f"candidate density fails on mask {b}")
     return c
@@ -166,8 +181,7 @@ def family_essential_supremum(m, masks):
     union = 0
     for b in masks:
         union |= MeasurableSet(m.space, b).mask
-    positive = mask_of(i for i, v in enumerate(m.atom_masses) if v > 0)
-    return MeasurableSet(m.space, union & positive)
+    return MeasurableSet(m.space, union & m.support_mask())
 
 
 def is_localizable_measure(m):

@@ -11,10 +11,16 @@ absolute continuity of a maxitive pair under a builtin operation: the
 representation nu(B) = max of nu_i over the atoms of B carries both to
 every set. With maxitive measures the residual and associated routes build
 no table. The envelope is the closed atom sum nu_i m_i, the minimum over
-partitions by the product inequality, and builds no table.
+partitions by the product inequality; its steps loop over the atom tuples,
+and the classical density's check on every set sums them in plain Python
+(``spaces.atom_folds``, k 2^k cells, which admit 21 atoms). So none of
+these routes imports numpy on atom measures; only a table operation's
+absolute-continuity check and a table input do.
 """
 
 from __future__ import annotations
+
+import math
 
 from .additive import AdditiveMeasure, classical_density
 from .errors import (
@@ -26,7 +32,7 @@ from .errors import (
 )
 from .measures import MaxitiveMeasure, _null_atoms, esssup_measure, negligible
 from .records import Record
-from .semigroup import MAX, MIN, PLUS, TIMES
+from .semigroup import MAX, MIN, PLUS, TIMES, _times
 from .spaces import (
     DEFAULT_TOL,
     INF,
@@ -38,9 +44,7 @@ from .spaces import (
     first_flagged,
     le,
     mask_of,
-    np,
     per_distinct,
-    vclose,
     vle,
 )
 
@@ -146,11 +150,12 @@ def envelope_measure(nu, m):
     returned as an AdditiveMeasure, whose atom sums are inf where they
     overflow.
     """
-    nu_a, m_a = np.asarray(nu.atom_values), np.asarray(m.atom_masses)
-    # 0 * inf is nan and replaced by 0; an overflow is inf
-    with np.errstate(invalid="ignore", over="ignore"):
-        masses = np.where((nu_a == 0.0) | (m_a == 0.0), 0.0, nu_a * m_a)
-    i = first_flagged(np.isinf(masses) & np.isfinite(nu_a) & np.isfinite(m_a))
+    nu_a, m_a = nu.atom_values, m.atom_masses
+    masses = list(map(_times, nu_a, m_a))  # 0 * inf is 0; an overflow is inf
+    i = first_atom(
+        math.isinf(p) and math.isfinite(v) and math.isfinite(w)
+        for p, v, w in zip(masses, nu_a, m_a)
+    )
     if i is not None:
         raise MaxitiveError(f"product nu * m overflows on atom {i}: {nu_a[i]} * {m_a[i]}")
     return AdditiveMeasure(nu.space, masses)
@@ -176,27 +181,28 @@ def envelope_density(nu, m, tol=DEFAULT_TOL):
     So it is nu(b) on every set b iff nu is 0, within tolerance, on every
     atom that m does not charge.
     """
-    nu_a, m_a = np.asarray(nu.atom_values), np.asarray(m.atom_masses)
-    i = first_flagged(np.isinf(m_a) & (nu_a > 0))
+    nu_a, m_a = nu.atom_values, m.atom_masses
+    i = first_atom(math.isinf(w) and v > 0 for v, w in zip(nu_a, m_a))
     if i is not None:
         raise NoDensity(
             f"m has infinite mass on atom {i} where nu is positive, "
             "so the density is not determined there"
         )
     env = envelope_measure(nu, m)
-    with np.errstate(over="ignore"):  # an atom sum that overflows is inf
-        c = classical_density(env, m, tol)
+    c = classical_density(env, m, tol)
     # the density must agree with nu on every atom m charges
-    i = first_flagged((m_a > 0) & ~vclose(c.atom_values, nu_a, tol))
+    i = first_atom(
+        w > 0.0 and not close(g, v, tol) for g, v, w in zip(c.atom_values, nu_a, m_a)
+    )
     if i is not None:
         raise NoDensity(
             f"envelope density {c.atom_values[i]} differs from "
             f"nu {nu.atom_values[i]} on atom {i}"
         )
     recon = True
-    if np.isfinite(m_a).all():
-        recon = bool(vclose(nu_a[m_a == 0.0], 0.0, tol).all())
-    has_inf = bool(np.isinf(nu_a).any())
+    if all(map(math.isfinite, m_a)):
+        recon = all(close(v, 0.0, tol) for v, w in zip(nu_a, m_a) if w == 0.0)
+    has_inf = any(map(math.isinf, nu_a))
     return EnvelopeReport(
         envelope=env, density=c, transformed=has_inf, reconstruction_ok=recon
     )

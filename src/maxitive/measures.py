@@ -6,7 +6,9 @@ decides its classification, alternation, negligible sets and essential
 suprema, atom decomposition, disjoint variation, essential witness and
 finiteness suite, so these are read off the atom values in plain Python,
 build no table, import no numpy and have no atom cap, and the table routes
-that restate them are oracles in the tests. Other set functions are
+that restate them are oracles in the tests. An additive measure's masses
+decide its negligible sets and essential suprema the same way, since its
+zero sets are the sets of zero-mass atoms. Other set functions are
 classified by a battery of named predicates, each returning a witness when
 it fails. On a finite algebra four textbook properties (continuity along
 decreasing chains, exhaustivity, the countable chain condition,
@@ -95,22 +97,28 @@ class MaxitiveMeasure:
         return f"MaxitiveMeasure({list(self.atom_values)})"
 
 
+#: the measures stored by their atoms, whose zero sets are the sets of
+#: zero atoms: a maximum, and a float sum of nonnegative terms, is 0 only
+#: where every term is
+_ATOM_MEASURES = (MaxitiveMeasure, AdditiveMeasure)
+
+
 def _zero_masks(table):
     return np.nonzero(table == 0.0)[0]
 
 
 def _null_atoms(w):
     """Bit i is set iff {i} is negligible: the OR of the zero masks."""
-    if isinstance(w, MaxitiveMeasure):
+    if isinstance(w, _ATOM_MEASURES):
         return w.space.full_mask & ~w.support_mask()
     return union_of(as_table(w).table == 0.0)
 
 
 def negligible(w, bset):
     """Whether the set is contained in some measurable zero set of ``w``; for
-    a maxitive measure, whether each of its atoms is 0 (its value is their max)."""
+    a maxitive or additive measure, whether each of its atoms is 0."""
     mask = as_mask(bset)
-    if isinstance(w, MaxitiveMeasure):
+    if isinstance(w, _ATOM_MEASURES):
         return (mask & w.support_mask()) == 0
     return bool(((_zero_masks(as_table(w).table) & mask) == mask).any())
 
@@ -501,8 +509,13 @@ def choquet_alternating(w, order, tol=DEFAULT_TOL):
 
 
 def _require_fuzzy(w, tol=DEFAULT_TOL):
-    """Refuse a w that is not monotone and null-additive; a maxitive w is both."""
-    if isinstance(w, MaxitiveMeasure):
+    """Refuse a w that is not monotone and null-additive.
+
+    A maxitive or additive w is both, exactly, on its float table: a max,
+    and a rounded sum of nonnegative terms, does not decrease when a term is
+    added, and adding the zero terms of a zero set leaves it unchanged.
+    """
+    if isinstance(w, _ATOM_MEASURES):
         return
     ok, wit = is_monotone(w, tol)
     if not ok:
@@ -516,17 +529,18 @@ def essential_supremum(tau, f, bset=None, tol=DEFAULT_TOL):
     """inf of t > 0 such that B & {f > t} is tau-negligible.
 
     tau must be monotone and null-additive so that negligibility behaves.
-    For a maxitive tau it is the max of f over the non-negligible atoms of B,
-    since a union of zero sets is a zero set. On a table it is the min over
-    the zero sets N of the max of f on B less N, the first level t with B &
-    {f > t} inside some N, cross-checked against that atom max.
+    For a maxitive or additive tau it is the max of f over the
+    non-negligible atoms of B, since a union of zero sets is a zero set. On
+    a table it is the min over the zero sets N of the max of f on B less N,
+    the first level t with B & {f > t} inside some N, cross-checked against
+    that atom max.
     """
     _require_fuzzy(tau, tol)
     if bset is None:
         bset = tau.space.full()
     live = atoms_of(bset.mask & ~_null_atoms(tau))
     oracle = max((f.atom_values[i] for i in live), default=0.0)
-    if isinstance(tau, MaxitiveMeasure):
+    if isinstance(tau, _ATOM_MEASURES):
         return oracle
     zeros = _zero_masks(as_table(tau).table)
     result = float(atom_table(f.atom_values, np.maximum)[bset.mask & ~zeros].min())

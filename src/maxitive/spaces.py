@@ -11,7 +11,9 @@ extended half-line [0, inf], represented as plain floats with math.inf.
 The atom vector of a function or a measure (``MeasurableFn.atom_values``,
 ``MaxitiveMeasure.atom_values``, ``AdditiveMeasure.atom_masses``) is a tuple
 of Python floats, checked by :func:`as_atoms`, and the routines on atoms
-loop over it. A table over every set is a read-only numpy array, checked by
+loop over it; a sweep that checks an atom measure on every set reads the
+list of its folds from :func:`atom_folds`, also in plain Python. A table
+over every set is a read-only numpy array, checked by
 :func:`as_values`, and the subset-lattice kernels below work on whole
 tables. Every module reads numpy through :data:`np`, which imports it on
 first use, so a command that builds no table, sample or random stream never
@@ -268,6 +270,23 @@ def fold_atoms(values, mask, combine, start):
     return out
 
 
+def atom_folds(values, combine, start):
+    """:func:`fold_atoms` on every mask at once, as a list indexed by mask.
+
+    The list counterpart of :func:`atom_table`, in its order: the folds of
+    the masks below 2^i, each combined with atom i, give the masks from 2^i
+    up, so ``operator.add`` gives its sums bit for bit (inf where they
+    overflow), ``max`` from 0.0 its maxima and ``min`` from ``INF`` its
+    minima. Priced as :func:`atom_table`, at k 2^k cells.
+    """
+    k = len(values)
+    require_budget(k << k, f"atom table on {k} atoms")
+    table = [start]
+    for v in values:
+        table += [combine(x, v) for x in table]
+    return table
+
+
 def per_distinct(fn, *arrays):
     """``fn`` applied elementwise to equal-length arrays, once per distinct tuple.
 
@@ -302,8 +321,9 @@ def first_flagged(flags):
 
 
 def first_atom(flags):
-    """The least atom index whose flag is set, or None: the loop form of
-    :func:`first_flagged` for the flags of an atom vector."""
+    """The least index whose flag is set, or None: the loop form of
+    :func:`first_flagged` for the flags of an atom vector or of a list
+    indexed by mask."""
     return next((i for i, flag in enumerate(flags) if flag), None)
 
 

@@ -764,19 +764,23 @@ def test_numpy_is_loaded_only_where_a_table_sample_or_stream_is_built(docs):
         ["check", "--measure", nu, "--op", "times"],
         ["integrate", "--op", "times", "--measure", nu, "--fn", f],
         ["integrate", "--op", "times", "--measure", m, "--fn", f],
+        ["integrate", "--op", "times", "--measure", nu, "--fn", f, "--crosscheck"],
+        ["integrate", "--op", "times", "--measure", m, "--fn", f, "--crosscheck"],
         ["esssup", "--measure", nu, "--fn", f],
+        ["esssup", "--measure", m, "--fn", f],
         ["density", "--method", "residual", "--nu", nu, "--tau", tau],
+        ["density", "--method", "envelope", "--nu", nu, "--m", m],
         ["density", "--method", "associated", "--mu", nu, "--c1", f, "--c2", f],
+        ["density", "--method", "associated", "--mu", m, "--c1", f, "--c2", f],
         ["decompose", "--nu", nu],
         ["variation", "--nu", nu],
         ["condition", "--op", "times", "--pi", pi, "--x", x, "--sub", "a+b|c+d", "--suite"],
+        ["suite", "--seed", "0", "--ids", "integral-fixtures"],
     ]
     tables = [
         ["check", "--measure", sf, "--order", "0"],
-        ["density", "--method", "envelope", "--nu", nu, "--m", m],
-        ["integrate", "--op", "times", "--measure", nu, "--fn", f, "--crosscheck"],
         ["simulate", "--m", m, "--p", "2", "--n", "10"],
-        ["suite", "--seed", "0", "--ids", "integral-fixtures"],
+        ["suite", "--seed", "0", "--ids", "integral-three-routes"],
     ]
     entry = ("sys.argv = ['maxitive', *{!r}]; import runpy; "
              "runpy.run_module('maxitive', run_name='__main__')")

@@ -25,12 +25,16 @@ set-partition enumeration that total_variation is held against, and so does
 the sweep over every union of blocks that the conditional's block-only
 check is held against. Then come the per-atom bit loops that decoded and
 built masks before ``spaces.atoms_of`` and ``mask_of`` did, held against
-them on spaces of up to 200 atoms. Last, the integral's submask walk and
+them on spaces of up to 200 atoms. Then the integral's submask walk and
 its per-set level sweeps are held against the tables that replaced them,
 bit for bit and raising where they raise, under every builtin operation and
 a table operation whose grid may miss some inputs; so are the level sweep,
 the Ky Fan distance and the Choquet integral, which evaluate an additive or
-maxitive measure on a few sets, against the same calls on its table.
+maxitive measure on a few sets, against the same calls on its table. Then
+the atom tuples against the arrays they replaced. Last, the envelope
+density, the classical density and the submask maximization, which sweep
+every set over Python lists, against their numpy bodies, and an additive
+measure's negligibility, read off its zero-mass atoms, against its table.
 """
 
 import math
@@ -54,6 +58,7 @@ from maxitive.additive import (
 from maxitive.additive import is_semi_finite_measure, is_sigma_finite_measure
 from maxitive.density import (
     AbsContReport,
+    EnvelopeReport,
     ae_equal,
     density_from_associated,
     envelope_density,
@@ -63,6 +68,7 @@ from maxitive.density import (
 )
 from maxitive.errors import (
     DefiningPropertyFailed,
+    ExplicitBudgetExceeded,
     MaxitiveError,
     NegligibilityViolation,
     NoDensity,
@@ -141,8 +147,11 @@ from maxitive.spaces import (
     MeasurableFn,
     MeasurableSet,
     SetFunction,
+    as_atoms,
     as_table,
     atom_flags,
+    atom_folds,
+    atom_table,
     atoms_of,
     build_space,
     close,
@@ -1972,3 +1981,221 @@ def test_atom_tuples_match_the_array_routes_they_replaced(k, tol, op, data):
     with np.errstate(over="ignore"):
         want_median = float(np.median(finite))
     assert bits(_median(finite)) == bits(want_median)
+
+
+# ---------------------------------------------------------------------------
+# the per-set sweeps of the envelope and the crosscheck, in plain Python,
+# against the numpy bodies they replaced
+# ---------------------------------------------------------------------------
+
+
+def array_classical_density(nu, m, tol=DEFAULT_TOL):
+    """classical_density with its check on numpy tables."""
+    space = nu.space
+    dens = []
+    for i in range(space.n_atoms):
+        mi = m.atom_masses[i]
+        ni = nu.atom_masses[i]
+        if mi == 0.0:
+            if ni != 0.0:
+                raise NotAbsolutelyContinuous(
+                    f"atom {i} is m-null but carries nu-mass {ni}"
+                )
+            dens.append(0.0)
+        elif math.isinf(mi):
+            if ni == 0.0:
+                dens.append(0.0)
+            elif math.isinf(ni):
+                dens.append(1.0)
+            else:
+                raise NoDensity(
+                    f"atom {i} has infinite m-mass and finite nu-mass {ni}"
+                )
+        else:
+            dens.append(ni / mi)
+    c = MeasurableFn(space, dens)
+    with np.errstate(over="ignore"):
+        got = atom_table(per_distinct(_times, c.atom_values, m.atom_masses))
+        want = atom_table(np.asarray(nu.atom_masses))
+    b = first_flagged(~vclose(got, want, tol))
+    if b is not None:
+        raise NoDensity(f"candidate density fails on mask {b}")
+    return c
+
+
+def array_envelope_measure(nu, m):
+    """envelope_measure on the atom arrays."""
+    nu_a, m_a = np.asarray(nu.atom_values), np.asarray(m.atom_masses)
+    with np.errstate(invalid="ignore", over="ignore"):
+        masses = np.where((nu_a == 0.0) | (m_a == 0.0), 0.0, nu_a * m_a)
+    i = first_flagged(np.isinf(masses) & np.isfinite(nu_a) & np.isfinite(m_a))
+    if i is not None:
+        raise MaxitiveError(f"product nu * m overflows on atom {i}: {nu_a[i]} * {m_a[i]}")
+    return AdditiveMeasure(nu.space, masses)
+
+
+def array_envelope_density(nu, m, tol=DEFAULT_TOL):
+    """envelope_density on the atom arrays, with the numpy classical density."""
+    nu_a, m_a = np.asarray(nu.atom_values), np.asarray(m.atom_masses)
+    i = first_flagged(np.isinf(m_a) & (nu_a > 0))
+    if i is not None:
+        raise NoDensity(
+            f"m has infinite mass on atom {i} where nu is positive, "
+            "so the density is not determined there"
+        )
+    env = array_envelope_measure(nu, m)
+    c = array_classical_density(env, m, tol)
+    i = first_flagged((m_a > 0) & ~vclose(c.atom_values, nu_a, tol))
+    if i is not None:
+        raise NoDensity(
+            f"envelope density {c.atom_values[i]} differs from "
+            f"nu {nu.atom_values[i]} on atom {i}"
+        )
+    recon = True
+    if np.isfinite(m_a).all():
+        recon = bool(vclose(nu_a[m_a == 0.0], 0.0, tol).all())
+    has_inf = bool(np.isinf(nu_a).any())
+    return EnvelopeReport(
+        envelope=env, density=c, transformed=has_inf, reconstruction_ok=recon
+    )
+
+
+def array_gerritse_integral(op, f, nu, bset=None):
+    """gerritse_integral on numpy tables, once per distinct pair."""
+    bset = _fullset(nu, bset)
+    idx = np.array(bset.atom_indices(), dtype=np.int64)
+    low = atom_table(np.asarray(f.atom_values)[idx], np.minimum, INF)
+    if isinstance(nu, MaxitiveMeasure):
+        meas = atom_table(np.asarray(nu.atom_values)[idx], np.maximum, 0.0)
+    elif isinstance(nu, AdditiveMeasure):
+        with np.errstate(over="ignore"):
+            meas = atom_table(np.asarray(nu.atom_masses)[idx], np.add, 0.0)
+    else:
+        meas = as_table(nu).table[atom_table(1 << idx, np.add, 0)]
+    cand = per_distinct(op, low[:0:-1], meas[:0:-1])
+    return float(np.where(cand > 0.0, cand, 0.0).max(initial=0.0))
+
+
+def envelope_outcome(fn, nu, m, tol):
+    """outcome() of an envelope density, its report as the bytes of its vectors."""
+    rep = outcome(fn, nu, m, tol)
+    if not isinstance(rep, EnvelopeReport):
+        return rep
+    return (tuple_bits(rep.envelope.atom_masses), tuple_bits(rep.density.atom_values),
+            rep.transformed, rep.reconstruction_ok)
+
+
+#: atom values with 0, inf, sums that overflow and the least subnormal
+SWEEP_POOL = st.one_of(values, st.sampled_from(EXTREME))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(SWEEP_POOL, max_size=8))
+def test_atom_folds_are_the_atom_tables_bit_for_bit(vals):
+    vals = as_atoms(vals, len(vals), "atom values")
+    for combine, ufunc, start in ((operator.add, np.add, 0.0), (max, np.maximum, 0.0),
+                                  (min, np.minimum, INF)):
+        got = atom_folds(vals, combine, start)
+        assert type(got) is list and all(type(x) is float for x in got)
+        with np.errstate(over="ignore"):  # a sum that overflows is inf
+            want = atom_table(vals, ufunc, start)
+        assert np.asarray(got).tobytes() == want.tobytes()
+
+
+def test_atom_folds_refuse_22_atoms_as_atom_tables_do():
+    msgs = []
+    for build in (lambda: atom_folds([1.0] * 22, operator.add, 0.0), lambda: atom_table([1.0] * 22)):
+        with pytest.raises(ExplicitBudgetExceeded) as exc:
+            build()
+        msgs.append(str(exc.value))
+    assert msgs[0] == msgs[1]
+    assert msgs[0].startswith("atom table on 22 atoms needs 92274688 cells")
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.tuples(SWEEP_POOL, SWEEP_POOL, SWEEP_POOL), max_size=6),
+    st.sampled_from([0.0, 1e-12, 1e-9, 0.1]),
+    st.data(),
+)
+def test_envelope_and_classical_density_match_the_numpy_bodies(atoms, tol, data):
+    space = space_of(len(atoms))
+    nu_vals, m_vals, x_vals = (list(col) for col in zip(*atoms)) if atoms else ([], [], [])
+    nu, m = MaxitiveMeasure(space, nu_vals), AdditiveMeasure(space, m_vals)
+    assert settled(envelope_measure, nu, m) == settled(array_envelope_measure, nu, m)
+    assert envelope_outcome(envelope_density, nu, m, tol) == envelope_outcome(
+        array_envelope_density, nu, m, tol
+    )
+    # the classical density of an additive measure: a density times m, one
+    # ulp off or not, or masses of their own
+    dens = [_times(d, w) for d, w in zip(nu_vals, m_vals)]
+    for masses in (perturbed(data.draw, dens), x_vals):
+        n = AdditiveMeasure(space, masses)
+        assert settled(classical_density, n, m, tol) == settled(array_classical_density, n, m, tol)
+
+
+def test_the_envelope_refusal_at_tolerance_zero_keeps_its_message():
+    # at tolerance 0, (nu_0 m_0) / m_0 misses nu_0 by an ulp
+    space = space_of(1)
+    nu, m = MaxitiveMeasure(space, [2.4815]), AdditiveMeasure(space, [6.77])
+    want = (NoDensity, "envelope density 2.4814999999999996 differs from nu 2.4815 on atom 0")
+    assert outcome(envelope_density, nu, m, 0.0) == outcome(array_envelope_density, nu, m, 0.0) == want
+    assert envelope_outcome(envelope_density, nu, m, 1e-12) == envelope_outcome(
+        array_envelope_density, nu, m, 1e-12
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 6), st.one_of(st.sampled_from([TIMES, MIN, PLUS, MAX]), table_ops()), st.data())
+def test_gerritse_integral_matches_the_numpy_body(k, op, data):
+    # every operation is called on each nonempty submask from bset down, so
+    # an operation off its grid raises at the submask where the numpy body,
+    # which calls it once per distinct pair, first raises
+    space = space_of(k)
+    pool = st.one_of(values, st.sampled_from([*EXTREME, *TABLE_GRID]))
+
+    def draw_values():
+        return data.draw(st.lists(pool, min_size=k, max_size=k))
+
+    f = MeasurableFn(space, draw_values())
+    bset = MeasurableSet(space, data.draw(st.integers(0, space.full_mask)))
+    n = space.n_sets - 1
+    table = SetFunction(space, [0.0] + data.draw(st.lists(pool, min_size=n, max_size=n)))
+    for nu in (MaxitiveMeasure(space, draw_values()), AdditiveMeasure(space, draw_values()), table):
+        assert settled(gerritse_integral, op, f, nu, bset) == settled(
+            array_gerritse_integral, op, f, nu, bset
+        )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.sampled_from([0.0, INF, 1e308, 1.7e308, 5e-324]) | values, max_size=6),
+    st.sampled_from([0.0, 1e-12, 1e-9, 0.1]),
+    st.data(),
+)
+def test_additive_null_sets_match_the_table_route(masses, tol, data):
+    # an additive measure's float table is monotone and null-additive bit
+    # for bit, and its zero sets are the sets of zero-mass atoms, so the
+    # negligibility routes read its masses; its table takes the table route
+    space = space_of(len(masses))
+    k = space.n_atoms
+    m = AdditiveMeasure(space, masses)
+    w = m.to_set_function()
+    assert is_monotone(w, 0.0) == (True, None)
+    assert is_null_additive(w, 0.0) == (True, None)
+    _require_fuzzy(m, tol)
+    for b in range(space.n_sets):
+        assert negligible(m, b) is negligible(w, b)
+
+    def draw_fn():
+        pool = st.one_of(values, st.sampled_from(EXTREME))
+        return MeasurableFn(space, data.draw(st.lists(pool, min_size=k, max_size=k)))
+
+    f, g = draw_fn(), draw_fn()
+    bset = MeasurableSet(space, data.draw(st.integers(0, space.full_mask)))
+    assert settled(essential_supremum, m, f, bset, tol) == settled(essential_supremum, w, f, bset, tol)
+    assert settled(esssup_measure, m, f, tol) == settled(esssup_measure, w, f, tol)
+    op = data.draw(st.sampled_from([TIMES, MIN, PLUS, MAX]))
+    assert settled(density_from_associated, op, m, f, g, tol) == settled(
+        density_from_associated, op, w, f, g, tol
+    )
