@@ -9,8 +9,8 @@ given on one set per level, so they build no table and have no atom cap; an
 additive measure's atom sums are its table's entries bit for bit. The
 submask maximization folds a maxitive or additive measure, and f, over the
 atoms of the set only, into Python lists, so it loads no numpy; on another
-set function it gathers from the whole 2^k table, and density_measure reads
-whole tables through the kernels of ``spaces``.
+set function it gathers from the whole 2^k table. density_measure takes a
+maxitive measure only and reads its atoms.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from .spaces import (
     DEFAULT_TOL,
     INF,
     MeasurableFn,
-    SetFunction,
     as_table,
     atom_folds,
     atom_table,
@@ -33,7 +32,6 @@ from .spaces import (
     esub,
     np,
     per_distinct,
-    require_budget,
 )
 
 
@@ -119,28 +117,12 @@ def atom_integral(op, f, nu, bset=None):
 def density_measure(op, f, nu):
     """The measure B -> integral of f over B, written tau = f (op) nu.
 
-    For a maxitive nu the result is again maxitive with atom values
-    op(f_i, nu_i); for a general set function the level sweep of
-    idempotent_integral is run on every set at once. Its gather holds about
-    14 cells per level and set (measured), so it is priced at 16.
+    For a maxitive nu the result is again maxitive, with atom values
+    op(f_i, nu_i). Any other nu raises TypeError.
     """
-    if isinstance(nu, MaxitiveMeasure):
-        return MaxitiveMeasure(nu.space, per_distinct(op, f.atom_values, nu.atom_values))
-    w = as_table(nu)
-    levels = np.unique(np.append(f.atom_values, 0.0))
-    k = w.space.n_atoms
-    require_budget(16 * len(levels) << k, f"level sweep of {len(levels)} levels on {k} atoms")
-    cut = np.array([[f.level_set_ge(v).mask, f.level_set(v).mask] for v in levels])
-    sets = np.arange(w.space.n_sets)[:, None, None]
-    meas = w.table[sets & cut]  # by set, level, then weak or strict level set
-    # the sweep on a set reads level 0 and each value f takes on it, the weak
-    # level set before the strict; the calls below go set by set in that order
-    taken = (levels[:, None] == 0.0) | ((sets & cut[:, :1] & ~cut[:, 1:]) != 0)
-    swept = np.broadcast_to(taken, meas.shape)
-    level = np.broadcast_to(levels[:, None], meas.shape)
-    cand = np.zeros(meas.shape)
-    cand[swept] = per_distinct(op, level[swept], meas[swept])
-    return SetFunction(w.space, cand.max(axis=(1, 2)))
+    if not isinstance(nu, MaxitiveMeasure):
+        raise TypeError("density_measure needs a MaxitiveMeasure")
+    return MaxitiveMeasure(nu.space, per_distinct(op, f.atom_values, nu.atom_values))
 
 
 def ky_fan_distance(nu, f, g, bset=None):

@@ -15,10 +15,10 @@ decreasing chains, exhaustivity, the countable chain condition,
 sigma-principality) hold for every set function, so their predicates
 return True with the one-line reason in their docstrings, and bounded
 variation is plain finiteness. The other checks read whole 2^k numpy
-tables through the subset-lattice kernels of ``spaces`` (k 2^k transforms,
-a 3^k partition DP); the witness scans of ``is_monotone``, ``is_maxitive``
-and ``is_null_additive`` run only on a table that fails their bit-for-bit
-test, and the last two price their scans when they start.
+tables through the k 2^k subset-lattice kernels of ``spaces``; the witness
+scans of ``is_monotone``, ``is_maxitive`` and ``is_null_additive`` run only
+on a table that fails their bit-for-bit test, and the last two price their
+scans when they start.
 """
 
 from __future__ import annotations
@@ -47,10 +47,8 @@ from .spaces import (
     mask_of,
     max_over_submasks,
     np,
-    partition_dp,
     require_budget,
     singletons,
-    submasks,
     union_of,
     vclose,
     vle,
@@ -313,37 +311,17 @@ def _first_infinite_partition(table, n_atoms):
 
 
 def total_variation(w):
-    """sup over partitions of the whole space of the block-value sum.
+    """sup over partitions of the whole space of the block-value sum, on a
+    table with an infinite value.
 
-    Returns the sup and a partition attaining it. On a finite table both
-    come from the partition DP, since the optimum can lie away from the
-    singletons; a best sum that overflows is inf, witnessed by the DP's
-    partition of the table scaled by its largest value. An infinite value
-    makes the sup infinite, witnessed by the first partition with an
-    infinite block (see _first_infinite_partition).
+    The sup is then inf, witnessed by the first partition with an infinite
+    block (see _first_infinite_partition). A finite table raises ValueError:
+    the variation of a maxitive measure is its atom sum, disjoint_variation.
     """
     w = as_table(w)
-    table = w.table
-    if np.isinf(table).any():
-        return INF, _first_infinite_partition(table, w.space.n_atoms)
-    with np.errstate(over="ignore"):
-        dp = partition_dp(table, np.maximum)
-    total = float(dp[-1])
-    if math.isinf(total):
-        table = table / table.max()
-        dp = partition_dp(table, np.maximum)
-    part = []
-    rest = w.space.full_mask
-    while rest:
-        low = rest & -rest
-        block = next(
-            low | s
-            for s in submasks(rest ^ low)
-            if table[low | s] + dp[rest ^ low ^ s] == dp[rest]
-        )
-        part.append(atoms_of(block))
-        rest ^= block
-    return total, part
+    if not np.isinf(w.table).any():
+        raise ValueError("total_variation needs an infinite value; use disjoint_variation")
+    return INF, _first_infinite_partition(w.table, w.space.n_atoms)
 
 
 def is_of_bounded_variation(w):

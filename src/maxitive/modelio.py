@@ -52,7 +52,10 @@ def decode_value(x):
             x = float(s)
         except ValueError:
             raise ValueError(f"unrecognized value string {x!r}") from None
-    x = float(x)
+    try:
+        x = float(x)
+    except TypeError:
+        raise ValueError(f"values must be numbers or strings, got {x!r}") from None
     if x != x or x < 0:
         raise ValueError(f"values must lie in [0, inf], got {x}")
     return x
@@ -66,7 +69,17 @@ def space_to_json(space):
 
 
 def space_from_json(doc):
-    return build_space(doc["ground"], doc["blocks"])
+    if not isinstance(doc, dict):
+        raise ValueError(f"space must be an object with ground and blocks, got {doc!r}")
+    ground, blocks = doc["ground"], doc["blocks"]
+    if not isinstance(ground, list):
+        raise ValueError(f"space ground must be a list of labels, got {ground!r}")
+    if not isinstance(blocks, list) or not all(isinstance(b, list) for b in blocks):
+        raise ValueError(f"space blocks must be a list of label lists, got {blocks!r}")
+    for lab in ground + [lab for b in blocks for lab in b]:
+        if isinstance(lab, (list, dict)):
+            raise ValueError(f"space labels must be strings or numbers, got {lab!r}")
+    return build_space(ground, blocks)
 
 
 def _atoms_dict(space, values):
@@ -75,6 +88,8 @@ def _atoms_dict(space, values):
 
 
 def _atoms_from_dict(space, doc):
+    if not isinstance(doc, dict):
+        raise ValueError(f"atoms must be an object keyed by atom label, got {doc!r}")
     labels = space.atom_labels()
     missing = [l for l in labels if l not in doc]
     if missing:
@@ -159,6 +174,8 @@ def measure_to_json(obj):
 
 def measure_from_json(doc, space=None):
     """Rebuild a measure, set function, or function from its document."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"a document must be a JSON object, got {type(doc).__name__}")
     if doc.get("schema") not in (None, SCHEMA):
         raise ValueError(f"unsupported schema {doc.get('schema')!r}")
     if space is None:
@@ -176,8 +193,11 @@ def measure_from_json(doc, space=None):
     if kind == "set_function":
         require_table(space.n_atoms)
         mask = _set_parser(space)
+        entries = doc["table"]
+        if not isinstance(entries, dict):
+            raise ValueError(f"table must be an object keyed by set, got {entries!r}")
         table = [0.0] * space.n_sets
-        for key, v in doc["table"].items():
+        for key, v in entries.items():
             table[mask(key)] = decode_value(v)
         return SetFunction(space, table)
     raise ValueError(f"unknown kind {kind!r}")

@@ -260,8 +260,15 @@ class TableOp(SemigroupOp):
         # local: modelio imports additive, which imports this module
         from .modelio import decode_value
 
-        grid = [decode_value(g) for g in doc["grid"]]
-        values = [[decode_value(v) for v in row] for row in doc["values"]]
+        if not isinstance(doc, dict):
+            raise ValueError(f"a table operation must be an object with grid and values, got {doc!r}")
+        grid, rows = doc["grid"], doc["values"]
+        if not isinstance(grid, list):
+            raise ValueError(f"grid must be a list of values, got {grid!r}")
+        if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+            raise ValueError("values must be a square table over the grid")
+        grid = [decode_value(g) for g in grid]
+        values = [[decode_value(v) for v in row] for row in rows]
         ident = doc.get("left_identity")
         ident = decode_value(ident) if ident is not None else None
         return cls(doc.get("name", "custom"), grid, values, left_identity=ident)

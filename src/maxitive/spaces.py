@@ -217,16 +217,6 @@ def mask_of(indices):
     return mask
 
 
-def submasks(mask):
-    """Yield all submasks of ``mask``, including 0 and mask itself."""
-    sub = mask
-    while True:
-        yield sub
-        if sub == 0:
-            return
-        sub = (sub - 1) & mask
-
-
 # ---------------------------------------------------------------------------
 # subset-lattice kernels over whole tables indexed by mask
 # ---------------------------------------------------------------------------
@@ -349,44 +339,6 @@ def max_over_submasks(table):
         np.maximum(halves[:, 1], halves[:, 0], out=halves[:, 1])
         step <<= 1
     return out
-
-
-def submask_pairs(n_atoms):
-    """Every pair (b, s) of masks with s a submask of b, as two arrays.
-
-    There are 3^k pairs over k atoms: each atom is outside b, in b only,
-    or in both.
-    """
-    sup = np.zeros(1, dtype=np.int64)
-    sub = sup
-    for i in range(n_atoms):
-        bit = 1 << i
-        sup = np.concatenate([sup, sup | bit, sup | bit])
-        sub = np.concatenate([sub, sub, sub | bit])
-    return sup, sub
-
-
-def partition_dp(cost, combine):
-    """The best block-cost sum over the partitions of every mask.
-
-    ``combine`` is ``np.minimum`` or ``np.maximum``. Entry b combines, over
-    the blocks c of b that hold the lowest atom of b, cost[c] plus entry
-    b \\ c. Masks are scored a size at a time, so the 3^k / 2 block choices
-    take k vectorized steps, holding about 30 bytes per pair: 4 3^k cells.
-    """
-    k = len(cost).bit_length() - 1
-    require_budget(4 * 3**k, f"partition DP on {k} atoms")
-    sup, block = submask_pairs(k)
-    keep = (block & sup & -sup) != 0
-    sup, block = sup[keep], block[keep]
-    size = atom_table(np.ones(k))[sup]
-    dp = np.array(cost, dtype=float)  # the one-block partitions
-    dp[0] = 0.0
-    for p in range(2, k + 1):
-        at = size == p
-        b, c = sup[at], block[at]
-        combine.at(dp, b, cost[c] + dp[b ^ c])
-    return dp
 
 
 class Space:

@@ -127,6 +127,26 @@ def test_bounded_variation_witness_is_a_partition_up_to_ten_atoms(k, witness, tm
     assert rep["witnesses"]["of_bounded_variation"] == witness
 
 
+@pytest.mark.parametrize("k, witness", [(10, [[2, 5], [0, 1, 3, 4, 6, 7, 8, 9]]), (11, 0b100100)])
+def test_bounded_variation_witness_of_a_set_function_document(k, witness, tmp_path, capsys):
+    # a table infinite on {x2, x5} alone: up to 10 atoms the witness is the
+    # first partition with an infinite block, found by total_variation, and
+    # above 10 the first infinite mask
+    labels = [f"x{i}" for i in range(k)]
+    table = {
+        "+".join(labels[i] for i in range(k) if b >> i & 1): "inf" if b == 0b100100 else float(b.bit_count())
+        for b in range(1, 1 << k)
+    }
+    doc = {"schema": "1", "kind": "set_function",
+           "space": {"ground": labels, "blocks": [[lab] for lab in labels]}, "table": table}
+    path = write_doc(tmp_path / "w.json", doc)
+    assert cli.main(["check", "--order", "0", "--measure", path]) == 0
+    rep = json.loads(capsys.readouterr().out)["properties"]
+    assert rep["of_bounded_variation"] is False
+    assert rep["witnesses"]["of_bounded_variation"] == witness
+    assert rep["witnesses"]["finite"] == 0b100100
+
+
 def test_oversized_set_function_document_is_refused_before_its_table(tmp_path, capsys):
     labels = [f"x{i}" for i in range(24)]
     doc = {
@@ -267,6 +287,30 @@ def test_density_residual(docs):
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout)
     assert out["density"]["atoms"] == {"a": 0.5, "b": 1.0, "c": 0.5}
+
+
+def test_density_residual_under_a_table_operation(tmp_path, capsys):
+    # an exact operation given as a table is not a builtin, so nu's
+    # absolute continuity is checked on every set of the two tables
+    grid = [0, 0.5, 1, 2, "inf"]
+    op = write_doc(tmp_path / "op.json", {
+        "name": "grid-min", "grid": grid, "left_identity": "inf",
+        "values": [[grid[min(i, j)] for j in range(5)] for i in range(5)],
+    })
+    labels = ["a", "b", "c", "d"]
+    tau = write_doc(tmp_path / "tau.json", measure_doc("maxitive", labels, [1, 1, 2, "inf"]))
+    nu = write_doc(tmp_path / "nu.json", measure_doc("maxitive", labels, [0.5, 1, 0, "inf"]))
+    density = ["density", "--method", "residual", "--op", op, "--tau", tau]
+    assert cli.main(density + ["--nu", nu]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["op"] == "grid-min"
+    assert out["density"]["atoms"] == {"a": 0.5, "b": 1.0, "c": 0.0, "d": "inf"}
+    # min(inf, tau_a) = 1 lies below nu_a = 2
+    bad = write_doc(tmp_path / "bad.json", measure_doc("maxitive", labels, [2, 1, 0, 0]))
+    assert cli.main(density + ["--nu", bad]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: nu is not grid-min-absolutely continuous; witness mask 1\n"
 
 
 def test_density_envelope(docs):

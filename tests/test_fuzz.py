@@ -5,11 +5,14 @@ RuntimeWarning on stderr, and return within a few seconds. This covers
 ``integrate`` (with and without ``--set`` and ``--crosscheck``) and
 ``check --order 0 --op`` under the builtin operations and one table
 operation, and ``check`` at orders 1 to 5, ``esssup`` (with and without
-``--set``) and the residual and associated densities, on maxitive,
-additive, possibility and set_function documents.
+``--set``), ``decompose``, ``variation``, the envelope and associated
+densities, and the residual density under ``times`` and the table
+operation, on maxitive, additive, possibility and set_function documents.
 Atom counts run to 12, where every table is small, and from 22 to 30, above
 the 21 atoms that a table admits, where a table is refused before it is
 allocated and the atom routes run.
+A document of the wrong JSON shape, as a measure, a function or a table
+operation, must exit 1 with exactly one ``error:`` line.
 """
 
 import contextlib
@@ -25,7 +28,7 @@ from hypothesis import strategies as st
 from maxitive import cli
 
 #: 0 and inf, sums that overflow, values that underflow, and a few moderate ones
-VALUES = ["inf", 0.0, 1e308, 1.7e308, 1e-300, 5e-324, 0.5, 1.0, 2.0]
+VALUES = ["inf", 0.0, -0.0, 1e308, 1.7e308, 1e-300, 5e-324, 0.5, 1.0, 2.0]
 TOLERANCES = ["0", "1e-12", "1e-9", "0.1"]
 ATOM_COUNTS = st.integers(0, 12) | st.integers(22, 30)
 
@@ -117,26 +120,35 @@ def test_fuzzed_documents_exit_cleanly(tmp_path_factory, case, op, tol, crossche
 @settings(max_examples=100, deadline=None)
 @given(
     documents(),
-    st.sampled_from(["check", "alternation", "esssup", "residual", "associated"]),
+    st.sampled_from(["check", "alternation", "esssup", "decompose", "variation",
+                     "envelope", "residual", "residual-table", "associated"]),
     st.integers(1, 5),
     st.sampled_from(TOLERANCES),
 )
 def test_fuzzed_verdicts_exit_cleanly(tmp_path_factory, case, verb, order, tol):
     doc, fn, bset = case
     root = tmp_path_factory.mktemp("fuzz")
-    # the function's values as a maxitive measure, and reversed as a second function
+    # the function's values as a maxitive and an additive measure, and
+    # reversed as a second function
     tau = dict(fn, kind="maxitive")
+    m = dict(fn, kind="additive")
     c2 = dict(fn, atoms=dict(zip(fn["atoms"], reversed(fn["atoms"].values()))))
     paths = {}
-    for name, body in (("measure", doc), ("fn", fn), ("tau", tau), ("c2", c2)):
+    for name, body in (("measure", doc), ("fn", fn), ("tau", tau), ("m", m), ("c2", c2),
+                       ("op", TABLE_OP)):
         paths[name] = str(root / f"{name}.json")
         (root / f"{name}.json").write_text(json.dumps(body))
     density = ["density", "--op", "times", "--method"]
+    residual = ["residual", "--nu", paths["measure"], "--tau", paths["tau"]]
     argv = {
         "check": ["check", "--measure", paths["measure"]],
         "alternation": ["check", "--order", str(order), "--measure", paths["measure"]],
         "esssup": ["esssup", "--measure", paths["measure"], "--fn", paths["fn"]],
-        "residual": density + ["residual", "--nu", paths["measure"], "--tau", paths["tau"]],
+        "decompose": ["decompose", "--nu", paths["measure"]],
+        "variation": ["variation", "--nu", paths["measure"]],
+        "envelope": density + ["envelope", "--nu", paths["measure"], "--m", paths["m"]],
+        "residual": density + residual,
+        "residual-table": ["density", "--op", paths["op"], "--method"] + residual,
         "associated": density + ["associated", "--mu", paths["measure"],
                                  "--c1", paths["fn"], "--c2", paths["c2"]],
     }[verb] + ["--tolerance", tol]
@@ -146,3 +158,95 @@ def test_fuzzed_verdicts_exit_cleanly(tmp_path_factory, case, verb, order, tol):
     assert code in (0, 1, 2), (argv, code, err)
     assert "Traceback" not in err and "RuntimeWarning" not in err, (argv, err)
     assert seconds < 5.0, (argv, seconds)
+
+
+@st.composite
+def malformed(draw):
+    """A flawed document, the role it is passed in, and the flaw's name.
+
+    Each flaw puts a JSON value of the wrong type where the loader reads a
+    document, a space, its labels, an atom or table container, a value, or
+    a table operation's grid and rows.
+    """
+    role = draw(st.sampled_from(["measure", "fn", "op"]))
+    if role == "op":
+        flaw = draw(st.sampled_from(["top", "grid", "grid-value", "rows", "row-value"]))
+        doc = {"name": "flawed", "grid": [0, 1], "values": [[0, 0], [0, 1]]}
+        if flaw == "top":
+            return role, draw(st.sampled_from([[1], None, 1, "x"])), flaw
+        if flaw == "grid":
+            doc["grid"] = draw(st.sampled_from([None, 1, {"x": 1}]))
+        elif flaw == "grid-value":
+            doc["grid"] = [0, draw(st.sampled_from([None, {}, [1]]))]
+        elif flaw == "rows":
+            doc["values"] = draw(st.sampled_from([[0, 1], None, 1, [[0, 0], 1]]))
+        else:
+            doc["values"] = [[0, draw(st.sampled_from([None, {}, [1]]))], [0, 1]]
+        return role, doc, flaw
+    kind = "function" if role == "fn" else draw(
+        st.sampled_from(["maxitive", "additive", "possibility", "set_function"]))
+    labels = [f"x{i}" for i in range(draw(st.integers(1, 4)))]
+    space = {"ground": labels, "blocks": [[lab] for lab in labels]}
+    entries = "table" if kind == "set_function" else "atoms"
+    keys = ["+".join(labels[: i + 1]) for i in range(len(labels))] if kind == "set_function" else labels
+    doc = {"schema": "1", "kind": kind, "space": space, entries: dict.fromkeys(keys, 1.0)}
+    flaw = draw(st.sampled_from(
+        ["top", "space", "ground", "blocks", "block", "label", entries, "value"]))
+    if flaw == "top":
+        return role, draw(st.sampled_from([[1, 2], None, 1, "x"])), flaw
+    if flaw == "space":
+        doc["space"] = draw(st.sampled_from([[], None, 1, "ab"]))
+    elif flaw == "ground":
+        space["ground"] = draw(st.sampled_from(["".join(labels), None, 1, {"x0": 1}]))
+    elif flaw == "blocks":
+        space["blocks"] = draw(st.sampled_from([[1], None, 1, "".join(labels)]))
+    elif flaw == "block":
+        space["blocks"][-1] = draw(st.sampled_from([1, None, labels[-1], {labels[-1]: 1}]))
+    elif flaw == "label":
+        bad = draw(st.sampled_from([["x"], {"x": 1}]))
+        space["ground"][-1] = bad
+        space["blocks"][-1] = [bad]
+    elif flaw == entries:
+        doc[entries] = draw(st.sampled_from([None, 1, "ab", [1], [], [[1]]]))
+    else:
+        key = draw(st.sampled_from(sorted(doc[entries])))
+        doc[entries][key] = draw(st.sampled_from([None, {}, [1], [], {"x": 1}]))
+    return role, doc, flaw
+
+
+#: the commands that read a document in each role, as argv templates
+READERS = {
+    "measure": [
+        ["check", "--order", "0", "--measure", "{measure}"],
+        ["decompose", "--nu", "{measure}"],
+        ["esssup", "--measure", "{measure}", "--fn", "{fn}"],
+        ["density", "--method", "residual", "--nu", "{measure}", "--tau", "{measure}"],
+    ],
+    "fn": [
+        ["esssup", "--measure", "{measure}", "--fn", "{fn}"],
+        ["integrate", "--op", "times", "--measure", "{measure}", "--fn", "{fn}"],
+    ],
+    "op": [
+        ["check", "--order", "0", "--measure", "{measure}", "--op", "{op}"],
+        ["integrate", "--op", "{op}", "--measure", "{measure}", "--fn", "{fn}"],
+        ["density", "--method", "residual", "--op", "{op}", "--nu", "{measure}",
+         "--tau", "{measure}"],
+    ],
+}
+
+
+@settings(max_examples=120, deadline=None)
+@given(malformed(), st.data())
+def test_malformed_documents_exit_with_one_error_line(tmp_path_factory, case, data):
+    role, body, flaw = case
+    root = tmp_path_factory.mktemp("malformed")
+    good = {"schema": "1", "kind": "maxitive",
+            "space": {"ground": ["x0"], "blocks": [["x0"]]}, "atoms": {"x0": 1.0}}
+    paths = {}
+    for name, doc in (("measure", good), ("fn", dict(good, kind="function")), ("op", TABLE_OP)):
+        paths[name] = str(root / f"{name}.json")
+        (root / f"{name}.json").write_text(json.dumps(body if name == role else doc))
+    argv = [arg.format(**paths) for arg in data.draw(st.sampled_from(READERS[role]))]
+    code, err, _ = run(argv)
+    assert code == 1, (flaw, body, argv, code, err)
+    assert err.count("\n") == 1 and err.startswith("error: "), (flaw, body, argv, err)

@@ -1,12 +1,10 @@
 """The idempotent integral and the Ky Fan metric."""
 
 import math
-import tracemalloc
 
-import numpy as np
 import pytest
 
-from maxitive.errors import ExplicitBudgetExceeded, OracleMismatch
+from maxitive.errors import OracleMismatch
 from maxitive.integral import (
     atom_integral,
     density_measure,
@@ -128,9 +126,9 @@ def test_restriction_is_maxitive():
 def test_density_measure_on_set_function(abc):
     w = SetFunction(abc, [0, 1, 2, 2, 0.5, 1, 2, 2])
     f = MeasurableFn(abc, [3, 1, 4])
-    tab = density_measure(TIMES, f, w)
-    assert isinstance(tab, SetFunction)
-    assert tab(abc.full()) == idempotent_integral(TIMES, f, w).value
+    # f (.) nu is read off the atoms of a maxitive nu; a table is refused
+    with pytest.raises(TypeError, match="density_measure needs a MaxitiveMeasure"):
+        density_measure(TIMES, f, w)
 
 
 def test_crosscheck_flags_bad_input(abc):
@@ -223,25 +221,3 @@ def test_ky_fan_infinite_gap_cases():
     assert ky_fan_distance(nu_inf, f, g) == INF
     # equal infinities count as zero distance
     assert ky_fan_distance(nu_inf, f, f) == 0.0
-
-
-def test_density_measure_on_a_set_function_is_priced_before_its_gather():
-    # the table admits 20 atoms; the level sweep over 21 levels would hold
-    # about 14 cells per level and set, some 2.3 GB
-    labels = [f"g{i}" for i in range(20)]
-    sp = build_space(labels, [[l] for l in labels])
-    w = MaxitiveMeasure(sp, np.linspace(0.1, 2.0, 20)).to_set_function()
-    f = MeasurableFn(sp, np.arange(1.0, 21.0))
-    # the first sweep imports numpy.ma, which tracemalloc would count
-    small = build_space("ab", [["a"], ["b"]])
-    density_measure(TIMES, MeasurableFn(small, [1, 2]), SetFunction(small, [0, 1, 1, 1]))
-    tracemalloc.start()
-    try:
-        with pytest.raises(
-            ExplicitBudgetExceeded, match="level sweep of 21 levels on 20 atoms needs 352321536 cells"
-        ):
-            density_measure(TIMES, f, w)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 2**20, peak

@@ -6,8 +6,8 @@ loop it replaced (negligibility, the essential supremum, autocontinuity,
 essentiality, odot-absolute continuity and the associated density among
 them): the same flags and witnesses, the same raised errors,
 and bit-identical tables wherever the arithmetic is unchanged. Sums over
-partitions are associated differently by the DP, so those values are
-compared with a relative tolerance of 1e-12 (six float64 additions).
+partitions are associated differently by the enumerations, so those values
+are compared with a relative tolerance of 1e-12 (six float64 additions).
 The envelope reconstruction's closed form over the atoms is held against
 the subset sweep it replaced, with the sweep's ratios taken exactly.
 The sweeps over every set that the atom decomposition, the disjoint
@@ -21,15 +21,16 @@ masses decide.
 The sigma-ideal and essential-supremum enumerations live here too, as the
 oracles for the sigma-principality and the localizability that a finite
 algebra gives every set function and every additive measure, so does the
-set-partition enumeration that total_variation is held against, and so does
-the sweep over every union of blocks that the conditional's block-only
-check is held against. Then come the per-atom bit loops that decoded and
-built masks before ``spaces.atoms_of`` and ``mask_of`` did, held against
-them on spaces of up to 200 atoms. Then the integral's submask walk and
-its per-set level sweeps are held against the tables that replaced them,
-bit for bit and raising where they raise, under every builtin operation and
-a table operation whose grid may miss some inputs; so are the level sweep,
-the Ky Fan distance and the Choquet integral, which evaluate an additive or
+set-partition enumeration that the disjoint variation and total_variation's
+infinite-block search are held against, and so does the sweep over every
+union of blocks that the conditional's block-only check is held against.
+Then come the per-atom bit loops that decoded and built masks before
+``spaces.atoms_of`` and ``mask_of`` did, held against them on spaces of up
+to 200 atoms. Then the integral's submask walk is held against the per-mask
+loop it replaced, and density_measure against its atom form, bit for bit and
+raising where they raise, under every builtin operation and a table
+operation whose grid may miss some inputs; so are the level sweep, the Ky
+Fan distance and the Choquet integral, which evaluate an additive or
 maxitive measure on a few sets, against the same calls on its table. Then
 the atom tuples against the arrays they replaced. Last, the envelope
 density, the classical density and the submask maximization, which sweep
@@ -161,10 +162,8 @@ from maxitive.spaces import (
     le,
     mask_of,
     max_over_submasks,
-    partition_dp,
     per_distinct,
     require_budget,
-    submasks,
     vclose,
     vle,
     vsub,
@@ -331,6 +330,16 @@ def ref_is_sigma_principal(w, ideal_atoms=4):
         if winner is None:
             return False, sorted(ideal)
     return True, None
+
+
+def submasks(mask):
+    """Yield all submasks of ``mask``, including 0 and mask itself."""
+    sub = mask
+    while True:
+        yield sub
+        if sub == 0:
+            return
+        sub = (sub - 1) & mask
 
 
 def set_partitions(items):
@@ -959,17 +968,13 @@ def test_predicates_match_brute_force(w):
     assert is_sigma_principal(w) == ref_is_sigma_principal(w)
     assert is_sigma_principal(w) == ref_is_sigma_principal(w, ideal_atoms=2)
 
-    val, part = total_variation(w)
     ref_val, ref_part = ref_total_variation(w)
-    assert math.isclose(val, ref_val, rel_tol=REL)
-    assert sorted(i for block in part for i in block) == list(range(w.space.n_atoms))
-    assert math.isclose(
-        val, math.fsum(w.table[sum(1 << i for i in b)] for b in part), rel_tol=REL
-    )
     if math.isinf(ref_val):
-        assert part == ref_part
+        assert total_variation(w) == (INF, ref_part)
         assert is_of_bounded_variation(w) == (False, ref_part)
     else:
+        with pytest.raises(ValueError, match="disjoint_variation"):
+            total_variation(w)
         assert is_of_bounded_variation(w) == (True, None)
 
     # the predicates a finite algebra decides hold with no witness
@@ -1007,28 +1012,22 @@ def variation_tables(draw):
 @settings(max_examples=60, deadline=None)
 @given(variation_tables())
 def test_total_variation_matches_enumeration_up_to_eight_atoms(w):
+    if not np.isinf(w.table).any():
+        # a finite table, its sum overflowing or not, is not searched
+        with pytest.raises(ValueError, match="disjoint_variation"):
+            total_variation(w)
+        return
     val, part = total_variation(w)
-    ref_val, ref_part = ref_total_variation(w)
+    ref_part = ref_total_variation(w)[1]
     assert sorted(i for block in part for i in block) == list(range(w.space.n_atoms))
-    if np.isinf(w.table).any():
-        # the search finds the first partition with an infinite block; the
-        # enumeration stops at the first infinite sum, which is that one
-        # unless finite blocks overflow earlier
-        assert val == INF
-        assert part == ref_first_infinite_block(w)
-        if any(math.isinf(w.table[mask_of(block)]) for block in ref_part):
-            assert part == ref_part
-        assert is_of_bounded_variation(w) == (False, part)
-    elif math.isinf(ref_val):
-        # the best sum overflows: the witness is best on the scaled table
-        assert val == INF
-        scaled = SetFunction(w.space, w.table / w.table.max())
-        got = math.fsum(scaled.table[mask_of(block)] for block in part)
-        assert math.isclose(got, ref_total_variation(scaled)[0], rel_tol=REL)
-    else:
-        assert math.isclose(val, ref_val, rel_tol=REL)
-        got = math.fsum(w.table[mask_of(block)] for block in part)
-        assert math.isclose(val, got, rel_tol=REL)
+    # the search finds the first partition with an infinite block; the
+    # enumeration stops at the first infinite sum, which is that one
+    # unless finite blocks overflow earlier
+    assert val == INF
+    assert part == ref_first_infinite_block(w)
+    if any(math.isinf(w.table[mask_of(block)]) for block in ref_part):
+        assert part == ref_part
+    assert is_of_bounded_variation(w) == (False, part)
 
 
 #: a table operation's grid holds 0 and inf and some of the rest
@@ -1081,12 +1080,8 @@ def test_envelope_matches_brute_force(vals, data):
     nu = MaxitiveMeasure(space, vals)
     m = AdditiveMeasure(space, data.draw(st.lists(values, min_size=space.n_atoms,
                                                   max_size=space.n_atoms)))
-    nu_t, m_t = nu.to_set_function().table, m.to_set_function().table
-    with np.errstate(invalid="ignore"):
-        cost = np.where((nu_t == 0.0) | (m_t == 0.0), 0.0, nu_t * m_t)
-    dp = partition_dp(cost, np.minimum)
-    assert dp.tobytes() == ref_envelope_dp(nu, m).tobytes()
     # the closed atom sum is the minimum over partitions
+    dp = ref_envelope_dp(nu, m)
     assert vclose(envelope_measure(nu, m).to_set_function().table, dp, REL).all()
 
     if np.isfinite(m.atom_masses).all():
@@ -1142,7 +1137,7 @@ def test_atom_results_pass_their_sweeps_on_extreme_values(vals, tol, data):
     assert atom_decomposition(nu) == ref_atom_decomposition(nu, tol)
     var = disjoint_variation(nu)
     assert bits(var) == bits(ref_disjoint_variation(nu, tol))
-    assert math.isclose(var, total_variation(nu.to_set_function())[0], rel_tol=REL)
+    assert math.isclose(var, ref_total_variation(nu.to_set_function())[0], rel_tol=REL)
     assert settled(essential_witness, nu) == settled(ref_essential_witness, nu, tol)
 
     tau = MaxitiveMeasure(space, data.draw(st.lists(extreme, min_size=k, max_size=k)))
@@ -1706,18 +1701,11 @@ def ref_gerritse_integral(op, f, nu, bset=None):
 
 
 def ref_density_measure(op, f, nu):
-    if isinstance(nu, MaxitiveMeasure):
-        vals = [
-            op(float(f.atom_values[i]), float(nu.atom_values[i]))
-            for i in range(nu.space.n_atoms)
-        ]
-        return MaxitiveMeasure(nu.space, vals)
-    w = as_table(nu)
-    table = [
-        idempotent_integral(op, f, w, MeasurableSet(w.space, b)).value
-        for b in range(w.space.n_sets)
+    vals = [
+        op(float(f.atom_values[i]), float(nu.atom_values[i]))
+        for i in range(nu.space.n_atoms)
     ]
-    return SetFunction(w.space, table)
+    return MaxitiveMeasure(nu.space, vals)
 
 
 #: a table operation's grid is drawn from these, and so are its inputs; its
@@ -1745,9 +1733,10 @@ def test_integral_tables_match_the_submask_walk_and_level_sweeps(k, op, data):
         assert settled(gerritse_integral, op, f, measure, bset) == settled(
             ref_gerritse_integral, op, f, measure, bset
         )
-        assert settled(density_measure, op, f, measure) == settled(
-            ref_density_measure, op, f, measure
-        )
+        if measure is not nu:
+            with pytest.raises(TypeError, match="needs a MaxitiveMeasure"):
+                density_measure(op, f, measure)
+    assert settled(density_measure, op, f, nu) == settled(ref_density_measure, op, f, nu)
 
 
 def test_gerritse_integral_of_signed_zeros_is_zero():

@@ -24,12 +24,11 @@ from maxitive.spaces import (
     close,
     esub,
     le,
-    submasks,
     vclose,
     vle,
     vsub,
 )
-from test_lattice import set_partitions
+from test_lattice import set_partitions, submasks
 
 
 def test_build_space_basic(abc):
