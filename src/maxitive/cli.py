@@ -31,7 +31,7 @@ from .measures import (
 from .possibility import PossibilitySpace, conditional, conditional_suite
 from .semigroup import TableOp, by_name, builtin_names, verify_axioms
 from .spaces import DEFAULT_TOL, MeasurableFn, SetFunction, build_space, np
-from .supmeasure import sample_blocks
+from .supmeasure import fold_columns, sample_blocks, sample_set_values
 from .suites import INVARIANTS, run_all
 
 
@@ -243,27 +243,37 @@ def _cmd_residual(args):
 
 
 def _csv_rows(rows):
-    """CSV text of a 2-d float64 array: the shortest repr of each float joined
-    by commas, which is what csv.writer writes for such fields, CRLF-terminated.
+    """CSV bytes of a 2-d float64 array: the shortest repr of each float
+    joined by commas, which is what csv.writer writes for such fields,
+    CRLF-terminated.
 
     orjson writes a float with Ryu, the same shortest round-trip digits as
     repr, and in the same notation for zero and for magnitudes in
     [1e-4, 1e16). Every other cell (inf, nan, tiny or huge values) goes to
     orjson as nan, which it writes as null, and the pieces of its text
     between the nulls are joined with the repr of those cells, in order.
+    Without such a cell the rows go to orjson as they are, and its text is
+    only cut at the row brackets.
     """
     # imported here: at import it would cost every other command its load time
     import orjson
 
     mag = np.abs(rows)
     odd = ~((mag < 1e16) & ((mag >= 1e-4) | (mag == 0.0)))
-    text = orjson.dumps(np.where(odd, np.nan, rows), option=orjson.OPT_SERIALIZE_NUMPY)
+    any_odd = odd.any()
+    text = orjson.dumps(np.where(odd, np.nan, rows) if any_odd else rows,
+                        option=orjson.OPT_SERIALIZE_NUMPY)
     # [[1.0,2.0],[3.0,4.0]] -> 1.0,2.0\r\n3.0,4.0\r\n
-    pieces = (text[2:-2].replace(b"],[", b"\r\n").decode() + "\r\n").split("null")
+    lines = text[2:-2].split(b"],[")
+    lines.append(b"")
+    body = b"\r\n".join(lines)
+    if not any_odd:
+        return body
+    pieces = body.split(b"null")
     out = [None] * (2 * len(pieces) - 1)
     out[::2] = pieces
-    out[1::2] = map(repr, rows[odd].tolist())
-    return "".join(out)
+    out[1::2] = (repr(x).encode() for x in rows[odd].tolist())
+    return b"".join(out)
 
 
 def _quantiles(draws, qs):
@@ -272,13 +282,15 @@ def _quantiles(draws, qs):
     Where an inf order statistic has positive weight the quantile is inf,
     and where its weight is 0 it is the lower order statistic; numpy forms
     inf - inf or inf * 0 there and returns NaN. Other quantiles are numpy's.
+    The draws are partitioned in place, not copied: take what depends on
+    their order first.
     """
     with np.errstate(invalid="ignore"):
-        out = np.quantile(draws, qs)
+        out = np.quantile(draws, qs, overwrite_input=True)
     nan = np.isnan(out)
     if nan.any():
         at = (len(draws) - 1) * np.asarray(qs)
-        lower = np.quantile(draws, qs, method="lower")
+        lower = np.quantile(draws, qs, method="lower", overwrite_input=True)
         out[nan] = np.where(at == np.floor(at), lower, math.inf)[nan]
     return out
 
@@ -301,31 +313,24 @@ def _cmd_simulate(args):
             raise ValueError(f"--set {args.set!r} names no atom; pass labels like a+b")
         raise ValueError("the control measure has no atoms")
     rng = sampling.rng_for(args.seed, args.stream)
-    blocks = sample_blocks(m, args.p, rng, args.n, mode=args.mode, eps=args.eps)
-    cols = bset.atom_indices()
-    draws = np.empty(args.n)
-
-    def set_values():
-        # each block with its rows' values on the set, which land in draws
-        for start, block in blocks:
-            out = draws[start : start + len(block)]
-            np.copyto(out, block[:, cols[0]])
-            for c in cols[1:]:
-                np.maximum(out, block[:, c], out=out)
-            yield block, out
-
     if args.csv:
+        # every atom's maximum is written, so the power is taken per cell
+        blocks = sample_blocks(m, args.p, rng, args.n, mode=args.mode, eps=args.eps)
+        cols = bset.atom_indices()
+        draws = np.empty(args.n)
         # imported here: at import it would cost every other command its load time
         import csv
 
         with open(args.csv, "w", newline="") as fh:
-            # csv.writer quotes the labels as needed
+            # csv.writer quotes the labels as needed; the rows go to the
+            # bytes below it
             csv.writer(fh).writerow(list(m.space.atom_labels()) + ["value"])
-            for pair in set_values():
-                fh.write(_csv_rows(np.column_stack(pair)))
+            fh.flush()
+            for start, block in blocks:
+                out = fold_columns(block, cols, np.maximum, draws[start : start + len(block)])
+                fh.buffer.write(_csv_rows(np.column_stack((block, out))))
     else:
-        for _ in set_values():
-            pass
+        draws = sample_set_values(m, args.p, rng, args.n, bset, mode=args.mode, eps=args.eps)
     payload = {
         "mode": args.mode,
         "p": args.p,
@@ -338,16 +343,17 @@ def _cmd_simulate(args):
     if args.mode == "poisson":
         payload["eps"] = args.eps
     if args.n <= 1000:
-        payload["draws"] = [float(v) for v in draws]
+        payload["draws"] = draws.tolist()
     else:
-        qs = (0.01, 0.05, 0.25, 0.5, 0.75, 0.95, 0.99)
-        payload["quantiles"] = {str(q): float(v) for q, v in zip(qs, _quantiles(draws, qs))}
+        # the mean first, on the draws in order: _quantiles reorders them.
         # inf at an inf draw; where only a finite sum overflows, sum draws / n
         with np.errstate(over="ignore"):
             mean = float(draws.mean())
         if math.isinf(mean) and np.isfinite(draws).all():
             mean = float(np.sum(draws / args.n))
         payload["mean"] = mean
+        qs = (0.01, 0.05, 0.25, 0.5, 0.75, 0.95, 0.99)
+        payload["quantiles"] = {str(q): float(v) for q, v in zip(qs, _quantiles(draws, qs))}
     if args.csv:
         payload["csv"] = args.csv
     _emit("simulate", payload)

@@ -44,6 +44,9 @@ def encode_value(x):
 
 
 def decode_value(x):
+    # a JSON true or false is a bool, which float() would read as 1.0 or 0.0
+    if isinstance(x, bool):
+        raise ValueError(f"values must be numbers or strings, got {x!r}")
     if isinstance(x, str):
         s = x.strip().lower()
         if s in ("inf", "infinity", "+inf"):

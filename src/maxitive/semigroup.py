@@ -271,7 +271,10 @@ class TableOp(SemigroupOp):
         values = [[decode_value(v) for v in row] for row in rows]
         ident = doc.get("left_identity")
         ident = decode_value(ident) if ident is not None else None
-        return cls(doc.get("name", "custom"), grid, values, left_identity=ident)
+        name = doc.get("name", "custom")
+        if not isinstance(name, str):
+            raise ValueError(f"a table operation's name must be a string, got {name!r}")
+        return cls(name, grid, values, left_identity=ident)
 
 
 def default_grid():

@@ -12,15 +12,23 @@ intensities cheap; materialized points remain available on request.
 Both samplers draw rows in blocks of at most BLOCK_ROWS and evaluate their
 formula in place on one reused block of uniforms, ufunc by ufunc in the
 order the formula reads, so a sampler holds one block of floats and no
-temporaries. The order of the generator calls is part of the seeded-output
-contract: row blocks drawn in row order give the same bits as one (n, k)
-draw, so the block size changes no output, and Poisson mode draws every
-(n, k) count before any uniform. Poisson mode therefore also holds all the
-counts, each as its offset from the block's per-atom minimum in the
-narrowest unsigned integer the block needs, 2 or 4 bytes at most rates
-instead of 8. A sample is priced at n * k cells of the ``spaces`` budget,
-and refused above it before anything is drawn. The simulate command formats
-the rows of its --csv file one block at a time, as the blocks are drawn.
+temporaries. The formula is a score, then a monotone finishing power: the
+score m / -log U and its power ** (1/p) in exact mode, and the smallest
+point uniform w and eps * w ** (-1/p) in Poisson mode. sample_blocks takes
+the power once per cell, for every atom maximum. sample_set_values folds
+each block's scores over a set's atoms (a max under the increasing power, a
+min under the decreasing one) and takes the power once per row, which gives
+the same bits as the max of the per-cell maxima while numpy's float64 power
+is monotone for a fixed exponent. The order of the generator calls is part
+of the seeded-output contract: row blocks drawn in row order give the same
+bits as one (n, k) draw, so the block size changes no output, and Poisson
+mode draws every (n, k) count before any uniform. Poisson mode therefore
+also holds all the counts, each as its offset from the block's per-atom
+minimum in the narrowest unsigned integer the block needs, 2 or 4 bytes at
+most rates instead of 8. A sample is priced at n * k cells of the ``spaces``
+budget, and refused above it before anything is drawn. The simulate command
+reports sample_set_values, and with --csv formats the rows of sample_blocks
+one block at a time, as the blocks are drawn.
 
 The checks at the end hold the samplers against the theory: marginal
 distribution (one-sample KS), agreement of the two modes (two-sample KS),
@@ -116,16 +124,15 @@ def _uniform_blocks(rng, n, k):
         yield start, u
 
 
-def _exact_blocks(masses, p, rng, n):
-    """Per-atom Frechet maxima by inversion: (masses / -log U) ** (1/p),
-    evaluated in place on each block of uniforms."""
+def _exact_scores(masses, rng, n):
+    """Per-atom scores masses / -log U, evaluated in place on each block of
+    uniforms, with 0 on null atoms. The atom maximum is score ** (1/p)."""
     null = ~(masses > 0)
     for start, u in _uniform_blocks(rng, n, len(masses)):
         with np.errstate(divide="ignore", over="ignore"):
             np.log(u, out=u)
             np.negative(u, out=u)
             np.divide(masses, u, out=u)
-            u **= 1.0 / p
         u[:, null] = 0.0
         yield start, u
 
@@ -143,15 +150,16 @@ def _column_min(block):
     return block.min(axis=0)
 
 
-def _poisson_blocks(masses, p, rng, n, eps, lam):
+def _poisson_scores(masses, rng, n, lam):
     """Same distribution through the truncated point process, batched.
 
     Per atom: the point count above eps is Poisson(lam = m * eps^(-p));
-    given the count, point values are eps * U^(-1/p), so the maximum uses
-    the minimum of that many uniforms, drawn as 1 - V^(1/N) =
-    -expm1(log(V)/N). All n x k counts are drawn, a block at a time, before
-    the first uniform; the maximum is evaluated in place on each block of
-    uniforms.
+    given the count, point values are eps * U^(-1/p), so the maximum is
+    eps * w^(-1/p) for the minimum w of that many uniforms, drawn as
+    1 - V^(1/N) = -expm1(log(V)/N). The score is w, evaluated in place on
+    each block of uniforms, and inf where N = 0, which the finishing map
+    sends to the maximum 0 of an atom without points. All n x k counts are
+    drawn, a block at a time, before the first uniform.
 
     A block of counts is kept as its per-atom minimum (k int64) and its
     offsets from that minimum in the narrowest unsigned dtype that holds
@@ -174,15 +182,56 @@ def _poisson_blocks(masses, p, rng, n, eps, lam):
         c = counts[: len(v)]
         # in int64: uint64 offsets plus int64 would promote to float64
         np.add(offsets, lo, out=c, dtype=np.int64)
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore"):
             np.log(v, out=v)
             np.divide(v, c, out=v)
             np.expm1(v, out=v)
             np.negative(v, out=v)
-            v **= -1.0 / p
-            v *= eps
-        v[~(c > 0)] = 0.0
+        v[~(c > 0)] = INF
         yield start, v
+
+
+def _power(exponent, scale=None):
+    """The finishing map x -> scale * x ** exponent, applied in place."""
+
+    def finish(x):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            x **= exponent
+            if scale is not None:
+                x *= scale
+
+    return finish
+
+
+def _score_blocks(m, p, rng, n, mode, eps):
+    """(blocks, reduce, finish) of a sample, checked and priced first.
+
+    The blocks hold the scores; finish maps scores to atom maxima in place,
+    and reduce is the ufunc whose fold over a set's scores finish maps to
+    the max of their maxima: np.maximum under the increasing power of exact
+    mode, np.minimum under the decreasing one of Poisson mode.
+    """
+    if not p > 0:
+        raise ValueError("tail index p must be positive")
+    masses = np.asarray(m.atom_masses, dtype=float)
+    if not np.isfinite(masses).all():
+        raise ValueError("control measure must be finite")
+    require_budget(n * len(masses), f"sample of {n} replicates of {len(masses)} atoms")
+    if mode == "exact":
+        return _exact_scores(masses, rng, n), np.maximum, _power(1.0 / p)
+    if mode == "poisson":
+        lam = _poisson_rate(masses, p, eps)
+        return _poisson_scores(masses, rng, n, lam), np.minimum, _power(-1.0 / p, eps)
+    raise ValueError(f"unknown mode {mode!r}; use 'exact' or 'poisson'")
+
+
+def fold_columns(block, cols, ufunc, out):
+    """ufunc folded over the columns cols of a block, into out, one column
+    at a time: a strided pass per column, not a k-long loop per row."""
+    np.copyto(out, block[:, cols[0]])
+    for c in cols[1:]:
+        ufunc(out, block[:, c], out=out)
+    return out
 
 
 def sample_blocks(m, p, rng, n, mode="exact", eps=1e-3):
@@ -193,17 +242,35 @@ def sample_blocks(m, p, rng, n, mode="exact", eps=1e-3):
     outlive it. The arguments are checked here, before anything is drawn;
     the draws happen as the blocks are taken.
     """
-    if not p > 0:
-        raise ValueError("tail index p must be positive")
-    masses = np.asarray(m.atom_masses, dtype=float)
-    if not np.isfinite(masses).all():
-        raise ValueError("control measure must be finite")
-    require_budget(n * len(masses), f"sample of {n} replicates of {len(masses)} atoms")
-    if mode == "exact":
-        return _exact_blocks(masses, p, rng, n)
-    if mode == "poisson":
-        return _poisson_blocks(masses, p, rng, n, eps, _poisson_rate(masses, p, eps))
-    raise ValueError(f"unknown mode {mode!r}; use 'exact' or 'poisson'")
+    blocks, _, finish = _score_blocks(m, p, rng, n, mode, eps)
+    return _finished(blocks, finish)
+
+
+def _finished(blocks, finish):
+    for start, scores in blocks:
+        finish(scores)
+        yield start, scores
+
+
+def sample_set_values(m, p, rng, n, bset, mode="exact", eps=1e-3):
+    """n replicates of the sample's value on bset, the max of its atoms'
+    maxima, as one array.
+
+    The same bits as sample_blocks followed by the max over the set's
+    columns, with the power taken once per row: each block's scores are
+    folded over the set's columns, and the finishing map, monotone, is
+    applied to the n folds. The arguments are checked and the sample priced
+    before anything is allocated.
+    """
+    cols = bset.atom_indices()
+    if not cols:
+        raise ValueError("the set names no atom")
+    blocks, reduce, finish = _score_blocks(m, p, rng, n, mode, eps)
+    out = np.empty(n)
+    for start, scores in blocks:
+        fold_columns(scores, cols, reduce, out[start : start + len(scores)])
+    finish(out)
+    return out
 
 
 def sample_matrix(m, p, rng, n, mode="exact", eps=1e-3):

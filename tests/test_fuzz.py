@@ -12,16 +12,20 @@ Atom counts run to 12, where every table is small, and from 22 to 30, above
 the 21 atoms that a table admits, where a table is refused before it is
 allocated and the atom routes run.
 A document of the wrong JSON shape, as a measure, a function or a table
-operation, must exit 1 with exactly one ``error:`` line.
+operation, must exit 1 with exactly one ``error:`` line. ``simulate`` runs in
+both modes, with and without ``--set``, ``--eps`` and ``--csv``, at n up to
+1000, on the same values as control masses.
 """
 
 import contextlib
+import csv
 import io
 import json
 import time
 import traceback
 import warnings
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -74,9 +78,10 @@ def documents(draw):
     return doc, fn, bset
 
 
-def run(argv):
-    """Exit code, stderr and wall time of one in-process call."""
-    out, err = io.StringIO(), io.StringIO()
+def run(argv, out=None):
+    """Exit code, stderr and wall time of one in-process call, whose stdout
+    goes to out, a text buffer, when one is given."""
+    out, err = io.StringIO() if out is None else out, io.StringIO()
     start = time.perf_counter()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         with warnings.catch_warnings():
@@ -160,21 +165,74 @@ def test_fuzzed_verdicts_exit_cleanly(tmp_path_factory, case, verb, order, tol):
     assert seconds < 5.0, (argv, seconds)
 
 
+#: valid tail indices and cutoffs: the ends of their ranges and draws between
+TAILS = st.sampled_from(["0.05", "0.5", "1", "2", "7"]) | st.floats(0.05, 7.0).map(repr)
+CUTOFFS = st.sampled_from(["1e-06", "0.001", "0.5"]) | st.floats(1e-6, 0.5).map(repr)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(st.sampled_from(VALUES), min_size=1, max_size=8),
+    st.sampled_from(["exact", "poisson"]),
+    # an out-of-range value in about one draw of five
+    TAILS | TAILS | st.sampled_from(["0", "-1", "nan"]),
+    CUTOFFS | CUTOFFS | st.sampled_from(["0", "-1", "inf"]),
+    st.integers(0, 1000),
+    st.data(),
+)
+def test_fuzzed_simulations_exit_cleanly(tmp_path_factory, masses, mode, p, eps, n, data):
+    # the report's draws, which take the power once per row, equal the --csv
+    # value column, which takes it once per cell, bit for bit
+    labels = [f"x{i}" for i in range(len(masses))]
+    argv = ["simulate", "--atoms", ",".join(f"{lab}:{v}" for lab, v in zip(labels, masses)),
+            "--mode", mode, "--p", p, "--eps", eps, "--n", str(n),
+            "--seed", str(data.draw(st.integers(0, 2**32 - 1)))]
+    bset = data.draw(st.none() | st.lists(st.sampled_from([*labels, "q"]), min_size=1,
+                                          unique=True).map("+".join))
+    argv += ["--set", bset] if bset is not None else []
+    csv_path = tmp_path_factory.mktemp("fuzz") / "draws.csv"
+    reports = []
+    for extra in ([], ["--csv", str(csv_path)]):
+        out = io.StringIO()
+        code, err, seconds = run(argv + extra, out)
+        assert code in (0, 1, 2), (argv, code, err)
+        assert "Traceback" not in err and "RuntimeWarning" not in err, (argv, err)
+        assert seconds < 5.0, (argv, seconds)
+        reports.append((code, out.getvalue()))
+    assert reports[0][0] == reports[1][0], (argv, reports)
+    if reports[0][0] != 0:
+        return
+    draws = [json.loads(text)["draws"] for _, text in reports]
+    assert draws[0] == draws[1], argv
+    with open(csv_path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert len(rows) == n + 1, argv
+    want = np.array([float(v) for v in draws[0]])
+    got = np.array([float(row[-1]) for row in rows[1:]])
+    assert got.tobytes() == want.tobytes(), argv
+
+
 @st.composite
 def malformed(draw):
     """A flawed document, the role it is passed in, and the flaw's name.
 
     Each flaw puts a JSON value of the wrong type where the loader reads a
-    document, a space, its labels, an atom or table container, a value, or
-    a table operation's grid and rows.
+    document, a space, its labels, an atom or table container, a value (a
+    boolean among them), or a table operation's name, grid, rows and left
+    identity.
     """
     role = draw(st.sampled_from(["measure", "fn", "op"]))
     if role == "op":
-        flaw = draw(st.sampled_from(["top", "grid", "grid-value", "rows", "row-value"]))
+        flaw = draw(st.sampled_from(
+            ["top", "name", "grid", "grid-value", "rows", "row-value", "identity"]))
         doc = {"name": "flawed", "grid": [0, 1], "values": [[0, 0], [0, 1]]}
         if flaw == "top":
             return role, draw(st.sampled_from([[1], None, 1, "x"])), flaw
-        if flaw == "grid":
+        if flaw == "name":
+            doc["name"] = draw(st.sampled_from([["t"], {"x": 1}, 1, None, True]))
+        elif flaw == "identity":
+            doc["left_identity"] = draw(st.sampled_from([True, False, {}, [1]]))
+        elif flaw == "grid":
             doc["grid"] = draw(st.sampled_from([None, 1, {"x": 1}]))
         elif flaw == "grid-value":
             doc["grid"] = [0, draw(st.sampled_from([None, {}, [1]]))]
@@ -210,7 +268,7 @@ def malformed(draw):
         doc[entries] = draw(st.sampled_from([None, 1, "ab", [1], [], [[1]]]))
     else:
         key = draw(st.sampled_from(sorted(doc[entries])))
-        doc[entries][key] = draw(st.sampled_from([None, {}, [1], [], {"x": 1}]))
+        doc[entries][key] = draw(st.sampled_from([None, {}, [1], [], {"x": 1}, True, False]))
     return role, doc, flaw
 
 

@@ -43,6 +43,10 @@ def test_value_codec():
             decode_value(bad)
     with pytest.raises(ValueError):
         decode_value("three")
+    # a JSON boolean is not a number, though float() reads it as one
+    for flag in (True, False):
+        with pytest.raises(ValueError, match=f"^values must be numbers or strings, got {flag}$"):
+            decode_value(flag)
 
 
 def test_space_round_trip():

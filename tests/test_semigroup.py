@@ -250,3 +250,9 @@ def test_table_op_validation_and_json():
     assert op2(1.0, INF) == 1.0
     assert op2.left_identity == INF
     assert op2.exact
+    assert TableOp.from_json({k: v for k, v in doc.items() if k != "name"}).name == "custom"
+    for name in (["t"], {"x": 1}, 1, None, True):
+        with pytest.raises(ValueError, match="^a table operation's name must be a string"):
+            TableOp.from_json(dict(doc, name=name))
+    with pytest.raises(ValueError, match="^values must be numbers or strings, got True$"):
+        TableOp.from_json(dict(doc, left_identity=True))

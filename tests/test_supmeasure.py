@@ -38,6 +38,7 @@ from maxitive.supmeasure import (
     frechet_marginal_check,
     sample_blocks,
     sample_matrix,
+    sample_set_values,
     sample_supmeasure,
     scale_recovery_check,
     tail_ratio_check,
@@ -212,8 +213,13 @@ def test_sample_matrix_refuses_oversized_n_before_drawing():
     rng = rng_for(3)
     state = rng.bit_generator.state
     # 2 * 10^12 cells would be 16 TB; the refusal comes before any draw, and
-    # the block sampler refuses when called, not at its first block
-    for sampler in (sample_matrix, sample_blocks):
+    # the block sampler refuses when called, not at its first block; the set
+    # values refuse before their n floats are allocated
+
+    def set_values(m, p, rng, n, **kw):
+        return sample_set_values(m, p, rng, n, m.space.full(), **kw)
+
+    for sampler in (sample_matrix, sample_blocks, set_values):
         with pytest.raises(ExplicitBudgetExceeded):
             sampler(m, 2.0, rng, 10**12, mode="poisson")
         with pytest.raises(InvalidTruncation):
@@ -245,6 +251,14 @@ def test_sample_price_is_n_times_k_cells():
             "budget is 50000000$",
         ):
             sample_blocks(m, 2.0, rng, BUDGET_CELLS // 2 + 1, mode=mode)
+        with pytest.raises(
+            ExplicitBudgetExceeded,
+            match="^sample of 25000001 replicates of 2 atoms needs 50000002 cells; "
+            "budget is 50000000$",
+        ):
+            sample_set_values(m, 2.0, rng, BUDGET_CELLS // 2 + 1, sp.full(), mode=mode)
+    with pytest.raises(ValueError, match="^the set names no atom$"):
+        sample_set_values(m, 2.0, rng, 10, MeasurableSet(sp, 0))
     assert rng.bit_generator.state == state
 
 
@@ -357,6 +371,59 @@ def test_samplers_are_bit_identical_to_the_reference_expressions(
             assert got.tobytes() == want.tobytes()
 
 
+# masses at the ends of the float range, where the power over- and underflows
+extreme_masses_st = st.integers(1, 6).flatmap(
+    lambda k: st.lists(
+        st.sampled_from([0.0, 1e300, 1.7e308, 5e-324]) | st.floats(1e-3, 10.0),
+        min_size=k,
+        max_size=k,
+    )
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    extreme_masses_st,
+    st.sampled_from([0.05, 0.5, 1.0, 2.0, 7.0]) | st.floats(0.05, 7.0),
+    blocks_st,
+    st.sampled_from(["exact", "poisson"]),
+    st.sampled_from([1e-6, 0.5]) | st.floats(1e-6, 0.5),
+    st.integers(1, 2**6 - 1),
+    st.integers(0, 2**32 - 1),
+)
+@example(masses=[1e300, 0.0, 5e-324, 1.0], p=0.05, blocks=(7, 100), mode="exact",
+         eps=1e-3, mask=0b1111, seed=0)  # every power overflows or underflows
+@example(masses=[1.7e308, 0.5], p=7.0, blocks=(7, 100), mode="exact",
+         eps=1e-3, mask=0b11, seed=1)
+@example(masses=[5e-324, 0.0, 1.0], p=0.05, blocks=(7, 100), mode="poisson",
+         eps=0.5, mask=0b111, seed=2)  # atoms without points, at rates near 0
+@example(masses=[1e6, 1.0], p=4.0, blocks=(BLOCK_ROWS, BLOCK_ROWS + 100), mode="poisson",
+         eps=1e-3, mask=0b11, seed=0)  # a rate near 1e18
+def test_set_values_are_the_max_of_the_per_cell_maxima(masses, p, blocks, mode, eps, mask,
+                                                       seed):
+    # the power taken once per row equals the max of the powers taken per
+    # cell, bit for bit; sample_blocks is the per-cell oracle
+    rows, n = blocks
+    space = space_of(len(masses))
+    m = AdditiveMeasure(space, masses)
+    bset = MeasurableSet(space, mask & (space.n_sets - 1) or 1)
+    cols = list(bset.atom_indices())
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(supmeasure, "BLOCK_ROWS", rows)
+        try:
+            per_cell = sample_blocks(m, p, rng_for(seed), n, mode=mode, eps=eps)
+        except InvalidTruncation as refused:
+            # a rate past what the generator draws: both refuse alike
+            with pytest.raises(InvalidTruncation, match=f"^{re.escape(str(refused))}$"):
+                sample_set_values(m, p, rng_for(seed), n, bset, mode=mode, eps=eps)
+            return
+        want = np.empty(n)
+        for start, block in per_cell:
+            want[start : start + len(block)] = block[:, cols].max(axis=1)
+        got = sample_set_values(m, p, rng_for(seed), n, bset, mode=mode, eps=eps)
+    assert got.tobytes() == want.tobytes()
+
+
 # a draw that overflows to inf is the formula's value, reported without a
 # numpy warning on stderr, in both modes
 @pytest.mark.parametrize("atoms, p, mode, total_mass", [
@@ -428,7 +495,7 @@ cells_st = st.one_of(
 def test_csv_rows_are_the_repr_of_their_floats(rows):
     rows = np.array(rows, dtype=np.float64)
     want = "".join(",".join(map(repr, r)) + "\r\n" for r in rows.tolist())
-    assert cli._csv_rows(rows) == want
+    assert cli._csv_rows(rows).decode() == want
 
 
 @pytest.mark.parametrize("mode", ["exact", "poisson"])
