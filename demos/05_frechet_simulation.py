@@ -19,7 +19,7 @@ from maxitive import (
     extremal_integral,
     frechet_marginal_check,
     rng_for,
-    sample_matrix,
+    sample_set_values,
     sample_supmeasure,
     scale_recovery_check,
     tail_ratio_check,
@@ -36,7 +36,7 @@ print("value on a+b:", round(sample(0b011), 4), "= max of the two atoms")
 
 # the marginal on the full set: empirical frequency against the formula
 n = 50_000
-draws = sample_matrix(m, p, rng_for(1), n).max(axis=1)
+draws = sample_set_values(m, p, rng_for(1), n, space.full())
 print("P[M(E) <= 1] empirical:", round(float(np.mean(draws <= 1.0)), 4),
       "formula:", round(math.exp(-m(space.full_mask)), 4))
 

@@ -296,8 +296,8 @@ def _quantiles(draws, qs):
 
 
 def _cmd_simulate(args):
-    if not args.p > 0:
-        raise ValueError(f"--p must be a positive tail index, got {args.p}")
+    if not 0 < args.p < math.inf:
+        raise ValueError(f"--p must be a positive finite tail index, got {args.p}")
     if args.n < 0:
         raise ValueError(f"--n must be a nonnegative sample count, got {args.n}")
     if args.m is not None:

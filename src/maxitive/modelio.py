@@ -133,45 +133,31 @@ def parse_subalgebra(space, text):
     return SubAlgebra.from_string(space, text)
 
 
+#: each document kind: the class it is read into and the attribute that
+#: holds its values, by atom or, for a set function, by set
+KINDS = {
+    "possibility": (PossibilitySpace, "atom_values"),
+    "maxitive": (MaxitiveMeasure, "atom_values"),
+    "additive": (AdditiveMeasure, "atom_masses"),
+    "set_function": (SetFunction, "table"),
+    "function": (MeasurableFn, "atom_values"),
+}
+_KIND_CLASSES = tuple(cls for cls, _ in KINDS.values())
+
+
 def measure_to_json(obj):
-    if isinstance(obj, PossibilitySpace):
-        return {
-            "schema": SCHEMA,
-            "kind": "possibility",
-            "space": space_to_json(obj.space),
-            "atoms": _atoms_dict(obj.space, obj.atom_values),
-        }
-    if isinstance(obj, MaxitiveMeasure):
-        return {
-            "schema": SCHEMA,
-            "kind": "maxitive",
-            "space": space_to_json(obj.space),
-            "atoms": _atoms_dict(obj.space, obj.atom_values),
-        }
-    if isinstance(obj, AdditiveMeasure):
-        return {
-            "schema": SCHEMA,
-            "kind": "additive",
-            "space": space_to_json(obj.space),
-            "atoms": _atoms_dict(obj.space, obj.atom_masses),
-        }
-    if isinstance(obj, SetFunction):
-        return {
-            "schema": SCHEMA,
-            "kind": "set_function",
-            "space": space_to_json(obj.space),
-            "table": {
-                _set_key(obj.space, b): encode_value(obj.table[b])
-                for b in range(1, obj.space.n_sets)
-            },
-        }
-    if isinstance(obj, MeasurableFn):
-        return {
-            "schema": SCHEMA,
-            "kind": "function",
-            "space": space_to_json(obj.space),
-            "atoms": _atoms_dict(obj.space, obj.atom_values),
-        }
+    for kind, (cls, attr) in KINDS.items():
+        if isinstance(obj, cls):
+            doc = {"schema": SCHEMA, "kind": kind, "space": space_to_json(obj.space)}
+            values = getattr(obj, attr)
+            if kind == "set_function":
+                doc["table"] = {
+                    _set_key(obj.space, b): encode_value(values[b])
+                    for b in range(1, obj.space.n_sets)
+                }
+            else:
+                doc["atoms"] = _atoms_dict(obj.space, values)
+            return doc
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
@@ -184,15 +170,8 @@ def measure_from_json(doc, space=None):
     if space is None:
         space = space_from_json(doc["space"])
     kind = doc.get("kind", "maxitive")
-    if kind in ("maxitive", "additive", "possibility", "function"):
-        vals = _atoms_from_dict(space, doc["atoms"])
-        if kind == "maxitive":
-            return MaxitiveMeasure(space, vals)
-        if kind == "additive":
-            return AdditiveMeasure(space, vals)
-        if kind == "possibility":
-            return PossibilitySpace(MaxitiveMeasure(space, vals))
-        return MeasurableFn(space, vals)
+    if not isinstance(kind, str) or kind not in KINDS:
+        raise ValueError(f"unknown kind {kind!r}")
     if kind == "set_function":
         require_table(space.n_atoms)
         mask = _set_parser(space)
@@ -203,7 +182,10 @@ def measure_from_json(doc, space=None):
         for key, v in entries.items():
             table[mask(key)] = decode_value(v)
         return SetFunction(space, table)
-    raise ValueError(f"unknown kind {kind!r}")
+    vals = _atoms_from_dict(space, doc["atoms"])
+    if kind == "possibility":
+        return PossibilitySpace.from_values(space, vals)
+    return KINDS[kind][0](space, vals)
 
 
 def load_document(path):
@@ -227,7 +209,7 @@ def to_jsonable(obj, space=None):
         return obj
     if isinstance(obj, MeasurableSet):
         return _set_key(obj.space, obj.mask)
-    if isinstance(obj, (MaxitiveMeasure, AdditiveMeasure, SetFunction, MeasurableFn, PossibilitySpace)):
+    if isinstance(obj, _KIND_CLASSES):
         return measure_to_json(obj)
     if isinstance(obj, Space):
         return space_to_json(obj)

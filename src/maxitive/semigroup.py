@@ -4,6 +4,10 @@ Builtin operations: ``times`` and ``min`` are pseudo-multiplications
 (associative, monotone, continuous where required, with a left identity,
 0 as annihilator and no zero divisors); ``plus`` and ``max`` are ordered
 semigroups with a left identity but fail the annihilator axiom.
+
+``verify_axioms`` checks a table operation on its own grid, and its
+continuity is the grid verdict. A builtin is checked on ``default_grid()``,
+and each jump between adjacent grid points is bisected off the grid.
 """
 
 from __future__ import annotations
@@ -300,36 +304,35 @@ class AxiomReport(Record):
     witnesses: dict = {}
 
 
+#: the largest gap between adjacent grid values, on the arctan-compactified
+#: value scale, that the continuity scan lets pass
+JUMP_TOL = 0.2
+
+
 def _atan_gap(a, b):
     return abs(math.atan(a) - math.atan(b))
 
 
-def _refines_away(f, a, b, jump_tol, rounds=80):
-    """Bisect a flagged jump of f on (a, b); True when it shrinks below tol.
+def _refines_away(f, a, b):
+    """Bisect a flagged jump of f on (a, b); True when it shrinks below JUMP_TOL.
 
     A continuous f sheds its gap geometrically under bisection toward the
     steeper side; a genuine jump keeps its size while the interval collapses.
-    Infinite right endpoints are probed by growing arguments toward the
-    limit value instead of bisecting.
+    An infinite right end is probed by growing arguments and a zero left end
+    by shrinking ones, toward the value there, instead of bisecting.
     """
     fa, fb = f(a), f(b)
-    if math.isinf(b):
-        x = max(1.0, a)
+    if math.isinf(b) or a == 0.0:
+        grow = math.isinf(b)
+        x, limit = (max(1.0, a), fb) if grow else (b, fa)
         for _ in range(25):
-            x *= 10.0
-            if _atan_gap(f(x), fb) <= jump_tol:
-                return True
-        return False
-    if a == 0.0:
-        x = b
-        for _ in range(25):
-            x /= 10.0
-            if _atan_gap(f(x), fa) <= jump_tol:
+            x = x * 10.0 if grow else x / 10.0
+            if _atan_gap(f(x), limit) <= JUMP_TOL:
                 return True
         return False
     lo, hi, flo, fhi = a, b, fa, fb
-    for _ in range(rounds):
-        if _atan_gap(flo, fhi) <= jump_tol:
+    for _ in range(80):
+        if _atan_gap(flo, fhi) <= JUMP_TOL:
             return True
         if hi - lo <= 1e-12 * max(1.0, abs(lo)):
             return False
@@ -339,50 +342,10 @@ def _refines_away(f, a, b, jump_tol, rounds=80):
             hi, fhi = mid, fmid
         else:
             lo, flo = mid, fmid
-    return _atan_gap(flo, fhi) <= jump_tol
+    return _atan_gap(flo, fhi) <= JUMP_TOL
 
 
-def _continuity_scan(op, finite_pos, jump_tol, refine):
-    """The first grid jump above jump_tol, bisected away first when refine."""
-    first_args = finite_pos + [INF]
-    second_args = [0.0] + finite_pos + [INF]
-    for t in second_args:
-        for a, b in zip(first_args, first_args[1:]):
-            if _atan_gap(op(a, t), op(b, t)) > jump_tol:
-                if not (refine and _refines_away(lambda s: op(s, t), a, b, jump_tol)):
-                    return False, {"axis": "left", "segment": (a, b), "at": t}
-    for s in finite_pos:
-        for a, b in zip(second_args, second_args[1:]):
-            if _atan_gap(op(s, a), op(s, b)) > jump_tol:
-                if not (refine and _refines_away(lambda t: op(s, t), a, b, jump_tol)):
-                    return False, {"axis": "right", "segment": (a, b), "at": s}
-    return True, None
-
-
-def _sampled_continuity(op, grid, jump_tol=0.2):
-    """Check continuity on (0, inf) x [0, inf] and of s -> s (.) t on (0, inf].
-
-    Statistical: jumps are measured on the arctan-compactified value scale
-    between adjacent grid points and refined near flagged pairs. A pass is a
-    grid-level verdict, not a proof.
-    """
-    finite_pos = sorted(g for g in grid if 0.0 < g < INF)
-    try:
-        return _continuity_scan(op, finite_pos, jump_tol, refine=True)
-    except ValueError:
-        # table ops cannot evaluate off-grid; fall back to the grid verdict
-        return _continuity_scan(op, finite_pos, jump_tol, refine=False)
-
-
-def verify_axioms(op, grid=None, tol=DEFAULT_TOL, jump_tol=0.2):
-    """Check the semigroup axioms on a grid and report one boolean each."""
-    if grid is None:
-        grid = default_grid()
-    if isinstance(op, TableOp):
-        grid = list(op.grid)
-    wit = {}
-
-    associative = True
+def _associativity_faults(op, grid, tol):
     for s in grid:
         for t in grid:
             st = op(s, t)
@@ -390,77 +353,74 @@ def verify_axioms(op, grid=None, tol=DEFAULT_TOL, jump_tol=0.2):
                 left = op(st, u)
                 right = op(s, op(t, u))
                 if not close(left, right, tol):
-                    associative = False
-                    wit["associative"] = (s, t, u, left, right)
-                    break
-            if not associative:
-                break
-        if not associative:
-            break
+                    yield (s, t, u, left, right)
 
-    monotone = True
-    svals = sorted(grid)
+
+def _monotonicity_faults(op, grid, tol):
     for t in grid:
         prev_l = prev_r = -INF
-        for s in svals:
+        for s in grid:
             l, r = op(s, t), op(t, s)
             if not (le(prev_l, l, tol) and le(prev_r, r, tol)):
-                monotone = False
-                wit["monotone"] = (s, t)
-                break
+                yield (s, t)
             prev_l, prev_r = l, r
-        if not monotone:
-            break
 
-    if op.left_identity is None:
-        left_identity = False
-        wit["left_identity"] = "no identity declared"
-    else:
-        left_identity = True
-        for t in grid:
-            if not close(op(op.left_identity, t), t, tol):
-                left_identity = False
-                wit["left_identity"] = (op.left_identity, t, op(op.left_identity, t))
-                break
 
-    annihilator = True
-    for t in grid:
-        if op(0.0, t) != 0.0 or op(t, 0.0) != 0.0:
-            annihilator = False
-            wit["annihilator"] = (t, op(0.0, t), op(t, 0.0))
-            break
+def _jumps(op, grid, refine):
+    """Jumps above JUMP_TOL of s (.) t in s on (0, inf] and in t on [0, inf].
 
-    no_zero_divisors = True
-    for s in grid:
-        for t in grid:
-            if s != 0.0 and t != 0.0 and op(s, t) == 0.0:
-                no_zero_divisors = False
-                wit["no_zero_divisors"] = (s, t)
-                break
-        if not no_zero_divisors:
-            break
+    A jump is the gap between the values at adjacent grid points on the
+    arctan-compactified scale. With ``refine`` a flagged jump is bisected off
+    the grid first and dropped when it shrinks away. A pass is a grid-level
+    verdict, not a proof.
+    """
+    finite_pos = [g for g in grid if 0.0 < g < INF]
+    first_args = finite_pos + [INF]
+    second_args = [0.0] + first_args
+    sections = [("left", t, lambda s, t=t: op(s, t), first_args) for t in second_args]
+    sections += [("right", s, lambda t, s=s: op(s, t), second_args) for s in finite_pos]
+    for axis, at, f, args in sections:
+        for a, b in zip(args, args[1:]):
+            if _atan_gap(f(a), f(b)) > JUMP_TOL and not (refine and _refines_away(f, a, b)):
+                yield {"axis": axis, "segment": (a, b), "at": at}
 
-    continuity, cwit = _sampled_continuity(op, grid, jump_tol)
-    if cwit is not None:
-        wit["continuity"] = cwit
 
+def verify_axioms(op, tol=DEFAULT_TOL):
+    """Check the semigroup axioms on a grid and report one boolean each.
+
+    A table operation is checked on its own grid, and its continuity is the
+    grid verdict, since it has no values off the grid. A builtin is checked on
+    ``default_grid()``, and each jump is bisected off the grid before it
+    counts. Each axiom's witness is its first counterexample in scan order.
+    """
+    table = isinstance(op, TableOp)
+    grid = op.grid if table else default_grid()
+    one = op.left_identity
+    witnesses = {}
+    for axiom, scan in (
+        ("associative", _associativity_faults(op, grid, tol)),
+        ("monotone", _monotonicity_faults(op, grid, tol)),
+        ("left_identity", iter(["no identity declared"]) if one is None else (
+            (one, t, op(one, t)) for t in grid if not close(op(one, t), t, tol))),
+        ("annihilator", ((t, op(0.0, t), op(t, 0.0)) for t in grid
+                         if op(0.0, t) != 0.0 or op(t, 0.0) != 0.0)),
+        ("no_zero_divisors", ((s, t) for s in grid for t in grid
+                              if s != 0.0 and t != 0.0 and op(s, t) == 0.0)),
+        ("continuity", _jumps(op, grid, refine=not table)),
+    ):
+        witness = next(scan, None)
+        if witness is not None:
+            witnesses[axiom] = witness
     return AxiomReport(
         op=op.name,
-        associative=associative,
-        monotone=monotone,
-        left_identity=left_identity,
-        annihilator=annihilator,
-        no_zero_divisors=no_zero_divisors,
-        continuity_sampled=continuity,
-        pseudo_multiplication=(
-            associative
-            and monotone
-            and left_identity
-            and annihilator
-            and no_zero_divisors
-            and continuity
-        ),
-        witnesses=wit,
+        associative="associative" not in witnesses,
+        monotone="monotone" not in witnesses,
+        left_identity="left_identity" not in witnesses,
+        annihilator="annihilator" not in witnesses,
+        no_zero_divisors="no_zero_divisors" not in witnesses,
+        continuity_sampled="continuity" not in witnesses,
+        pseudo_multiplication=not witnesses,
+        witnesses=witnesses,
     )
 
 

@@ -211,8 +211,8 @@ def _score_blocks(m, p, rng, n, mode, eps):
     the max of their maxima: np.maximum under the increasing power of exact
     mode, np.minimum under the decreasing one of Poisson mode.
     """
-    if not p > 0:
-        raise ValueError("tail index p must be positive")
+    if not 0 < p < INF:
+        raise ValueError(f"tail index p must be positive and finite, got {p}")
     masses = np.asarray(m.atom_masses, dtype=float)
     if not np.isfinite(masses).all():
         raise ValueError("control measure must be finite")
@@ -359,16 +359,20 @@ class TailReport(Record):
     passed: bool
 
 
-def frechet_marginal_check(m, p, rng, n, bset=None, alpha_coeff=1.628):
+#: the Kolmogorov critical value at level 0.01, times sqrt(n)
+KS_COEFF = 1.628
+#: the level of the two-sample test between the sampling modes
+MODES_LEVEL = 0.01
+
+
+def frechet_marginal_check(m, p, rng, n, bset=None):
     """One-sample KS of M(B) against exp(-m(B) x^(-p)).
 
-    The coefficient 1.628 is the Kolmogorov critical value at level 0.01;
-    the threshold scales as 1/sqrt(n).
+    The threshold is KS_COEFF / sqrt(n), the critical value at level 0.01.
     """
     if bset is None:
         bset = m.space.full()
-    mat = sample_matrix(m, p, rng, n, mode="exact")
-    x = np.sort(mat[:, bset.atom_indices()].max(axis=1))
+    x = np.sort(sample_set_values(m, p, rng, n, bset, mode="exact"))
     mb = m(bset)
     # the CDF at the sorted draws; 0 * inf at x = 0 when m(B) = 0 is masked
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -377,7 +381,7 @@ def frechet_marginal_check(m, p, rng, n, bset=None, alpha_coeff=1.628):
     d_plus = (np.arange(1.0, n + 1) / n - c).max()
     d_minus = (c - np.arange(0.0, n) / n).max()
     stat = float(max(d_plus, d_minus))
-    thr = alpha_coeff / math.sqrt(n)
+    thr = KS_COEFF / math.sqrt(n)
     return KSReport(statistic=stat, threshold=thr, n=n, passed=stat < thr)
 
 
@@ -411,15 +415,14 @@ def _ks_2samp_equal(a, b):
     return h / n, min(max(2 * prob, 0.0), 1.0)
 
 
-def compare_modes_check(m, p, rng, n, eps=1e-3, bset=None, alpha=0.01):
+def compare_modes_check(m, p, rng, n, eps=1e-3, bset=None):
     """Two-sample KS between exact-mode and point-process-mode draws."""
     if bset is None:
         bset = m.space.full()
-    cols = bset.atom_indices()
-    a = sample_matrix(m, p, rng, n, mode="exact")[:, cols].max(axis=1)
-    b = sample_matrix(m, p, rng, n, mode="poisson", eps=eps)[:, cols].max(axis=1)
+    a = sample_set_values(m, p, rng, n, bset, mode="exact")
+    b = sample_set_values(m, p, rng, n, bset, mode="poisson", eps=eps)
     stat, pvalue = _ks_2samp_equal(a, b)
-    return TwoSampleReport(statistic=stat, pvalue=pvalue, n=n, passed=pvalue > alpha)
+    return TwoSampleReport(statistic=stat, pvalue=pvalue, n=n, passed=pvalue > MODES_LEVEL)
 
 
 def scale_recovery_check(f, m, p, rng, n, rel_tol=0.05):

@@ -653,7 +653,7 @@ def test_simulate_quantiles_for_large_n(docs):
 
 # 10^12 cells are refused by the sampler before anything is drawn
 @pytest.mark.parametrize("flag, p, n", [
-    ("--p", "nan", "5"), ("--n", "2", "-1"), ("--n", "2", str(10**12)),
+    ("--p", "nan", "5"), ("--p", "inf", "5"), ("--n", "2", "-1"), ("--n", "2", str(10**12)),
 ])
 def test_simulate_rejects_bad_flag_values(flag, p, n):
     proc = run_cli("simulate", "--atoms", "a:1", "--p", p, "--n", n)

@@ -14,7 +14,9 @@ allocated and the atom routes run.
 A document of the wrong JSON shape, as a measure, a function or a table
 operation, must exit 1 with exactly one ``error:`` line. ``simulate`` runs in
 both modes, with and without ``--set``, ``--eps`` and ``--csv``, at n up to
-1000, on the same values as control masses.
+1000, on the same values as control masses. Drawn table operations, on
+grids with and without 0 and inf, run through ``check --order 0 --op`` and
+``residual``.
 """
 
 import contextlib
@@ -163,6 +165,51 @@ def test_fuzzed_verdicts_exit_cleanly(tmp_path_factory, case, verb, order, tol):
     assert code in (0, 1, 2), (argv, code, err)
     assert "Traceback" not in err and "RuntimeWarning" not in err, (argv, err)
     assert seconds < 5.0, (argv, seconds)
+
+
+@st.composite
+def table_ops(draw):
+    """A table operation document on part of GRID, 0 and inf included or not.
+
+    Its cells lie on the grid but for up to two, drawn from VALUES or -0.0,
+    and its left identity lies on the grid, off it or is absent.
+    """
+    # off 0 or inf the axiom check raises, so half the grids hold both
+    ends = draw(st.booleans())
+    grid = [g for g in GRID if ends and g in (0.0, "inf") or draw(st.booleans())]
+    n = len(grid)
+    on_grid = st.sampled_from(grid or [0.0])
+    values = draw(st.lists(st.lists(on_grid, min_size=n, max_size=n), min_size=n, max_size=n))
+    for _ in range(draw(st.integers(0, 2)) if n else 0):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        values[i][j] = draw(st.sampled_from([-0.0, *VALUES]))
+    doc = {"name": "drawn", "grid": grid, "values": values}
+    identity = draw(st.none() | on_grid | st.sampled_from(VALUES))
+    if identity is not None:
+        doc["left_identity"] = identity
+    return doc
+
+
+@settings(max_examples=60, deadline=None)
+@given(documents(), table_ops(), st.sampled_from(TOLERANCES), st.data())
+def test_fuzzed_table_operations_exit_cleanly(tmp_path_factory, case, op, tol, data):
+    # the axiom check reads the operation on its own grid and raises where
+    # a cell or the identity lies off it; residual reads it at r and s,
+    # which lie off the grid now and then
+    root = tmp_path_factory.mktemp("fuzz")
+    paths = {}
+    for name, body in (("measure", case[0]), ("op", op)):
+        paths[name] = str(root / f"{name}.json")
+        (root / f"{name}.json").write_text(json.dumps(body))
+    scalar = st.sampled_from(op["grid"] or [0.0]) | st.sampled_from(VALUES)
+    residual = ["residual", paths["op"], str(data.draw(scalar)), str(data.draw(scalar))]
+    check = ["check", "--order", "0", "--measure", paths["measure"], "--op", paths["op"],
+             "--tolerance", tol]
+    for argv in (check, residual):
+        code, err, seconds = run(argv)
+        assert code in (0, 1, 2), (argv, code, err)
+        assert "Traceback" not in err and "RuntimeWarning" not in err, (argv, err)
+        assert seconds < 5.0, (argv, seconds)
 
 
 #: valid tail indices and cutoffs: the ends of their ranges and draws between

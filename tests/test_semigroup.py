@@ -79,15 +79,26 @@ def test_axiom_reports_are_pinned(op, expected):
 
 
 def test_table_op_continuity_falls_back_to_the_grid_verdict():
-    # the jump of s -> min(s, 2) between grid points 1 and 2 cannot be
-    # bisected off the grid, so the refined scan raises and the unrefined
-    # grid scan gives the verdict
+    # a table operation has no values off its grid, so the jump of
+    # s -> min(s, 2) between grid points 1 and 2 is not bisected: the grid
+    # scan gives the verdict
     op = TableOp("tmin", _STEP_GRID, _min_table(_STEP_GRID), left_identity=INF)
     with pytest.raises(ValueError):
         op(1.5, 2.0)
     witness = {"axis": "left", "segment": (1.0, 2.0), "at": 2.0}
     expected = _pinned("tmin", {"continuity": witness}, continuity_sampled=False)
     assert verify_axioms(op) == expected
+
+
+def test_a_table_jump_at_a_subnormal_grid_point_is_reported():
+    # t -> s (.) t jumps from 0 to 1 between 0 and 5e-324; a probe at
+    # 5e-324 / 10 would round to 0 and read the value at 0 again, which
+    # would count the jump as refined away
+    grid = [0.0, 5e-324, 1.0, INF]
+    op = TableOp("tsub", grid, [[0.0] * 4] + [[0.0, 1.0, 1.0, 1.0]] * 3, left_identity=INF)
+    witness = {"axis": "right", "segment": (0.0, 5e-324), "at": 5e-324}
+    rep = verify_axioms(op)
+    assert not rep.continuity_sampled and rep.witnesses["continuity"] == witness
 
 
 def test_table_op_monotonicity_sees_a_drop_from_inf():

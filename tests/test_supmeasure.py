@@ -228,6 +228,10 @@ def test_sample_matrix_refuses_oversized_n_before_drawing():
             sampler(AdditiveMeasure(sp, [1e300, 1]), 2.0, rng, 10, mode="poisson")
         with pytest.raises(ValueError):
             sampler(m, -1.0, rng, 10)
+        # 0 ** (1 / inf) is 1: a null atom would draw 1
+        for mode in ("exact", "poisson"):
+            with pytest.raises(ValueError, match="^tail index p must be positive and finite, got inf$"):
+                sampler(m, INF, rng, 10, mode=mode)
         with pytest.raises(ValueError):
             sampler(AdditiveMeasure(sp, [INF, 1]), 2.0, rng, 10)
         with pytest.raises(ValueError):
