@@ -7,20 +7,20 @@ atoms included), and residuation of two given densities over a common
 background measure. Extraction always ends with a verification of the
 candidate; one that fails it raises NoDensity rather than being returned.
 A density of a maxitive measure is verified on the k atoms, and so is the
-absolute continuity of a maxitive pair under a builtin operation: the
+absolute continuity of a maxitive pair under every operation: the
 representation nu(B) = max of nu_i over the atoms of B carries both to
 every set. With maxitive measures the residual and associated routes build
 no table. The envelope is the closed atom sum nu_i m_i, the minimum over
 partitions by the product inequality; its steps loop over the atom tuples,
 and the classical density's check on every set sums them in plain Python
 (``spaces.atom_folds``, k 2^k cells, which admit 21 atoms). So none of
-these routes imports numpy on atom measures; only a table operation's
-absolute-continuity check and a table input do.
+these routes imports numpy on atom measures; only a table input does.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 
 from .additive import AdditiveMeasure, classical_density
 from .errors import (
@@ -32,20 +32,17 @@ from .errors import (
 )
 from .measures import MaxitiveMeasure, _null_atoms, esssup_measure, negligible
 from .records import Record
-from .semigroup import MAX, MIN, PLUS, TIMES, _times
+from .semigroup import _times
 from .spaces import (
     DEFAULT_TOL,
     INF,
     MeasurableFn,
-    as_table,
     atom_flags,
     close,
     first_atom,
-    first_flagged,
     le,
     mask_of,
     per_distinct,
-    vle,
 )
 
 
@@ -56,28 +53,46 @@ class AbsContReport(Record):
 
 
 def odot_abs_continuous(op, nu, tau, tol=DEFAULT_TOL):
-    """nu(B) <= inf (.) tau(B) on every set; the witness is a failing mask.
+    """nu(B) <= inf (.) tau(B) on every set; the witness is the least failing mask.
 
-    The bound inf (.) tau(B) is computed once per distinct value of tau.
-    A maxitive pair under a builtin operation, where op(inf, .) is monotone,
-    is checked on the k atoms: a set passes when the atom of its largest nu
-    value does, so the least failing set is the singleton of the least
-    failing atom. Under a table operation two atoms that each pass can fail
-    together, so the table is checked on every set.
+    Both measures are maxitive; anything else raises TypeError. Write
+    g(v) = inf (.) v. A set B fails iff one of its atoms j fails against
+    g(tau(B)), and tau(B) = tau_a for an atom a of B with tau_a >= tau_j, so
+    the check holds on every set iff nu_j <= g(tau_a) for every pair of
+    atoms with tau_j <= tau_a (a = j included); the empty set passes, as an
+    operation takes values in [0, inf]. ``le`` is monotone in each argument,
+    so atom j fails with some pair iff it fails against the least g(tau_a)
+    over the atoms with tau_a >= tau_j, a suffix minimum over the sorted
+    values of tau. g is called once per distinct value of (0, tau_0, tau_1,
+    ...), the order in which a sweep over every set first meets them, so a
+    table operation off its grid raises where that sweep would. The least
+    failing set is a pair {x, h}: h is the least atom whose prefix 0..h
+    already fails, found by bisection, and x the first of h, 0, 1, ...,
+    h - 1 that fails with it (x = h is the singleton). Under a builtin, g is
+    monotone, so the witness is the singleton of the least failing atom.
     """
+    if not (isinstance(nu, MaxitiveMeasure) and isinstance(tau, MaxitiveMeasure)):
+        raise TypeError("odot_abs_continuous needs two MaxitiveMeasures")
     if nu.space is not tau.space and nu.space != tau.space:
         raise ValueError("measures live on different spaces")
-    pair = isinstance(nu, MaxitiveMeasure) and isinstance(tau, MaxitiveMeasure)
-    if pair and op in (TIMES, MIN, PLUS, MAX):
-        bound = per_distinct(lambda v: op(INF, v), tau.atom_values)
-        i = first_atom(not le(v, c, tol) for v, c in zip(nu.atom_values, bound))
-        b = None if i is None else mask_of([i])
-    else:
-        bound = per_distinct(lambda v: op(INF, v), as_table(tau).table)
-        b = first_flagged(~vle(as_table(nu).table, bound, tol))
-    if b is not None:
-        return AbsContReport(holds=False, op=op.name, witness=b)
-    return AbsContReport(holds=True, op=op.name)
+    nu_a, tau_a = nu.atom_values, tau.atom_values
+    values = (0.0, *tau_a)
+    g = dict(zip(values, per_distinct(lambda v: op(INF, v), values)))
+
+    def fails(n):
+        # whether an atom among the first n fails against its bound
+        bound, low = {}, INF
+        for t in sorted(set(tau_a[:n]), reverse=True):
+            low = bound[t] = min(low, g[t])
+        return any(not le(v, bound[t], tol) for v, t in zip(nu_a[:n], tau_a[:n]))
+
+    k = len(nu_a)
+    if not fails(k):
+        return AbsContReport(holds=True, op=op.name)
+    h = bisect_left(range(1, k + 1), True, key=fails)
+    x = next(x for x in (h, *range(h))
+             if not le(max(nu_a[x], nu_a[h]), g[max(tau_a[x], tau_a[h])], tol))
+    return AbsContReport(holds=False, op=op.name, witness=mask_of((x, h)))
 
 
 def verify_density(op, f, nu, tau, tol=DEFAULT_TOL):

@@ -28,6 +28,7 @@ import math
 from .additive import AdditiveMeasure
 from .errors import NotMonotone, NotNullAdditive, OracleMismatch
 from .records import Record
+from .semigroup import MAX, MIN, PLUS, TIMES
 from .spaces import (
     DEFAULT_TOL,
     INF,
@@ -628,16 +629,16 @@ def finiteness_suite(op, nu):
     b, so nu is semi-finite iff every positive atom is op-finite, and it is
     checked on the atoms with no table. It collapses to plain op-finiteness,
     finiteness of the max atom, when the op-finite elements are 0 and every
-    value below an op-finite one, as under each builtin operation. A table
-    operation need not be so, and where the two differ OracleMismatch is
-    raised.
+    value below an op-finite one, as under each builtin operation, where the
+    two are held equal and OracleMismatch is raised if they differ. A table
+    operation need not be so, and its three flags are returned as computed.
     """
     odot = op.finite_element(nu(nu.space.full_mask))
     sigma = all(op.finite_element(v) for v in nu.atom_values)
     # a list, not a generator: every positive atom is evaluated, so a table
     # operation raises on the first one off its grid
     semi = all([op.finite_element(v) for v in nu.atom_values if v > 0])
-    if semi != odot:
+    if semi != odot and op in (TIMES, MIN, PLUS, MAX):
         raise OracleMismatch("semi-finiteness must match op-finiteness here")
     return FinitenessReport(
         odot_finite=odot, sigma_odot_finite=sigma, semi_odot_finite=semi

@@ -277,31 +277,18 @@ def atom_folds(values, combine, start):
     return table
 
 
-def per_distinct(fn, *arrays):
-    """``fn`` applied elementwise to equal-length arrays, once per distinct tuple.
+def per_distinct(fn, *vectors):
+    """``fn`` applied elementwise to equal-length atom vectors, once per
+    distinct tuple, as a tuple.
 
     The calls go in the order their tuples first occur, so ``fn`` raises
-    where a loop over the elements would first raise. Atom vectors (tuples
-    or lists) are memoized in a dict and give a tuple. Tables (numpy arrays)
-    are ranked by ``np.unique``, the ranks keyed as one int64, and give an
-    array.
+    where a loop over the elements would first raise.
     """
-    if isinstance(arrays[0], (tuple, list)):
-        memo = {}
-        for key in zip(*arrays):
-            if key not in memo:
-                memo[key] = fn(*key)
-        return tuple(memo[key] for key in zip(*arrays))
-    key = np.zeros(len(arrays[0]), dtype=np.int64)
-    for a in arrays:
-        values, rank = np.unique(a, return_inverse=True)
-        key = key * len(values) + rank
-    _, first, where = np.unique(key, return_index=True, return_inverse=True)
-    args = [np.asarray(a)[first].tolist() for a in arrays]
-    out = [None] * len(first)
-    for j in np.argsort(first):
-        out[j] = fn(*(arg[j] for arg in args))
-    return np.array(out)[where]
+    memo = {}
+    for key in zip(*vectors):
+        if key not in memo:
+            memo[key] = fn(*key)
+    return tuple(memo[key] for key in zip(*vectors))
 
 
 def first_flagged(flags):

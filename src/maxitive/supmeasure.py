@@ -47,7 +47,6 @@ from __future__ import annotations
 import math
 
 from .errors import InvalidTruncation
-from .measures import MaxitiveMeasure
 from .records import Record
 from .spaces import INF, as_mask, fold_atoms, np, require_budget
 
@@ -79,18 +78,6 @@ class SupMeasureSample:
 
     def __call__(self, bset):
         return fold_atoms(self.atom_maxima, as_mask(bset), max, 0.0)
-
-    def of_variable(self, f):
-        """max over atoms of f_i times the atom maximum."""
-        out = 0.0
-        for i in range(self.space.n_atoms):
-            v = float(f.atom_values[i]) * float(self.atom_maxima[i])
-            if v > out:
-                out = v
-        return out
-
-    def as_measure(self):
-        return MaxitiveMeasure(self.space, list(self.atom_maxima))
 
 
 def _poisson_rate(masses, p, eps):

@@ -234,6 +234,22 @@ def test_check(docs):
     assert out["finiteness"]["odot_finite"] is True
 
 
+def test_check_reports_finiteness_that_differs_under_a_table_operation(tmp_path, capsys):
+    # inf is op-finite here and 1 is not, so a measure with atoms 1 and inf
+    # is op-finite but not semi-finite; the three flags are printed as they
+    # are, beside the properties and the axioms, and the command exits 0
+    op = {"grid": [0, 1, "inf"], "values": [[0, 0, 0], [0, 1, 0], [0, 1, 0]]}
+    op_path = write_doc(tmp_path / "op.json", op)
+    nu = write_doc(tmp_path / "nu.json", measure_doc("maxitive", ["a", "b"], [1, "inf"]))
+    assert cli.main(["check", "--order", "0", "--measure", nu, "--op", op_path]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["properties"]["maxitive"] is True
+    assert out["axioms"]["pseudo_multiplication"] is False
+    assert out["finiteness"] == {
+        "odot_finite": True, "sigma_odot_finite": False, "semi_odot_finite": False
+    }
+
+
 def test_check_at_tolerance_zero_flags_a_drop_from_inf(tmp_path, capsys):
     doc = {
         "schema": "1",

@@ -15,8 +15,8 @@ A document of the wrong JSON shape, as a measure, a function or a table
 operation, must exit 1 with exactly one ``error:`` line. ``simulate`` runs in
 both modes, with and without ``--set``, ``--eps`` and ``--csv``, at n up to
 1000, on the same values as control masses. Drawn table operations, on
-grids with and without 0 and inf, run through ``check --order 0 --op`` and
-``residual``.
+grids with and without 0 and inf, run through ``check --order 0 --op``,
+``residual`` and ``density --method residual``.
 """
 
 import contextlib
@@ -194,22 +194,28 @@ def table_ops(draw):
 @given(documents(), table_ops(), st.sampled_from(TOLERANCES), st.data())
 def test_fuzzed_table_operations_exit_cleanly(tmp_path_factory, case, op, tol, data):
     # the axiom check reads the operation on its own grid and raises where
-    # a cell or the identity lies off it; residual reads it at r and s,
-    # which lie off the grid now and then
+    # a cell or the identity lies off it; residual reads it at r and s, and
+    # the residual density at inf and the values of tau, which lie off the
+    # grid now and then. The finiteness flags of a table operation are
+    # reported as computed, never refused for differing
     root = tmp_path_factory.mktemp("fuzz")
     paths = {}
-    for name, body in (("measure", case[0]), ("op", op)):
+    tau = dict(case[1], kind="maxitive")
+    for name, body in (("measure", case[0]), ("tau", tau), ("op", op)):
         paths[name] = str(root / f"{name}.json")
         (root / f"{name}.json").write_text(json.dumps(body))
     scalar = st.sampled_from(op["grid"] or [0.0]) | st.sampled_from(VALUES)
     residual = ["residual", paths["op"], str(data.draw(scalar)), str(data.draw(scalar))]
     check = ["check", "--order", "0", "--measure", paths["measure"], "--op", paths["op"],
              "--tolerance", tol]
-    for argv in (check, residual):
+    density = ["density", "--method", "residual", "--op", paths["op"], "--nu", paths["measure"],
+               "--tau", paths["tau"], "--tolerance", tol]
+    for argv in (check, residual, density):
         code, err, seconds = run(argv)
         assert code in (0, 1, 2), (argv, code, err)
         assert "Traceback" not in err and "RuntimeWarning" not in err, (argv, err)
         assert seconds < 5.0, (argv, seconds)
+        assert "semi-finiteness must match" not in err, (argv, err)
 
 
 #: valid tail indices and cutoffs: the ends of their ranges and draws between

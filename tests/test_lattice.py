@@ -397,7 +397,7 @@ def ref_finiteness_suite(op, nu):
         if best != nu(b):
             semi = False
             break
-    if semi != odot:
+    if semi != odot and op in (TIMES, MIN, PLUS, MAX):
         raise OracleMismatch("semi-finiteness must match op-finiteness here")
     return FinitenessReport(odot_finite=odot, sigma_odot_finite=sigma, semi_odot_finite=semi)
 
@@ -664,14 +664,15 @@ def ref_essential_witness(nu, tol=1e-9):
 
 
 def ref_odot_abs_continuous(op, nu, tau, tol=1e-9):
+    """The bound inf (.) tau(b) of every set b, in mask order, then the least
+    mask where nu(b) is not below it in the tolerant order."""
     nu_t = as_table(nu)
     tau_t = as_table(tau)
     if nu_t.space is not tau_t.space and nu_t.space != tau_t.space:
         raise ValueError("measures live on different spaces")
-    for b in range(nu_t.space.n_sets):
-        bound = op(INF, float(tau_t.table[b]))
-        val = float(nu_t.table[b])
-        if val > bound + tol * max(1.0, abs(bound)):
+    bounds = [op(INF, float(t)) for t in tau_t.table]
+    for b, bound in enumerate(bounds):
+        if not le(float(nu_t.table[b]), bound, tol):
             return AbsContReport(holds=False, op=op.name, witness=b)
     return AbsContReport(holds=True, op=op.name)
 
@@ -1064,7 +1065,7 @@ def test_finiteness_suite_matches_brute_force(vals, case):
     for op in (TIMES, MIN, PLUS, MAX):
         assert outcome(finiteness_suite, op, nu) == outcome(ref_finiteness_suite, op, nu)
     # a table operation's op-finite values need not lie below one another,
-    # so the OracleMismatch can fire
+    # so semi- and op-finiteness can differ, and both flags are returned
     op, grid_vals = case
     nu = MaxitiveMeasure(space_of(len(grid_vals)), grid_vals)
     assert outcome(finiteness_suite, op, nu) == outcome(ref_finiteness_suite, op, nu)
@@ -1229,8 +1230,9 @@ def fn_of(data, space):
 @given(tables(), st.data())
 def test_null_set_checks_match_brute_force(w, data):
     # arbitrary, non-monotone and non-null-additive tables included: ae_equal
-    # reads negligible, and odot_abs_continuous and density_from_associated
-    # take them, unchecked or up to the raise that the reference also makes
+    # reads negligible, and density_from_associated takes them, unchecked or
+    # up to the raise that the reference also makes; odot_abs_continuous
+    # refuses them and is held against the reference on maxitive pairs
     space = w.space
     for b in range(space.n_sets):
         assert negligible(w, b) is ref_negligible(w, b)
@@ -1253,11 +1255,15 @@ def test_null_set_checks_match_brute_force(w, data):
 
     op = data.draw(st.sampled_from([TIMES, MIN, PLUS, MAX]))
     tol = data.draw(st.sampled_from([0.0, 1e-9]))
-    # near is within the relative tolerance of w but not the absolute one
-    near = SetFunction(space, w.table * (1 + 5e-10))
-    for nu in (data.draw(tables(k=space.n_atoms)), near):
-        assert odot_abs_continuous(op, nu, w, tol) == ref_odot_abs_continuous(
-            op, nu, w, tol
+    for nu in (data.draw(tables(k=space.n_atoms)), w):
+        with pytest.raises(TypeError):
+            odot_abs_continuous(op, nu, w, tol)
+    tau = MaxitiveMeasure(space, f.atom_values)
+    # near is within the relative tolerance of tau but not the absolute one
+    near = MaxitiveMeasure(space, [v * (1 + 5e-10) for v in f.atom_values])
+    for nu in (MaxitiveMeasure(space, g.atom_values), near):
+        assert odot_abs_continuous(op, nu, tau, tol) == ref_odot_abs_continuous(
+            op, nu, tau, tol
         )
     assert settled(density_from_associated, op, w, f, g) == settled(
         ref_density_from_associated, op, w, f, g
@@ -1272,9 +1278,10 @@ def test_null_set_checks_match_brute_force(w, data):
     st.data(),
 )
 def test_maxitive_verdicts_match_the_table_route(vals, tol, data):
-    # classify, alternation, negligibility, the essential supremum, the
-    # absolute continuity and the associated density read a maxitive
-    # measure's atoms; on its table they take the table route, the oracle
+    # classify, alternation, negligibility, the essential supremum and the
+    # associated density read a maxitive measure's atoms; on its table they
+    # take the table route, the oracle. The absolute continuity refuses the
+    # tables and is held against the sweep over every set
     space = space_of(len(vals))
     k = space.n_atoms
     nu = MaxitiveMeasure(space, vals)
@@ -1300,12 +1307,66 @@ def test_maxitive_verdicts_match_the_table_route(vals, tol, data):
     op = data.draw(st.sampled_from([TIMES, MIN, PLUS, MAX]))
     tau = MaxitiveMeasure(space, draw_fn().atom_values)
     for a, b in ((nu, tau), (tau, nu)):
-        assert odot_abs_continuous(op, a, b, tol) == odot_abs_continuous(
-            op, a.to_set_function(), b.to_set_function(), tol
-        )
+        assert odot_abs_continuous(op, a, b, tol) == ref_odot_abs_continuous(op, a, b, tol)
+        with pytest.raises(TypeError):
+            odot_abs_continuous(op, a.to_set_function(), b.to_set_function(), tol)
     assert settled(density_from_associated, op, nu, f, g, tol) == settled(
         density_from_associated, op, w, f, g, tol
     )
+
+
+#: the grid points and cells of the drawn operations of the absolute continuity
+ABS_GRID = [0.0, 0.5, 1.0, 2.0, 3.0, INF]
+
+
+@st.composite
+def abs_cont_ops(draw):
+    """A table operation on part of ABS_GRID, 0 and inf held or not, whose
+    cells may lie off its grid or be -0.0."""
+    ends = draw(st.booleans())
+    grid = [v for v in ABS_GRID if ends and v in (0.0, INF) or draw(st.booleans())]
+    n = len(grid)
+    cell = st.sampled_from([0.0, -0.0, 0.5, 1.0, 2.0, 3.0, INF])
+    rows = draw(st.lists(st.lists(cell, min_size=n, max_size=n), min_size=n, max_size=n))
+    return TableOp("drawn", grid, rows)
+
+
+def near_bounds(op, taus, tol):
+    """Each bound inf (.) t, the edges of its tolerance, and the values one
+    ulp around them."""
+    out = []
+    for t in taus:
+        try:
+            c = op(INF, t)
+        except ValueError:
+            continue
+        for e in (c, c + tol, c * (1 + tol), c / (1 - tol)):
+            out += [e, math.nextafter(e, -INF), math.nextafter(e, INF)]
+    return [v for v in out if v >= 0.0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(abs_cont_ops(), st.sampled_from([TIMES, MIN, PLUS, MAX]),
+       st.sampled_from([0.0, 1e-12, 1e-9, 0.1]), st.integers(1, 8), st.data())
+def test_abs_continuity_matches_the_sweep_over_every_set(table_op, builtin, tol, k, data):
+    # the atom route against the bound on every set, under a drawn table
+    # operation and a builtin: the same report, or the same error and
+    # message where inf or a value of tau lies off the table's grid; nu sits
+    # at, near and one ulp around the bounds, where the monotone order of
+    # spaces.le decides
+    labs = [f"g{i}" for i in range(k)]
+    space = build_space(labs, [[lab] for lab in labs])
+    for op in (table_op, builtin):
+        on = st.sampled_from(op.grid if isinstance(op, TableOp) and op.grid else ABS_GRID)
+        taus = data.draw(st.lists(on, min_size=k, max_size=k))
+        if data.draw(st.booleans()):  # one value of tau on or off the grid
+            taus[data.draw(st.integers(0, k - 1))] = data.draw(st.sampled_from(ABS_GRID))
+        near = st.sampled_from(ABS_GRID + near_bounds(op, taus, tol))
+        nus = data.draw(st.lists(near, min_size=k, max_size=k))
+        nu, tau = MaxitiveMeasure(space, nus), MaxitiveMeasure(space, taus)
+        assert outcome(odot_abs_continuous, op, nu, tau, tol) == outcome(
+            ref_odot_abs_continuous, op, nu, tau, tol
+        )
 
 
 @settings(max_examples=60, deadline=None)
@@ -1802,6 +1863,22 @@ def array_as_values(values):
     return arr
 
 
+def array_per_distinct(fn, *arrays):
+    """per_distinct on float arrays: the tuples ranked by ``np.unique``, the
+    ranks keyed as one int64, ``fn`` called once per distinct tuple in the
+    order the tuples first occur, and an array back."""
+    key = np.zeros(len(arrays[0]), dtype=np.int64)
+    for a in arrays:
+        values, rank = np.unique(a, return_inverse=True)
+        key = key * len(values) + rank
+    _, first, where = np.unique(key, return_index=True, return_inverse=True)
+    args = [np.asarray(a)[first].tolist() for a in arrays]
+    out = [None] * len(first)
+    for j in np.argsort(first):
+        out[j] = fn(*(arg[j] for arg in args))
+    return np.array(out)[where]
+
+
 def array_classify(space, vals, tol):
     """classify's maxitive branch on the atom array."""
     top = float(np.max(vals, initial=0.0))
@@ -1816,7 +1893,7 @@ def array_classify(space, vals, tol):
 
 
 def array_odot_abs_continuous(op, nu, tau, tol):
-    bound = per_distinct(lambda v: op(INF, v), tau)
+    bound = array_per_distinct(lambda v: op(INF, v), tau)
     i = first_flagged(~vle(nu, bound, tol))
     if i is not None:
         return AbsContReport(holds=False, op=op.name, witness=mask_of([i]))
@@ -1824,19 +1901,19 @@ def array_odot_abs_continuous(op, nu, tau, tol):
 
 
 def array_verify_density(op, f, nu, tau, tol):
-    i = first_flagged(~vclose(per_distinct(op, f, tau), nu, tol))
+    i = first_flagged(~vclose(array_per_distinct(op, f, tau), nu, tol))
     return i is None, None if i is None else mask_of([i])
 
 
 def array_residuals(op, num, den):
-    return per_distinct(lambda r, s: 0.0 if r == 0.0 else op.residual(r, s), num, den)
+    return array_per_distinct(lambda r, s: 0.0 if r == 0.0 else op.residual(r, s), num, den)
 
 
 def array_density_from_associated(op, space, null, c1, c2, tol):
     """density_from_associated on a maxitive mu with null atoms ``null``."""
     nu = MaxitiveMeasure(space, np.where(ref_atom_flags(null, space.n_atoms), 0.0, c1))
     tau = MaxitiveMeasure(space, np.where(ref_atom_flags(null, space.n_atoms), 0.0, c2))
-    bound = per_distinct(lambda v: op(INF, v), c2)
+    bound = array_per_distinct(lambda v: op(INF, v), c2)
     bad = mask_of(np.flatnonzero(~vle(c1, bound, tol)))
     if bad & ~null:
         raise NegligibilityViolation(
@@ -1922,11 +1999,12 @@ def test_atom_tuples_match_the_array_routes_they_replaced(k, tol, op, data):
         assert list(map(bits, f.distinct_values(b))) == list(map(bits, sorted(set(arr.tolist()))))
     assert bits(nu(bset)) == bits(fold_atoms(nu_a, bset.mask, max, 0.0))
     assert bits(m(bset)) == bits(fold_atoms(m_a, bset.mask, operator.add, 0.0))
-    assert tuple_bits(f.pointwise(op, g).atom_values) == per_distinct(op, f_a, g_a).tobytes()
+    assert tuple_bits(f.pointwise(op, g).atom_values) == array_per_distinct(op, f_a, g_a).tobytes()
     # both routes call once per distinct pair, in the order the pairs first occur
     calls = [], []
-    for log, args in zip(calls, ((f.atom_values, g.atom_values), (f_a, g_a))):
-        per_distinct(lambda x, y, log=log: log.append(bits(x) + bits(y)) or op(x, y), *args)
+    for log, route, args in zip(calls, (per_distinct, array_per_distinct),
+                                ((f.atom_values, g.atom_values), (f_a, g_a))):
+        route(lambda x, y, log=log: log.append(bits(x) + bits(y)) or op(x, y), *args)
     assert calls[0] == calls[1]
     for a, b in ((f, g), (nu, tau), (f, f)):
         a_a, b_a = array_as_values(a.atom_values), array_as_values(b.atom_values)
@@ -1950,7 +2028,7 @@ def test_atom_tuples_match_the_array_routes_they_replaced(k, tol, op, data):
 
     # densities
     assert odot_abs_continuous(op, nu, tau, tol) == array_odot_abs_continuous(op, nu_a, tau_a, tol)
-    target = MaxitiveMeasure(space, perturbed(data.draw, per_distinct(op, f_a, tau_a).tolist()))
+    target = MaxitiveMeasure(space, perturbed(data.draw, array_per_distinct(op, f_a, tau_a).tolist()))
     assert verify_density(op, f, target, tau, tol) == array_verify_density(
         op, f_a, array_as_values(target.atom_values), tau_a, tol
     )
@@ -2067,7 +2145,7 @@ def array_gerritse_integral(op, f, nu, bset=None):
             meas = atom_table(np.asarray(nu.atom_masses)[idx], np.add, 0.0)
     else:
         meas = as_table(nu).table[atom_table(1 << idx, np.add, 0)]
-    cand = per_distinct(op, low[:0:-1], meas[:0:-1])
+    cand = array_per_distinct(op, low[:0:-1], meas[:0:-1])
     return float(np.where(cand > 0.0, cand, 0.0).max(initial=0.0))
 
 
