@@ -18,9 +18,10 @@ from __future__ import annotations
 import operator
 
 from .additive import AdditiveMeasure
-from .errors import OracleMismatch
+from .errors import MaxitiveError, OracleMismatch
 from .measures import MaxitiveMeasure
 from .records import Record
+from .semigroup import TableOp, _monotonicity_faults
 from .spaces import (
     DEFAULT_TOL,
     INF,
@@ -56,7 +57,19 @@ def idempotent_integral(op, f, nu, bset=None, tol=DEFAULT_TOL, crosscheck=False)
     the sup over all positive levels. With crosscheck=True the submask
     maximization is run as well (the measure must be maxitive for the two to
     agree) and disagreement raises OracleMismatch.
+
+    The sweep is the integral, and agrees with the submask maximization, only
+    under a monotone operation. A table operation is checked on its grid
+    first, in O(n^2) calls, and the first pair (s, t) where it decreases is
+    refused with MaxitiveError; the builtins are monotone.
     """
+    if isinstance(op, TableOp):
+        witness = next(_monotonicity_faults(op, op.grid, tol), None)
+        if witness is not None:
+            raise MaxitiveError(
+                f"the integral needs a monotone operation; {op.name!r} is not monotone "
+                f"on its grid at (s, t) = {witness}"
+            )
     bset = _fullset(nu, bset)
     best = IntegralResult(value=0.0, level=0.0, strict_boundary=False)
     for v in [0.0] + f.distinct_values(bset):

@@ -5,6 +5,9 @@ Builtin operations: ``times`` and ``min`` are pseudo-multiplications
 0 as annihilator and no zero divisors); ``plus`` and ``max`` are ordered
 semigroups with a left identity but fail the annihilator axiom.
 
+A table operation reads its residuals and its exactness off the running
+maximum of each column down its grid (see ``TableOp``).
+
 ``verify_axioms`` checks a table operation on its own grid, and its
 continuity is the grid verdict. A builtin is checked on ``default_grid()``,
 and each jump between adjacent grid points is bisected off the grid.
@@ -13,6 +16,8 @@ and each jump between adjacent grid points is bisected off the grid.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
+from itertools import accumulate, chain
 
 from .errors import NotAbsolutelyContinuous
 from .records import Record
@@ -198,66 +203,57 @@ def builtin_names():
 class TableOp(SemigroupOp):
     """An operation given by a value table over a declared grid.
 
-    Evaluation is exact-lookup only; residuation takes the least grid t with
-    r <= t (.) s. The ``exact`` flag is set by checking every admissible grid
-    pair for an exactness witness.
+    Evaluation is exact-lookup only. Residuation takes the least grid t with
+    r <= t (.) s, and the grid is strictly increasing, so everything is read
+    off the running maximum of column s down the grid: r << s iff its last
+    entry is >= r, and r / s is the grid point at ``bisect_left(column, r)``.
+    The operation is exact iff, in every column, the first row whose running
+    maximum reaches a grid value r holds r (or no row reaches r).
     """
 
     def __init__(self, name, grid, values, left_identity=None):
         grid = [float(g) for g in grid]
+        vals = [[float(v) for v in row] for row in values]
+        # first, since one NaN cell would spoil a running maximum; a -0.0
+        # cell is kept as given, as the loader keeps it
+        for v in chain(grid, *vals):
+            if not v >= 0.0:
+                raise ValueError(f"grid and cells of {name!r} must lie in [0, inf], got {v}")
         if sorted(grid) != grid or len(set(grid)) != len(grid):
             raise ValueError("grid must be strictly increasing")
-        self.grid = grid
-        self._index = {g: i for i, g in enumerate(grid)}
-        vals = [[float(v) for v in row] for row in values]
         if len(vals) != len(grid) or any(len(row) != len(grid) for row in vals):
             raise ValueError("values must be a square table over the grid")
+        self.name = name
+        self.grid = grid
+        self.left_identity = left_identity
+        self._index = {g: i for i, g in enumerate(grid)}
         self._values = vals
-
-        def at(v):
-            try:
-                return self._index[v]
-            except KeyError:
-                raise ValueError(f"{v} is off the declared grid of {name!r}") from None
-
-        def eval_fn(s, t):
-            return self._values[at(s)][at(t)]
-
-        def abs_cont(r, s):
-            col = at(s)
-            return any(self._values[i][col] >= r for i in range(len(grid)))
-
-        def residual(r, s):
-            col = at(s)
-            cands = [grid[i] for i in range(len(grid)) if self._values[i][col] >= r]
-            return min(cands)
-
-        def omap(t):
-            col = at(t)
-            pos = [self._values[i][col] for i in range(len(grid)) if grid[i] > 0]
-            return min(pos) if pos else INF
-
-        super().__init__(
-            name,
-            eval_fn,
-            left_identity=left_identity,
-            exact=False,
-            abs_cont=abs_cont,
-            residual=residual,
-            residual_defined=abs_cont,
-            omap=omap,
+        self._tops = [list(accumulate(col, max)) for col in zip(*vals)]
+        self.exact = all(
+            top[bisect_left(top, r)] == r for top in self._tops for r in grid if r <= top[-1]
         )
-        self.exact = self._check_exact()
 
-    def _check_exact(self):
-        for r in self.grid:
-            for s in self.grid:
-                if not self._abs_cont(r, s):
-                    continue
-                c = self._residual(r, s)
-                if self(c, s) != r:
-                    return False
-        return True
+    def _at(self, v):
+        try:
+            return self._index[v]
+        except KeyError:
+            raise ValueError(f"{v} is off the declared grid of {self.name!r}") from None
+
+    def _eval(self, s, t):
+        return self._values[self._at(s)][self._at(t)]
+
+    def _abs_cont(self, r, s):
+        return self._tops[self._at(s)][-1] >= r
+
+    _residual_defined = _abs_cont
+
+    def _residual(self, r, s):
+        return self.grid[bisect_left(self._tops[self._at(s)], r)]
+
+    def _omap(self, t):
+        col = self._at(t)
+        positive = self._values[bisect_right(self.grid, 0.0):]
+        return min((row[col] for row in positive), default=INF)
 
     @classmethod
     def from_json(cls, doc):

@@ -250,6 +250,25 @@ def test_check_reports_finiteness_that_differs_under_a_table_operation(tmp_path,
     }
 
 
+@pytest.mark.parametrize("crosscheck", [[], ["--crosscheck"]])
+def test_integrate_refuses_an_operation_that_is_not_monotone(tmp_path, capsys, crosscheck):
+    # op(1, inf) = 0 < op(1, 1) = 1, so the level sweep is not the integral:
+    # it gave 0.0 against 1.0 over the submasks. The integral refuses before
+    # its sweep and names the axiom and the first pair (s, t) where it fails
+    op = {"grid": [0, 1, "inf"], "values": [[0, 0, 0], [0, 1, 0], [0, 1, 0]]}
+    op_path = write_doc(tmp_path / "op.json", op)
+    nu = write_doc(tmp_path / "nu.json", measure_doc("maxitive", ["a", "b"], [1, "inf"]))
+    f = write_doc(tmp_path / "f.json", measure_doc("function", ["a", "b"], [1, 1]))
+    argv = ["integrate", "--op", op_path, "--measure", nu, "--fn", f, *crosscheck]
+    assert cli.main(argv) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == (
+        "error: the integral needs a monotone operation; 'custom' is not monotone "
+        "on its grid at (s, t) = (inf, 1.0)\n"
+    )
+
+
 def test_check_at_tolerance_zero_flags_a_drop_from_inf(tmp_path, capsys):
     doc = {
         "schema": "1",

@@ -197,11 +197,13 @@ def test_fuzzed_table_operations_exit_cleanly(tmp_path_factory, case, op, tol, d
     # a cell or the identity lies off it; residual reads it at r and s, and
     # the residual density at inf and the values of tau, which lie off the
     # grid now and then. The finiteness flags of a table operation are
-    # reported as computed, never refused for differing
+    # reported as computed, never refused for differing, and the integral
+    # refuses an operation that is not monotone before its sweep, so its
+    # crosscheck never ends in a mismatch of the two routes
     root = tmp_path_factory.mktemp("fuzz")
     paths = {}
     tau = dict(case[1], kind="maxitive")
-    for name, body in (("measure", case[0]), ("tau", tau), ("op", op)):
+    for name, body in (("measure", case[0]), ("fn", case[1]), ("tau", tau), ("op", op)):
         paths[name] = str(root / f"{name}.json")
         (root / f"{name}.json").write_text(json.dumps(body))
     scalar = st.sampled_from(op["grid"] or [0.0]) | st.sampled_from(VALUES)
@@ -210,12 +212,15 @@ def test_fuzzed_table_operations_exit_cleanly(tmp_path_factory, case, op, tol, d
              "--tolerance", tol]
     density = ["density", "--method", "residual", "--op", paths["op"], "--nu", paths["measure"],
                "--tau", paths["tau"], "--tolerance", tol]
-    for argv in (check, residual, density):
+    integrate = ["integrate", "--crosscheck", "--op", paths["op"], "--measure", paths["measure"],
+                 "--fn", paths["fn"], "--tolerance", tol]
+    for argv in (check, residual, density, integrate):
         code, err, seconds = run(argv)
         assert code in (0, 1, 2), (argv, code, err)
         assert "Traceback" not in err and "RuntimeWarning" not in err, (argv, err)
         assert seconds < 5.0, (argv, seconds)
         assert "semi-finiteness must match" not in err, (argv, err)
+        assert "level sweep" not in err, (argv, err)
 
 
 #: valid tail indices and cutoffs: the ends of their ranges and draws between

@@ -3,8 +3,10 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from maxitive.errors import OracleMismatch
+from maxitive.errors import MaxitiveError, OracleMismatch
 from maxitive.integral import (
     atom_integral,
     density_measure,
@@ -15,7 +17,7 @@ from maxitive.integral import (
 )
 from maxitive.measures import MaxitiveMeasure, is_maxitive
 from maxitive.sampling import random_fn, random_maxitive, random_set, random_space, rng_for
-from maxitive.semigroup import MIN, TIMES
+from maxitive.semigroup import MIN, TIMES, TableOp, verify_axioms
 from maxitive.spaces import INF, MeasurableFn, SetFunction, build_space, close
 
 
@@ -139,6 +141,29 @@ def test_crosscheck_flags_bad_input(abc):
     f = MeasurableFn(abc, [1, 1, 1])
     with pytest.raises(OracleMismatch):
         idempotent_integral(TIMES, f, spiked, crosscheck=True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sets(st.sampled_from([0.5, 1.0, 2.0])), st.integers(1, 5),
+       st.sampled_from([0.0, 1e-12, 1e-9, 0.1]), st.data())
+def test_an_integral_under_a_table_operation_is_refused_or_crosschecks(inner, k, tol, data):
+    # the sweep and the submask maximization agree under a monotone
+    # operation; one that is not monotone on its grid is refused first, so
+    # the crosscheck never ends in OracleMismatch
+    grid = [0.0, *sorted(inner), INF]
+    on_grid = st.sampled_from(grid)
+    rows = data.draw(st.lists(st.lists(on_grid, min_size=len(grid), max_size=len(grid)),
+                              min_size=len(grid), max_size=len(grid)))
+    op = TableOp("drawn", grid, rows)
+    sp = build_space([f"a{i}" for i in range(k)], [[f"a{i}"] for i in range(k)])
+    f = MeasurableFn(sp, data.draw(st.lists(on_grid, min_size=k, max_size=k)))
+    nu = MaxitiveMeasure(sp, data.draw(st.lists(on_grid, min_size=k, max_size=k)))
+    if verify_axioms(op, tol).monotone:
+        idempotent_integral(op, f, nu, tol=tol, crosscheck=True)
+    else:
+        with pytest.raises(MaxitiveError, match="^the integral needs a monotone operation; ") as exc:
+            idempotent_integral(op, f, nu, tol=tol, crosscheck=True)
+        assert exc.type is MaxitiveError
 
 
 # the Ky Fan pseudometric

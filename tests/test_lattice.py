@@ -37,7 +37,10 @@ density, the classical density and the submask maximization, which sweep
 every set over Python lists, against their numpy bodies, and an additive
 measure's negligibility, read off its zero-mass atoms, against its table.
 Last of all, the axiom check's one scan per axiom against the flag-and-break
-loops and the retry of the continuity scan that it replaced.
+loops and the retry of the continuity scan that it replaced, and a table
+operation's absolute continuity, residuals, O map and exactness, read off
+its columns' running maxima, against the column scans they replaced, on
+grids of up to 60 points.
 """
 
 import math
@@ -2473,3 +2476,101 @@ def test_axiom_scan_of_a_table_matches_the_reference(op, tol):
     # the same report, witnesses and zero signs included, or the same
     # off-grid error raised at the same call
     assert axiom_outcome(verify_axioms, op, tol) == axiom_outcome(ref_verify_axioms, op, tol)
+
+
+# ---------------------------------------------------------------------------
+# a table operation's residuals and exactness, read off its columns' running
+# maxima, against the column scans they replaced
+# ---------------------------------------------------------------------------
+
+
+def ref_column(op, v):
+    """The grid index of v, or the off-grid error."""
+    try:
+        return op.grid.index(v)
+    except ValueError:
+        raise ValueError(f"{v} is off the declared grid of {op.name!r}") from None
+
+
+def ref_abs_cont(op, r, s):
+    """r << s: some cell of column s is >= r."""
+    r, s = float(r), float(s)
+    col = ref_column(op, s)
+    return any(op._values[i][col] >= r for i in range(len(op.grid)))
+
+
+def ref_residual(op, r, s):
+    """The least grid t whose cell in column s is >= r."""
+    r, s = float(r), float(s)
+    if not ref_abs_cont(op, r, s):
+        raise NotAbsolutelyContinuous(
+            f"{r} is not absolutely continuous with respect to {s} under {op.name}"
+        )
+    col = ref_column(op, s)
+    return min(op.grid[i] for i in range(len(op.grid)) if op._values[i][col] >= r)
+
+
+def ref_omap(op, t):
+    """The least cell of column t over the rows of a positive grid point."""
+    col = ref_column(op, float(t))
+    pos = [op._values[i][col] for i in range(len(op.grid)) if op.grid[i] > 0]
+    return min(pos) if pos else INF
+
+
+def ref_check_exact(op):
+    """Every grid pair (r, s) with r << s recovers r from its residual."""
+    for r in op.grid:
+        for s in op.grid:
+            if not ref_abs_cont(op, r, s):
+                continue
+            c = ref_residual(op, r, s)
+            if op._values[ref_column(op, c)][ref_column(op, s)] != r:
+                return False
+    return True
+
+
+#: 0, inf, the powers of two from 2^-30 to 2^30, so that products of grid
+#: points land on the grid, and two points between them
+EXACT_POOL = [0.0, INF, 0.75, 3.0, *(2.0 ** e for e in range(-30, 31))]
+
+#: probes and cells off every grid, -0.0 and a subnormal among them
+OFF_POOL = [-0.0, 5e-324, 0.3, 7.5, 1e300]
+
+
+@st.composite
+def running_max_ops(draw):
+    """A table operation on up to 60 grid points: min, product or random
+    cells, up to three of them replaced by -0.0, a grid point or an off-grid
+    value."""
+    n = draw(st.integers(0, 60))
+    grid = sorted(draw(st.lists(st.sampled_from(EXACT_POOL), min_size=n, max_size=n, unique=True)))
+    shape = draw(st.sampled_from(["min", "times", "drawn"]))
+    if shape == "min":
+        rows = [[min(a, b) for b in grid] for a in grid]
+    elif shape == "times":
+        rows = [[_times(a, b) for b in grid] for a in grid]
+    else:
+        # a seeded stream, since n^2 drawn cells would outgrow hypothesis's buffer
+        rnd = draw(st.randoms(use_true_random=False))
+        cells = grid + OFF_POOL[:-1]
+        rows = [[rnd.choice(cells) for _ in grid] for _ in grid]
+    for _ in range(draw(st.integers(0, 3)) if n else 0):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        rows[i][j] = draw(st.sampled_from([*OFF_POOL, *grid]))
+    return TableOp("drawn", grid, rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(running_max_ops(), st.data())
+def test_running_maxima_match_the_column_scans(op, data):
+    # the exactness flag, and at probes on and off the grid the outcome of
+    # r << s, r / s and O(t): the same value, zero signs included, or the
+    # same error and message
+    assert op.exact == ref_check_exact(op)
+    probe = st.sampled_from(op.grid or [0.0]) | st.sampled_from(OFF_POOL + EXACT_POOL[:4])
+    for _ in range(10):
+        r, s = data.draw(probe), data.draw(probe)
+        assert settled(op.abs_cont, r, s) == settled(ref_abs_cont, op, r, s)
+        assert settled(op.residual_defined, r, s) == settled(ref_abs_cont, op, r, s)
+        assert settled(op.residual, r, s) == settled(ref_residual, op, r, s)
+        assert settled(op.omap, s) == settled(ref_omap, op, s)

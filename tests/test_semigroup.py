@@ -247,6 +247,14 @@ def test_table_op_validation_and_json():
         TableOp("bad", [1.0, 0.0], [[0, 0], [0, 0]])
     with pytest.raises(ValueError):
         TableOp("bad", [0.0, 1.0], [[0, 0]])
+    # NaN and negative entries are refused before any running maximum is
+    # taken; a -0.0 cell is kept as given
+    with pytest.raises(ValueError, match=r"^grid and cells of 'neg' must lie in \[0, inf\], got -1.0$"):
+        TableOp("neg", [0, 1, INF], [[0, 0, 0], [0, 1, 1], [-1, 1, math.nan]])
+    for grid, cell in (([0.0, math.nan], 0.0), ([-1.0, 0.0], 0.0), ([0.0, 1.0], math.nan)):
+        with pytest.raises(ValueError, match="must lie in"):
+            TableOp("bad", grid, [[0.0, 0.0], [0.0, cell]])
+    assert math.copysign(1.0, TableOp("z", [0.0], [[-0.0]])(0.0, 0.0)) == -1.0
     grid = [0.0, 1.0, 2.0]
     op = TableOp("t", grid, _min_table(grid), left_identity=2.0)
     with pytest.raises(ValueError):
