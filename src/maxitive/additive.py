@@ -26,7 +26,7 @@ import operator
 
 from .errors import NoDensity, NotAbsolutelyContinuous
 from .records import Record
-from .semigroup import _times
+from .semigroup import TIMES
 from .spaces import (
     DEFAULT_TOL,
     INF,
@@ -93,7 +93,7 @@ def lebesgue_integral(f, m, bset=None):
         bset = m.space.full()
     total = 0.0
     for i in bset.atom_indices():
-        total += _times(f.atom_values[i], m.atom_masses[i])
+        total += TIMES._eval(f.atom_values[i], m.atom_masses[i])
     return total
 
 
@@ -131,7 +131,7 @@ def classical_density(nu, m, tol=DEFAULT_TOL):
             dens.append(ni / mi)
     c = MeasurableFn(space, dens)
     # lebesgue_integral's left-to-right sum, and nu's, on every mask at once
-    got = atom_folds(per_distinct(_times, c.atom_values, m.atom_masses), operator.add, 0.0)
+    got = atom_folds(per_distinct(TIMES._eval, c.atom_values, m.atom_masses), operator.add, 0.0)
     want = atom_folds(nu.atom_masses, operator.add, 0.0)
     # equal lists pass at every tolerance; only a difference pays for the scan
     b = None if got == want else first_atom(not close(g, v, tol) for g, v in zip(got, want))
@@ -240,7 +240,7 @@ def choquet_integral(f, w, bset=None):
     for lo, hi in zip(vs, vs[1:]):
         surv = w(bset.mask & f.level_set(lo).mask)
         width = hi - lo
-        total += _times(width, surv)
+        total += TIMES._eval(width, surv)
         if math.isinf(total):
             return INF
     return total

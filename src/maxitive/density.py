@@ -32,7 +32,7 @@ from .errors import (
 )
 from .measures import MaxitiveMeasure, _null_atoms, esssup_measure, negligible
 from .records import Record
-from .semigroup import _times
+from .semigroup import TIMES
 from .spaces import (
     DEFAULT_TOL,
     INF,
@@ -166,7 +166,7 @@ def envelope_measure(nu, m):
     overflow.
     """
     nu_a, m_a = nu.atom_values, m.atom_masses
-    masses = list(map(_times, nu_a, m_a))  # 0 * inf is 0; an overflow is inf
+    masses = list(map(TIMES._eval, nu_a, m_a))  # 0 * inf is 0; an overflow is inf
     i = first_atom(
         math.isinf(p) and math.isfinite(v) and math.isfinite(w)
         for p, v, w in zip(masses, nu_a, m_a)

@@ -59,6 +59,9 @@ def decode_value(x):
         x = float(x)
     except TypeError:
         raise ValueError(f"values must be numbers or strings, got {x!r}") from None
+    except OverflowError:
+        # a JSON integer past the float range, such as 10^400 in digits
+        raise ValueError(f"an integer value of {x.bit_length()} bits does not fit in a float") from None
     if x != x or x < 0:
         raise ValueError(f"values must lie in [0, inf], got {x}")
     return x

@@ -5,6 +5,11 @@ Builtin operations: ``times`` and ``min`` are pseudo-multiplications
 0 as annihilator and no zero divisors); ``plus`` and ``max`` are ordered
 semigroups with a left identity but fail the annihilator axiom.
 
+Each operation is a subclass of ``SemigroupOp`` that sets its name, left
+identity and exactness and defines its value, residual and O map on floats.
+r << s defaults to r <= inf (.) s, and the residual is defined where
+r << s; ``Times`` narrows the latter at s = inf.
+
 A table operation reads its residuals and its exactness off the running
 maximum of each column down its grid (see ``TableOp``).
 
@@ -24,52 +29,17 @@ from .records import Record
 from .spaces import DEFAULT_TOL, INF, close, esub, le
 
 
-def _times(s, t):
-    # 0 * inf = inf * 0 = 0 by convention
-    if s == 0.0 or t == 0.0:
-        return 0.0
-    return s * t
-
-
-def _plus(s, t):
-    return s + t
-
-
-def _min(s, t):
-    return s if s <= t else t
-
-
-def _max(s, t):
-    return s if s >= t else t
-
-
 class SemigroupOp:
-    """An ordered semigroup operation with optional residuation data.
+    """An ordered semigroup operation on [0, inf] with its residuation data.
 
-    ``residual_defined(r, s)`` delimits the region where the Galois
-    equivalence  r <= t (.) s  <=>  residual(r, s) <= t  is guaranteed.
-    ``abs_cont(r, s)`` is the scalar relation r << s, i.e. r <= inf (.) s.
+    A subclass sets ``name``, ``left_identity`` (None when there is none)
+    and ``exact``, and defines three methods on floats: ``_eval(s, t)`` is
+    s (.) t, ``_residual(r, s)`` is r / s and ``_omap(t)`` is O(t).
+    ``abs_cont(r, s)`` is the scalar relation r << s, which by default is
+    r <= inf (.) s. ``residual_defined(r, s)`` delimits the region where the
+    Galois equivalence  r <= t (.) s  <=>  residual(r, s) <= t  is
+    guaranteed; by default it is the region of r << s.
     """
-
-    def __init__(
-        self,
-        name,
-        eval_fn,
-        left_identity=None,
-        exact=False,
-        abs_cont=None,
-        residual=None,
-        residual_defined=None,
-        omap=None,
-    ):
-        self.name = name
-        self._eval = eval_fn
-        self.left_identity = left_identity
-        self.exact = exact
-        self._abs_cont = abs_cont
-        self._residual = residual
-        self._residual_defined = residual_defined
-        self._omap = omap
 
     def __call__(self, s, t):
         return self._eval(float(s), float(t))
@@ -104,87 +74,81 @@ class SemigroupOp:
             return False
         return self.finite_element(self.left_identity)
 
+    def _abs_cont(self, r, s):
+        return r <= self._eval(INF, s)
+
+    def _residual_defined(self, r, s):
+        return self._abs_cont(r, s)
+
     def __repr__(self):
         return f"SemigroupOp({self.name!r})"
 
 
-def _times_abs_cont(r, s):
-    return r == 0.0 or s != 0.0
+class Times(SemigroupOp):
+    name, left_identity, exact = "times", 1.0, True
+
+    def _eval(self, s, t):
+        # 0 * inf = inf * 0 = 0 by convention
+        if s == 0.0 or t == 0.0:
+            return 0.0
+        return s * t
+
+    def _residual(self, r, s):
+        if r == 0.0:
+            return 0.0
+        if math.isinf(s):
+            # (inf/inf) := inf is an exactness witness; finite r has no witness
+            return INF if math.isinf(r) else 0.0
+        return r / s
+
+    def _residual_defined(self, r, s):
+        # no Galois element exists at (r, inf) for r > 0: {t : r <= t*inf} = (0, inf]
+        return r == 0.0 or (0.0 < s < INF)
+
+    def _omap(self, t):
+        return INF if math.isinf(t) else 0.0
 
 
-def _times_residual(r, s):
-    if r == 0.0:
+class Min(SemigroupOp):
+    name, left_identity, exact = "min", INF, True
+
+    def _eval(self, s, t):
+        return s if s <= t else t
+
+    def _residual(self, r, s):
+        return r
+
+    def _omap(self, t):
         return 0.0
-    if math.isinf(s):
-        # (inf/inf) := inf is an exactness witness; finite r has no witness
-        return INF if math.isinf(r) else 0.0
-    return r / s
 
 
-def _times_residual_defined(r, s):
-    # no Galois element exists at (r, inf) for r > 0: {t : r <= t*inf} = (0, inf]
-    return r == 0.0 or (0.0 < s < INF)
+class Plus(SemigroupOp):
+    name, left_identity, exact = "plus", 0.0, False
+
+    def _eval(self, s, t):
+        return s + t
+
+    def _residual(self, r, s):
+        return max(0.0, esub(r, s))
+
+    def _omap(self, t):
+        return t
 
 
-def _min_abs_cont(r, s):
-    return r <= s
+class Max(SemigroupOp):
+    name, left_identity, exact = "max", 0.0, False
+
+    def _eval(self, s, t):
+        return s if s >= t else t
+
+    def _residual(self, r, s):
+        return 0.0 if r <= s else r
+
+    def _omap(self, t):
+        return t
 
 
-def _min_residual(r, s):
-    return r
-
-
-def _plus_residual(r, s):
-    return max(0.0, esub(r, s))
-
-
-def _max_residual(r, s):
-    return 0.0 if r <= s else r
-
-
-TIMES = SemigroupOp(
-    "times",
-    _times,
-    left_identity=1.0,
-    exact=True,
-    abs_cont=_times_abs_cont,
-    residual=_times_residual,
-    residual_defined=_times_residual_defined,
-    omap=lambda t: INF if math.isinf(t) else 0.0,
-)
-
-MIN = SemigroupOp(
-    "min",
-    _min,
-    left_identity=INF,
-    exact=True,
-    abs_cont=_min_abs_cont,
-    residual=_min_residual,
-    residual_defined=_min_abs_cont,
-    omap=lambda t: 0.0,
-)
-
-PLUS = SemigroupOp(
-    "plus",
-    _plus,
-    left_identity=0.0,
-    exact=False,
-    abs_cont=lambda r, s: True,
-    residual=_plus_residual,
-    residual_defined=lambda r, s: True,
-    omap=lambda t: t,
-)
-
-MAX = SemigroupOp(
-    "max",
-    _max,
-    left_identity=0.0,
-    exact=False,
-    abs_cont=lambda r, s: True,
-    residual=_max_residual,
-    residual_defined=lambda r, s: True,
-    omap=lambda t: t,
-)
+TIMES, MIN, PLUS, MAX = Times(), Min(), Plus(), Max()
 
 _BUILTINS = {"times": TIMES, "min": MIN, "plus": PLUS, "max": MAX}
 
@@ -243,9 +207,8 @@ class TableOp(SemigroupOp):
         return self._values[self._at(s)][self._at(t)]
 
     def _abs_cont(self, r, s):
+        # the grid may lack inf, so r << s is read off the column
         return self._tops[self._at(s)][-1] >= r
-
-    _residual_defined = _abs_cont
 
     def _residual(self, r, s):
         return self.grid[bisect_left(self._tops[self._at(s)], r)]

@@ -448,6 +448,28 @@ def test_envelope_density_refusals_are_one_error_line(nu, m, message, tmp_path):
     assert proc.stderr == message + "\n"
 
 
+# A JSON integer too large for a float, 10^400 in digits, is refused where it
+# is decoded: as an atom, a set function's table entry or a table operation's
+# cell, with one error line and no OverflowError traceback.
+@pytest.mark.parametrize("where", ["atom", "table entry", "operation cell"])
+def test_a_json_integer_too_large_for_a_float_is_one_error_line(where, tmp_path):
+    big = 10 ** 400
+    path = tmp_path / "doc.json"
+    if where == "atom":
+        argv = ["decompose", "--nu", write_doc(path, measure_doc("maxitive", "ab", [big, 0.5]))]
+    elif where == "table entry":
+        doc = {"schema": "1", "kind": "set_function",
+               "space": {"ground": ["a", "b"], "blocks": [["a"], ["b"]]},
+               "table": {"a": 1, "b": big, "a+b": 2}}
+        argv = ["check", "--order", "0", "--measure", write_doc(path, doc)]
+    else:
+        doc = {"grid": [0, 1], "values": [[0, 0], [0, big]]}
+        argv = ["residual", write_doc(path, doc), "1", "1"]
+    proc = run_cli(*argv)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == "error: an integer value of 1329 bits does not fit in a float\n"
+
+
 # which documents density reads depends on --method; one left out is a usage
 # error that names it, before any document is read
 @pytest.mark.parametrize("method, given, missing", [

@@ -12,7 +12,8 @@ Atom counts run to 12, where every table is small, and from 22 to 30, above
 the 21 atoms that a table admits, where a table is refused before it is
 allocated and the atom routes run.
 A document of the wrong JSON shape, as a measure, a function or a table
-operation, must exit 1 with exactly one ``error:`` line. ``simulate`` runs in
+operation, or with a NaN, -Infinity or too large integer as a value, must
+exit 1 with exactly one ``error:`` line. ``simulate`` runs in
 both modes, with and without ``--set``, ``--eps`` and ``--csv``, at n up to
 1000, on the same values as control masses. Drawn table operations, on
 grids with and without 0 and inf, run through ``check --order 0 --op``,
@@ -23,6 +24,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import time
 import traceback
 import warnings
@@ -270,6 +272,11 @@ def test_fuzzed_simulations_exit_cleanly(tmp_path_factory, masses, mode, p, eps,
     assert got.tobytes() == want.tobytes(), argv
 
 
+#: JSON values that parse but are no float in [0, inf]: the NaN and
+#: -Infinity literals and integers too large for a float
+NON_VALUES = st.sampled_from([math.nan, -math.inf]) | st.integers(2 ** 1024, 10 ** 400)
+
+
 @st.composite
 def malformed(draw):
     """A flawed document, the role it is passed in, and the flaw's name.
@@ -277,7 +284,8 @@ def malformed(draw):
     Each flaw puts a JSON value of the wrong type where the loader reads a
     document, a space, its labels, an atom or table container, a value (a
     boolean among them), or a table operation's name, grid, rows and left
-    identity.
+    identity. A value, a grid point, a cell or a left identity may instead
+    be one of NON_VALUES.
     """
     role = draw(st.sampled_from(["measure", "fn", "op"]))
     if role == "op":
@@ -289,15 +297,15 @@ def malformed(draw):
         if flaw == "name":
             doc["name"] = draw(st.sampled_from([["t"], {"x": 1}, 1, None, True]))
         elif flaw == "identity":
-            doc["left_identity"] = draw(st.sampled_from([True, False, {}, [1]]))
+            doc["left_identity"] = draw(st.sampled_from([True, False, {}, [1]]) | NON_VALUES)
         elif flaw == "grid":
             doc["grid"] = draw(st.sampled_from([None, 1, {"x": 1}]))
         elif flaw == "grid-value":
-            doc["grid"] = [0, draw(st.sampled_from([None, {}, [1]]))]
+            doc["grid"] = [0, draw(st.sampled_from([None, {}, [1]]) | NON_VALUES)]
         elif flaw == "rows":
             doc["values"] = draw(st.sampled_from([[0, 1], None, 1, [[0, 0], 1]]))
         else:
-            doc["values"] = [[0, draw(st.sampled_from([None, {}, [1]]))], [0, 1]]
+            doc["values"] = [[0, draw(st.sampled_from([None, {}, [1]]) | NON_VALUES)], [0, 1]]
         return role, doc, flaw
     kind = "function" if role == "fn" else draw(
         st.sampled_from(["maxitive", "additive", "possibility", "set_function"]))
@@ -326,7 +334,8 @@ def malformed(draw):
         doc[entries] = draw(st.sampled_from([None, 1, "ab", [1], [], [[1]]]))
     else:
         key = draw(st.sampled_from(sorted(doc[entries])))
-        doc[entries][key] = draw(st.sampled_from([None, {}, [1], [], {"x": 1}, True, False]))
+        doc[entries][key] = draw(
+            st.sampled_from([None, {}, [1], [], {"x": 1}, True, False]) | NON_VALUES)
     return role, doc, flaw
 
 

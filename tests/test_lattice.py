@@ -40,7 +40,8 @@ Last of all, the axiom check's one scan per axiom against the flag-and-break
 loops and the retry of the continuity scan that it replaced, and a table
 operation's absolute continuity, residuals, O map and exactness, read off
 its columns' running maxima, against the column scans they replaced, on
-grids of up to 60 points.
+grids of up to 60 points. Then the four builtins, each a subclass of
+``SemigroupOp``, against the closure-built operations they replaced.
 """
 
 import math
@@ -140,13 +141,9 @@ from maxitive.semigroup import (
     PLUS,
     TIMES,
     AxiomReport,
-    SemigroupOp,
     TableOp,
+    Times,
     _atan_gap,
-    _times,
-    _times_abs_cont,
-    _times_residual,
-    _times_residual_defined,
     default_grid,
     verify_axioms,
 )
@@ -165,6 +162,7 @@ from maxitive.spaces import (
     atoms_of,
     build_space,
     close,
+    esub,
     first_atom,
     first_flagged,
     fold_atoms,
@@ -520,7 +518,7 @@ def ref_classical_density(nu, m, tol=1e-9):
     for b in range(space.n_sets):
         total = 0.0
         for i in MeasurableSet(space, b).atom_indices():
-            total += _times(float(c.atom_values[i]), float(m.atom_masses[i]))
+            total += ref_times(float(c.atom_values[i]), float(m.atom_masses[i]))
         if not close(total, nu(b), tol):
             raise NoDensity(f"candidate density fails on mask {b}")
     return c
@@ -1190,7 +1188,7 @@ def test_classical_density_matches_brute_force(vals, data):
     kind = data.draw(st.sampled_from(["density", "arbitrary", "generic"]))
     if kind == "density":
         dens = data.draw(st.lists(values, min_size=k, max_size=k))
-        masses = [_times(float(d), float(v)) for d, v in zip(dens, m.atom_masses)]
+        masses = [ref_times(float(d), float(v)) for d, v in zip(dens, m.atom_masses)]
     elif kind == "arbitrary":
         masses = data.draw(st.lists(values, min_size=k, max_size=k))
     else:
@@ -1392,23 +1390,17 @@ def test_finiteness_chain_matches_brute_force(vals):
 # ---------------------------------------------------------------------------
 
 
-def skewed_times(eps, above):
+class SkewedTimes(Times):
     """An "exact" times whose residual overshoots by 1 + eps above a level."""
 
-    def residual(r, s):
-        t = _times_residual(r, s)
-        return t * (1.0 + eps) if r > above else t
+    name = "skew"
 
-    return SemigroupOp(
-        "skew",
-        _times,
-        left_identity=1.0,
-        exact=True,
-        abs_cont=_times_abs_cont,
-        residual=residual,
-        residual_defined=_times_residual_defined,
-        omap=TIMES.omap,
-    )
+    def __init__(self, eps, above):
+        self.eps, self.above = eps, above
+
+    def _residual(self, r, s):
+        t = super()._residual(r, s)
+        return t * (1.0 + self.eps) if r > self.above else t
 
 
 @st.composite
@@ -1444,7 +1436,7 @@ def test_conditional_matches_the_sweep_over_every_union(case, data):
     op = data.draw(st.sampled_from([TIMES, MIN, None]))
     if op is None:
         eps = data.draw(st.sampled_from([1e-15, 1e-12, 1e-10, 1e-8, 1e-3]))
-        op = skewed_times(eps, data.draw(st.sampled_from([0.0, 0.5, 2.0])))
+        op = SkewedTimes(eps, data.draw(st.sampled_from([0.0, 0.5, 2.0])))
     tol = data.draw(st.sampled_from([0.0, 1e-9]))
     args = (op, x, pi, sub, tol)
     assert reported(conditional, *args) == reported(ref_conditional, *args)
@@ -1459,7 +1451,7 @@ def test_conditional_names_the_lowest_failing_block():
     pi = PossibilitySpace.from_values(space, [1.0, 0.5, 0.25, 1.0])
     x = MeasurableFn(space, [0.5, 2.0, 3.0, 4.0])
     sub = SubAlgebra(space, [0b0001, 0b0110, 0b1000])
-    args = (skewed_times(1e-3, 0.9), x, pi, sub, 1e-9)
+    args = (SkewedTimes(1e-3, 0.9), x, pi, sub, 1e-9)
     raised = outcome(conditional, *args)
     assert raised == outcome(ref_conditional, *args)
     assert raised[0] is DefiningPropertyFailed and raised[1].endswith("on mask 6")
@@ -2091,7 +2083,7 @@ def array_classical_density(nu, m, tol=DEFAULT_TOL):
             dens.append(ni / mi)
     c = MeasurableFn(space, dens)
     with np.errstate(over="ignore"):
-        got = atom_table(per_distinct(_times, c.atom_values, m.atom_masses))
+        got = atom_table(per_distinct(ref_times, c.atom_values, m.atom_masses))
         want = atom_table(np.asarray(nu.atom_masses))
     b = first_flagged(~vclose(got, want, tol))
     if b is not None:
@@ -2204,7 +2196,7 @@ def test_envelope_and_classical_density_match_the_numpy_bodies(atoms, tol, data)
     )
     # the classical density of an additive measure: a density times m, one
     # ulp off or not, or masses of their own
-    dens = [_times(d, w) for d, w in zip(nu_vals, m_vals)]
+    dens = [ref_times(d, w) for d, w in zip(nu_vals, m_vals)]
     for masses in (perturbed(data.draw, dens), x_vals):
         n = AdditiveMeasure(space, masses)
         assert settled(classical_density, n, m, tol) == settled(array_classical_density, n, m, tol)
@@ -2459,7 +2451,7 @@ def axiom_table_ops(draw):
     if shape == "min":
         rows = [[min(a, b) for b in grid] for a in grid]
     elif shape == "times":
-        rows = [[_times(a, b) for b in grid] for a in grid]
+        rows = [[ref_times(a, b) for b in grid] for a in grid]
     else:
         cell = st.sampled_from(grid) | st.sampled_from([-0.0, 0.25, 7.0, *AXIOM_GRID])
         rows = draw(st.lists(st.lists(cell, min_size=n, max_size=n), min_size=n, max_size=n))
@@ -2548,7 +2540,7 @@ def running_max_ops(draw):
     if shape == "min":
         rows = [[min(a, b) for b in grid] for a in grid]
     elif shape == "times":
-        rows = [[_times(a, b) for b in grid] for a in grid]
+        rows = [[ref_times(a, b) for b in grid] for a in grid]
     else:
         # a seeded stream, since n^2 drawn cells would outgrow hypothesis's buffer
         rnd = draw(st.randoms(use_true_random=False))
@@ -2574,3 +2566,132 @@ def test_running_maxima_match_the_column_scans(op, data):
         assert settled(op.residual_defined, r, s) == settled(ref_abs_cont, op, r, s)
         assert settled(op.residual, r, s) == settled(ref_residual, op, r, s)
         assert settled(op.omap, s) == settled(ref_omap, op, s)
+
+
+# ---------------------------------------------------------------------------
+# the builtins, each a SemigroupOp subclass, against the operations built
+# from closures that they replaced
+# ---------------------------------------------------------------------------
+
+
+class RefSemigroupOp:
+    """An operation built from a value closure and optional residuation closures."""
+
+    def __init__(self, name, eval_fn, left_identity=None, exact=False, abs_cont=None,
+                 residual=None, residual_defined=None, omap=None):
+        self.name = name
+        self._eval = eval_fn
+        self.left_identity = left_identity
+        self.exact = exact
+        self._abs_cont = abs_cont
+        self._residual = residual
+        self._residual_defined = residual_defined
+        self._omap = omap
+
+    def __call__(self, s, t):
+        return self._eval(float(s), float(t))
+
+    def abs_cont(self, r, s):
+        return self._abs_cont(float(r), float(s))
+
+    def residual(self, r, s):
+        r, s = float(r), float(s)
+        if not self._abs_cont(r, s):
+            raise NotAbsolutelyContinuous(
+                f"{r} is not absolutely continuous with respect to {s} under {self.name}"
+            )
+        return self._residual(r, s)
+
+    def residual_defined(self, r, s):
+        return self._residual_defined(float(r), float(s))
+
+    def omap(self, t):
+        return self._omap(float(t))
+
+    def finite_element(self, t):
+        return self.omap(t) == 0.0
+
+    def nondegenerate(self):
+        if self.left_identity is None:
+            return False
+        return self.finite_element(self.left_identity)
+
+
+def ref_times(s, t):
+    # 0 * inf = inf * 0 = 0 by convention
+    if s == 0.0 or t == 0.0:
+        return 0.0
+    return s * t
+
+
+def ref_times_abs_cont(r, s):
+    return r == 0.0 or s != 0.0
+
+
+def ref_times_residual(r, s):
+    if r == 0.0:
+        return 0.0
+    if math.isinf(s):
+        return INF if math.isinf(r) else 0.0
+    return r / s
+
+
+def ref_times_residual_defined(r, s):
+    return r == 0.0 or (0.0 < s < INF)
+
+
+def ref_min_abs_cont(r, s):
+    return r <= s
+
+
+REF_BUILTINS = {
+    "times": RefSemigroupOp(
+        "times", ref_times, left_identity=1.0, exact=True, abs_cont=ref_times_abs_cont,
+        residual=ref_times_residual, residual_defined=ref_times_residual_defined,
+        omap=lambda t: INF if math.isinf(t) else 0.0,
+    ),
+    "min": RefSemigroupOp(
+        "min", lambda s, t: s if s <= t else t, left_identity=INF, exact=True,
+        abs_cont=ref_min_abs_cont, residual=lambda r, s: r,
+        residual_defined=ref_min_abs_cont, omap=lambda t: 0.0,
+    ),
+    "plus": RefSemigroupOp(
+        "plus", lambda s, t: s + t, left_identity=0.0, exact=False,
+        abs_cont=lambda r, s: True, residual=lambda r, s: max(0.0, esub(r, s)),
+        residual_defined=lambda r, s: True, omap=lambda t: t,
+    ),
+    "max": RefSemigroupOp(
+        "max", lambda s, t: s if s >= t else t, left_identity=0.0, exact=False,
+        abs_cont=lambda r, s: True, residual=lambda r, s: 0.0 if r <= s else r,
+        residual_defined=lambda r, s: True, omap=lambda t: t,
+    ),
+}
+
+#: [0, inf] with -0.0, subnormals, the largest finite doubles and inf
+BUILTIN_ARGS = st.sampled_from(
+    [0.0, -0.0, 5e-324, 2.2e-308, 0.5, 1.0, 3.0, 1.7e308, 1.7976931348623157e308, INF]
+) | st.floats(min_value=0.0)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from([TIMES, MIN, PLUS, MAX]), BUILTIN_ARGS, BUILTIN_ARGS)
+def test_builtins_match_their_closure_built_references(op, r, s):
+    # the value's bits, r << s, the residual region, the residual's bits
+    # or its error and message, O and op-finiteness at both arguments
+    ref = REF_BUILTINS[op.name]
+    assert bits(op(r, s)) == bits(ref(r, s))
+    assert op.abs_cont(r, s) is ref.abs_cont(r, s)
+    assert op.residual_defined(r, s) is ref.residual_defined(r, s)
+    assert settled(op.residual, r, s) == settled(ref.residual, r, s)
+    for t in (r, s):
+        assert bits(op.omap(t)) == bits(ref.omap(t))
+        assert op.finite_element(t) is ref.finite_element(t)
+    assert op.nondegenerate() is ref.nondegenerate()
+    assert (op.left_identity, op.exact) == (ref.left_identity, ref.exact)
+
+
+@pytest.mark.parametrize("tol", [0.0, 1e-9, 0.1])
+@pytest.mark.parametrize("op", [TIMES, MIN, PLUS, MAX], ids=lambda op: op.name)
+def test_builtin_axiom_reports_match_their_closure_built_references(op, tol):
+    ref = REF_BUILTINS[op.name]
+    assert axiom_outcome(verify_axioms, op, tol) == axiom_outcome(verify_axioms, ref, tol)
