@@ -8,7 +8,6 @@ algebra a+b | c+d.
 
 from maxitive import (
     AdditiveMeasure,
-    MaxitiveMeasure,
     MeasurableFn,
     PossibilitySpace,
     SubAlgebra,
@@ -22,7 +21,7 @@ from maxitive import (
 from maxitive.semigroup import MIN, TIMES
 
 space = build_space("abcd", [["a"], ["b"], ["c"], ["d"]])
-pi = PossibilitySpace(MaxitiveMeasure(space, [1, 0.5, 0.25, 1]))
+pi = PossibilitySpace(space, [1, 0.5, 0.25, 1])
 x = MeasurableFn(space, [2, 5, 3, 1])
 sub = SubAlgebra.from_string(space, "a+b|c+d")
 

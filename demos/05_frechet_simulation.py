@@ -31,7 +31,7 @@ p = 2.0
 
 # one realization behaves as a completely maxitive measure
 sample = sample_supmeasure(m, p, rng_for(0))
-print("atom maxima:", [round(float(v), 4) for v in sample.atom_maxima])
+print("atom maxima:", [round(float(v), 4) for v in sample.atom_values])
 print("value on a+b:", round(sample(0b011), 4), "= max of the two atoms")
 
 # the marginal on the full set: empirical frequency against the formula

@@ -28,7 +28,7 @@ from .measures import (
     essential_supremum,
     finiteness_suite,
 )
-from .possibility import PossibilitySpace, conditional, conditional_suite
+from .possibility import as_possibility, conditional, conditional_suite
 from .semigroup import TableOp, by_name, builtin_names, verify_axioms
 from .spaces import DEFAULT_TOL, MeasurableFn, SetFunction, build_space, np
 from .supmeasure import fold_columns, sample_blocks, sample_set_values
@@ -71,8 +71,6 @@ def _need_fn(obj, what):
 
 
 def _need_measure(obj, what):
-    if isinstance(obj, PossibilitySpace):
-        return obj.measure
     if isinstance(obj, (MaxitiveMeasure, AdditiveMeasure, SetFunction)):
         return obj
     raise ValueError(f"{what} must be a measure document, not a function")
@@ -206,10 +204,9 @@ def _cmd_variation(args):
 def _cmd_condition(args):
     op = _resolve_op(args.op)
     pi = modelio.load_measure(args.pi)
-    if isinstance(pi, MaxitiveMeasure):
-        pi = PossibilitySpace(pi, tol=args.tolerance)
-    if not isinstance(pi, PossibilitySpace):
+    if not isinstance(pi, MaxitiveMeasure):
         raise ValueError("--pi must be a possibility (or normed maxitive) document")
+    pi = as_possibility(pi, args.tolerance)
     x = _need_fn(modelio.load_measure(args.x), "--x")
     sub = modelio.parse_subalgebra(pi.space, args.sub)
     if args.suite:

@@ -93,7 +93,7 @@ class MaxitiveMeasure:
         return MaxitiveMeasure(self.space, vals)
 
     def __repr__(self):
-        return f"MaxitiveMeasure({list(self.atom_values)})"
+        return f"{type(self).__name__}({list(self.atom_values)})"
 
 
 #: the measures stored by their atoms, whose zero sets are the sets of

@@ -49,12 +49,14 @@ def decode_value(x):
         raise ValueError(f"values must be numbers or strings, got {x!r}")
     if isinstance(x, str):
         s = x.strip().lower()
-        if s in ("inf", "infinity", "+inf"):
+        if s in ("inf", "infinity", "+inf", "+infinity"):
             return INF
         try:
             x = float(s)
         except ValueError:
             raise ValueError(f"unrecognized value string {x!r}") from None
+        if x == INF:  # float() reads a number past the float range as inf
+            raise ValueError(f"the value {s} does not fit in a float")
     try:
         x = float(x)
     except TypeError:
@@ -136,8 +138,8 @@ def parse_subalgebra(space, text):
     return SubAlgebra.from_string(space, text)
 
 
-#: each document kind: the class it is read into and the attribute that
-#: holds its values, by atom or, for a set function, by set
+#: each document kind, "possibility" before its base class "maxitive": the
+#: class it is read into and the attribute that holds its values
 KINDS = {
     "possibility": (PossibilitySpace, "atom_values"),
     "maxitive": (MaxitiveMeasure, "atom_values"),
@@ -185,15 +187,20 @@ def measure_from_json(doc, space=None):
         for key, v in entries.items():
             table[mask(key)] = decode_value(v)
         return SetFunction(space, table)
-    vals = _atoms_from_dict(space, doc["atoms"])
-    if kind == "possibility":
-        return PossibilitySpace.from_values(space, vals)
-    return KINDS[kind][0](space, vals)
+    return KINDS[kind][0](space, _atoms_from_dict(space, doc["atoms"]))
+
+
+def _parse_float(text):
+    """A JSON float literal; one past the float range is refused, not read as inf."""
+    x = float(text)
+    if x == INF:
+        raise ValueError(f"the number {text} does not fit in a float")
+    return x
 
 
 def load_document(path):
     with open(path) as fh:
-        return json.load(fh)
+        return json.load(fh, parse_float=_parse_float)
 
 
 def load_measure(path, space=None):

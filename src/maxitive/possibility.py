@@ -1,7 +1,9 @@
 """Possibility spaces and conditioning on finite sub-algebras.
 
-A possibility measure is a normed maxitive measure. Conditioning a variable
-on a partition works per block: integrate over the block, then residuate by
+A possibility measure is a normed maxitive measure: a PossibilitySpace is a
+MaxitiveMeasure whose largest atom value is one within a tolerance, and it is
+accepted wherever a maxitive measure is. Conditioning a variable on a
+partition works per block: integrate over the block, then residuate by
 the block's possibility. The defining property (equal integrals on every set
 of the sub-algebra) is verified on the blocks alone: the atom integral over
 a union of blocks is the max of the integrals over its blocks, so blocks
@@ -40,44 +42,27 @@ from .spaces import (
 )
 
 
-class PossibilitySpace:
+class PossibilitySpace(MaxitiveMeasure):
     """A maxitive measure with maximum value one."""
 
-    __slots__ = ("measure",)
+    __slots__ = ()
 
-    def __init__(self, measure, tol=DEFAULT_TOL):
-        top = max(measure.atom_values, default=0.0)
+    def __init__(self, space, atom_values, tol=DEFAULT_TOL):
+        super().__init__(space, atom_values)
+        top = max(self.atom_values, default=0.0)
         if not close(top, 1.0, tol):
             raise NotProbability(f"maximum possibility is {top}, not 1")
-        self.measure = measure
-
-    @classmethod
-    def from_values(cls, space, values, tol=DEFAULT_TOL):
-        return cls(MaxitiveMeasure(space, values), tol)
-
-    @property
-    def space(self):
-        return self.measure.space
-
-    @property
-    def atom_values(self):
-        return self.measure.atom_values
-
-    def __call__(self, bset):
-        return self.measure(bset)
 
     def delta(self):
         """The two-valued companion possibility."""
-        return PossibilitySpace(delta_measure(self.measure))
-
-    def __repr__(self):
-        return f"PossibilitySpace({list(self.atom_values)})"
+        return as_possibility(delta_measure(self))
 
 
 def as_possibility(obj, tol=DEFAULT_TOL):
+    """obj if it is a PossibilitySpace (checked when built), else one on its atoms."""
     if isinstance(obj, PossibilitySpace):
         return obj
-    return PossibilitySpace(obj, tol)
+    return PossibilitySpace(obj.space, obj.atom_values, tol)
 
 
 class SubAlgebra:
@@ -181,7 +166,7 @@ class SubAlgebra:
 def expectation(op, x, pi, bset=None, tol=DEFAULT_TOL, crosscheck=False):
     """Integral of the variable over the whole space (or bset)."""
     pi = as_possibility(pi, tol)
-    return idempotent_integral(op, x, pi.measure, bset, tol, crosscheck).value
+    return idempotent_integral(op, x, pi, bset, tol, crosscheck).value
 
 
 class Law:
@@ -216,7 +201,7 @@ def law(x, pi, tol=DEFAULT_TOL):
     values = sorted(set(x.atom_values))
     poss = []
     for v in values:
-        poss.append(pi.measure(mask_of(i for i, xi in enumerate(x.atom_values) if xi == v)))
+        poss.append(pi(mask_of(i for i, xi in enumerate(x.atom_values) if xi == v)))
     if not close(max(poss), 1.0, tol):
         raise OracleMismatch("law does not reach possibility one")
     return Law(values, poss)
@@ -246,13 +231,13 @@ def conditional(op, x, pi, sub, tol=DEFAULT_TOL):
     kappas = []
     block_vals = []
     for b in sub.blocks:
-        pb = pi.measure(b)
-        kappa = atom_integral(op, x, pi.measure, MeasurableSet(pi.space, b))
+        pb = pi(b)
+        kappa = atom_integral(op, x, pi, MeasurableSet(pi.space, b))
         kappas.append(kappa)
         block_vals.append(0.0 if pb == 0.0 else op.residual(kappa, pb))
     y = sub.spread(block_vals)
     for b, kappa in zip(sub.blocks, kappas):
-        lhs = atom_integral(op, y, pi.measure, MeasurableSet(pi.space, b))
+        lhs = atom_integral(op, y, pi, MeasurableSet(pi.space, b))
         if not close(lhs, kappa, tol):
             raise DefiningPropertyFailed(
                 f"conditional integrates to {lhs}, variable to {kappa}, on mask {b}"
@@ -318,16 +303,16 @@ def conditional_suite(op, x, pi, sub, tol=DEFAULT_TOL):
     # the defining property on that block
     characterization = True
     for j, b in enumerate(sub.blocks):
-        pb = pi.measure(b)
+        pb = pi(b)
         if pb == 0.0:
             continue
         bset = MeasurableSet(space, b)
-        target = atom_integral(op, x, pi.measure, bset)
+        target = atom_integral(op, x, pi, bset)
         idx = bset.atom_indices()
         y_b = y.atom_values[idx[0]]
         # y set to z on the block has the block integral of the constant z,
         # which reads the block alone: max of 0 and every z (.) pi_i on it
-        pis = [pi.measure.atom_values[i] for i in idx]
+        pis = [pi.atom_values[i] for i in idx]
         if all(
             close(max([0.0] + [op(z, v) for v in pis]), target, tol)
             for z in _perturbations(op, y_b, pb)
@@ -347,13 +332,13 @@ def conditional_suite(op, x, pi, sub, tol=DEFAULT_TOL):
         # envelope: the conditional stays inside the block's value range,
         # floored at the block possibility for min
         for j, b in enumerate(sub.blocks):
-            if pi.measure(b) == 0.0:
+            if pi(b) == 0.0:
                 continue
             idx = MeasurableSet(space, b).atom_indices()
             xs = [x.atom_values[i] for i in idx]
             y_b = y.atom_values[idx[0]]
             hi = max(xs)
-            lo = min(xs) if op.name == "times" else min(min(xs), pi.measure(b))
+            lo = min(xs) if op.name == "times" else min(min(xs), pi(b))
             if not (le(y_b, hi, tol) and le(lo, y_b, tol)):
                 monotone = False
                 details["envelope_block"] = j
@@ -388,7 +373,7 @@ def conditional_suite(op, x, pi, sub, tol=DEFAULT_TOL):
     measurable_fixed = True
     if op.name == "times":
         for j, b in enumerate(sub.blocks):
-            if pi.measure(b) == 0.0:
+            if pi(b) == 0.0:
                 continue
             i = MeasurableSet(space, b).atom_indices()[0]
             if not close(ym.atom_values[i], y.atom_values[i], tol):
@@ -436,7 +421,7 @@ def power_mean_limit(m, x, sub, ps=(1, 2, 5, 10, 50, 200), tol=DEFAULT_TOL):
     if not np.isfinite(x.atom_values).all():
         raise ValueError("power means need finite variable values")
     space = m.space
-    delta = PossibilitySpace(delta_measure(MaxitiveMeasure(space, m.atom_masses)))
+    delta = delta_measure(MaxitiveMeasure(space, m.atom_masses))
     limit = conditional(TIMES, x, delta, sub, tol)
 
     means = {}

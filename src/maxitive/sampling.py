@@ -78,7 +78,7 @@ def random_possibility(rng, space, allow_zero=True):
         for _ in range(space.n_atoms)
     ]
     vals[int(rng.integers(space.n_atoms))] = 1.0
-    return PossibilitySpace(MaxitiveMeasure(space, vals))
+    return PossibilitySpace(space, vals)
 
 
 def random_set(rng, space, nonempty=True):

@@ -264,7 +264,11 @@ def _inv_variation(seed, tol):
     for _ in range(10):
         space = sampling.random_space(rng, int(rng.integers(1, 6)))
         nu = sampling.random_maxitive(rng, space, allow_inf=True)
-        disjoint_variation(nu)
+        var = disjoint_variation(nu)
+        # a drawn partition sums to at most |nu|, the singletons to |nu|
+        sub = sampling.random_subalgebra(rng, space)
+        assert le(sum(map(nu, sub.blocks)), var, tol), (sub, var)
+        assert close(sum(map(nu, SubAlgebra.atoms(space).blocks)), var, tol), var
 
 
 @_register("essential-witness", "maxitive", "an additive measure shares the null sets of a finite maxitive one")
@@ -273,7 +277,9 @@ def _inv_essential(seed, tol):
     for _ in range(10):
         space = sampling.random_space(rng, int(rng.integers(1, 6)))
         nu = sampling.random_maxitive(rng, space)
-        essential_witness(nu)
+        w = essential_witness(nu)
+        for b in space.sets():
+            assert (w(b) == 0.0) == (nu(b) == 0.0), b
 
 
 @_register("finiteness-notions", "maxitive", "semi-finiteness collapses to plain op-finiteness")
@@ -516,7 +522,7 @@ def _inv_abs_cont_gate(seed, tol):
 @_register("conditional-fixture", "possibility", "the worked conditioning example lands exactly")
 def _inv_cond_fixture(seed, tol):
     space = _space4()
-    pi = PossibilitySpace(MaxitiveMeasure(space, [1.0, 0.5, 0.25, 1.0]))
+    pi = PossibilitySpace(space, [1.0, 0.5, 0.25, 1.0])
     x = MeasurableFn(space, [2.0, 5.0, 3.0, 1.0])
     sub = SubAlgebra.from_string(space, "a+b|c+d")
     y = conditional(TIMES, x, pi, sub, tol)
@@ -690,7 +696,7 @@ def _inv_esssup_cond(seed, tol):
         m = sampling.random_probability(rng, space)
         x = sampling.random_fn(rng, space)
         sub = sampling.random_subalgebra(rng, space)
-        delta = PossibilitySpace(delta_measure(MaxitiveMeasure(space, m.atom_masses)))
+        delta = delta_measure(MaxitiveMeasure(space, m.atom_masses))
         y = conditional(TIMES, x, delta, sub, tol)
         for b in sub.blocks:
             idx = MeasurableSet(space, b).atom_indices()

@@ -7,7 +7,8 @@ inversion of the marginal, and a truncated Poisson point process above a
 cutoff. For the point process the per-atom maximum is drawn in one shot
 (Poisson count, then the minimum of that many uniforms via expm1), which is
 distribution-identical to materializing the points and keeps large
-intensities cheap; materialized points remain available on request.
+intensities cheap. One realization, sample_supmeasure, is a MaxitiveMeasure
+on the atom maxima of one replicate.
 
 Both samplers draw rows in blocks of at most BLOCK_ROWS and evaluate their
 formula in place on one reused block of uniforms, ufunc by ufunc in the
@@ -47,37 +48,13 @@ from __future__ import annotations
 import math
 
 from .errors import InvalidTruncation
+from .measures import MaxitiveMeasure
 from .records import Record
-from .spaces import INF, as_mask, fold_atoms, np, require_budget
+from .spaces import INF, np, require_budget
 
 # Rows drawn and evaluated per step: a block of 4096 rows of 12 atoms is
 # 384 KB of float64, whatever the sample size.
 BLOCK_ROWS = 4096
-
-
-class PointConfig(Record):
-    """Materialized points of a truncated Poisson configuration."""
-
-    atom_indices: np.ndarray
-    values: np.ndarray
-    eps: float
-
-
-class SupMeasureSample:
-    """One realization; behaves as a (completely maxitive) measure."""
-
-    __slots__ = ("space", "atom_maxima", "p", "mode", "eps", "config")
-
-    def __init__(self, space, atom_maxima, p, mode, eps=None, config=None):
-        self.space = space
-        self.atom_maxima = np.asarray(atom_maxima, dtype=float)
-        self.p = p
-        self.mode = mode
-        self.eps = eps
-        self.config = config
-
-    def __call__(self, bset):
-        return fold_atoms(self.atom_maxima, as_mask(bset), max, 0.0)
 
 
 def _poisson_rate(masses, p, eps):
@@ -269,29 +246,9 @@ def sample_matrix(m, p, rng, n, mode="exact", eps=1e-3):
     return out
 
 
-def sample_supmeasure(m, p, rng, mode="exact", eps=1e-3, keep_points=False):
-    """One realization of the sup-measure driven by the control measure m."""
-    config = None
-    if mode == "poisson" and keep_points:
-        masses = np.asarray(m.atom_masses, dtype=float)
-        counts = rng.poisson(_poisson_rate(masses, p, eps))
-        total = int(counts.sum())
-        # four 8-byte arrays per point at the peak: its atom, its uniform,
-        # the power of it and its value
-        require_budget(4 * total, f"{total} points above the cutoff {eps}")
-        atoms = np.repeat(np.arange(len(masses)), counts)
-        values = eps * rng.uniform(size=total) ** (-1.0 / p)
-        config = PointConfig(atom_indices=atoms, values=values, eps=eps)
-        # every point value is at least eps > 0, so an atom without points
-        # keeps its 0
-        row = np.zeros(len(masses))
-        np.maximum.at(row, atoms, values)
-    else:
-        row = sample_matrix(m, p, rng, 1, mode, eps)[0]
-    return SupMeasureSample(
-        m.space, row, p=p, mode=mode, eps=eps if mode == "poisson" else None,
-        config=config,
-    )
+def sample_supmeasure(m, p, rng, mode="exact", eps=1e-3):
+    """One realization: a maxitive measure on the atom maxima of one replicate."""
+    return MaxitiveMeasure(m.space, sample_matrix(m, p, rng, 1, mode, eps)[0])
 
 
 def _scale_p(f, m, p):

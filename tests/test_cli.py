@@ -470,6 +470,31 @@ def test_a_json_integer_too_large_for_a_float_is_one_error_line(where, tmp_path)
     assert proc.stderr == "error: an integer value of 1329 bits does not fit in a float\n"
 
 
+# A number past the float range is refused in every spelling, not read as
+# inf: a JSON float literal, a value string and a command-line value, each
+# with one error line. The spellings of inf, and the largest floats, load.
+@pytest.mark.parametrize("text, want", [
+    ("1e400", "error: the number 1e400 does not fit in a float\n"),
+    ('"1e400"', "error: the value 1e400 does not fit in a float\n"),
+    (None, "error: the value 1e400 does not fit in a float\n"),
+    ('"inf"', "inf"),
+    ("Infinity", "inf"),
+    ("1.7e308", 1.7e308),
+], ids=["literal", "string", "argument", "inf-string", "Infinity", "largest"])
+def test_a_number_past_the_float_range_is_refused_in_every_spelling(text, want, tmp_path):
+    if text is None:
+        proc = run_cli("residual", "times", "1e400", "1")
+    else:
+        path = tmp_path / "nu.json"
+        path.write_text(json.dumps(measure_doc("maxitive", "ab", ["X", 0.5])).replace('"X"', text))
+        proc = run_cli("decompose", "--nu", str(path))
+    if str(want).startswith("error:"):
+        assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", want)
+    else:
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert json.loads(proc.stdout)["decomposition"]["values"] == [want, 0.5]
+
+
 # which documents density reads depends on --method; one left out is a usage
 # error that names it, before any document is read
 @pytest.mark.parametrize("method, given, missing", [
@@ -657,6 +682,22 @@ def test_condition(docs):
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout)
     assert out["conditional"]["atoms"] == {"a": 2.5, "b": 2.5, "c": 1.0, "d": 1.0}
+
+
+# A possibility document is checked for its norm when it is loaded, at the
+# default tolerance, and conditioned as it is; a maxitive document is checked
+# at --tolerance. A top of 1 - 1e-12 passes the first and fails the second
+# at --tolerance 0.
+@pytest.mark.parametrize("kind, code, err", [
+    ("possibility", 0, ""),
+    ("maxitive", 1, "error: maximum possibility is 0.999999999999, not 1\n"),
+])
+@pytest.mark.parametrize("suite", [[], ["--suite"]])
+def test_condition_checks_a_possibility_document_when_it_is_loaded(kind, code, err, suite, docs):
+    pi = write_doc(docs["tmp"] / "pi.json", measure_doc(kind, "abcd", [1 - 1e-12, 0.5, 0.25, 0.75]))
+    proc = run_cli("condition", "--op", "times", "--pi", pi, "--x", docs["x"],
+                   "--sub", "a+b|c+d", "--tolerance", "0", *suite)
+    assert (proc.returncode, proc.stderr) == (code, err)
 
 
 def test_condition_suite(docs):

@@ -41,7 +41,10 @@ loops and the retry of the continuity scan that it replaced, and a table
 operation's absolute continuity, residuals, O map and exactness, read off
 its columns' running maxima, against the column scans they replaced, on
 grids of up to 60 points. Then the four builtins, each a subclass of
-``SemigroupOp``, against the closure-built operations they replaced.
+``SemigroupOp``, against the closure-built operations they replaced. And
+the possibility space, a ``MaxitiveMeasure`` subclass, against the wrapper
+it replaced, ``RefPossibilitySpace``, which the oracles of the conditional
+and the law read through its ``measure``.
 """
 
 import math
@@ -82,6 +85,7 @@ from maxitive.errors import (
     NonExactOperation,
     NotAbsolutelyContinuous,
     NotNullAdditive,
+    NotProbability,
     OracleMismatch,
 )
 from maxitive.integral import (
@@ -93,7 +97,7 @@ from maxitive.integral import (
     idempotent_integral,
     ky_fan_distance,
 )
-from maxitive.modelio import _set_key, encode_value, measure_from_json, parse_set
+from maxitive.modelio import _set_key, encode_value, measure_from_json, measure_to_json, parse_set
 from maxitive.measures import (
     AtomDecomposition,
     FinitenessReport,
@@ -132,6 +136,7 @@ from maxitive.possibility import (
     as_possibility,
     conditional,
     conditional_suite,
+    expectation,
     law,
 )
 from maxitive.sampling import random_non_maxitive, random_subalgebra
@@ -740,6 +745,47 @@ def ref_is_semi_finite_measure(m):
     return True
 
 
+class RefPossibilitySpace:
+    """A maxitive measure with maximum value one, as the wrapper it was: the
+    measure in a slot, with its space, atom values and calls forwarded."""
+
+    __slots__ = ("measure",)
+
+    def __init__(self, measure, tol=DEFAULT_TOL):
+        top = max(measure.atom_values, default=0.0)
+        if not close(top, 1.0, tol):
+            raise NotProbability(f"maximum possibility is {top}, not 1")
+        self.measure = measure
+
+    @classmethod
+    def from_values(cls, space, values, tol=DEFAULT_TOL):
+        return cls(MaxitiveMeasure(space, values), tol)
+
+    @property
+    def space(self):
+        return self.measure.space
+
+    @property
+    def atom_values(self):
+        return self.measure.atom_values
+
+    def __call__(self, bset):
+        return self.measure(bset)
+
+    def delta(self):
+        """The two-valued companion possibility."""
+        return RefPossibilitySpace(delta_measure(self.measure))
+
+    def __repr__(self):
+        return f"PossibilitySpace({list(self.atom_values)})"
+
+
+def ref_as_possibility(obj, tol=DEFAULT_TOL):
+    if isinstance(obj, RefPossibilitySpace):
+        return obj
+    return RefPossibilitySpace(obj, tol)
+
+
 def ref_conditional(op, x, pi, sub, tol=DEFAULT_TOL):
     """The block-measurable function with the same integrals on the algebra.
 
@@ -750,7 +796,7 @@ def ref_conditional(op, x, pi, sub, tol=DEFAULT_TOL):
     """
     if not op.exact:
         raise NonExactOperation(f"{op.name} cannot attain its residuals")
-    pi = as_possibility(pi, tol)
+    pi = ref_as_possibility(pi, tol)
     block_vals = []
     for b in sub.blocks:
         pb = pi.measure(b)
@@ -770,7 +816,7 @@ def ref_conditional(op, x, pi, sub, tol=DEFAULT_TOL):
 
 def ref_conditional_suite(op, x, pi, sub, tol=DEFAULT_TOL):
     """Verify the textbook properties of the conditional on one instance."""
-    pi = as_possibility(pi, tol)
+    pi = ref_as_possibility(pi, tol)
     space = pi.space
     y = ref_conditional(op, x, pi, sub, tol)
     details = {}
@@ -1417,7 +1463,7 @@ def conditionings(draw):
     blocks = {}
     for i, label in enumerate(draw(st.lists(st.integers(0, k - 1), min_size=k, max_size=k))):
         blocks[label] = blocks.get(label, 0) | 1 << i
-    return PossibilitySpace.from_values(space, poss), x, SubAlgebra(space, blocks.values())
+    return PossibilitySpace(space, poss), x, SubAlgebra(space, blocks.values())
 
 
 def reported(fn, *args):
@@ -1448,7 +1494,7 @@ def test_conditional_names_the_lowest_failing_block():
     # (0.5) passes, b+c (1.0) and d (4.0) fail, and the sweep over every
     # union meets b+c first
     space = space_of(4)
-    pi = PossibilitySpace.from_values(space, [1.0, 0.5, 0.25, 1.0])
+    pi = PossibilitySpace(space, [1.0, 0.5, 0.25, 1.0])
     x = MeasurableFn(space, [0.5, 2.0, 3.0, 4.0])
     sub = SubAlgebra(space, [0b0001, 0b0110, 0b1000])
     args = (SkewedTimes(1e-3, 0.9), x, pi, sub, 1e-9)
@@ -1578,7 +1624,7 @@ def ref_ae_equal(w, f, g, tol=DEFAULT_TOL):
 
 
 def ref_law(x, pi, tol=DEFAULT_TOL):
-    pi = as_possibility(pi, tol)
+    pi = ref_as_possibility(pi, tol)
     space = pi.space
     values = sorted({float(v) for v in x.atom_values})
     poss = []
@@ -1712,7 +1758,7 @@ def test_mask_codec_matches_the_bit_loops(k, data):
     assert outcome(space.set_of_labels, labels) == outcome(ref_set_of_labels, space, labels)
 
     if k:
-        pi = PossibilitySpace.from_values(space, [1.0, *np.minimum(g.atom_values[1:], 1.0)])
+        pi = PossibilitySpace(space, [1.0, *np.minimum(g.atom_values[1:], 1.0)])
         assert law_outcome(f, pi) == ref_law_outcome(f, pi)
     if k <= 6:
         w = data.draw(tables(k=k))
@@ -1941,7 +1987,7 @@ def array_ky_fan_distance(nu, f, g, bset):
 
 
 def array_law(x, pi, tol):
-    pi = as_possibility(pi, tol)
+    pi = ref_as_possibility(pi, tol)
     arr = array_as_values(x.atom_values)
     values = sorted({float(v) for v in arr})
     poss = [pi.measure(mask_of(np.flatnonzero(arr == v))) for v in values]
@@ -2036,7 +2082,7 @@ def test_atom_tuples_match_the_array_routes_they_replaced(k, tol, op, data):
 
     # possibility: the law, and the median that shifts conditional_suite's variable
     if k:
-        pi = PossibilitySpace.from_values(space, [1.0, *np.minimum(nu_a[1:], 1.0)])
+        pi = PossibilitySpace(space, [1.0, *np.minimum(nu_a[1:], 1.0)])
         got, want = outcome(law, f, pi, tol), outcome(array_law, f, pi, tol)
         if isinstance(want, Law):
             assert (tuple_bits(got.values), tuple_bits(got.possibilities)) == (
@@ -2695,3 +2741,69 @@ def test_builtins_match_their_closure_built_references(op, r, s):
 def test_builtin_axiom_reports_match_their_closure_built_references(op, tol):
     ref = REF_BUILTINS[op.name]
     assert axiom_outcome(verify_axioms, op, tol) == axiom_outcome(verify_axioms, ref, tol)
+
+
+# ---------------------------------------------------------------------------
+# the possibility space: a MaxitiveMeasure subclass against the wrapper it
+# replaced, RefPossibilitySpace above
+# ---------------------------------------------------------------------------
+
+#: maxima at, just off and far from 1
+TOPS = [1.0, 1.0 - 1e-12, 1.0 + 1e-12, 1.0 - 1e-10, 1.0 - 1e-8, 0.95, 0.5, 0.0, INF]
+
+
+@st.composite
+def possibility_cases(draw):
+    """Atom values with a top near 1, now and then one that is not a value,
+    a variable and a partition of up to five atoms."""
+    k = draw(st.integers(0, 5))
+    space = space_of(k)
+    poss = draw(st.lists(st.sampled_from(TOPS) | st.floats(0.0, 1.0), min_size=k, max_size=k))
+    if k:
+        poss[draw(st.integers(0, k - 1))] = draw(st.sampled_from(TOPS))
+    if k and draw(st.integers(0, 9)) == 0:
+        # an atom the atom checks refuse, before the norm is checked
+        poss[draw(st.integers(0, k - 1))] = draw(st.sampled_from([-0.5, math.nan]))
+    x = MeasurableFn(space, draw(st.lists(values, min_size=k, max_size=k)))
+    blocks = {}
+    for i, label in enumerate(draw(st.lists(st.integers(0, max(k - 1, 0)), min_size=k, max_size=k))):
+        blocks[label] = blocks.get(label, 0) | 1 << i
+    return space, poss, x, blocks.values()
+
+
+def law_bits(out):
+    if isinstance(out, Law):
+        return tuple_bits(out.values), tuple_bits(out.possibilities)
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(possibility_cases(), st.sampled_from([0.0, 1e-12, 1e-9, 0.1]), st.sampled_from([TIMES, MIN]))
+def test_possibility_space_matches_the_wrapper(case, tol, op):
+    space, poss, x, blocks = case
+    pi = outcome(PossibilitySpace, space, poss, tol)
+    ref = outcome(RefPossibilitySpace.from_values, space, poss, tol)
+    # a plain measure becomes a possibility space as it was wrapped
+    got = outcome(lambda: as_possibility(MaxitiveMeasure(space, poss), tol))
+    if isinstance(ref, tuple):
+        # the atom checks first, then the norm check, with the same message
+        assert pi == got == ref
+        return
+    assert type(got) is PossibilitySpace
+    assert tuple_bits(got.atom_values) == tuple_bits(ref.atom_values)
+    assert isinstance(pi, MaxitiveMeasure) and repr(pi) == repr(ref)
+    assert tuple_bits(pi.atom_values) == tuple_bits(ref.atom_values)
+    assert all(bits(pi(b)) == bits(ref(b)) for b in range(space.n_sets))
+    assert tuple_bits(pi.delta().atom_values) == tuple_bits(ref.delta().atom_values)
+    assert as_possibility(pi, 0.0) is pi
+    doc = measure_to_json(ref.measure)
+    assert measure_to_json(pi) == {**doc, "kind": "possibility"}
+
+    sub = SubAlgebra(space, blocks)
+    args, ref_args = (op, x, pi, sub, tol), (op, x, ref, sub, tol)
+    assert reported(conditional, *args) == reported(ref_conditional, *ref_args)
+    assert reported(conditional_suite, *args) == reported(ref_conditional_suite, *ref_args)
+    assert law_bits(outcome(law, x, pi, tol)) == law_bits(outcome(ref_law, x, ref, tol))
+    assert settled(expectation, op, x, pi, None, tol) == settled(
+        lambda: idempotent_integral(op, x, ref.measure, None, tol).value
+    )

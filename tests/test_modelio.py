@@ -61,7 +61,7 @@ def test_measure_round_trips(abc):
     objs = [
         MaxitiveMeasure(abc, [1, 2, 0.5]),
         AdditiveMeasure(abc, [1, 0, INF]),
-        PossibilitySpace.from_values(abc, [1, 0.5, 0]),
+        PossibilitySpace(abc, [1, 0.5, 0]),
         MeasurableFn(abc, [3, 1, 4]),
         MaxitiveMeasure(abc, [1, 2, 0.5]).to_set_function(),
     ]

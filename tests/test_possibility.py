@@ -25,7 +25,7 @@ from maxitive.spaces import INF, MeasurableFn, MeasurableSet, build_space, close
 
 def _fixture():
     sp = build_space("abcd", [["a"], ["b"], ["c"], ["d"]])
-    pi = PossibilitySpace.from_values(sp, [1, 0.5, 0.25, 1])
+    pi = PossibilitySpace(sp, [1, 0.5, 0.25, 1])
     x = MeasurableFn(sp, [2, 5, 3, 1])
     sub = SubAlgebra.from_string(sp, "a+b|c+d")
     return sp, pi, x, sub
@@ -33,8 +33,8 @@ def _fixture():
 
 def test_possibility_requires_norming(abc):
     with pytest.raises(NotProbability):
-        PossibilitySpace.from_values(abc, [0.5, 0.2, 0.9])
-    pi = PossibilitySpace.from_values(abc, [1, 0.2, 0])
+        PossibilitySpace(abc, [0.5, 0.2, 0.9])
+    pi = PossibilitySpace(abc, [1, 0.2, 0])
     assert pi(abc.full()) == 1.0
     d = pi.delta()
     assert list(d.atom_values) == [1.0, 1.0, 0.0]
@@ -89,8 +89,8 @@ def test_conditional_defining_property():
         for a in sub.generated():
             aset = MeasurableSet(sp, a)
             assert close(
-                atom_integral(op, y, pi.measure, aset),
-                atom_integral(op, x, pi.measure, aset),
+                atom_integral(op, y, pi, aset),
+                atom_integral(op, x, pi, aset),
             )
 
 
@@ -101,7 +101,7 @@ def test_conditional_requires_exactness():
 
 
 def test_expectation(abc):
-    pi = PossibilitySpace.from_values(abc, [1, 0.5, 0.25])
+    pi = PossibilitySpace(abc, [1, 0.5, 0.25])
     x = MeasurableFn(abc, [2, 5, 3])
     assert expectation(TIMES, x, pi) == 2.5
     assert expectation(MIN, x, pi) == 1.0
@@ -116,8 +116,8 @@ def test_tower_property():
         for a in sub.coarsened().generated():
             aset = MeasurableSet(sp, a)
             assert close(
-                atom_integral(op, z, pi.measure, aset),
-                atom_integral(op, w, pi.measure, aset),
+                atom_integral(op, z, pi, aset),
+                atom_integral(op, w, pi, aset),
             )
 
 
@@ -134,7 +134,7 @@ def test_scaling_law():
 
 def test_measurable_variable_is_fixed():
     sp = build_space("abcd", [["a"], ["b"], ["c"], ["d"]])
-    pi = PossibilitySpace.from_values(sp, [1, 0.5, 0.25, 1])
+    pi = PossibilitySpace(sp, [1, 0.5, 0.25, 1])
     sub = SubAlgebra.from_string(sp, "a+b|c+d")
     x = sub.spread([4, 2])
     y = conditional(TIMES, x, pi, sub)
@@ -144,8 +144,8 @@ def test_measurable_variable_is_fixed():
     for a in sub.generated():
         aset = MeasurableSet(sp, a)
         assert close(
-            atom_integral(MIN, y2, pi.measure, aset),
-            atom_integral(MIN, x, pi.measure, aset),
+            atom_integral(MIN, y2, pi, aset),
+            atom_integral(MIN, x, pi, aset),
         )
 
 
@@ -170,7 +170,7 @@ def test_conditional_suite_random():
 
 def test_conditional_null_blocks_carry_zero():
     sp = build_space("abcd", [["a"], ["b"], ["c"], ["d"]])
-    pi = PossibilitySpace.from_values(sp, [1, 0.5, 0, 0])
+    pi = PossibilitySpace(sp, [1, 0.5, 0, 0])
     x = MeasurableFn(sp, [2, 5, 3, 1])
     sub = SubAlgebra.from_string(sp, "a+b|c+d")
     y = conditional(TIMES, x, pi, sub)
@@ -258,7 +258,7 @@ def test_conditional_suite_builds_no_function_per_block(op, monkeypatch):
     for n in (200, 1600):
         labels = [f"x{i}" for i in range(n)]
         sp = build_space(labels, [[l] for l in labels])
-        pi = PossibilitySpace.from_values(sp, [1.0] + [(i % 9 + 1) / 10 for i in range(n - 1)])
+        pi = PossibilitySpace(sp, [1.0] + [(i % 9 + 1) / 10 for i in range(n - 1)])
         x = MeasurableFn(sp, [(i % 7) / 2 for i in range(n)])
         sub = SubAlgebra.from_string(sp, "|".join(labels))
         built.clear()
@@ -272,7 +272,7 @@ def test_conditional_suite_envelope_sees_a_drop_below_an_infinite_block(monkeypa
     # on a block where x is inf the envelope's lower bound is inf, and a
     # finite conditional there must be flagged rather than compared with nan
     sp = build_space("abc", [["a"], ["b"], ["c"]])
-    pi = PossibilitySpace.from_values(sp, [1, 0.5, 1])
+    pi = PossibilitySpace(sp, [1, 0.5, 1])
     x = MeasurableFn(sp, [INF, INF, 2])
     sub = SubAlgebra.from_string(sp, "a+b|c")
     real = possibility.conditional

@@ -36,7 +36,7 @@ def test_every_report_type_is_a_record():
     assert [cls.__qualname__ for cls in RECORDS] == sorted([
         "AbsContReport", "AlternationReport", "AtomDecomposition", "AxiomReport",
         "ConditionalSuiteReport", "EnvelopeReport", "FinitenessReport",
-        "ImplicationReport", "IntegralResult", "Invariant", "KSReport", "PointConfig",
+        "ImplicationReport", "IntegralResult", "Invariant", "KSReport",
         "PowerMeanReport", "PropertyReport", "ScaleReport", "SuiteReport",
         "TailReport", "TwoSampleReport",
     ])
@@ -144,7 +144,7 @@ FLAGS = ("autocontinuous ccc completely_maxitive continuous_from_above essential
     (lambda: atom_decomposition(NU),
      {"atoms": ["a", "b"], "residual_null": "c", "values": [1.0, 0.5]}),
     (lambda: conditional_suite(
-        TIMES, FN, PossibilitySpace(MaxitiveMeasure(SPACE, [1.0, 0.5, 0.25])),
+        TIMES, FN, PossibilitySpace(SPACE, [1.0, 0.5, 0.25]),
         modelio.parse_subalgebra(SPACE, "a+b|c")),
      {"characterization": True, "defining": True, "details": {}, "measurable_fixed": True,
       "monotone": True, "scaling": True, "total": True, "tower": True,

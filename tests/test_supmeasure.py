@@ -93,35 +93,9 @@ def test_realization_is_a_maxitive_measure():
     for b1 in sp.sets():
         for b2 in sp.sets():
             assert s(b1 | b2) == max(s(b1), s(b2))
-    nu = MaxitiveMeasure(sp, s.atom_maxima)
+    nu = MaxitiveMeasure(sp, s.atom_values)
     assert is_maxitive(nu.to_set_function())[0]
     assert is_completely_maxitive(nu.to_set_function())[0]
-
-
-def test_poisson_keep_points():
-    sp = build_space("abcd", [["a"], ["b"], ["c"], ["d"]])
-    m = AdditiveMeasure(sp, [0.5, 0.5, 0.0, 0.01])
-    for seed in range(8):
-        s = sample_supmeasure(
-            m, 2.0, rng_for(seed), mode="poisson", eps=0.05, keep_points=True
-        )
-        cfg = s.config
-        assert cfg is not None and cfg.eps == 0.05
-        assert (cfg.values >= 0.05).all()
-        # the per-atom maxima, bit for bit, against a scan of the points per
-        # atom; an atom without points (c, and d now and then) keeps 0
-        want = []
-        for i in range(4):
-            sel = cfg.values[cfg.atom_indices == i]
-            want.append(float(sel.max()) if len(sel) else 0.0)
-        assert s.atom_maxima.tobytes() == np.array(want).tobytes()
-        assert s.atom_maxima[2] == 0.0
-    with pytest.raises(ExplicitBudgetExceeded):
-        sample_supmeasure(m, 2.0, rng_for(5), mode="poisson", eps=1e-4, keep_points=True)
-    # the cutoff check and the rate limit, shared with the block sampler
-    for eps in (0.0, 1e-300):
-        with pytest.raises(InvalidTruncation):
-            sample_supmeasure(m, 2.0, rng_for(5), mode="poisson", eps=eps, keep_points=True)
 
 
 def test_marginal_distribution():
@@ -188,20 +162,6 @@ def test_lambert_inversion_identity():
         y = -float(_lambert_wm1(-p * u / m))
         x = math.exp(y / p)
         assert close(m * x ** (-p) * math.log(x), u, 1e-9)
-
-
-def test_budget_is_enforced_not_advisory():
-    sp = build_space("a", [["a"]])
-    m = AdditiveMeasure(sp, [1.0])
-    # eps chosen so the expected point count, 2 * 10^7, crosses the budget
-    # at four cells a point
-    with pytest.raises(ExplicitBudgetExceeded) as refused:
-        sample_supmeasure(m, 1.0, rng_for(1), mode="poisson", eps=5e-8, keep_points=True)
-    points, cells = re.fullmatch(
-        r"(\d+) points above the cutoff 5e-08 needs (\d+) cells; budget is 50000000",
-        str(refused.value),
-    ).groups()
-    assert int(cells) == 4 * int(points)
 
 
 def test_sample_matrix_refuses_oversized_n_before_drawing():
