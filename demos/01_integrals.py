@@ -8,6 +8,7 @@ The running example: f = (3, 1, 4) against nu = (1, 2, 0.5).
 from maxitive import (
     MaxitiveMeasure,
     MeasurableFn,
+    MeasurableSet,
     build_space,
     gerritse_integral,
     idempotent_integral,
@@ -30,8 +31,9 @@ for op in (TIMES, MIN):
 # the Gerritse form maximizes over every nonempty subset instead
 print("submask route, times:", gerritse_integral(TIMES, f, nu))
 
-# restricting the domain only looks at atoms inside the set
-bc = space.set_of_labels(["b", "c"])
+# restricting the domain only looks at atoms inside the set, named by
+# its atoms' labels joined with "+"
+bc = MeasurableSet(space, space.mask_named("b+c"))
 print("integral over b+c under min:", idempotent_integral(MIN, f, nu, bc).value)
 
 # integrating an indicator recovers the measure, provided "one" is the

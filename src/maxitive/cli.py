@@ -28,9 +28,9 @@ from .measures import (
     essential_supremum,
     finiteness_suite,
 )
-from .possibility import as_possibility, conditional, conditional_suite
+from .possibility import SubAlgebra, as_possibility, conditional, conditional_suite
 from .semigroup import TableOp, by_name, builtin_names, verify_axioms
-from .spaces import DEFAULT_TOL, MeasurableFn, SetFunction, build_space, np
+from .spaces import DEFAULT_TOL, MeasurableFn, MeasurableSet, SetFunction, build_space, np
 from .supmeasure import fold_columns, sample_blocks, sample_set_values
 from .suites import INVARIANTS, run_all
 
@@ -94,6 +94,11 @@ def _need_additive(obj, what, tol=DEFAULT_TOL):
     raise ValueError(f"{what} must be additive")
 
 
+def _named_set(space, text):
+    """The set a --set names, or the whole space when it is not given."""
+    return MeasurableSet(space, space.mask_named(text)) if text else space.full()
+
+
 def _emit(command, payload):
     doc = {"schema": modelio.SCHEMA, "command": command}
     doc.update(payload)
@@ -123,7 +128,7 @@ def _cmd_integrate(args):
     nu = _need_measure(modelio.load_measure(args.measure), "--measure")
     f = _need_fn(modelio.load_measure(args.fn), "--fn")
     space = nu.space
-    bset = modelio.parse_set(space, args.set) if args.set else space.full()
+    bset = _named_set(space, args.set)
     res = idempotent_integral(
         op, f, nu, bset, tol=args.tolerance, crosscheck=args.crosscheck
     )
@@ -134,7 +139,7 @@ def _cmd_integrate(args):
 def _cmd_esssup(args):
     tau = _need_measure(modelio.load_measure(args.measure), "--measure")
     f = _need_fn(modelio.load_measure(args.fn), "--fn")
-    bset = modelio.parse_set(tau.space, args.set) if args.set else tau.space.full()
+    bset = _named_set(tau.space, args.set)
     val = essential_supremum(tau, f, bset, tol=args.tolerance)
     _emit("esssup", {"value": val, "set": bset})
     return 0
@@ -208,7 +213,7 @@ def _cmd_condition(args):
         raise ValueError("--pi must be a possibility (or normed maxitive) document")
     pi = as_possibility(pi, args.tolerance)
     x = _need_fn(modelio.load_measure(args.x), "--x")
-    sub = modelio.parse_subalgebra(pi.space, args.sub)
+    sub = SubAlgebra.from_string(pi.space, args.sub)
     if args.suite:
         rep = conditional_suite(op, x, pi, sub, tol=args.tolerance)
         _emit("condition", {"op": op.name, "suite": rep, "blocks": sub})
@@ -304,7 +309,7 @@ def _cmd_simulate(args):
         m = AdditiveMeasure(space, values)
     else:
         raise ValueError("pass --m FILE or --atoms label:value,...")
-    bset = modelio.parse_set(m.space, args.set) if args.set else m.space.full()
+    bset = _named_set(m.space, args.set)
     if not bset.mask:
         if args.set:
             raise ValueError(f"--set {args.set!r} names no atom; pass labels like a+b")

@@ -2,31 +2,27 @@
 
 Values live in [0, inf]; infinity travels as the string "inf" so documents
 stay valid JSON. Report dumps sort keys and render floats by repr, making
-seeded pipeline output byte-identical across runs. Set-function tables key
-their entries by the atom labels joined with "+" in atom order (the empty
-set key "" may be omitted; it is always zero).
+seeded pipeline output byte-identical across runs. Sets, set-function
+table keys among them, are named by ``Space.set_name`` and read by
+``Space.mask_named``: their atoms' labels joined with "+" in atom order
+(the empty set key "" may be omitted; it is always zero).
 """
 
 from __future__ import annotations
 
 import json
 import math
-from functools import reduce
-from operator import or_
 
 from .additive import AdditiveMeasure
 from .measures import MaxitiveMeasure
-from .possibility import Law, PossibilitySpace, SubAlgebra
+from .possibility import PossibilitySpace, SubAlgebra
 from .records import Record
 from .spaces import (
-    INF,
     MeasurableFn,
     MeasurableSet,
     Space,
     SetFunction,
-    atoms_of,
     build_space,
-    mask_of,
     np,
     require_table,
 )
@@ -49,13 +45,13 @@ def decode_value(x):
         raise ValueError(f"values must be numbers or strings, got {x!r}")
     if isinstance(x, str):
         s = x.strip().lower()
-        if s in ("inf", "infinity", "+inf", "+infinity"):
-            return INF
         try:
             x = float(s)
         except ValueError:
             raise ValueError(f"unrecognized value string {x!r}") from None
-        if x == INF:  # float() reads a number past the float range as inf
+        # float() reads a number past the float range as an infinity of its
+        # sign; only a spelled infinity ("inf", "-Infinity", ...) is one
+        if math.isinf(x) and not s.lstrip("+-").startswith("inf"):
             raise ValueError(f"the value {s} does not fit in a float")
     try:
         x = float(x)
@@ -84,9 +80,6 @@ def space_from_json(doc):
         raise ValueError(f"space ground must be a list of labels, got {ground!r}")
     if not isinstance(blocks, list) or not all(isinstance(b, list) for b in blocks):
         raise ValueError(f"space blocks must be a list of label lists, got {blocks!r}")
-    for lab in ground + [lab for b in blocks for lab in b]:
-        if isinstance(lab, (list, dict)):
-            raise ValueError(f"space labels must be strings or numbers, got {lab!r}")
     return build_space(ground, blocks)
 
 
@@ -109,35 +102,6 @@ def _atoms_from_dict(space, doc):
     return [decode_value(doc[l]) for l in labels]
 
 
-def _set_key(space, mask):
-    labels = space.atom_labels()
-    return "+".join(labels[i] for i in atoms_of(mask))
-
-
-def _set_parser(space):
-    """The map from a set's name to its mask, the OR of its atoms' masks."""
-    bits = {l: mask_of([i]) for i, l in enumerate(space.atom_labels())}
-
-    def mask(text):
-        if not text.strip():
-            return 0
-        try:
-            return reduce(or_, map(bits.__getitem__, map(str.strip, text.split("+"))))
-        except KeyError as e:
-            raise ValueError(f"unknown atom label {e.args[0]!r}") from None
-
-    return mask
-
-
-def parse_set(space, text):
-    """A set named by atom labels joined with +; empty string is the empty set."""
-    return MeasurableSet(space, _set_parser(space)(text))
-
-
-def parse_subalgebra(space, text):
-    return SubAlgebra.from_string(space, text)
-
-
 #: each document kind, "possibility" before its base class "maxitive": the
 #: class it is read into and the attribute that holds its values
 KINDS = {
@@ -156,10 +120,8 @@ def measure_to_json(obj):
             doc = {"schema": SCHEMA, "kind": kind, "space": space_to_json(obj.space)}
             values = getattr(obj, attr)
             if kind == "set_function":
-                doc["table"] = {
-                    _set_key(obj.space, b): encode_value(values[b])
-                    for b in range(1, obj.space.n_sets)
-                }
+                name = obj.space.set_name
+                doc["table"] = {name(b): encode_value(values[b]) for b in range(1, obj.space.n_sets)}
             else:
                 doc["atoms"] = _atoms_dict(obj.space, values)
             return doc
@@ -179,7 +141,7 @@ def measure_from_json(doc, space=None):
         raise ValueError(f"unknown kind {kind!r}")
     if kind == "set_function":
         require_table(space.n_atoms)
-        mask = _set_parser(space)
+        mask = space.mask_named
         entries = doc["table"]
         if not isinstance(entries, dict):
             raise ValueError(f"table must be an object keyed by set, got {entries!r}")
@@ -191,9 +153,10 @@ def measure_from_json(doc, space=None):
 
 
 def _parse_float(text):
-    """A JSON float literal; one past the float range is refused, not read as inf."""
+    """A JSON float literal; one past the float range, of either sign, is
+    refused, not read as an infinity."""
     x = float(text)
-    if x == INF:
+    if math.isinf(x):
         raise ValueError(f"the number {text} does not fit in a float")
     return x
 
@@ -218,20 +181,13 @@ def to_jsonable(obj, space=None):
             raise ValueError("reports must not contain NaN")
         return obj
     if isinstance(obj, MeasurableSet):
-        return _set_key(obj.space, obj.mask)
+        return obj.space.set_name(obj.mask)
     if isinstance(obj, _KIND_CLASSES):
         return measure_to_json(obj)
     if isinstance(obj, Space):
         return space_to_json(obj)
     if isinstance(obj, SubAlgebra):
-        return [
-            to_jsonable(MeasurableSet(obj.space, b)) for b in obj.blocks
-        ]
-    if isinstance(obj, Law):
-        return {
-            "values": [to_jsonable(v) for v in obj.values],
-            "possibilities": [to_jsonable(v) for v in obj.possibilities],
-        }
+        return [obj.space.set_name(b) for b in obj.blocks]
     if isinstance(obj, Record):
         return {name: to_jsonable(getattr(obj, name)) for name in obj._fields}
     if isinstance(obj, dict):

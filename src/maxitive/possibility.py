@@ -2,15 +2,18 @@
 
 A possibility measure is a normed maxitive measure: a PossibilitySpace is a
 MaxitiveMeasure whose largest atom value is one within a tolerance, and it is
-accepted wherever a maxitive measure is. Conditioning a variable on a
-partition works per block: integrate over the block, then residuate by
-the block's possibility. The defining property (equal integrals on every set
-of the sub-algebra) is verified on the blocks alone: the atom integral over
-a union of blocks is the max of the integrals over its blocks, so blocks
-that agree make every union agree. The suite functions verify the textbook
-laws (uniqueness through perturbation, monotonicity, homogeneity, the tower
-rule, total expectation) on concrete instances, and the classical bridge
-realizes the conditional as a limit of conditional power means.
+accepted wherever a maxitive measure is; :func:`as_possibility` refuses
+anything else with TypeError. A sub-algebra is a partition of the atoms,
+written as its blocks' set names joined with "|" (``a+b|c``, each name read
+by ``Space.mask_named``). Conditioning a variable on a partition works per
+block: integrate over the block, then residuate by the block's possibility.
+The defining property (equal integrals on every set of the sub-algebra) is
+verified on the blocks alone: the atom integral over a union of blocks is
+the max of the integrals over its blocks, so blocks that agree make every
+union agree. The suite functions verify the textbook laws (uniqueness
+through perturbation, monotonicity, homogeneity, the tower rule, total
+expectation) on concrete instances, and the classical bridge realizes the
+conditional as a limit of conditional power means.
 """
 
 from __future__ import annotations
@@ -59,9 +62,12 @@ class PossibilitySpace(MaxitiveMeasure):
 
 
 def as_possibility(obj, tol=DEFAULT_TOL):
-    """obj if it is a PossibilitySpace (checked when built), else one on its atoms."""
+    """obj if it is a PossibilitySpace (checked when built), else one on the
+    atoms of a MaxitiveMeasure; anything else raises TypeError."""
     if isinstance(obj, PossibilitySpace):
         return obj
+    if not isinstance(obj, MaxitiveMeasure):
+        raise TypeError(f"a possibility needs a MaxitiveMeasure, got {type(obj).__name__}")
     return PossibilitySpace(obj.space, obj.atom_values, tol)
 
 
@@ -85,19 +91,13 @@ class SubAlgebra:
         self.blocks = tuple(sorted(blocks, key=lambda b: b & -b))
 
     @classmethod
-    def from_labels(cls, space, groups):
-        return cls(space, [space.set_of_labels(g).mask for g in groups])
-
-    @classmethod
     def from_string(cls, space, text):
-        """Parse blocks like "a+b|c" with | between blocks, + inside."""
-        groups = []
-        for part in text.split("|"):
-            labels = [p.strip() for p in part.split("+") if p.strip()]
-            if not labels:
-                raise ValueError(f"empty block in {text!r}")
-            groups.append(labels)
-        return cls.from_labels(space, groups)
+        """Parse blocks like "a+b|c": set names (see ``Space.mask_named``)
+        joined with "|". A blank block is refused before any name is read."""
+        parts = text.split("|")
+        if not all(part.strip() for part in parts):
+            raise ValueError(f"empty block in {text!r}")
+        return cls(space, [space.mask_named(part) for part in parts])
 
     @classmethod
     def trivial(cls, space):
@@ -158,9 +158,7 @@ class SubAlgebra:
         return MeasurableFn(self.space, vals)
 
     def __repr__(self):
-        labels = self.space.atom_labels()
-        names = ["+".join(labels[i] for i in atoms_of(b)) for b in self.blocks]
-        return f"SubAlgebra({'|'.join(names)})"
+        return f"SubAlgebra({'|'.join(map(self.space.set_name, self.blocks))})"
 
 
 def expectation(op, x, pi, bset=None, tol=DEFAULT_TOL, crosscheck=False):
@@ -169,30 +167,17 @@ def expectation(op, x, pi, bset=None, tol=DEFAULT_TOL, crosscheck=False):
     return idempotent_integral(op, x, pi, bset, tol, crosscheck).value
 
 
-class Law:
+class Law(Record):
     """The possibility of each value the variable takes."""
 
-    def __init__(self, values, possibilities):
-        self._values = tuple(values)
-        self._poss = tuple(possibilities)
-        self._map = dict(zip(self._values, self._poss))
-
-    @property
-    def values(self):
-        return self._values
-
-    @property
-    def possibilities(self):
-        return self._poss
+    values: tuple
+    possibilities: tuple
 
     def __call__(self, v):
-        try:
-            return self._map[float(v)]
-        except KeyError:
+        x = float(v)
+        if x not in self.values:
             raise UnmappedValue(f"{v} is not a value of the variable")
-
-    def as_dict(self):
-        return dict(self._map)
+        return self.possibilities[self.values.index(x)]
 
 
 def law(x, pi, tol=DEFAULT_TOL):
@@ -204,7 +189,7 @@ def law(x, pi, tol=DEFAULT_TOL):
         poss.append(pi(mask_of(i for i, xi in enumerate(x.atom_values) if xi == v)))
     if not close(max(poss), 1.0, tol):
         raise OracleMismatch("law does not reach possibility one")
-    return Law(values, poss)
+    return Law(tuple(values), tuple(poss))
 
 
 # ---------------------------------------------------------------------------

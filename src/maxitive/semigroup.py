@@ -230,8 +230,14 @@ class TableOp(SemigroupOp):
             raise ValueError(f"grid must be a list of values, got {grid!r}")
         if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
             raise ValueError("values must be a square table over the grid")
-        grid = [decode_value(g) for g in grid]
-        values = [[decode_value(v) for v in row] for row in rows]
+        # a JSON float literal goes to __init__ as it is, which range-checks
+        # every entry; only the other spellings (a string such as "inf", an
+        # integer, a bool, null) are decoded here
+        def read(v):
+            return v if type(v) is float else decode_value(v)
+
+        grid = [read(g) for g in grid]
+        values = [[read(v) for v in row] for row in rows]
         ident = doc.get("left_identity")
         ident = decode_value(ident) if ident is not None else None
         name = doc.get("name", "custom")

@@ -8,6 +8,12 @@ indices only through :func:`atoms_of` and built from them only through
 :func:`mask_of`; both cost a step per atom in the set. Values live on the
 extended half-line [0, inf], represented as plain floats with math.inf.
 
+A set's name is the labels of its atoms joined with "+" in atom order, an
+atom's label being its first ground element; :meth:`Space.set_name` writes
+it and :meth:`Space.mask_named` reads it, and nothing else in the package
+does either. :func:`build_space` refuses a label that a name could not
+carry, so every set's name reads back as the set.
+
 The atom vector of a function or a measure (``MeasurableFn.atom_values``,
 ``MaxitiveMeasure.atom_values``, ``AdditiveMeasure.atom_masses``) is a tuple
 of Python floats, checked by :func:`as_atoms`, and the routines on atoms
@@ -335,18 +341,13 @@ class Space:
     ground tuples and atom partitions coincide.
     """
 
-    __slots__ = ("ground", "atoms", "_labels", "_label_index", "_atom_of", "_hash")
+    __slots__ = ("ground", "atoms", "_labels", "_bits", "_hash")
 
     def __init__(self, ground, atoms):
         self.ground = tuple(ground)
         self.atoms = tuple(tuple(a) for a in atoms)
         self._labels = tuple(self.ground[a[0]] for a in self.atoms)
-        self._label_index = {lab: i for i, lab in enumerate(self.ground)}
-        atom_of = {}
-        for ai, members in enumerate(self.atoms):
-            for el in members:
-                atom_of[el] = ai
-        self._atom_of = atom_of
+        self._bits = {lab: mask_of((i,)) for i, lab in enumerate(self._labels)}
         self._hash = hash((self.ground, self.atoms))
 
     # -- basic geometry ----------------------------------------------------
@@ -371,6 +372,30 @@ class Space:
         """Ground labels of atom ``i``."""
         return tuple(self.ground[j] for j in self.atoms[i])
 
+    # -- set names ----------------------------------------------------------
+
+    def set_name(self, mask):
+        """The name of a set: its atoms' labels joined with "+" in atom
+        order, and "" for the empty set. :meth:`mask_named` reads it back."""
+        labels = self._labels
+        return "+".join(labels[i] for i in atoms_of(mask))
+
+    def mask_named(self, text):
+        """The mask of the set named by atom labels joined with "+".
+
+        Blank text names the empty set. Each label is stripped of
+        surrounding whitespace; one that labels no atom raises ValueError.
+        """
+        if not text.strip():
+            return 0
+        mask = 0
+        for lab in text.split("+"):
+            bit = self._bits.get(lab.strip())
+            if bit is None:
+                raise ValueError(f"unknown atom label {lab.strip()!r}")
+            mask |= bit
+        return mask
+
     # -- set constructors ---------------------------------------------------
 
     def empty(self):
@@ -381,28 +406,6 @@ class Space:
 
     def atom_block(self, i):
         return MeasurableSet(self, 1 << i)
-
-    def set_of_labels(self, labels):
-        """Smallest measurable set containing the given ground labels.
-
-        Raises if a label names only part of an atom it would split.
-        """
-        chosen = set()
-        for lab in labels:
-            if lab not in self._label_index:
-                raise ValueError(f"unknown ground element: {lab!r}")
-            chosen.add(lab)
-        mask = mask_of(self._atom_of[self._label_index[lab]] for lab in chosen)
-        # the request must be a union of atoms, not a fragment of one
-        covered = set()
-        for i in atoms_of(mask):
-            covered.update(self.atom_members(i))
-        if covered != chosen:
-            raise ValueError(
-                f"labels {sorted(map(str, chosen))} do not form a measurable set; "
-                f"atoms force {sorted(map(str, covered))}"
-            )
-        return MeasurableSet(self, mask)
 
     def masks(self):
         return range(self.n_sets)
@@ -425,15 +428,28 @@ class Space:
         return f"Space({len(self.ground)} elements, {self.n_atoms} atoms)"
 
 
+def _check_label(lab):
+    """Refuse a label that a set name could not carry: anything but a
+    nonempty string with no "+", no "|" and no surrounding whitespace."""
+    if not (isinstance(lab, str) and lab and lab == lab.strip() and "+" not in lab and "|" not in lab):
+        raise ValueError(
+            f"a label must be a nonempty string with no '+', '|' or surrounding "
+            f"whitespace, got {lab!r}"
+        )
+
+
 def build_space(ground, blocks):
     """Build a :class:`Space` from ground labels and a partition into blocks.
 
-    Raises :class:`EmptyBlock`, :class:`OverlappingBlocks` or
-    :class:`UncoveredElement` when ``blocks`` is not a partition of ``ground``.
+    Every label must pass :func:`_check_label`, so each set has a name that
+    :meth:`Space.mask_named` reads back. Raises :class:`EmptyBlock`,
+    :class:`OverlappingBlocks` or :class:`UncoveredElement` when ``blocks``
+    is not a partition of ``ground``.
     """
     ground = list(ground)
     index = {}
     for i, lab in enumerate(ground):
+        _check_label(lab)
         if lab in index:
             raise OverlappingBlocks(f"duplicate ground element: {lab!r}")
         index[lab] = i
@@ -445,6 +461,7 @@ def build_space(ground, blocks):
             raise EmptyBlock("empty partition block")
         members = []
         for lab in blk:
+            _check_label(lab)
             if lab not in index:
                 raise ValueError(f"block element {lab!r} is not in the ground set")
             if lab in seen:

@@ -140,8 +140,7 @@ def _inv_labels(seed, tol):
     space = sampling.random_space(rng, 5)
     for _ in range(20):
         s = sampling.random_set(rng, space, nonempty=False)
-        again = space.set_of_labels(s.labels())
-        assert again.mask == s.mask
+        assert space.mask_named(space.set_name(s.mask)) == s.mask
 
 
 # --------------------------------------------------------------- pseudo_mul

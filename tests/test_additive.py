@@ -20,14 +20,14 @@ from maxitive.additive import (
 from maxitive.errors import NoDensity, NotAbsolutelyContinuous
 from maxitive.measures import MaxitiveMeasure
 from maxitive.sampling import random_additive, random_fn, random_space, rng_for
-from maxitive.spaces import INF, MeasurableFn, SetFunction, build_space, close
+from maxitive.spaces import INF, MeasurableFn, MeasurableSet, SetFunction, build_space, close
 
 
 def test_additive_measure_basics(abc):
     m = AdditiveMeasure(abc, [1, 2, 0.5])
     assert m(abc.full()) == 3.5
     assert m.total() == 3.5
-    assert m(abc.set_of_labels(["a", "c"])) == 1.5
+    assert m(MeasurableSet(abc, abc.mask_named("a+c"))) == 1.5
     assert m(0) == 0.0
     back = AdditiveMeasure.from_set_function(m.to_set_function())
     assert list(back.atom_masses) == [1.0, 2.0, 0.5]
@@ -76,7 +76,7 @@ def test_lebesgue_fixture(abc):
     f = MeasurableFn(abc, [3, 1, 4])
     m = AdditiveMeasure(abc, [1, 2, 0.5])
     assert lebesgue_integral(f, m) == 7.0
-    assert lebesgue_integral(f, m, abc.set_of_labels(["b"])) == 2.0
+    assert lebesgue_integral(f, m, MeasurableSet(abc, abc.mask_named("b"))) == 2.0
     # 0 * inf = 0 on both sides
     g = MeasurableFn(abc, [0, 1, INF])
     mm = AdditiveMeasure(abc, [INF, 2, 0])

@@ -480,7 +480,11 @@ def test_a_json_integer_too_large_for_a_float_is_one_error_line(where, tmp_path)
     ('"inf"', "inf"),
     ("Infinity", "inf"),
     ("1.7e308", 1.7e308),
-], ids=["literal", "string", "argument", "inf-string", "Infinity", "largest"])
+    ("-1e400", "error: the number -1e400 does not fit in a float\n"),
+    ('"-1e400"', "error: the value -1e400 does not fit in a float\n"),
+    ('"-inf"', "error: values must lie in [0, inf], got -inf\n"),
+], ids=["literal", "string", "argument", "inf-string", "Infinity", "largest",
+        "negative-literal", "negative-string", "negative-inf-string"])
 def test_a_number_past_the_float_range_is_refused_in_every_spelling(text, want, tmp_path):
     if text is None:
         proc = run_cli("residual", "times", "1e400", "1")
@@ -682,6 +686,42 @@ def test_condition(docs):
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout)
     assert out["conditional"]["atoms"] == {"a": 2.5, "b": 2.5, "c": 1.0, "d": 1.0}
+
+
+# --sub names atoms by atom label, as --set and every report do. On a space
+# whose atom {a, b} is labelled a, the blocks a condition report prints read
+# back as its --sub, and the ground element b names no atom.
+def test_sub_names_atoms_by_atom_label(tmp_path, capsys):
+    space = {"ground": ["a", "b", "c", "d"], "blocks": [["a", "b"], ["c"], ["d"]]}
+    pi = write_doc(tmp_path / "pi.json", {"schema": "1", "kind": "possibility", "space": space,
+                                         "atoms": {"a": 1, "c": 0.5, "d": 0.25}})
+    x = write_doc(tmp_path / "x.json", {"schema": "1", "kind": "function", "space": space,
+                                       "atoms": {"a": 2, "c": 3, "d": 1}})
+
+    def condition(sub):
+        code = cli.main(["condition", "--op", "times", "--pi", pi, "--x", x, "--sub", sub])
+        return (code, *capsys.readouterr())
+
+    code, out, err = condition("a|c+d")
+    assert (code, err) == (0, "")
+    blocks = json.loads(out)["blocks"]
+    assert blocks == ["a", "c+d"]
+    assert condition("|".join(blocks)) == (0, out, "")
+    assert condition("a+b|c+d") == (1, "", "error: unknown atom label 'b'\n")
+    assert condition("a|c+q") == (1, "", "error: unknown atom label 'q'\n")
+
+
+# A label is a nonempty string with no "+", no "|" and no surrounding
+# whitespace, so every set's name reads back as the set; any other label is
+# refused, with one error line, when its document is loaded.
+@pytest.mark.parametrize("label", ["a+b", "", " a", "a|b", 1])
+def test_a_label_a_set_name_cannot_carry_is_refused(label, tmp_path, capsys):
+    doc = {"schema": "1", "kind": "maxitive",
+           "space": {"ground": [label, "c"], "blocks": [[label], ["c"]]},
+           "atoms": {str(label): 1, "c": 0.5}}
+    code = cli.main(["decompose", "--nu", write_doc(tmp_path / "nu.json", doc)])
+    assert (code, *capsys.readouterr()) == (1, "", "error: a label must be a nonempty string with no "
+                                            f"'+', '|' or surrounding whitespace, got {label!r}\n")
 
 
 # A possibility document is checked for its norm when it is loaded, at the

@@ -47,6 +47,7 @@ it replaced, ``RefPossibilitySpace``, which the oracles of the conditional
 and the law read through its ``measure``.
 """
 
+import json
 import math
 import operator
 import struct
@@ -97,7 +98,7 @@ from maxitive.integral import (
     idempotent_integral,
     ky_fan_distance,
 )
-from maxitive.modelio import _set_key, encode_value, measure_from_json, measure_to_json, parse_set
+from maxitive.modelio import encode_value, measure_from_json, measure_to_json
 from maxitive.measures import (
     AtomDecomposition,
     FinitenessReport,
@@ -1575,26 +1576,6 @@ def ref_support_mask(nu):
     return mask
 
 
-def ref_set_of_labels(space, labels):
-    mask = 0
-    chosen = set()
-    for lab in labels:
-        if lab not in space._label_index:
-            raise ValueError(f"unknown ground element: {lab!r}")
-        chosen.add(lab)
-        mask |= 1 << space._atom_of[space._label_index[lab]]
-    covered = set()
-    for i in range(space.n_atoms):
-        if mask & (1 << i):
-            covered.update(space.atom_members(i))
-    if covered != chosen:
-        raise ValueError(
-            f"labels {sorted(map(str, chosen))} do not form a measurable set; "
-            f"atoms force {sorted(map(str, covered))}"
-        )
-    return MeasurableSet(space, mask)
-
-
 def ref_set_key(space, mask):
     labels = space.atom_labels()
     return "+".join(labels[i] for i in range(space.n_atoms) if mask & (1 << i))
@@ -1603,7 +1584,7 @@ def ref_set_key(space, mask):
 def ref_parse_set(space, text):
     text = text.strip()
     if not text:
-        return space.empty()
+        return 0
     labels = [p.strip() for p in text.split("+")]
     mask = 0
     index = {l: i for i, l in enumerate(space.atom_labels())}
@@ -1611,7 +1592,7 @@ def ref_parse_set(space, text):
         if l not in index:
             raise ValueError(f"unknown atom label {l!r}")
         mask |= 1 << index[l]
-    return MeasurableSet(space, mask)
+    return mask
 
 
 def ref_ae_equal(w, f, g, tol=DEFAULT_TOL):
@@ -1636,7 +1617,7 @@ def ref_law(x, pi, tol=DEFAULT_TOL):
         poss.append(pi.measure(mask))
     if not close(max(poss), 1.0, tol):
         raise OracleMismatch("law does not reach possibility one")
-    return Law(values, poss)
+    return Law(tuple(values), tuple(poss))
 
 
 def ref_generated(sub):
@@ -1749,13 +1730,11 @@ def test_mask_codec_matches_the_bit_loops(k, data):
     )
     assert MaxitiveMeasure(space, vals).support_mask() == ref_support_mask(f)
 
-    key = _set_key(space, mask)
+    key = space.set_name(mask)
     assert key == ref_set_key(space, mask)
-    assert parse_set(space, key) == ref_parse_set(space, key) == bset
-    text = "+".join(data.draw(st.lists(st.sampled_from([*space.atom_labels(), "q"]))))
-    assert outcome(parse_set, space, text) == outcome(ref_parse_set, space, text)
-    labels = data.draw(st.lists(st.sampled_from(space.ground))) if k else []
-    assert outcome(space.set_of_labels, labels) == outcome(ref_set_of_labels, space, labels)
+    assert space.mask_named(key) == ref_parse_set(space, key) == mask
+    text = "+".join(data.draw(st.lists(st.sampled_from([*space.ground, "q", " "]))))
+    assert outcome(space.mask_named, text) == outcome(ref_parse_set, space, text)
 
     if k:
         pi = PossibilitySpace(space, [1.0, *np.minimum(g.atom_values[1:], 1.0)])
@@ -1774,6 +1753,53 @@ def test_mask_codec_matches_the_bit_loops(k, data):
         w, _ = random_non_maxitive(np.random.default_rng(seed), space)
         ref = ref_random_non_maxitive_table(np.random.default_rng(seed), space)
         assert w.table.tobytes() == ref.table.tobytes()
+
+
+def nameable(label):
+    """The label rule of build_space: a set name can carry the label."""
+    return (
+        isinstance(label, str) and label != "" and label == label.strip()
+        and "+" not in label and "|" not in label
+    )
+
+
+# labels from an alphabet with both separators and whitespace, the empty
+# string and numbers; distinct, so no label is refused as a duplicate
+ground_labels = st.lists(
+    st.one_of(st.text(alphabet="ab+| \t", max_size=3), st.integers(-1, 2), st.floats(0.0, 2.0)),
+    unique=True,
+    max_size=8,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ground_labels, st.data())
+def test_set_names_read_back_on_every_space_build_space_accepts(ground, data):
+    # atoms of one or two members, as in wide_space; an atom is named by
+    # its first member
+    blocks = []
+    while len(ground) > sum(map(len, blocks)):
+        start = sum(map(len, blocks))
+        blocks.append(ground[start : start + data.draw(st.integers(1, 2))])
+    bad = [lab for lab in ground if not nameable(lab)]
+    if bad:
+        with pytest.raises(ValueError, match=r"^a label must be a nonempty string") as exc:
+            build_space(ground, blocks)
+        assert str(exc.value).endswith(f"got {bad[0]!r}")
+        return
+    space = build_space(ground, blocks)
+    assert all(space.mask_named(space.set_name(mask)) == mask for mask in space.masks())
+
+    w = MaxitiveMeasure(space, data.draw(st.lists(values, min_size=space.n_atoms, max_size=space.n_atoms)))
+    table = w.to_set_function()
+    back = measure_from_json(json.loads(json.dumps(measure_to_json(table))))
+    assert type(back) is SetFunction and back.space == space
+    assert back.table.tobytes() == table.table.tobytes()
+
+    if space.n_atoms:
+        sub = random_subalgebra(np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))), space)
+        text = "|".join(map(space.set_name, sub.blocks))
+        assert SubAlgebra.from_string(space, text).blocks == sub.blocks
 
 
 @settings(max_examples=60, deadline=None)
@@ -1993,7 +2019,7 @@ def array_law(x, pi, tol):
     poss = [pi.measure(mask_of(np.flatnonzero(arr == v))) for v in values]
     if not close(max(poss), 1.0, tol):
         raise OracleMismatch("law does not reach possibility one")
-    return Law(values, poss)
+    return Law(tuple(values), tuple(poss))
 
 
 def tuple_bits(vals):

@@ -39,7 +39,7 @@ from maxitive.measures import (
 )
 from maxitive.sampling import random_maxitive, random_non_maxitive, random_space, rng_for
 from maxitive.semigroup import MIN, TIMES, TableOp
-from maxitive.spaces import INF, MeasurableFn, SetFunction, build_space, close, mask_of
+from maxitive.spaces import INF, MeasurableFn, MeasurableSet, SetFunction, build_space, close, mask_of
 
 from test_lattice import enumerate_sigma_ideals, ref_total_variation
 
@@ -47,7 +47,7 @@ from test_lattice import enumerate_sigma_ideals, ref_total_variation
 def test_measure_evaluates_as_a_max(abc):
     nu = MaxitiveMeasure(abc, [1, 2, 0.5])
     assert nu(0) == 0.0
-    assert nu(abc.set_of_labels(["a", "c"])) == 1.0
+    assert nu(MeasurableSet(abc, abc.mask_named("a+c"))) == 1.0
     assert nu(abc.full()) == 2.0
     tab = nu.to_set_function()
     for b in abc.masks():
@@ -74,8 +74,8 @@ def test_support_and_power(abc):
 
 def test_negligible(abc):
     nu = MaxitiveMeasure(abc, [0, 2, 0])
-    assert negligible(nu, abc.set_of_labels(["a", "c"]))
-    assert not negligible(nu, abc.set_of_labels(["b"]))
+    assert negligible(nu, MeasurableSet(abc, abc.mask_named("a+c")))
+    assert not negligible(nu, MeasurableSet(abc, abc.mask_named("b")))
     assert negligible(nu, abc.empty())
 
 
@@ -220,8 +220,8 @@ def test_essential_supremum(abc):
     tau = MaxitiveMeasure(abc, [1, 0, 2]).to_set_function()
     f = MeasurableFn(abc, [3, 9, 4])
     assert essential_supremum(tau, f) == 4.0
-    assert essential_supremum(tau, f, abc.set_of_labels(["a", "b"])) == 3.0
-    assert essential_supremum(tau, f, abc.set_of_labels(["b"])) == 0.0
+    assert essential_supremum(tau, f, MeasurableSet(abc, abc.mask_named("a+b"))) == 3.0
+    assert essential_supremum(tau, f, MeasurableSet(abc, abc.mask_named("b"))) == 0.0
     ess = esssup_measure(tau, f)
     assert ess(abc.full()) == 4.0
 

@@ -15,8 +15,6 @@ from maxitive.modelio import (
     load_measure,
     measure_from_json,
     measure_to_json,
-    parse_set,
-    parse_subalgebra,
     space_from_json,
     space_to_json,
     to_jsonable,
@@ -98,17 +96,20 @@ def test_measure_from_json_validation(abc):
 
 
 def test_parse_set(abc):
-    assert parse_set(abc, "a+c").mask == 0b101
-    assert parse_set(abc, " b ").mask == 0b010
-    assert parse_set(abc, "").is_empty
+    assert abc.mask_named("a+c") == 0b101
+    assert abc.mask_named(" b ") == 0b010
+    assert abc.mask_named("") == 0
     with pytest.raises(ValueError, match=r"^unknown atom label 'q'$"):
-        parse_set(abc, "a+q")
+        abc.mask_named("a+q")
 
 
 def test_parse_subalgebra(abcd):
-    sub = parse_subalgebra(abcd, "a+b|c+d")
+    sub = SubAlgebra.from_string(abcd, "a+b|c+d")
     assert isinstance(sub, SubAlgebra)
     assert sub.blocks == (0b0011, 0b1100)
+    for text in ("a+b|", "a+b| |c+d", "q|"):
+        with pytest.raises(ValueError, match=f"^empty block in {text!r}$"):
+            SubAlgebra.from_string(abcd, text)
 
 
 def test_load_measure(tmp_path, abc):

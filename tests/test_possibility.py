@@ -177,6 +177,24 @@ def test_conditional_null_blocks_carry_zero():
     assert list(y.atom_values)[2:] == [0.0, 0.0]
 
 
+# Conditioning reads a possibility off a MaxitiveMeasure's atoms; anything
+# else is refused with a TypeError that names what it needs, not an
+# AttributeError on a missing atom_values.
+def test_conditioning_refuses_what_is_not_maxitive():
+    sp = build_space("ab", [["a"], ["b"]])
+    x = MeasurableFn(sp, [1, 2])
+    sub = SubAlgebra.trivial(sp)
+    for m in (AdditiveMeasure(sp, [1, 0]), AdditiveMeasure(sp, [1, 0]).to_set_function()):
+        for call in (
+            lambda: conditional(TIMES, x, m, sub),
+            lambda: conditional_suite(TIMES, x, m, sub),
+            lambda: law(x, m),
+            lambda: expectation(TIMES, x, m),
+        ):
+            with pytest.raises(TypeError, match=f"^a possibility needs a MaxitiveMeasure, got {type(m).__name__}$"):
+                call()
+
+
 def test_law_pushforward():
     sp, pi, x, sub = _fixture()
     l = law(x, pi)
@@ -184,7 +202,7 @@ def test_law_pushforward():
     assert l(2.0) == 1.0
     assert l(5.0) == 0.5
     assert l(3.0) == 0.25
-    assert l.as_dict()[1.0] == 1.0
+    assert dict(zip(l.values, l.possibilities))[1.0] == 1.0
     with pytest.raises(UnmappedValue):
         l(7.0)
 

@@ -24,7 +24,7 @@ from maxitive.measures import (
     classify,
     finiteness_suite,
 )
-from maxitive.possibility import PossibilitySpace, conditional_suite
+from maxitive.possibility import PossibilitySpace, SubAlgebra, conditional_suite, law
 from maxitive.records import Record
 from maxitive.semigroup import by_name, verify_axioms
 from maxitive.spaces import MeasurableFn, build_space
@@ -36,7 +36,7 @@ def test_every_report_type_is_a_record():
     assert [cls.__qualname__ for cls in RECORDS] == sorted([
         "AbsContReport", "AlternationReport", "AtomDecomposition", "AxiomReport",
         "ConditionalSuiteReport", "EnvelopeReport", "FinitenessReport",
-        "ImplicationReport", "IntegralResult", "Invariant", "KSReport",
+        "ImplicationReport", "IntegralResult", "Invariant", "KSReport", "Law",
         "PowerMeanReport", "PropertyReport", "ScaleReport", "SuiteReport",
         "TailReport", "TwoSampleReport",
     ])
@@ -145,13 +145,15 @@ FLAGS = ("autocontinuous ccc completely_maxitive continuous_from_above essential
      {"atoms": ["a", "b"], "residual_null": "c", "values": [1.0, 0.5]}),
     (lambda: conditional_suite(
         TIMES, FN, PossibilitySpace(SPACE, [1.0, 0.5, 0.25]),
-        modelio.parse_subalgebra(SPACE, "a+b|c")),
+        SubAlgebra.from_string(SPACE, "a+b|c")),
      {"characterization": True, "defining": True, "details": {}, "measurable_fixed": True,
       "monotone": True, "scaling": True, "total": True, "tower": True,
       "y": {"atoms": {"a": 3.0, "b": 3.0, "c": 4.0}, "kind": "function", "schema": "1",
             "space": {"blocks": [["a"], ["b"], ["c"]], "ground": ["a", "b", "c"]}}}),
+    (lambda: law(FN, PossibilitySpace(SPACE, [1.0, 0.5, 0.25])),
+     {"possibilities": [0.5, 1.0, 0.25], "values": [1.0, 3.0, 4.0]}),
 ], ids=["properties", "properties-additive", "alternation", "axioms", "finiteness",
-        "integral", "decomposition", "condition-suite"])
+        "integral", "decomposition", "condition-suite", "law"])
 def test_printed_reports_keep_their_json(make, expected):
     rec = make()
     assert isinstance(rec, Record)

@@ -59,21 +59,21 @@ def test_build_space_rejects_bad_partitions():
         build_space("ab", [["a"], ["b"], ["z"]])
 
 
-def test_set_of_labels_respects_atoms():
+def test_set_names_use_atom_labels():
+    # an atom is named by its first member alone, in reading and in writing
     sp = build_space("abcd", [["a", "b"], ["c"], ["d"]])
-    s = sp.set_of_labels(["a", "b", "d"])
-    assert s.mask == 0b101
-    # naming half an atom is an error, not a silent widening
-    with pytest.raises(ValueError):
-        sp.set_of_labels(["a", "d"])
-    with pytest.raises(ValueError):
-        sp.set_of_labels(["q"])
+    assert sp.mask_named("a+d") == sp.mask_named(" d + a ") == 0b101
+    assert sp.set_name(0b101) == "a+d"
+    assert sp.mask_named("") == sp.mask_named("  ") == 0 and sp.set_name(0) == ""
+    for text, label in (("a+b", "b"), ("q", "q"), ("a++c", ""), ("+", "")):
+        with pytest.raises(ValueError, match=f"^unknown atom label {label!r}$"):
+            sp.mask_named(text)
 
 
 def test_set_operations(abc):
-    a = abc.set_of_labels(["a"])
-    ab = abc.set_of_labels(["a", "b"])
-    c = abc.set_of_labels(["c"])
+    a = MeasurableSet(abc, abc.mask_named("a"))
+    ab = MeasurableSet(abc, abc.mask_named("a+b"))
+    c = MeasurableSet(abc, abc.mask_named("c"))
     assert (a | c).mask == 0b101
     assert (ab & a) == a
     assert (ab - a).labels() == ("b",)
@@ -224,7 +224,7 @@ def test_measurable_fn_constructors(abc):
 
 
 def test_indicator_takes_an_identity(abc):
-    b = abc.set_of_labels(["a", "c"])
+    b = MeasurableSet(abc, abc.mask_named("a+c"))
     ind = MeasurableFn.indicator(abc, b)
     assert list(ind.atom_values) == [1.0, 0.0, 1.0]
     ind_inf = MeasurableFn.indicator(abc, b, one=INF)
@@ -237,7 +237,7 @@ def test_level_sets_and_values(abc):
     assert f.level_set(3).mask == 0b100
     assert f.level_set_ge(3).mask == 0b101
     assert f.distinct_values() == [1.0, 3.0, 4.0]
-    assert f.distinct_values(abc.set_of_labels(["b"])) == [1.0]
+    assert f.distinct_values(MeasurableSet(abc, abc.mask_named("b"))) == [1.0]
 
 
 def test_pointwise(abc):
@@ -312,4 +312,4 @@ def test_space_equality_and_repr(abc):
     assert abc == same and hash(abc) == hash(same)
     assert abc != other
     assert "3 atoms" in repr(abc)
-    assert "a" in repr(abc.set_of_labels(["a"]))
+    assert "a" in repr(MeasurableSet(abc, abc.mask_named("a")))

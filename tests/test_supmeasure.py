@@ -113,7 +113,7 @@ def test_marginal_distribution():
 def test_marginal_on_subset():
     sp = build_space("ab", [["a"], ["b"]])
     m = AdditiveMeasure(sp, [0.3, 0.7])
-    rep = frechet_marginal_check(m, 1.5, rng_for(17), 3000, bset=sp.set_of_labels(["b"]))
+    rep = frechet_marginal_check(m, 1.5, rng_for(17), 3000, bset=MeasurableSet(sp, sp.mask_named("b")))
     assert rep.passed, rep
 
 
