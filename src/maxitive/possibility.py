@@ -12,8 +12,12 @@ verified on the blocks alone: the atom integral over a union of blocks is
 the max of the integrals over its blocks, so blocks that agree make every
 union agree. The suite functions verify the textbook laws (uniqueness
 through perturbation, monotonicity, homogeneity, the tower rule, total
-expectation) on concrete instances, and the classical bridge realizes the
-conditional as a limit of conditional power means.
+expectation) on concrete instances under any exact operation, reading
+nothing off its name: the probes come from the operation's
+``perturbations`` and ``scalars``, which a table operation draws from its
+grid, and the monotone law's shift is a value of the variable. The
+classical bridge realizes the conditional as a limit of conditional power
+means.
 """
 
 from __future__ import annotations
@@ -230,28 +234,6 @@ def conditional(op, x, pi, sub, tol=DEFAULT_TOL):
     return y
 
 
-def _median(values):
-    """The median of a nonempty list of floats, as ``np.median`` rounds it:
-    the middle value, or the mean of the middle two."""
-    vals = sorted(values)
-    mid = len(vals) // 2
-    return vals[mid] if len(vals) % 2 else (vals[mid - 1] + vals[mid]) / 2
-
-
-def _perturbations(op, y_b, p_b):
-    """Candidate replacement values that a true version must be unable to take.
-
-    For min the block integral only sees values up to the block possibility,
-    so candidates stay strictly below it; for times any distinct value on a
-    non-null block changes the integral.
-    """
-    if op.name == "min":
-        cands = [p_b / 2.0, p_b / 4.0, 3.0 * p_b / 4.0]
-    else:
-        cands = [2.0 * y_b + 0.1, y_b / 2.0 + 0.05, y_b + 1.0, 1.0, 7.0]
-    return [c for c in cands if math.isfinite(c) and not close(c, y_b)]
-
-
 class ConditionalSuiteReport(Record):
     y: MeasurableFn
     defining: bool
@@ -284,9 +266,12 @@ def conditional_suite(op, x, pi, sub, tol=DEFAULT_TOL):
     y = conditional(op, x, pi, sub, tol)
     details = {}
 
-    # uniqueness: any distinguishable change on a non-null block must break
-    # the defining property on that block
+    # on each non-null block of possibility p, uniqueness: any distinguishable
+    # change must break the defining property there; and the envelope: the
+    # conditional lies between the conditionals of the block's least and
+    # greatest values, residual(m (.) p, p)
     characterization = True
+    outside = None
     for j, b in enumerate(sub.blocks):
         pb = pi(b)
         if pb == 0.0:
@@ -298,39 +283,31 @@ def conditional_suite(op, x, pi, sub, tol=DEFAULT_TOL):
         # y set to z on the block has the block integral of the constant z,
         # which reads the block alone: max of 0 and every z (.) pi_i on it
         pis = [pi.atom_values[i] for i in idx]
-        if all(
-            close(max([0.0] + [op(z, v) for v in pis]), target, tol)
-            for z in _perturbations(op, y_b, pb)
-        ):
+        probes = [z for z in op.perturbations(y_b, pb) if math.isfinite(z) and not close(z, y_b)]
+        if all(close(max([0.0] + [op(z, v) for v in pis]), target, tol) for z in probes):
             characterization = False
             details["characterization_block"] = j
+        xs = [x.atom_values[i] for i in idx]
+        lo, hi = (op.residual(op(m, pb), pb) for m in (min(xs), max(xs)))
+        if outside is None and not (le(y_b, hi, tol) and le(lo, y_b, tol)):
+            outside = j
 
-    # raising the variable can only raise the conditional
-    shift = _median([v for v in x.atom_values if math.isfinite(v)] or [1.0])
+    # raising the variable can only raise the conditional; the shift, the
+    # lower median of x's finite values, is a value of x and so lies on a
+    # table operation's grid
+    finite = sorted(v for v in x.atom_values if math.isfinite(v)) or [1.0]
+    shift = finite[(len(finite) - 1) // 2]
     x_up = x.pointwise(max, MeasurableFn.constant(space, shift))
     y_up = conditional(op, x_up, pi, sub, tol)
     drop = first_atom(not le(a, b, tol) for a, b in zip(y.atom_values, y_up.atom_values))
-    monotone = drop is None
-    if not monotone:
+    monotone = drop is None and outside is None
+    if drop is not None:
         details["monotone_atom"] = drop
-    if monotone and op.name in ("times", "min"):
-        # envelope: the conditional stays inside the block's value range,
-        # floored at the block possibility for min
-        for j, b in enumerate(sub.blocks):
-            if pi(b) == 0.0:
-                continue
-            idx = MeasurableSet(space, b).atom_indices()
-            xs = [x.atom_values[i] for i in idx]
-            y_b = y.atom_values[idx[0]]
-            hi = max(xs)
-            lo = min(xs) if op.name == "times" else min(min(xs), pi(b))
-            if not (le(y_b, hi, tol) and le(lo, y_b, tol)):
-                monotone = False
-                details["envelope_block"] = j
-                break
+    elif outside is not None:
+        details["envelope_block"] = outside
 
     scaling = True
-    for lam in (0.5, 2.0):
+    for lam in op.scalars:
         lam_fn = MeasurableFn.constant(space, lam)
         xs = lam_fn.pointwise(op, x)
         ys = conditional(op, xs, pi, sub, tol)
@@ -352,19 +329,17 @@ def conditional_suite(op, x, pi, sub, tol=DEFAULT_TOL):
             tower = False
             details["tower_atom"] = i
 
-    # conditioning a block-measurable function returns a version of it;
-    # conditional has already held the integrals of ym to those of y
+    # conditioning a block-measurable function returns it: under an exact
+    # operation residual(y_b (.) p, p) = y_b on a block of possibility p > 0
     ym = conditional(op, y, pi, sub, tol)
-    measurable_fixed = True
-    if op.name == "times":
-        for j, b in enumerate(sub.blocks):
-            if pi(b) == 0.0:
-                continue
-            i = MeasurableSet(space, b).atom_indices()[0]
-            if not close(ym.atom_values[i], y.atom_values[i], tol):
-                measurable_fixed = False
-                details["measurable_fixed_block"] = j
-                break
+    firsts = [atoms_of(b)[0] for b in sub.blocks]
+    j = first_atom(
+        pi(b) != 0.0 and not close(ym.atom_values[i], y.atom_values[i], tol)
+        for b, i in zip(sub.blocks, firsts)
+    )
+    measurable_fixed = j is None
+    if not measurable_fixed:
+        details["measurable_fixed_block"] = j
 
     return ConditionalSuiteReport(
         y=y,

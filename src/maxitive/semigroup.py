@@ -13,6 +13,10 @@ r << s; ``Times`` narrows the latter at s = inf.
 A table operation reads its residuals and its exactness off the running
 maximum of each column down its grid (see ``TableOp``).
 
+An operation also carries the probes the conditional suite puts to it:
+``perturbations`` for the uniqueness law and ``scalars`` for homogeneity.
+A table operation draws both from its grid, where all its values lie.
+
 ``verify_axioms`` checks a table operation on its own grid, and its
 continuity is the grid verdict. A builtin is checked on ``default_grid()``,
 and each jump between adjacent grid points is bisected off the grid.
@@ -40,6 +44,10 @@ class SemigroupOp:
     Galois equivalence  r <= t (.) s  <=>  residual(r, s) <= t  is
     guaranteed; by default it is the region of r << s.
     """
+
+    #: the constants lambda of the homogeneity law
+    #: E(lambda (.) X | A) = lambda (.) E(X | A)
+    scalars = (0.5, 2.0)
 
     def __call__(self, s, t):
         return self._eval(float(s), float(t))
@@ -73,6 +81,12 @@ class SemigroupOp:
         if self.left_identity is None:
             return False
         return self.finite_element(self.left_identity)
+
+    def perturbations(self, y, p):
+        """Values to put in place of y, the conditional on a block of
+        possibility p, for the uniqueness law: a distinct one should change
+        the block's integral. Under times any distinct value does."""
+        return [2.0 * y + 0.1, y / 2.0 + 0.05, y + 1.0, 1.0, 7.0]
 
     def _abs_cont(self, r, s):
         return r <= self._eval(INF, s)
@@ -120,6 +134,10 @@ class Min(SemigroupOp):
 
     def _omap(self, t):
         return 0.0
+
+    def perturbations(self, y, p):
+        # the block integral sees values only up to p, so the probes stay below it
+        return [p / 2.0, p / 4.0, 3.0 * p / 4.0]
 
 
 class Plus(SemigroupOp):
@@ -196,6 +214,12 @@ class TableOp(SemigroupOp):
         self.exact = all(
             top[bisect_left(top, r)] == r for top in self._tops for r in grid if r <= top[-1]
         )
+        # the finite positive grid points: a table has values on its grid alone
+        self.scalars = tuple(g for g in grid if 0.0 < g < INF)
+
+    def perturbations(self, y, p):
+        """The grid, the only values the table is defined at."""
+        return self.grid
 
     def _at(self, v):
         try:

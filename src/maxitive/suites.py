@@ -290,7 +290,7 @@ def _inv_finiteness(seed, tol):
         for op in (TIMES, MIN):
             rep = finiteness_suite(op, nu)
             assert rep.semi_odot_finite == rep.odot_finite
-            if op.name == "min":
+            if op is MIN:
                 assert rep.odot_finite and rep.sigma_odot_finite
 
 
@@ -434,7 +434,7 @@ def _inv_roundtrip(seed, tol):
             got = rn_density(op, nu, tau, tol)
             ok, wit = verify_density(op, got, nu, tau, tol)
             assert ok, wit
-            if op.name == "times" and np.isfinite(tau.atom_values).all():
+            if op is TIMES and np.isfinite(tau.atom_values).all():
                 assert ae_equal(tau.to_set_function(), got, c, tol)
 
 
@@ -496,7 +496,7 @@ def _inv_associated(seed, tol):
         c2 = MeasurableFn(space, [float(round(rng.uniform(0.1, 9.0), 6)) for _ in range(space.n_atoms)])
         for op in (TIMES, MIN):
             raw = sampling.random_fn(rng, space)
-            if op.name == "min":
+            if op is MIN:
                 c1 = raw.pointwise(min, c2)
             else:
                 c1 = raw

@@ -751,6 +751,30 @@ def test_condition_suite(docs):
         assert suite[key] is True, key
 
 
+# A table operation acts through its class, whatever its document names it:
+# the suite probes it on its grid, so min on 13 grid points passes named as
+# a builtin or not. The shift of the monotone law is x's lower median, 2.
+@pytest.mark.parametrize("name", ["min", "times", "grid-min"])
+def test_condition_suite_probes_a_table_operation_on_its_grid(name, docs, capsys):
+    grid = [0, 0.125, 0.25, 0.5, 0.75, 1, 1.5, 2, 3, 4, 5, 8, "inf"]
+    op = write_doc(docs["tmp"] / "op.json", {
+        "name": name, "grid": grid, "left_identity": "inf",
+        "values": [[grid[min(i, j)] for j in range(13)] for i in range(13)],
+    })
+    argv = ["condition", "--op", op, "--pi", docs["pi"], "--x", docs["x"], "--sub", "a+b|c+d"]
+    out = []
+    for extra in ([], ["--suite"]):
+        assert cli.main(argv + extra) == 0
+        out.append(json.loads(capsys.readouterr().out))
+    assert [o.pop("op") for o in out] == [name, name]
+    suite = out[1].pop("suite")
+    assert suite.pop("y") == out[0]["conditional"]
+    assert suite == {
+        "defining": True, "characterization": True, "monotone": True, "scaling": True,
+        "tower": True, "total": True, "measurable_fixed": True, "details": {},
+    }
+
+
 def test_residual_command():
     proc = run_cli("residual", "times", "5", "3")
     out = json.loads(proc.stdout)

@@ -17,7 +17,10 @@ exit 1 with exactly one ``error:`` line. ``simulate`` runs in
 both modes, with and without ``--set``, ``--eps`` and ``--csv``, at n up to
 1000, on the same values as control masses. Drawn table operations, on
 grids with and without 0 and inf, run through ``check --order 0 --op``,
-``residual`` and ``density --method residual``.
+``residual`` and ``density --method residual``. ``condition`` runs with and
+without ``--suite`` under the exact builtins and under table operations whose
+cells lie on their grid, named as a builtin or not; the suite goes off the
+grid only where the conditional alone does.
 """
 
 import contextlib
@@ -170,11 +173,11 @@ def test_fuzzed_verdicts_exit_cleanly(tmp_path_factory, case, verb, order, tol):
 
 
 @st.composite
-def table_ops(draw):
+def table_ops(draw, off_grid=2):
     """A table operation document on part of GRID, 0 and inf included or not.
 
-    Its cells lie on the grid but for up to two, drawn from VALUES or -0.0,
-    and its left identity lies on the grid, off it or is absent.
+    Its cells lie on the grid but for up to ``off_grid``, drawn from VALUES
+    or -0.0, and its left identity lies on the grid, off it or is absent.
     """
     # off 0 or inf the axiom check raises, so half the grids hold both
     ends = draw(st.booleans())
@@ -182,7 +185,7 @@ def table_ops(draw):
     n = len(grid)
     on_grid = st.sampled_from(grid or [0.0])
     values = draw(st.lists(st.lists(on_grid, min_size=n, max_size=n), min_size=n, max_size=n))
-    for _ in range(draw(st.integers(0, 2)) if n else 0):
+    for _ in range(draw(st.integers(0, off_grid)) if n else 0):
         i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
         values[i][j] = draw(st.sampled_from([-0.0, *VALUES]))
     doc = {"name": "drawn", "grid": grid, "values": values}
@@ -223,6 +226,68 @@ def test_fuzzed_table_operations_exit_cleanly(tmp_path_factory, case, op, tol, d
         assert seconds < 5.0, (argv, seconds)
         assert "semi-finiteness must match" not in err, (argv, err)
         assert "level sweep" not in err, (argv, err)
+
+
+@st.composite
+def conditionings(draw):
+    """A possibility document, a function document and a --sub text on up to
+    six atoms. The text is a partition of the labels, or now and then one
+    with an unknown label, a blank block or spaces around a block."""
+    k = draw(st.integers(1, 6))
+    labels, space = space_doc(k)
+    # values on GRID half the time, so a table operation reads most of them
+    unit = [v for v in VALUES if v != "inf" and v <= 1.0]
+    poss = draw(st.lists(st.sampled_from(unit) | st.sampled_from(GRID[:3]), min_size=k, max_size=k))
+    if draw(st.integers(0, 5)):
+        poss[draw(st.integers(0, k - 1))] = 1.0
+    pi = {"schema": "1", "kind": "possibility", "space": space, "atoms": dict(zip(labels, poss))}
+    values = st.lists(st.sampled_from(VALUES) | st.sampled_from(GRID), min_size=k, max_size=k)
+    x = {"schema": "1", "kind": "function", "space": space, "atoms": dict(zip(labels, draw(values)))}
+    blocks = {}
+    for lab in labels:
+        blocks.setdefault(draw(st.integers(0, k)), []).append(lab)
+    parts = ["+".join(block) for block in blocks.values()]
+    flaw = draw(st.none() | st.none() | st.sampled_from(["unknown", "blank", "spaces"]))
+    if flaw == "unknown":
+        parts.append("q")
+    elif flaw == "blank":
+        parts.insert(draw(st.integers(0, len(parts))), " ")
+    elif flaw == "spaces" and parts:
+        parts[0] = f" {parts[0]}\t"
+    return pi, x, "|".join(parts)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    conditionings(),
+    st.sampled_from(["times", "min", "grid-min", "drawn"]),
+    table_ops(off_grid=0),
+    st.sampled_from(["drawn", "min", "times"]),
+    st.sampled_from(TOLERANCES),
+)
+def test_fuzzed_conditionings_exit_cleanly(tmp_path_factory, case, op, drawn, name, tol):
+    # a table operation whose cells lie on its grid, min on GRID or drawn,
+    # under any name; the suite probes it on its grid, so it goes off the
+    # grid only where the conditional alone does
+    pi, x, sub = case
+    root = tmp_path_factory.mktemp("fuzz")
+    paths = {}
+    table = dict(TABLE_OP if op == "grid-min" else drawn, name=name)
+    for key, body in (("pi", pi), ("x", x), ("op", table)):
+        paths[key] = str(root / f"{key}.json")
+        (root / f"{key}.json").write_text(json.dumps(body))
+    op = paths["op"] if op in ("grid-min", "drawn") else op
+    argv = ["condition", "--op", op, "--pi", paths["pi"], "--x", paths["x"], "--sub", sub,
+            "--tolerance", tol]
+    errs = []
+    for extra in ([], ["--suite"]):
+        code, err, seconds = run(argv + extra)
+        assert code in (0, 1, 2), (argv, extra, code, err)
+        assert "Traceback" not in err and "RuntimeWarning" not in err, (argv, extra, err)
+        assert seconds < 5.0, (argv, extra, seconds)
+        errs.append(err)
+    if "off the declared grid" in errs[1]:
+        assert "off the declared grid" in errs[0], (argv, table, errs)
 
 
 #: valid tail indices and cutoffs: the ends of their ranges and draws between

@@ -132,8 +132,6 @@ from maxitive.possibility import (
     Law,
     PossibilitySpace,
     SubAlgebra,
-    _median,
-    _perturbations,
     as_possibility,
     conditional,
     conditional_suite,
@@ -815,6 +813,20 @@ def ref_conditional(op, x, pi, sub, tol=DEFAULT_TOL):
     return y
 
 
+def ref_perturbations(op, y_b, p_b):
+    """Candidate replacement values that a true version must be unable to take.
+
+    For min the block integral only sees values up to the block possibility,
+    so candidates stay strictly below it; for times any distinct value on a
+    non-null block changes the integral.
+    """
+    if op.name == "min":
+        cands = [p_b / 2.0, p_b / 4.0, 3.0 * p_b / 4.0]
+    else:
+        cands = [2.0 * y_b + 0.1, y_b / 2.0 + 0.05, y_b + 1.0, 1.0, 7.0]
+    return [c for c in cands if math.isfinite(c) and not close(c, y_b)]
+
+
 def ref_conditional_suite(op, x, pi, sub, tol=DEFAULT_TOL):
     """Verify the textbook properties of the conditional on one instance."""
     pi = ref_as_possibility(pi, tol)
@@ -850,7 +862,7 @@ def ref_conditional_suite(op, x, pi, sub, tol=DEFAULT_TOL):
         target = atom_integral(op, x, pi.measure, bset)
         y_b = float(y.atom_values[bset.atom_indices()[0]])
         broke = False
-        for z in _perturbations(op, y_b, pb):
+        for z in ref_perturbations(op, y_b, pb):
             vals = list(map(float, y.atom_values))
             for i in bset.atom_indices():
                 vals[i] = z
@@ -862,8 +874,10 @@ def ref_conditional_suite(op, x, pi, sub, tol=DEFAULT_TOL):
             characterization = False
             details["characterization_block"] = j
 
-    # raising the variable can only raise the conditional
-    shift = float(np.median([v for v in x.atom_values if math.isfinite(v)] or [1.0]))
+    # raising the variable, to its lower median of finite values, can only
+    # raise the conditional
+    finite = sorted(float(v) for v in x.atom_values if math.isfinite(v)) or [1.0]
+    shift = finite[(len(finite) - 1) // 2]
     x_up = x.pointwise(max, MeasurableFn.constant(space, shift))
     y_up = ref_conditional(op, x_up, pi, sub, tol)
     monotone = True
@@ -1476,6 +1490,29 @@ def reported(fn, *args):
     return out
 
 
+def envelope_cleared(out):
+    """A suite report's outcome with its envelope refusal taken back.
+
+    The oracle bounds y_b on a block of possibility p by [min x, max x]
+    there; the suite by the conditionals of those values, residual(m (.) p, p).
+    Under times these are the float-sound bounds: at tolerance 0 y_b may lie
+    one ulp outside [min x, max x], and where m * p underflows, as it does at
+    a subnormal p, y_b may be 0 below a positive min x, at any tolerance.
+    """
+    if len(out) != 2 or not isinstance(out[1], dict) or "envelope_block" not in out[1]["details"]:
+        return out
+    details = {k: v for k, v in out[1]["details"].items() if k != "envelope_block"}
+    return out[0], {**out[1], "monotone": True, "details": details}
+
+
+def suite_agrees(op, args, ref_args):
+    """The suite equals its oracle, but under times, where it may take back
+    the oracle's envelope refusals of a conditional rounded outside
+    [min x, max x]."""
+    got, want = reported(conditional_suite, *args), reported(ref_conditional_suite, *ref_args)
+    return got == want or op is TIMES and got == envelope_cleared(want)
+
+
 @settings(max_examples=100, deadline=None)
 @given(conditionings(), st.data())
 def test_conditional_matches_the_sweep_over_every_union(case, data):
@@ -1487,7 +1524,25 @@ def test_conditional_matches_the_sweep_over_every_union(case, data):
     tol = data.draw(st.sampled_from([0.0, 1e-9]))
     args = (op, x, pi, sub, tol)
     assert reported(conditional, *args) == reported(ref_conditional, *args)
-    assert reported(conditional_suite, *args) == reported(ref_conditional_suite, *args)
+    assert suite_agrees(op, args, args)
+
+
+@pytest.mark.parametrize("pi_b, x_b, tol", [
+    # y_b = (0.1 * 0.1) / 0.1 is 0.10000000000000002, one ulp above max x
+    (0.1, 0.1, 0.0),
+    # 0.5 * 5e-324 underflows to 0, so y_b = 0 lies below min x = 0.5
+    (5e-324, 0.5, 1e-9),
+])
+def test_times_envelope_takes_back_refusals_of_a_rounded_conditional(pi_b, x_b, tol):
+    # on block b the conditional of x_b is y_b itself, so the suite's
+    # envelope holds where the oracle's [min x, max x] refuses it
+    space = space_of(2)
+    pi, x = PossibilitySpace(space, [1.0, pi_b]), MeasurableFn(space, [1.0, x_b])
+    args = (TIMES, x, pi, SubAlgebra.atoms(space), tol)
+    got, want = reported(conditional_suite, *args), reported(ref_conditional_suite, *args)
+    assert (want[1]["monotone"], want[1]["details"]["envelope_block"]) == (False, 1)
+    assert got[1]["monotone"] and "envelope_block" not in got[1]["details"]
+    assert got == envelope_cleared(want)
 
 
 def test_conditional_names_the_lowest_failing_block():
@@ -2106,7 +2161,7 @@ def test_atom_tuples_match_the_array_routes_they_replaced(k, tol, op, data):
     assert ae_equal(nu, f, g, tol) is negligible(nu, diff)
     assert bits(ky_fan_distance(nu, f, g, bset)) == bits(array_ky_fan_distance(nu, f, g, bset))
 
-    # possibility: the law, and the median that shifts conditional_suite's variable
+    # possibility: the law
     if k:
         pi = PossibilitySpace(space, [1.0, *np.minimum(nu_a[1:], 1.0)])
         got, want = outcome(law, f, pi, tol), outcome(array_law, f, pi, tol)
@@ -2115,12 +2170,6 @@ def test_atom_tuples_match_the_array_routes_they_replaced(k, tol, op, data):
                 tuple_bits(want.values), tuple_bits(want.possibilities))
         else:
             assert got == want
-    finite = [v for v in f.atom_values if math.isfinite(v)] or [1.0]
-    # two middle values near the float maximum average to inf on both routes;
-    # numpy also warns of the overflow in its sum
-    with np.errstate(over="ignore"):
-        want_median = float(np.median(finite))
-    assert bits(_median(finite)) == bits(want_median)
 
 
 # ---------------------------------------------------------------------------
@@ -2828,7 +2877,7 @@ def test_possibility_space_matches_the_wrapper(case, tol, op):
     sub = SubAlgebra(space, blocks)
     args, ref_args = (op, x, pi, sub, tol), (op, x, ref, sub, tol)
     assert reported(conditional, *args) == reported(ref_conditional, *ref_args)
-    assert reported(conditional_suite, *args) == reported(ref_conditional_suite, *ref_args)
+    assert suite_agrees(op, args, ref_args)
     assert law_bits(outcome(law, x, pi, tol)) == law_bits(outcome(ref_law, x, ref, tol))
     assert settled(expectation, op, x, pi, None, tol) == settled(
         lambda: idempotent_integral(op, x, ref.measure, None, tol).value
