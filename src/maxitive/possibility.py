@@ -267,9 +267,9 @@ def conditional_suite(op, x, pi, sub, tol=DEFAULT_TOL):
     details = {}
 
     # on each non-null block of possibility p, uniqueness: any distinguishable
-    # change must break the defining property there; and the envelope: the
-    # conditional lies between the conditionals of the block's least and
-    # greatest values, residual(m (.) p, p)
+    # change must break the defining property there; and the envelope, taken
+    # from the operation to check conditional's block arithmetic: y_b lies
+    # between the conditionals residual(m (.) p, p) of the block's extremes
     characterization = True
     outside = None
     for j, b in enumerate(sub.blocks):

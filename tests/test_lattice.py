@@ -51,6 +51,7 @@ import json
 import math
 import operator
 import struct
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -1491,26 +1492,48 @@ def reported(fn, *args):
 
 
 def envelope_cleared(out):
-    """A suite report's outcome with its envelope refusal taken back.
-
-    The oracle bounds y_b on a block of possibility p by [min x, max x]
-    there; the suite by the conditionals of those values, residual(m (.) p, p).
-    Under times these are the float-sound bounds: at tolerance 0 y_b may lie
-    one ulp outside [min x, max x], and where m * p underflows, as it does at
-    a subnormal p, y_b may be 0 below a positive min x, at any tolerance.
-    """
+    """A suite report's outcome with its envelope refusal taken back."""
     if len(out) != 2 or not isinstance(out[1], dict) or "envelope_block" not in out[1]["details"]:
         return out
     details = {k: v for k, v in out[1]["details"].items() if k != "envelope_block"}
     return out[0], {**out[1], "monotone": True, "details": details}
 
 
+def rounding_refusal(want, x, pi, sub, tol):
+    """Whether the oracle's times envelope refusal is one of float rounding.
+
+    The oracle bounds y_b on a block of possibility p by [min x, max x]
+    there; the suite by the conditionals of those values, (m * p) / p. They
+    part only where that quotient leaves m: by the two roundings of a normal
+    product, at most two ulps, which only tolerance 0 sees; or by far more
+    where m * p falls below the normal range, as it does at a subnormal p.
+    """
+    if len(want) != 2 or not isinstance(want[1], dict) or "envelope_block" not in want[1]["details"]:
+        return False
+    b = sub.blocks[want[1]["details"]["envelope_block"]]
+    idx = MeasurableSet(x.space, b).atom_indices()
+    xs = [float(x.atom_values[i]) for i in idx]
+    p = float(ref_as_possibility(pi, tol).measure(b))
+    y_b = float(np.frombuffer(want[0])[idx[0]])
+    m = min(xs) if y_b < min(xs) else max(xs)
+    if m * p < sys.float_info.min:
+        return True
+    lo = hi = m
+    for _ in range(2):
+        lo, hi = math.nextafter(lo, -INF), math.nextafter(hi, INF)
+    return tol == 0.0 and lo <= y_b <= hi
+
+
 def suite_agrees(op, args, ref_args):
     """The suite equals its oracle, but under times, where it may take back
-    the oracle's envelope refusals of a conditional rounded outside
-    [min x, max x]."""
+    an envelope refusal of the oracle's that rounding alone made: at
+    tolerance 0 within two ulps of [min x, max x], or where min x * p or
+    max x * p underflows."""
     got, want = reported(conditional_suite, *args), reported(ref_conditional_suite, *ref_args)
-    return got == want or op is TIMES and got == envelope_cleared(want)
+    if got == want:
+        return True
+    _, x, pi, sub, tol = ref_args
+    return op is TIMES and rounding_refusal(want, x, pi, sub, tol) and got == envelope_cleared(want)
 
 
 @settings(max_examples=100, deadline=None)
@@ -1542,7 +1565,10 @@ def test_times_envelope_takes_back_refusals_of_a_rounded_conditional(pi_b, x_b, 
     got, want = reported(conditional_suite, *args), reported(ref_conditional_suite, *args)
     assert (want[1]["monotone"], want[1]["details"]["envelope_block"]) == (False, 1)
     assert got[1]["monotone"] and "envelope_block" not in got[1]["details"]
-    assert got == envelope_cleared(want)
+    assert got == envelope_cleared(want) and suite_agrees(TIMES, args, args)
+    # a refusal one ulp outside counts as rounding at tolerance 0 alone
+    if x_b * pi_b >= sys.float_info.min:
+        assert not rounding_refusal(want, x, pi, args[3], 1e-9)
 
 
 def test_conditional_names_the_lowest_failing_block():
