@@ -59,9 +59,10 @@ heavy = MaxitiveMeasure(space, [INF, 2, 0.5, 2])
 print("times-finiteness with an infinite atom:", finiteness_suite(TIMES, heavy))
 print("min-finiteness with an infinite atom:", finiteness_suite(MIN, heavy))
 
-# the classical chain: finite => sigma-finite => semi-finite, each checked
-# from its own definition, and sigma-finite => localizable, which holds on
-# every finite algebra
+# the classical chain: finite => sigma-finite => semi-finite, and
+# sigma-finite => localizable. On a finite algebra semi-finiteness is
+# sigma-finiteness and every measure is localizable, so only
+# finite => sigma-finite is checked on the masses
 m = AdditiveMeasure(space, [1, 0.5, 2, 0])
 chain = implication_chain(m)
 print("classical chain:", chain)

@@ -6,9 +6,9 @@ with its sigma-finiteness obstruction, and the finiteness and localizability
 chain. On a finite algebra several of these notions collapse into each
 other, and the atom masses decide them: sigma- and semi-finiteness both
 mean that no atom mass is inf, the essential supremum of a family is its
-union less its null atoms, and localizability, which a finite algebra gives
-to every measure, is returned with its reason. Each docstring says why, and
-the sweeps over every set that restate them are oracles in the tests. So
+union less its null atoms, and every measure is localizable (the reasons
+are beside ``implication_chain``); the sweeps over every set that restate
+these notions are oracles in the tests. So
 these and ``choquet_integral``, which evaluates the measure on one set per
 level, build no table and have no atom cap; so do the negligibility
 routines of ``measures``, which read an additive measure's null sets off
@@ -158,16 +158,6 @@ def is_sigma_finite_measure(m):
     return not any(map(math.isinf, m.atom_masses))
 
 
-def is_semi_finite_measure(m):
-    """Every set of infinite mass contains a part of positive finite mass.
-
-    An atom of infinite mass has no such part, since its only parts are
-    itself and the empty set. When no atom mass is inf, a set of infinite
-    mass (a sum that overflows) holds a positive atom, which is that part.
-    """
-    return not any(map(math.isinf, m.atom_masses))
-
-
 def family_essential_supremum(m, masks):
     """Least upper bound of a family of sets modulo m-null sets.
 
@@ -184,15 +174,6 @@ def family_essential_supremum(m, masks):
     return MeasurableSet(m.space, union & m.support_mask())
 
 
-def is_localizable_measure(m):
-    """Every family of measurable sets has an essential supremum.
-
-    A family in a finite algebra is finite, and its union with the m-null
-    atoms removed is its essential supremum (family_essential_supremum).
-    """
-    return True
-
-
 class ImplicationReport(Record):
     finite: bool
     sigma_finite: bool
@@ -205,24 +186,22 @@ class ImplicationReport(Record):
 def implication_chain(m):
     """finite => sigma-finite => semi-finite, sigma-finite => localizable.
 
-    Each property is read off the atom masses, for the reason in its
-    docstring, and the implications are then checked on the instance.
+    Each property is read off the atom masses, and finite => sigma-finite,
+    the one implication that is not an identity here, is checked.
     """
     fin = is_finite_measure(m)
     sig = is_sigma_finite_measure(m)
-    semi = is_semi_finite_measure(m)
-    loc = is_localizable_measure(m)
-    chain = (
-        (not fin or sig)
-        and (not sig or semi)
-        and (not sig or loc)
-    )
+    # semi-finite (a set of infinite mass has a part of positive finite mass)
+    # is sigma-finite: an infinite atom's only parts are itself and the empty
+    # set, and otherwise a set of infinite mass (a sum that overflows) holds
+    # a positive atom. Localizable: a family of sets in a finite algebra is
+    # finite, and its union less the m-null atoms is its essential supremum.
     return ImplicationReport(
         finite=fin,
         sigma_finite=sig,
-        semi_finite=semi,
-        localizable=loc,
-        chain_holds=chain,
+        semi_finite=sig,
+        localizable=True,
+        chain_holds=not fin or sig,
         details={"total_mass": m.total()},
     )
 

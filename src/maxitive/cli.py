@@ -388,6 +388,17 @@ def _tolerance(text):
     return tol
 
 
+def _count(text):
+    """A nonnegative integer option: a seed, a stream or an order."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = -1
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {text!r}")
+    return n
+
+
 def _add_tol(p):
     p.add_argument("--tolerance", type=_tolerance, default=1e-9,
                    help="numeric comparison tolerance in [0, 1) (default 1e-9)")
@@ -395,7 +406,7 @@ def _add_tol(p):
 
 def _check_args(p):
     p.add_argument("--measure", required=True, help="measure JSON document")
-    p.add_argument("--order", type=int, default=2,
+    p.add_argument("--order", type=_count, default=2,
                    help="alternation order to verify (0 skips; default 2)")
     p.add_argument("--op", default=None,
                    help="also verify operation axioms and finiteness under this operation")
@@ -465,14 +476,14 @@ def _simulate_args(p):
     p.add_argument("--eps", type=float, default=1e-3,
                    help="point-process truncation (poisson mode)")
     p.add_argument("--n", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--stream", type=int, default=0)
+    p.add_argument("--seed", type=_count, default=0)
+    p.add_argument("--stream", type=_count, default=0)
     p.add_argument("--set", default=None, help="evaluate the measure on this set")
     p.add_argument("--csv", default=None, help="also write per-atom draws to this file")
 
 
 def _suite_args(p):
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_count, default=0)
     p.add_argument("--ids", default=None, help="comma-separated invariant ids")
     _add_tol(p)
 

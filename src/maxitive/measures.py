@@ -14,11 +14,11 @@ it fails. On a finite algebra four textbook properties (continuity along
 decreasing chains, exhaustivity, the countable chain condition,
 sigma-principality) hold for every set function, so their predicates
 return True with the one-line reason in their docstrings, and bounded
-variation is plain finiteness. The other checks read whole 2^k numpy
-tables through the k 2^k subset-lattice kernels of ``spaces``; the witness
-scans of ``is_monotone``, ``is_maxitive`` and ``is_null_additive`` run only
-on a table that fails their bit-for-bit test, and the last two price their
-scans when they start.
+variation is finiteness, witness and all. The other checks read whole 2^k
+numpy tables through the k 2^k subset-lattice kernels of ``spaces``; the
+witness scans of ``is_monotone``, ``is_maxitive`` and ``is_null_additive``
+run only on a table that fails their bit-for-bit test, and the last two
+price their scans when they start.
 """
 
 from __future__ import annotations
@@ -283,63 +283,26 @@ def is_autocontinuous(w, tol=DEFAULT_TOL):
     return b is None, b
 
 
-def _first_infinite_partition(table, n_atoms):
-    """The first partition with an infinite block, in enumeration order.
-
-    Partitions are built by placing atoms k - 1 down to 0 in turn: each
-    atom joins one of the blocks so far, in block order, or else opens a
-    new first block. The order is lexicographic in these choices, the
-    highest atom's first. reach[j] flags the sets b for which b plus some
-    atoms below j is infinite, so a choice can still be completed iff one
-    of its blocks, or the empty set, is flagged there; one greedy choice
-    per atom then finds the partition. Priced at k 2^k cells, the k
-    superset-OR tables.
-    """
-    require_budget(n_atoms << n_atoms, f"infinite-block search on {n_atoms} atoms")
-    reach = [np.isinf(table)]
-    for j in range(n_atoms - 1):
-        r = reach[-1].copy()
-        halves = r.reshape(-1, 2, 1 << j)
-        halves[:, 0] |= halves[:, 1]
-        reach.append(r)
-    blocks = []
-    for j in reversed(range(n_atoms)):
-        bit = 1 << j
-        choices = [blocks[:i] + [b | bit] + blocks[i + 1 :] for i, b in enumerate(blocks)]
-        choices.append([bit] + blocks)
-        blocks = next(c for c in choices if reach[j][0] or reach[j][c].any())
-    return [atoms_of(b) for b in blocks]
-
-
 def total_variation(w):
     """sup over partitions of the whole space of the block-value sum, on a
-    table with an infinite value.
-
-    The sup is then inf, witnessed by the first partition with an infinite
-    block (see _first_infinite_partition). A finite table raises ValueError:
-    the variation of a maxitive measure is its atom sum, disjoint_variation.
+    table with an infinite value: inf, witnessed by the least infinite mask
+    b, a block of the partition {b, S \\ b}. A finite table raises
+    ValueError: the variation of a maxitive measure is its atom sum,
+    disjoint_variation.
     """
-    w = as_table(w)
-    if not np.isinf(w.table).any():
+    ok, b = is_finite_valued(w)
+    if ok:
         raise ValueError("total_variation needs an infinite value; use disjoint_variation")
-    return INF, _first_infinite_partition(w.table, w.space.n_atoms)
+    return INF, b
 
 
 def is_of_bounded_variation(w):
     """The sup over partitions of the block-value sum is finite.
 
     Finitely many partitions exist, and every set is a block of one, so the
-    sup is finite iff every value is. An infinite sup is witnessed by the
-    partition of total_variation up to 10 atoms, and by the first infinite
-    mask above.
+    sup is finite iff every value is, with the same witness.
     """
-    w = as_table(w)
-    ok, wit = is_finite_valued(w)
-    # 10 atoms is a rule of the witness format, not a budget: check's
-    # witnesses keep the form they had when variation was capped there
-    if not ok and w.space.n_atoms <= 10:
-        wit = total_variation(w)[1]
-    return ok, wit
+    return is_finite_valued(w)
 
 
 def is_essential(w):
@@ -388,17 +351,16 @@ def classify(w, tol=DEFAULT_TOL):
     A maxitive measure's table, the max of nu_i over the atoms of each set,
     passes every bitwise test by construction, so only its top value (the
     max atom) and its infinite sets (those with an infinite atom, the least
-    being the singleton of the least such atom i, and the first partition
-    with an infinite block the one-block partition) are read off the atoms.
+    being the singleton of the least such atom i) are read off the atoms.
     """
     if isinstance(w, MaxitiveMeasure):
-        vals, k = w.atom_values, w.space.n_atoms
+        vals = w.atom_values
         top = max(vals, default=0.0)
         wit = {} if close(top, 1.0, tol) else {"normed": top}
         i = first_atom(map(math.isinf, vals))
         if i is not None:
             b = mask_of([i])
-            wit.update(finite=b, sigma_finite=i, of_bounded_variation=[list(range(k))] if k <= 10 else b)
+            wit.update(finite=b, sigma_finite=i, of_bounded_variation=b)
         flags = {name: name not in wit for name, t in PropertyReport._fields.items() if t == "bool"}
         return PropertyReport(atom_values=vals, witnesses=wit, **flags)
     w = as_table(w)

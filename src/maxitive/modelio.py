@@ -65,6 +65,13 @@ def decode_value(x):
     return x
 
 
+def required(doc, key, what):
+    """doc[key]; a missing key raises ValueError naming it and what lacks it."""
+    if key not in doc:
+        raise ValueError(f"{what} has no {key!r} field")
+    return doc[key]
+
+
 def space_to_json(space):
     return {
         "ground": list(space.ground),
@@ -75,7 +82,7 @@ def space_to_json(space):
 def space_from_json(doc):
     if not isinstance(doc, dict):
         raise ValueError(f"space must be an object with ground and blocks, got {doc!r}")
-    ground, blocks = doc["ground"], doc["blocks"]
+    ground, blocks = required(doc, "ground", "a space"), required(doc, "blocks", "a space")
     if not isinstance(ground, list):
         raise ValueError(f"space ground must be a list of labels, got {ground!r}")
     if not isinstance(blocks, list) or not all(isinstance(b, list) for b in blocks):
@@ -134,22 +141,23 @@ def measure_from_json(doc, space=None):
         raise ValueError(f"a document must be a JSON object, got {type(doc).__name__}")
     if doc.get("schema") not in (None, SCHEMA):
         raise ValueError(f"unsupported schema {doc.get('schema')!r}")
-    if space is None:
-        space = space_from_json(doc["space"])
     kind = doc.get("kind", "maxitive")
     if not isinstance(kind, str) or kind not in KINDS:
         raise ValueError(f"unknown kind {kind!r}")
+    what = f"a {kind} document"
+    if space is None:
+        space = space_from_json(required(doc, "space", what))
     if kind == "set_function":
         require_table(space.n_atoms)
         mask = space.mask_named
-        entries = doc["table"]
+        entries = required(doc, "table", what)
         if not isinstance(entries, dict):
             raise ValueError(f"table must be an object keyed by set, got {entries!r}")
         table = [0.0] * space.n_sets
         for key, v in entries.items():
             table[mask(key)] = decode_value(v)
         return SetFunction(space, table)
-    return KINDS[kind][0](space, _atoms_from_dict(space, doc["atoms"]))
+    return KINDS[kind][0](space, _atoms_from_dict(space, required(doc, "atoms", what)))
 
 
 def _parse_float(text):

@@ -245,11 +245,11 @@ class TableOp(SemigroupOp):
     @classmethod
     def from_json(cls, doc):
         # local: modelio imports additive, which imports this module
-        from .modelio import decode_value
+        from .modelio import decode_value, required
 
         if not isinstance(doc, dict):
             raise ValueError(f"a table operation must be an object with grid and values, got {doc!r}")
-        grid, rows = doc["grid"], doc["values"]
+        grid, rows = required(doc, "grid", "a table operation"), required(doc, "values", "a table operation")
         if not isinstance(grid, list):
             raise ValueError(f"grid must be a list of values, got {grid!r}")
         if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):

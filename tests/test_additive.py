@@ -12,8 +12,6 @@ from maxitive.additive import (
     family_essential_supremum,
     implication_chain,
     is_finite_measure,
-    is_localizable_measure,
-    is_semi_finite_measure,
     is_sigma_finite_measure,
     lebesgue_integral,
 )
@@ -44,12 +42,12 @@ def test_finiteness_chain_has_no_atom_cap(k):
     labs = [f"g{i}" for i in range(k)]
     space = build_space(labs, [[l] for l in labs])
     m = AdditiveMeasure(space, [0.0] + [1.0] * (k - 2) + [INF])
-    assert not is_sigma_finite_measure(m) and not is_semi_finite_measure(m)
     rep = implication_chain(m)
-    assert (rep.finite, rep.chain_holds) == (False, True)
+    assert (rep.finite, rep.sigma_finite, rep.semi_finite, rep.chain_holds) == (False, False, False, True)
     assert family_essential_supremum(m, [0b1, 0b10, 1 << (k - 1)]).mask == 0b10 | 1 << (k - 1)
     finite = AdditiveMeasure(space, [1.0] * k)
-    assert is_sigma_finite_measure(finite) and is_semi_finite_measure(finite)
+    rep = implication_chain(finite)
+    assert rep.sigma_finite and rep.semi_finite
     f = MeasurableFn(space, [1.0 + i % 3 for i in range(k)])
     assert choquet_integral(f, finite) == lebesgue_integral(f, finite)
 
@@ -59,10 +57,10 @@ def test_finiteness_chain_of_an_overflowing_mass_sum_warns_nothing(abc):
     m = AdditiveMeasure(abc, [1e308, 1e308, 0.0])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert is_sigma_finite_measure(m) and is_semi_finite_measure(m)
         rep = implication_chain(m)
         h = family_essential_supremum(m, [0b001, 0b110])
-    assert (rep.finite, rep.chain_holds, h.mask) == (False, True, 0b011)
+    assert (rep.finite, rep.sigma_finite, rep.semi_finite, rep.chain_holds) == (False, True, True, True)
+    assert h.mask == 0b011
 
 
 @pytest.mark.parametrize("mask", [-1, -4, 1 << 3])
@@ -136,10 +134,9 @@ def test_finiteness_chain_infinite_atom(abc):
     m = AdditiveMeasure(abc, [INF, 2, 0.5])
     assert not is_finite_measure(m)
     assert not is_sigma_finite_measure(m)
-    # the infinite atom has no smaller positive part
-    assert not is_semi_finite_measure(m)
-    assert is_localizable_measure(m)
     rep = implication_chain(m)
+    # the infinite atom has no smaller positive part
+    assert not rep.semi_finite and rep.localizable
     assert rep.chain_holds  # implications hold vacuously
 
 
@@ -156,8 +153,8 @@ def test_family_essential_supremum(abc):
 
 def test_localizable_exhaustive_small():
     sp = build_space("ab", [["a"], ["b"]])
-    assert is_localizable_measure(AdditiveMeasure(sp, [1, 0]))
-    assert is_localizable_measure(AdditiveMeasure(sp, [INF, 2]))
+    assert implication_chain(AdditiveMeasure(sp, [1, 0])).localizable
+    assert implication_chain(AdditiveMeasure(sp, [INF, 2])).localizable
 
 
 def _choquet_oracle(f, w, bmask):

@@ -115,23 +115,40 @@ def test_crosscheck_on_20_atoms_finishes_within_seconds(tmp_path, capsys):
     assert capsys.readouterr().out == plain
 
 
-@pytest.mark.parametrize("k, witness", [(10, [list(range(10))]), (11, 1024)])
+def test_bounded_variation_witness_is_the_least_infinite_mask_at_every_size(tmp_path, capsys):
+    # inf on atom 3 of 10 and of 11 atoms: the same witnesses, each the
+    # least infinite set {x3} or its atom
+    witnesses = []
+    for k in (10, 11):
+        labels = [f"x{i}" for i in range(k)]
+        vals = [1.0] * k
+        vals[3] = "inf"
+        path = write_doc(tmp_path / f"nu{k}.json", measure_doc("maxitive", labels, vals))
+        assert cli.main(["check", "--order", "0", "--measure", path]) == 0
+        rep = json.loads(capsys.readouterr().out)["properties"]
+        assert rep["of_bounded_variation"] is False
+        witnesses.append(rep["witnesses"])
+    assert witnesses[0] == witnesses[1] == {
+        "finite": 8, "normed": "inf", "of_bounded_variation": 8, "sigma_finite": 3}
+
+
+@pytest.mark.parametrize("k, witness", [(10, 1 << 9), (11, 1 << 10)], ids=["10-witness0", "11-1024"])
 def test_bounded_variation_witness_is_a_partition_up_to_ten_atoms(k, witness, tmp_path, capsys):
-    # the witness format, not the variation budget, sets this edge: above 10
-    # atoms an infinite sup is witnessed by the first infinite mask
+    # named for the partition witness that 10 atoms used to print; at every
+    # size the witness is now the least infinite mask b, the infinite block
+    # of the partition {b, S minus b}: here the last atom
     labels = [f"x{i}" for i in range(k)]
     path = write_doc(tmp_path / "nu.json", measure_doc("maxitive", labels, [1.0] * (k - 1) + ["inf"]))
     assert cli.main(["check", "--order", "0", "--measure", path]) == 0
     rep = json.loads(capsys.readouterr().out)["properties"]
     assert rep["of_bounded_variation"] is False
-    assert rep["witnesses"]["of_bounded_variation"] == witness
+    assert rep["witnesses"]["of_bounded_variation"] == rep["witnesses"]["finite"] == witness
 
 
-@pytest.mark.parametrize("k, witness", [(10, [[2, 5], [0, 1, 3, 4, 6, 7, 8, 9]]), (11, 0b100100)])
-def test_bounded_variation_witness_of_a_set_function_document(k, witness, tmp_path, capsys):
-    # a table infinite on {x2, x5} alone: up to 10 atoms the witness is the
-    # first partition with an infinite block, found by total_variation, and
-    # above 10 the first infinite mask
+@pytest.mark.parametrize("k", [10, 11])
+def test_bounded_variation_witness_of_a_set_function_document(k, tmp_path, capsys):
+    # a table infinite on {x2, x5} alone: the witness is that set, as
+    # finiteness's is, at every size
     labels = [f"x{i}" for i in range(k)]
     table = {
         "+".join(labels[i] for i in range(k) if b >> i & 1): "inf" if b == 0b100100 else float(b.bit_count())
@@ -143,8 +160,19 @@ def test_bounded_variation_witness_of_a_set_function_document(k, witness, tmp_pa
     assert cli.main(["check", "--order", "0", "--measure", path]) == 0
     rep = json.loads(capsys.readouterr().out)["properties"]
     assert rep["of_bounded_variation"] is False
-    assert rep["witnesses"]["of_bounded_variation"] == witness
-    assert rep["witnesses"]["finite"] == 0b100100
+    assert rep["witnesses"]["of_bounded_variation"] == rep["witnesses"]["finite"] == 0b100100
+
+
+def test_bounded_variation_witness_of_a_non_monotone_table(tmp_path, capsys):
+    # b is infinite and a+b is not: the witness is {b}, not a partition
+    table = {"a": 1, "b": "inf", "c": 1, "a+b": 2, "a+c": 2, "b+c": 3, "a+b+c": 4}
+    doc = {"schema": "1", "kind": "set_function",
+           "space": {"ground": list("abc"), "blocks": [["a"], ["b"], ["c"]]}, "table": table}
+    path = write_doc(tmp_path / "w.json", doc)
+    assert cli.main(["check", "--order", "0", "--measure", path]) == 0
+    rep = json.loads(capsys.readouterr().out)["properties"]
+    assert (rep["monotone"], rep["of_bounded_variation"]) == (False, False)
+    assert rep["witnesses"]["of_bounded_variation"] == rep["witnesses"]["finite"] == 2
 
 
 def test_oversized_set_function_document_is_refused_before_its_table(tmp_path, capsys):
@@ -1129,6 +1157,49 @@ def test_tolerance_outside_zero_one_is_a_usage_error(command, value, capsys):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert f"argument --tolerance: must be a number in [0, 1), got '{value}'" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["suite", "--seed", "-1"],
+    ["simulate", "--atoms", "a:1", "--p", "1", "--seed", "-1"],
+    ["simulate", "--atoms", "a:1", "--p", "1", "--stream", "-1"],
+    ["check", "--measure", "{nu}", "--order", "-3"],
+], ids=["suite-seed", "simulate-seed", "simulate-stream", "check-order"])
+def test_negative_integer_option_is_a_usage_error(argv, docs, capsys):
+    # refused at the parser, before a seed reaches numpy or an order reads as 0
+    with pytest.raises(SystemExit) as exc:
+        cli.main([arg.format(**docs) for arg in argv])
+    assert exc.value.code == 2
+    flag = argv[-2]
+    assert f"argument {flag}: must be a nonnegative integer, got '{argv[-1]}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, kind, want", [
+    ("space", "maxitive", "a maxitive document has no 'space' field"),
+    ("atoms", "function", "a function document has no 'atoms' field"),
+    ("table", "set_function", "a set_function document has no 'table' field"),
+    ("ground", "additive", "a space has no 'ground' field"),
+    ("blocks", "possibility", "a space has no 'blocks' field"),
+    ("grid", "op", "a table operation has no 'grid' field"),
+    ("values", "op", "a table operation has no 'values' field"),
+], ids=["space", "atoms", "table", "ground", "blocks", "grid", "values"])
+def test_a_missing_field_is_named(field, kind, want, docs, capsys):
+    if kind == "op":
+        doc = {"grid": [0.0, "inf"], "values": [[0.0, 0.0], [0.0, "inf"]]}
+    else:
+        doc = measure_doc(kind, ["a", "b", "c"], [1, 0.5, 0.25])
+        if kind == "set_function":
+            doc["table"] = doc.pop("atoms")
+    del (doc["space"] if field in ("ground", "blocks") else doc)[field]
+    path = write_doc(docs["tmp"] / "doc.json", doc)
+    if kind == "op":
+        argv = ["check", "--order", "0", "--measure", docs["nu"], "--op", path]
+    elif kind == "function":
+        argv = ["esssup", "--measure", docs["nu"], "--fn", path]
+    else:
+        argv = ["check", "--order", "0", "--measure", path]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == f"error: {want}\n"
 
 
 @pytest.mark.parametrize("value", ["0", "1e-9"])

@@ -20,7 +20,11 @@ grids with and without 0 and inf, run through ``check --order 0 --op``,
 ``residual`` and ``density --method residual``. ``condition`` runs with and
 without ``--suite`` under the exact builtins and under table operations whose
 cells lie on their grid, named as a builtin or not; the suite goes off the
-grid only where the conditional alone does.
+grid only where the conditional alone does. ``--set`` texts with an unknown
+label, an empty piece, spaces around a label or blank text run through
+``integrate``, ``esssup`` and ``simulate``, and a refusal is one ``error:``
+line. ``check --order 0`` on a set_function document of up to 10 atoms with
+an inf value witnesses bounded variation as it witnesses finiteness.
 """
 
 import contextlib
@@ -170,6 +174,72 @@ def test_fuzzed_verdicts_exit_cleanly(tmp_path_factory, case, verb, order, tol):
     assert code in (0, 1, 2), (argv, code, err)
     assert "Traceback" not in err and "RuntimeWarning" not in err, (argv, err)
     assert seconds < 5.0, (argv, seconds)
+
+
+@st.composite
+def set_texts(draw, labels):
+    """A --set text: labels joined with "+", among them now and then the
+    unknown label q, an empty piece (a+, +a, a++b) or a label with spaces
+    around it, or blank text."""
+    pieces = draw(st.lists(st.sampled_from([*labels, "q"]), min_size=1, max_size=4))
+    flaw = draw(st.sampled_from([None, "empty", "spaces", "blank"]))
+    if flaw == "blank":
+        return draw(st.sampled_from(["", " ", "\t"]))
+    if flaw == "empty":
+        pieces.insert(draw(st.integers(0, len(pieces))), "")
+    elif flaw == "spaces":
+        i = draw(st.integers(0, len(pieces) - 1))
+        pieces[i] = f" {pieces[i]}\t"
+    return "+".join(pieces)
+
+
+@settings(max_examples=60, deadline=None)
+@given(documents(), st.sampled_from(["integrate", "esssup", "simulate"]), st.data())
+def test_fuzzed_set_texts_exit_cleanly(tmp_path_factory, case, verb, data):
+    # a --set text names atoms by label; anything else is one error line
+    doc, fn, _ = case
+    root = tmp_path_factory.mktemp("fuzz")
+    paths = {}
+    for name, body in (("measure", doc), ("fn", fn), ("m", dict(fn, kind="additive"))):
+        paths[name] = str(root / f"{name}.json")
+        (root / f"{name}.json").write_text(json.dumps(body))
+    argv = {
+        "integrate": ["integrate", "--op", "times", "--measure", paths["measure"], "--fn", paths["fn"]],
+        "esssup": ["esssup", "--measure", paths["measure"], "--fn", paths["fn"]],
+        "simulate": ["simulate", "--m", paths["m"], "--p", "1", "--n", "10"],
+    }[verb] + ["--set", data.draw(set_texts(list(fn["atoms"])))]
+    code, err, seconds = run(argv)
+    assert code in (0, 1, 2), (argv, code, err)
+    assert "Traceback" not in err and "RuntimeWarning" not in err, (argv, err)
+    assert seconds < 5.0, (argv, seconds)
+    if code == 1:
+        assert err.count("\n") == 1 and err.startswith("error: "), (argv, err)
+
+
+@st.composite
+def infinite_tables(draw):
+    """A set_function document on 1 to 10 atoms with some infinite values."""
+    k = draw(st.integers(1, 10))
+    labels, space = space_doc(k)
+    masks = draw(st.lists(st.integers(1, (1 << k) - 1), min_size=1, max_size=16))
+    pool = st.sampled_from(VALUES)
+    table = {"+".join(labels[i] for i in range(k) if b >> i & 1): draw(pool) for b in masks}
+    table[draw(st.sampled_from(sorted(table)))] = "inf"
+    return {"schema": "1", "kind": "set_function", "space": space, "table": table}
+
+
+@settings(max_examples=40, deadline=None)
+@given(infinite_tables(), st.sampled_from(TOLERANCES))
+def test_fuzzed_bounded_variation_is_witnessed_as_finiteness(tmp_path_factory, doc, tol):
+    # an infinite value is witnessed by the least infinite mask at every size
+    path = tmp_path_factory.mktemp("fuzz") / "w.json"
+    path.write_text(json.dumps(doc))
+    out = io.StringIO()
+    code, err, _ = run(["check", "--order", "0", "--measure", str(path), "--tolerance", tol], out)
+    assert code == 0, (doc, err)
+    rep = json.loads(out.getvalue())["properties"]
+    assert rep["of_bounded_variation"] is rep["finite"] is False
+    assert rep["witnesses"]["of_bounded_variation"] == rep["witnesses"]["finite"]
 
 
 @st.composite

@@ -22,7 +22,7 @@ The sigma-ideal and essential-supremum enumerations live here too, as the
 oracles for the sigma-principality and the localizability that a finite
 algebra gives every set function and every additive measure, so does the
 set-partition enumeration that the disjoint variation and total_variation's
-infinite-block search are held against, and so does the sweep over every
+least infinite mask are held against, and so does the sweep over every
 union of blocks that the conditional's block-only check is held against.
 Then come the per-atom bit loops that decoded and built masks before
 ``spaces.atoms_of`` and ``mask_of`` did, held against them on spaces of up
@@ -65,9 +65,9 @@ from maxitive.additive import (
     choquet_integral,
     classical_density,
     family_essential_supremum,
-    is_localizable_measure,
+    implication_chain,
+    is_sigma_finite_measure,
 )
-from maxitive.additive import is_semi_finite_measure, is_sigma_finite_measure
 from maxitive.density import (
     AbsContReport,
     EnvelopeReport,
@@ -119,6 +119,7 @@ from maxitive.measures import (
     is_autocontinuous,
     is_completely_maxitive,
     is_essential,
+    is_finite_valued,
     is_maxitive,
     is_monotone,
     is_null_additive,
@@ -388,6 +389,11 @@ def ref_first_infinite_block(w):
         for part in set_partitions(range(w.space.n_atoms))
         if any(math.isinf(w.table[mask_of(block)]) for block in part)
     )
+
+
+def ref_least_infinite_mask(w):
+    """The least mask whose value is inf, or None, by a loop over every mask."""
+    return next((b for b in range(w.space.n_sets) if math.isinf(w.table[b])), None)
 
 
 def ref_finiteness_suite(op, nu):
@@ -1038,10 +1044,10 @@ def test_predicates_match_brute_force(w):
     assert is_sigma_principal(w) == ref_is_sigma_principal(w)
     assert is_sigma_principal(w) == ref_is_sigma_principal(w, ideal_atoms=2)
 
-    ref_val, ref_part = ref_total_variation(w)
-    if math.isinf(ref_val):
-        assert total_variation(w) == (INF, ref_part)
-        assert is_of_bounded_variation(w) == (False, ref_part)
+    b = ref_least_infinite_mask(w)
+    if b is not None:
+        assert total_variation(w) == (ref_total_variation(w)[0], b) == (INF, b)
+        assert is_of_bounded_variation(w) == (False, b)
     else:
         with pytest.raises(ValueError, match="disjoint_variation"):
             total_variation(w)
@@ -1082,22 +1088,18 @@ def variation_tables(draw):
 @settings(max_examples=60, deadline=None)
 @given(variation_tables())
 def test_total_variation_matches_enumeration_up_to_eight_atoms(w):
-    if not np.isinf(w.table).any():
-        # a finite table, its sum overflowing or not, is not searched
+    assert is_of_bounded_variation(w) == is_finite_valued(w)
+    b = ref_least_infinite_mask(w)
+    if b is None:
+        # a finite table, its sum overflowing or not, has no infinite mask
         with pytest.raises(ValueError, match="disjoint_variation"):
             total_variation(w)
         return
-    val, part = total_variation(w)
-    ref_part = ref_total_variation(w)[1]
-    assert sorted(i for block in part for i in block) == list(range(w.space.n_atoms))
-    # the search finds the first partition with an infinite block; the
-    # enumeration stops at the first infinite sum, which is that one
-    # unless finite blocks overflow earlier
-    assert val == INF
-    assert part == ref_first_infinite_block(w)
-    if any(math.isinf(w.table[mask_of(block)]) for block in ref_part):
-        assert part == ref_part
-    assert is_of_bounded_variation(w) == (False, part)
+    # some partition has an infinite block, so the enumerated sup is inf,
+    # and the witness is a block of {b, S \ b}, whose sum is inf
+    assert any(math.isinf(w.table[mask_of(block)]) for block in ref_first_infinite_block(w))
+    assert total_variation(w) == (ref_total_variation(w)[0], b) == (INF, b)
+    assert math.isinf(w.table[b] + w.table[w.space.full_mask & ~b])
 
 
 #: a table operation's grid holds 0 and inf and some of the rest
@@ -1140,7 +1142,7 @@ def test_localizability_matches_family_enumeration(vals):
     # every family of sets, zero and infinite atoms included, has an
     # essential supremum that passes its verification
     m = AdditiveMeasure(space_of(len(vals)), vals)
-    assert is_localizable_measure(m) is ref_is_localizable_measure(m) is True
+    assert implication_chain(m).localizable is ref_is_localizable_measure(m) is True
 
 
 @settings(max_examples=100, deadline=None)
@@ -1440,11 +1442,14 @@ def test_essential_witness_matches_brute_force(vals):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.lists(values, max_size=6))
+@given(st.lists(values | huge, max_size=6))
 def test_finiteness_chain_matches_brute_force(vals):
+    # huge masses make sums overflow: an infinite set then holds no infinite atom
     m = AdditiveMeasure(space_of(len(vals)), vals)
-    assert is_sigma_finite_measure(m) is ref_is_sigma_finite_measure(m)
-    assert is_semi_finite_measure(m) is ref_is_semi_finite_measure(m)
+    rep = implication_chain(m)
+    assert rep.sigma_finite is is_sigma_finite_measure(m) is ref_is_sigma_finite_measure(m)
+    assert rep.semi_finite is ref_is_semi_finite_measure(m)
+    assert rep.localizable is ref_is_localizable_measure(m)
 
 
 # ---------------------------------------------------------------------------
@@ -2027,15 +2032,14 @@ def array_per_distinct(fn, *arrays):
     return np.array(out)[where]
 
 
-def array_classify(space, vals, tol):
+def array_classify(vals, tol):
     """classify's maxitive branch on the atom array."""
     top = float(np.max(vals, initial=0.0))
     wit = {} if close(top, 1.0, tol) else {"normed": top}
     i = first_flagged(np.isinf(vals))
     if i is not None:
-        k = space.n_atoms
         b = mask_of([i])
-        wit.update(finite=b, sigma_finite=i, of_bounded_variation=[list(range(k))] if k <= 10 else b)
+        wit.update(finite=b, sigma_finite=i, of_bounded_variation=b)
     flags = {name: name not in wit for name, t in PropertyReport._fields.items() if t == "bool"}
     return PropertyReport(atom_values=tuple(vals.tolist()), witnesses=wit, **flags)
 
@@ -2161,7 +2165,7 @@ def test_atom_tuples_match_the_array_routes_they_replaced(k, tol, op, data):
         assert first_atom(not close(x, y, tol) for x, y in pairs) == first_flagged(~vclose(a_a, b_a, tol))
 
     # measures: verdicts, null sets and essential suprema
-    assert classify(nu, tol) == array_classify(space, nu_a, tol)
+    assert classify(nu, tol) == array_classify(nu_a, tol)
     assert bits(essential_supremum(nu, f, bset, tol)) == bits(
         float(np.max(f_a[ref_atom_flags(bset.mask & nu.support_mask(), k)], initial=0.0))
     )
@@ -2171,7 +2175,7 @@ def test_atom_tuples_match_the_array_routes_they_replaced(k, tol, op, data):
     assert settled(essential_witness, nu)[0] is (
         AdditiveMeasure if np.isfinite(nu_a).all() else ValueError
     )
-    assert is_sigma_finite_measure(m) is is_semi_finite_measure(m) is (not np.isinf(m_a).any())
+    assert is_sigma_finite_measure(m) is implication_chain(m).semi_finite is (not np.isinf(m_a).any())
     assert family_essential_supremum(m, [bset.mask]).mask == bset.mask & mask_of(np.flatnonzero(m_a > 0))
 
     # densities

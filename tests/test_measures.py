@@ -283,13 +283,13 @@ def test_disjoint_variation_exact_at_zero_tolerance():
 
 
 def test_variation_budget():
-    # an infinite sup is found at 21 atoms, the table's edge, by a search
-    # over 21 superset-OR tables; 22 atoms are refused at the table
+    # an infinite sup is found at 21 atoms, the table's edge, by one scan
+    # for the least infinite mask; 22 atoms are refused at the table
     labs = [f"g{i}" for i in range(21)]
     sp = build_space(labs, [[l] for l in labs])
     w = MaxitiveMeasure(sp, [1.0] * 20 + [INF]).to_set_function()
     start = time.perf_counter()
-    assert total_variation(w) == (INF, [list(range(21))])
+    assert total_variation(w) == (INF, 1 << 20)
     assert time.perf_counter() - start < 5.0
     labs = [f"g{i}" for i in range(22)]
     sp = build_space(labs, [[l] for l in labs])
@@ -340,9 +340,10 @@ def test_to_set_function_is_priced_before_its_table():
 def test_bounded_variation(abc):
     assert is_of_bounded_variation(MaxitiveMeasure(abc, [1, 2, 3]).to_set_function())[0]
     w = MaxitiveMeasure(abc, [1, INF, 3]).to_set_function()
-    ok, part = is_of_bounded_variation(w)
-    assert not ok and part == total_variation(w)[1]
-    # above 10 atoms the witness is the first infinite mask
+    assert is_of_bounded_variation(w) == (False, 0b010)
+    # the least infinite mask, a block of the partition {b, S \ b}
+    assert total_variation(w) == (INF, 0b010)
+    # the same witness above 10 atoms
     labs = [f"g{i}" for i in range(11)]
     sp = build_space(labs, [[l] for l in labs])
     w = MaxitiveMeasure(sp, [1, INF, 3] + [1] * 8).to_set_function()
