@@ -8,12 +8,12 @@ other, and the atom masses decide them: sigma- and semi-finiteness both
 mean that no atom mass is inf, the essential supremum of a family is its
 union less its null atoms, and every measure is localizable (the reasons
 are beside ``implication_chain``); the sweeps over every set that restate
-these notions are oracles in the tests. So
-these and ``choquet_integral``, which evaluates the measure on one set per
-level, build no table and have no atom cap; so do the negligibility
-routines of ``measures``, which read an additive measure's null sets off
-its zero-mass atoms (``support_mask``). ``classical_density`` checks its
-candidate on every set against Python lists of atom sums
+these notions are oracles in the tests. So these and ``choquet_integral``,
+which evaluates the measure on one set per level, build no table and have
+no atom cap; so do the negligibility routines of ``measures``, which read
+a measure's null sets off its ``support_mask``, here the atoms of positive
+mass. ``classical_density`` checks its candidate on every set against
+Python lists of atom sums
 (``spaces.atom_folds``) and loads no numpy; ``from_set_function`` reads
 the whole numpy table. Both are priced as an atom table: k 2^k cells,
 which admit 21 atoms.
@@ -93,7 +93,7 @@ def lebesgue_integral(f, m, bset=None):
         bset = m.space.full()
     total = 0.0
     for i in bset.atom_indices():
-        total += TIMES._eval(f.atom_values[i], m.atom_masses[i])
+        total += TIMES(f.atom_values[i], m.atom_masses[i])
     return total
 
 
@@ -131,7 +131,7 @@ def classical_density(nu, m, tol=DEFAULT_TOL):
             dens.append(ni / mi)
     c = MeasurableFn(space, dens)
     # lebesgue_integral's left-to-right sum, and nu's, on every mask at once
-    got = atom_folds(per_distinct(TIMES._eval, c.atom_values, m.atom_masses), operator.add, 0.0)
+    got = atom_folds(per_distinct(TIMES, c.atom_values, m.atom_masses), operator.add, 0.0)
     want = atom_folds(nu.atom_masses, operator.add, 0.0)
     # equal lists pass at every tolerance; only a difference pays for the scan
     b = None if got == want else first_atom(not close(g, v, tol) for g, v in zip(got, want))
@@ -219,7 +219,7 @@ def choquet_integral(f, w, bset=None):
     for lo, hi in zip(vs, vs[1:]):
         surv = w(bset.mask & f.level_set(lo).mask)
         width = hi - lo
-        total += TIMES._eval(width, surv)
+        total += TIMES(width, surv)
         if math.isinf(total):
             return INF
     return total

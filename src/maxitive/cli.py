@@ -95,8 +95,9 @@ def _need_additive(obj, what, tol=DEFAULT_TOL):
 
 
 def _named_set(space, text):
-    """The set a --set names, or the whole space when it is not given."""
-    return MeasurableSet(space, space.mask_named(text)) if text else space.full()
+    """The set a --set names, or the whole space when it is not given;
+    blank text names the empty set."""
+    return space.full() if text is None else MeasurableSet(space, space.mask_named(text))
 
 
 def _emit(command, payload):
@@ -311,7 +312,7 @@ def _cmd_simulate(args):
         raise ValueError("pass --m FILE or --atoms label:value,...")
     bset = _named_set(m.space, args.set)
     if not bset.mask:
-        if args.set:
+        if args.set is not None:
             raise ValueError(f"--set {args.set!r} names no atom; pass labels like a+b")
         raise ValueError("the control measure has no atoms")
     rng = sampling.rng_for(args.seed, args.stream)

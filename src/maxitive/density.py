@@ -10,8 +10,10 @@ A density of a maxitive measure is verified on the k atoms, and so is the
 absolute continuity of a maxitive pair under every operation: the
 representation nu(B) = max of nu_i over the atoms of B carries both to
 every set. With maxitive measures the residual and associated routes build
-no table. The envelope is the closed atom sum nu_i m_i, the minimum over
-partitions by the product inequality; its steps loop over the atom tuples,
+no table; the associated route reads the negligible atoms of its
+background measure off its ``support_mask()``, of whatever kind it is.
+The envelope is the closed atom sum nu_i m_i, the minimum over partitions
+by the product inequality; its steps loop over the atom tuples,
 and the classical density's check on every set sums them in plain Python
 (``spaces.atom_folds``, k 2^k cells, which admit 21 atoms). So none of
 these routes imports numpy on atom measures; only a table input does.
@@ -30,14 +32,13 @@ from .errors import (
     NonExactOperation,
     NotOdotAbsolutelyContinuous,
 )
-from .measures import MaxitiveMeasure, _null_atoms, esssup_measure, negligible
+from .measures import MaxitiveMeasure, esssup_measure, negligible
 from .records import Record
 from .semigroup import TIMES
 from .spaces import (
     DEFAULT_TOL,
     INF,
     MeasurableFn,
-    atom_flags,
     close,
     first_atom,
     le,
@@ -166,7 +167,7 @@ def envelope_measure(nu, m):
     overflow.
     """
     nu_a, m_a = nu.atom_values, m.atom_masses
-    masses = list(map(TIMES._eval, nu_a, m_a))  # 0 * inf is 0; an overflow is inf
+    masses = list(map(TIMES, nu_a, m_a))  # 0 * inf is 0; an overflow is inf
     i = first_atom(
         math.isinf(p) and math.isfinite(v) and math.isfinite(w)
         for p, v, w in zip(masses, nu_a, m_a)
@@ -232,25 +233,23 @@ def density_from_associated(op, mu, c1, c2, tol=DEFAULT_TOL):
     """Density of esssup(c1) with respect to esssup(c2) over the measure mu.
 
     The set A where c1 escapes the scalar bound inf (.) c2 must be
-    mu-negligible (NegligibilityViolation otherwise); off A the candidate is
-    the scalar residual c1 / c2. The candidate is verified against the two
-    essential-supremum measures and NoDensity is raised on failure, which
-    happens in particular when the operation is not exact at the needed
-    pairs.
+    mu-negligible (NegligibilityViolation otherwise). The candidate is the
+    scalar residual of esssup(c1) by c2 atom by atom: c1 / c2 on the
+    support of mu, and 0 off it, which holds A. The candidate is verified
+    against the two essential-supremum measures and NoDensity is raised on
+    failure, which happens in particular when the operation is not exact at
+    the needed pairs.
     """
-    space = mu.space
     nu = esssup_measure(mu, c1, tol)
     tau = esssup_measure(mu, c2, tol)
     bound = per_distinct(lambda v: op(INF, v), c2.atom_values)
     pairs = enumerate(zip(c1.atom_values, bound))
     bad = mask_of(i for i, (v, c) in pairs if not le(v, c, tol))
-    if bad and not negligible(mu, bad):
+    if not negligible(mu, bad):
         raise NegligibilityViolation(
             f"c1 escapes the scalar bound on a non-negligible set, mask {bad}"
         )
-    dead = atom_flags(bad | _null_atoms(mu), space.n_atoms)
-    live = [0.0 if d else v for d, v in zip(dead, c1.atom_values)]
-    c = MeasurableFn(space, _residuals(op, live, c2.atom_values))
+    c = MeasurableFn(mu.space, _residuals(op, nu.atom_values, c2.atom_values))
     ok, wit = verify_density(op, c, nu, tau, tol)
     if not ok:
         raise NoDensity(f"associated-density candidate fails on mask {wit}")

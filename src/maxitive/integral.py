@@ -21,7 +21,7 @@ from .additive import AdditiveMeasure
 from .errors import MaxitiveError, OracleMismatch
 from .measures import MaxitiveMeasure
 from .records import Record
-from .semigroup import TableOp, _monotonicity_faults
+from .semigroup import TableOp, monotonicity_faults
 from .spaces import (
     DEFAULT_TOL,
     INF,
@@ -64,7 +64,7 @@ def idempotent_integral(op, f, nu, bset=None, tol=DEFAULT_TOL, crosscheck=False)
     refused with MaxitiveError; the builtins are monotone.
     """
     if isinstance(op, TableOp):
-        witness = next(_monotonicity_faults(op, op.grid, tol), None)
+        witness = next(monotonicity_faults(op, op.grid, tol), None)
         if witness is not None:
             raise MaxitiveError(
                 f"the integral needs a monotone operation; {op.name!r} is not monotone "

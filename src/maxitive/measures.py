@@ -2,13 +2,13 @@
 
 A maxitive measure is stored by its atom values, a tuple of Python floats;
 its value on a set is the max over the atoms inside. That representation
-decides its classification, alternation, negligible sets and essential
-suprema, atom decomposition, disjoint variation, essential witness and
-finiteness suite, so these are read off the atom values in plain Python,
-build no table, import no numpy and have no atom cap, and the table routes
-that restate them are oracles in the tests. An additive measure's masses
-decide its negligible sets and essential suprema the same way, since its
-zero sets are the sets of zero-mass atoms. Other set functions are
+decides its classification, alternation, atom decomposition, disjoint
+variation, essential witness and finiteness suite, so these are read off
+the atom values in plain Python, build no table, import no numpy and have
+no atom cap, and the table routes that restate them are oracles in the
+tests. A set is negligible iff each of its atoms lies in a zero set, that
+is iff it misses the ``support_mask()`` that every measure kind has, so the
+null-set routines read that mask alone. Other set functions are
 classified by a battery of named predicates, each returning a witness when
 it fails. On a finite algebra four textbook properties (continuity along
 decreasing chains, exhaustivity, the countable chain condition,
@@ -26,9 +26,8 @@ from __future__ import annotations
 import math
 
 from .additive import AdditiveMeasure
-from .errors import NotMonotone, NotNullAdditive, OracleMismatch
+from .errors import NotMonotone, NotNullAdditive
 from .records import Record
-from .semigroup import MAX, MIN, PLUS, TIMES
 from .spaces import (
     DEFAULT_TOL,
     INF,
@@ -96,30 +95,11 @@ class MaxitiveMeasure:
         return f"{type(self).__name__}({list(self.atom_values)})"
 
 
-#: the measures stored by their atoms, whose zero sets are the sets of
-#: zero atoms: a maximum, and a float sum of nonnegative terms, is 0 only
-#: where every term is
-_ATOM_MEASURES = (MaxitiveMeasure, AdditiveMeasure)
-
-
-def _zero_masks(table):
-    return np.nonzero(table == 0.0)[0]
-
-
-def _null_atoms(w):
-    """Bit i is set iff {i} is negligible: the OR of the zero masks."""
-    if isinstance(w, _ATOM_MEASURES):
-        return w.space.full_mask & ~w.support_mask()
-    return union_of(as_table(w).table == 0.0)
-
-
 def negligible(w, bset):
-    """Whether the set is contained in some measurable zero set of ``w``; for
-    a maxitive or additive measure, whether each of its atoms is 0."""
-    mask = as_mask(bset)
-    if isinstance(w, _ATOM_MEASURES):
-        return (mask & w.support_mask()) == 0
-    return bool(((_zero_masks(as_table(w).table) & mask) == mask).any())
+    """Whether every atom of the set lies in a zero set of ``w``: the
+    negligible sets are the ideal the zero sets generate, the sets that miss
+    ``w.support_mask()``."""
+    return (as_mask(bset) & w.support_mask()) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -164,9 +144,9 @@ def is_null_additive(w, tol=DEFAULT_TOL):
     w = as_table(w)
     table = w.table
     masks = np.arange(w.space.n_sets)
-    if np.array_equal(table[masks | _null_atoms(w)], table):
+    if np.array_equal(table[masks | (w.space.full_mask & ~w.support_mask())], table):
         return True, None
-    zeros, k = _zero_masks(table), w.space.n_atoms
+    zeros, k = np.flatnonzero(table == 0.0), w.space.n_atoms
     require_budget(len(zeros) << k, f"scan of {len(zeros)} zero sets on {k} atoms")
     for n in zeros:
         b = first_flagged(~vclose(table[masks | int(n)], table, tol))
@@ -276,9 +256,8 @@ def is_autocontinuous(w, tol=DEFAULT_TOL):
     if not ok:
         return False, {"monotone": wit}
     table = w.table
-    k = w.space.n_atoms
-    dead = atom_flags(_null_atoms(w), k)
-    ess = atom_table(np.where(dead, 0.0, singletons(table)), np.maximum)
+    live = atom_flags(w.support_mask(), w.space.n_atoms)
+    ess = atom_table(np.where(live, singletons(table), 0.0), np.maximum)
     b = first_flagged(~vclose(table, ess, tol))
     return b is None, b
 
@@ -456,7 +435,7 @@ def _require_fuzzy(w, tol=DEFAULT_TOL):
     and a rounded sum of nonnegative terms, does not decrease when a term is
     added, and adding the zero terms of a zero set leaves it unchanged.
     """
-    if isinstance(w, _ATOM_MEASURES):
+    if not isinstance(w, SetFunction):
         return
     ok, wit = is_monotone(w, tol)
     if not ok:
@@ -467,34 +446,22 @@ def _require_fuzzy(w, tol=DEFAULT_TOL):
 
 
 def essential_supremum(tau, f, bset=None, tol=DEFAULT_TOL):
-    """inf of t > 0 such that B & {f > t} is tau-negligible.
-
-    tau must be monotone and null-additive so that negligibility behaves.
-    For a maxitive or additive tau it is the max of f over the
-    non-negligible atoms of B, since a union of zero sets is a zero set. On
-    a table it is the min over the zero sets N of the max of f on B less N,
-    the first level t with B & {f > t} inside some N, cross-checked against
-    that atom max.
-    """
-    _require_fuzzy(tau, tol)
-    if bset is None:
-        bset = tau.space.full()
-    live = atoms_of(bset.mask & ~_null_atoms(tau))
-    oracle = max((f.atom_values[i] for i in live), default=0.0)
-    if isinstance(tau, _ATOM_MEASURES):
-        return oracle
-    zeros = _zero_masks(as_table(tau).table)
-    result = float(atom_table(f.atom_values, np.maximum)[bset.mask & ~zeros].min())
-    if not close(result, oracle, tol):
-        raise OracleMismatch(f"essential supremum sweep {result} vs atom oracle {oracle}")
-    return result
+    """inf of t > 0 such that B & {f > t} is tau-negligible: its value on B
+    (the whole space by default) of ``esssup_measure``."""
+    return esssup_measure(tau, f, tol)(tau.space.full_mask if bset is None else bset)
 
 
 def esssup_measure(tau, f, tol=DEFAULT_TOL):
-    """The maxitive measure B -> essential supremum of f over B."""
+    """The maxitive measure B -> essential supremum of f over B.
+
+    tau must be monotone and null-additive so that negligibility behaves.
+    A set is negligible iff it misses the support of tau, so B & {f > t} is
+    negligible iff f <= t on the atoms of B in the support: the measure is
+    f on the support and 0 off it.
+    """
     _require_fuzzy(tau, tol)
-    dead = atom_flags(_null_atoms(tau), tau.space.n_atoms)
-    vals = [0.0 if d else v for d, v in zip(dead, f.atom_values)]
+    live = atom_flags(tau.support_mask(), tau.space.n_atoms)
+    vals = [v if a else 0.0 for a, v in zip(live, f.atom_values)]
     return MaxitiveMeasure(tau.space, vals)
 
 
@@ -589,10 +556,10 @@ def finiteness_suite(op, nu):
 
     The values of nu on the subsets of a set b are 0 and the atom values in
     b, so nu is semi-finite iff every positive atom is op-finite, and it is
-    checked on the atoms with no table. It collapses to plain op-finiteness,
-    finiteness of the max atom, when the op-finite elements are 0 and every
-    value below an op-finite one, as under each builtin operation, where the
-    two are held equal and OracleMismatch is raised if they differ. A table
+    checked on the atoms with no table. Under each builtin this is plain
+    op-finiteness, finiteness of the max atom, by construction: under
+    ``times`` O(t) = 0 iff t is finite; under ``min`` O = 0; under ``plus``
+    and ``max`` O(t) = t, so both flags say no atom is positive. A table
     operation need not be so, and its three flags are returned as computed.
     """
     odot = op.finite_element(nu(nu.space.full_mask))
@@ -600,8 +567,6 @@ def finiteness_suite(op, nu):
     # a list, not a generator: every positive atom is evaluated, so a table
     # operation raises on the first one off its grid
     semi = all([op.finite_element(v) for v in nu.atom_values if v > 0])
-    if semi != odot and op in (TIMES, MIN, PLUS, MAX):
-        raise OracleMismatch("semi-finiteness must match op-finiteness here")
     return FinitenessReport(
         odot_finite=odot, sigma_odot_finite=sigma, semi_odot_finite=semi
     )

@@ -345,7 +345,9 @@ def _associativity_faults(op, grid, tol):
                     yield (s, t, u, left, right)
 
 
-def _monotonicity_faults(op, grid, tol):
+def monotonicity_faults(op, grid, tol):
+    """The pairs (s, t) of the grid, in scan order, where s (.) t or
+    t (.) s drops below its value at the grid point before s."""
     for t in grid:
         prev_l = prev_r = -INF
         for s in grid:
@@ -388,7 +390,7 @@ def verify_axioms(op, tol=DEFAULT_TOL):
     witnesses = {}
     for axiom, scan in (
         ("associative", _associativity_faults(op, grid, tol)),
-        ("monotone", _monotonicity_faults(op, grid, tol)),
+        ("monotone", monotonicity_faults(op, grid, tol)),
         ("left_identity", iter(["no identity declared"]) if one is None else (
             (one, t, op(one, t)) for t in grid if not close(op(one, t), t, tol))),
         ("annihilator", ((t, op(0.0, t), op(t, 0.0)) for t in grid

@@ -34,6 +34,10 @@ Each convention on values has one home:
   are close; a drop from inf is never within tolerance;
 - inf - inf = 0 is :func:`esub` (and :func:`vsub`);
 - 0 * inf = 0 is applied by the operation evaluators of ``semigroup``;
+- a set is negligible iff it misses the measure's ``support_mask()``, the
+  atoms in no zero set; :meth:`SetFunction.support_mask` reads a table's
+  off the OR of its zero masks, as a maxitive or additive measure reads
+  its own off its positive atoms;
 - the work budget of every exponential routine is :data:`BUDGET_CELLS`,
   against which :func:`require_budget` refuses a priced cost; each routine
   prices the work it runs when it starts, and a whole table what it holds.
@@ -616,6 +620,12 @@ class SetFunction:
 
     def __call__(self, bset):
         return float(self.table[as_mask(bset)])
+
+    def support_mask(self):
+        """The atoms that lie in no zero set: a set is negligible iff it
+        misses them, so the negligible sets are the ideal the zero sets
+        generate."""
+        return self.space.full_mask & ~union_of(self.table == 0.0)
 
     def __repr__(self):
         return f"SetFunction(on {self.space!r})"

@@ -680,8 +680,8 @@ def test_maxitive_verdicts_have_no_atom_cap(k, tmp_path, capsys):
 
 def test_esssup_on_a_table_null_additive_only_within_tolerance(tmp_path, capsys):
     # a and b are zero sets whose union is not: check calls the table
-    # null-additive within 1e-9, but the sweep's zero sets leave 5 on a + b
-    # while the atom oracle zeroes both atoms, so esssup refuses
+    # null-additive within 1e-9, and a + b is negligible, as each of its
+    # atoms lies in a zero set, so the essential supremum over it is 0
     doc = {"schema": "1", "kind": "set_function",
            "space": {"ground": ["a", "b"], "blocks": [["a"], ["b"]]},
            "table": {"a": 0.0, "b": 0.0, "a+b": 1e-10}}
@@ -689,9 +689,49 @@ def test_esssup_on_a_table_null_additive_only_within_tolerance(tmp_path, capsys)
     f = write_doc(tmp_path / "f.json", measure_doc("function", ["a", "b"], [5.0, 5.0]))
     assert cli.main(["check", "--order", "0", "--measure", w]) == 0
     assert json.loads(capsys.readouterr().out)["properties"]["null_additive"] is True
-    assert cli.main(["esssup", "--measure", w, "--fn", f]) == 1
+    assert cli.main(["esssup", "--measure", w, "--fn", f]) == 0
     out = capsys.readouterr()
-    assert (out.out, out.err) == ("", "error: essential supremum sweep 5.0 vs atom oracle 0.0\n")
+    assert out.err == ""
+    assert json.loads(out.out)["value"] == 0.0
+
+
+def test_associated_density_over_a_table_null_additive_only_within_tolerance(tmp_path, capsys):
+    # c1 escapes the bound inf * c2 = 0 on a + b, which is negligible though
+    # it lies in no one zero set, so the density is c1 / c2 off it
+    labels = ["a", "b", "c"]
+    table = {"a": 0.0, "b": 0.0, "a+b": 1e-10, "c": 1.0, "a+c": 1.0, "b+c": 1.0, "a+b+c": 1.0}
+    mu = write_doc(tmp_path / "mu.json", {
+        "schema": "1", "kind": "set_function",
+        "space": {"ground": labels, "blocks": [[l] for l in labels]}, "table": table})
+    c1 = write_doc(tmp_path / "c1.json", measure_doc("function", labels, [1.0, 1.0, 1.0]))
+    c2 = write_doc(tmp_path / "c2.json", measure_doc("function", labels, [0.0, 0.0, 1.0]))
+    argv = ["density", "--method", "associated", "--op", "times",
+            "--mu", mu, "--c1", c1, "--c2", c2]
+    assert cli.main(argv) == 0
+    out = capsys.readouterr()
+    assert out.err == ""
+    assert json.loads(out.out)["density"]["atoms"] == {"a": 0.0, "b": 0.0, "c": 1.0}
+
+
+# blank --set text names the empty set, as --set " " and Space.mask_named
+# read it; only an absent --set is the whole space
+@pytest.mark.parametrize("verb", ["integrate", "esssup"])
+def test_blank_set_text_names_the_empty_set(verb, tmp_path, capsys):
+    nu = write_doc(tmp_path / "nu.json", measure_doc("maxitive", ["a", "b"], [1.0, 0.5]))
+    f = write_doc(tmp_path / "f.json", measure_doc("function", ["a", "b"], [1.0, 1.0]))
+    argv = [verb, "--measure", nu, "--fn", f]
+    if verb == "integrate":
+        argv += ["--op", "times"]
+    reports = []
+    for text in ("", " "):
+        assert cli.main(argv + ["--set", text]) == 0
+        reports.append(json.loads(capsys.readouterr().out))
+    assert reports[0] == reports[1]
+    assert reports[0]["set"] == ""
+    value = reports[0]["result"]["value"] if verb == "integrate" else reports[0]["value"]
+    assert value == 0.0
+    assert cli.main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["set"] == "a+b"
 
 
 @pytest.mark.parametrize("k, value", [(10, 1.8e307), (11, 1.7e307)])
@@ -899,6 +939,14 @@ def test_simulate_refuses_a_set_naming_no_atom():
     assert proc.stderr.startswith("error: --set ")
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
+
+
+def test_simulate_refuses_blank_set_text(capsys):
+    argv = ["simulate", "--atoms", "a:0.5,b:0.5", "--p", "2", "--n", "5", "--set", ""]
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --set '' names no atom; pass labels like a+b\n"
 
 
 def test_seeded_commands_are_byte_identical(docs):
